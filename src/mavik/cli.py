@@ -1,6 +1,7 @@
 """Command-line surface: fit / evaluate / reduce / bench-generic / retrieval-test.
 
-Exit codes: 0 success, 2 malformed or mismatched input, 3 resource cap hit.
+Exit codes: 0 success, 2 malformed or mismatched input, 3 resource cap hit,
+4 internal invariant violated (a numerical kernel broke; see the message).
 All commands are deterministic given their flags and seeds; reports embed a
 full configuration echo.  Table output is printed with three significant
 digits; the JSON files keep full precision.
@@ -17,18 +18,24 @@ from pathlib import Path
 
 import numpy as np
 
-from . import datasets, serialize
+from . import datasets, engine, serialize
 from .bench import run_generic_bench
 from .coefficients import expand_many
 from .core import Basis, constant_poly
-from .engine import EngineConfig, evaluate, fit
-from .errors import ContractViolation, DegenerateInputError, MavikError, ResourceLimitError
+from .engine import EngineConfig, evaluate
+from .errors import (
+    ContractViolation,
+    DegenerateInputError,
+    InternalInvariantViolation,
+    ResourceLimitError,
+)
 from .postprocess import reduce_basis
 from .retrieval import load_target_profiles, mode_from_kind, run_retrieval
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 def _fmt3(x):
@@ -63,7 +70,7 @@ def cmd_fit(args):
     if args.scale is not None and args.scale != 1.0:
         X = datasets.scale(X, args.scale)
     config = _engine_config(args, X)
-    basis, report = fit(X, config)
+    basis, report = engine.fit(X, config)
     out = _out_dir(args)
 
     expansions = None
@@ -326,9 +333,9 @@ def main(argv=None):
     except (ContractViolation, DegenerateInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except MavikError as exc:
+    except InternalInvariantViolation as exc:
         print(f"internal error: {exc}", file=sys.stderr)
-        raise
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

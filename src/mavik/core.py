@@ -8,6 +8,13 @@ gradients -- on any other point set.  All basis construction happens through
 the two operations :func:`linear_combine` and :func:`multiply`; gradients are
 propagated through them with the product/linearity rules and are never
 obtained by symbolic differentiation.
+
+Both operations work on whole strata at once: :func:`linear_combine` forms
+r combinations of k polynomials as one matrix product over their stacked
+evaluations and one over their stacked gradients, and :func:`multiply`
+forms every product of a list of factor pairs by one broadcast.  The
+provenance stays per polynomial: one ``PLin`` or ``PProd`` node for each
+output.
 """
 
 from __future__ import annotations
@@ -238,49 +245,84 @@ def _same_points(polys):
     return first
 
 
-def linear_combine(polys, weights):
-    """Weighted sum of polynomials: evals, grads and provenance combine linearly.
+def linear_combine(polys, weights, lead=None):
+    """Weighted sums of polynomials: evals, grads and provenance combine linearly.
+
+    ``weights`` of shape (k,) gives one polynomial; shape (k, r) gives a list
+    of r, one per column.  All columns are formed by one matrix product over
+    the stacked evaluations and one over the stacked gradients.  ``lead``,
+    if given, holds r polynomials added to the columns with weight 1 after
+    the product; each goes first in its column's provenance node.
 
     Degree is the maximum over children with a nonzero weight (0 if all
     weights vanish).  Children with an exactly-zero weight are dropped from
     the provenance node.
     """
-    w = np.asarray(weights, dtype=float)
-    if len(polys) < 1 or w.shape != (len(polys),):
-        raise ContractViolation("need len(polys) == len(weights) >= 1")
-    if not np.all(np.isfinite(w)):
+    W = np.asarray(weights, dtype=float)
+    single = W.ndim == 1
+    if single:
+        W = W[:, None]
+    if len(polys) < 1 or W.ndim != 2 or W.shape[0] != len(polys):
+        raise ContractViolation("weights must have len(polys) >= 1 rows")
+    if not np.all(np.isfinite(W)):
         raise ContractViolation("weights must be finite")
-    pointset = _same_points(polys)
+    lead = [] if lead is None else list(lead)
+    if lead and len(lead) != W.shape[1]:
+        raise ContractViolation("need one lead polynomial per weight column")
+    pointset = _same_points(list(polys) + lead)
+    k, r = W.shape
+    m, n = len(pointset), pointset.n
 
-    ev = np.zeros(len(pointset))
-    gr = np.zeros((len(pointset), pointset.n))
-    kept_children = []
-    kept_weights = []
-    degree = 0
-    for p, wi in zip(polys, w):
-        if wi == 0.0:
-            continue
-        ev += wi * p.eval
-        gr += wi * p.grad
-        kept_children.append(p.prov)
-        kept_weights.append(wi)
-        degree = max(degree, p.degree)
-    prov = PLin(tuple(kept_children), np.array(kept_weights))
-    return Poly(degree, ev, gr, prov, pointset)
+    ev = W.T @ np.stack([p.eval for p in polys])
+    gr = (W.T @ np.stack([p.grad for p in polys]).reshape(k, m * n)).reshape(r, m, n)
+    if lead:
+        ev = np.stack([p.eval for p in lead]) + ev
+        gr = np.stack([p.grad for p in lead]) + gr
+
+    provs = [p.prov for p in polys]
+    degrees = np.array([p.degree for p in polys])
+    out = []
+    for j in range(r):
+        col = W[:, j]
+        kept = np.flatnonzero(col)
+        children = [provs[i] for i in kept.tolist()]
+        kept_weights = col[kept]
+        degree = int(degrees[kept].max()) if kept.size else 0
+        if lead:
+            children.insert(0, lead[j].prov)
+            kept_weights = np.concatenate(([1.0], kept_weights))
+            degree = max(degree, lead[j].degree)
+        out.append(Poly(degree, ev[j], gr[j], PLin(children, kept_weights), pointset))
+    return out[0] if single else out
 
 
 def multiply(p, q):
-    """Product of a degree-1 polynomial with another polynomial.
+    """Products of degree-1 polynomials with other polynomials.
 
-    The gradient is assembled from the stored child data with the product
-    rule, row by row: q(x) * grad p(x) + p(x) * grad q(x).
+    ``p`` and ``q`` are single polynomials, giving one product, or equally
+    long sequences, giving the list of pairwise products ``p[i] * q[i]``.
+    Evaluations and product-rule gradients, q(x) * grad p(x) + p(x) *
+    grad q(x), are formed for all pairs at once by broadcasting.
     """
-    if p.degree != 1:
+    single = isinstance(p, Poly)
+    ps, qs = ([p], [q]) if single else (list(p), list(q))
+    if len(ps) != len(qs):
+        raise ContractViolation("need as many left factors as right factors")
+    if not ps:
+        return []
+    if any(a.degree != 1 for a in ps):
         raise ContractViolation("left factor must have degree 1")
-    pointset = _same_points([p, q])
-    ev = p.eval * q.eval
-    gr = q.eval[:, None] * p.grad + p.eval[:, None] * q.grad
-    return Poly(p.degree + q.degree, ev, gr, PProd(p.prov, q.prov), pointset)
+    pointset = _same_points(ps + qs)
+    p_ev = np.stack([a.eval for a in ps])
+    q_ev = np.stack([b.eval for b in qs])
+    ev = p_ev * q_ev
+    gr = (q_ev[:, :, None] * np.stack([a.grad for a in ps])
+          + p_ev[:, :, None] * np.stack([b.grad for b in qs]))
+    out = [
+        Poly(a.degree + b.degree, ev[i], gr[i], PProd(a.prov, b.prov), pointset)
+        for i, (a, b) in enumerate(zip(ps, qs))
+    ]
+    return out[0] if single else out
 
 
 @dataclass

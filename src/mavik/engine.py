@@ -167,16 +167,17 @@ def normalization_gram(cands, mode, term_cap=DEFAULT_TERM_CAP):
 
 
 def _candidate_products(f1, f_prev, dedup_pairs):
-    cands = []
-    if dedup_pairs:
-        for i, p in enumerate(f1):
-            for q in f_prev[i:]:
-                cands.append(multiply(p, q))
-    else:
-        for p in f1:
-            for q in f_prev:
-                cands.append(multiply(p, q))
-    return cands
+    """All degree-t candidates x f, built by one stratum-level ``multiply``.
+
+    Pairs run over ``f1`` in order, each with every member of ``f_prev``
+    (or, with ``dedup_pairs``, only members from the same position on).
+    """
+    lefts, rights = [], []
+    for i, p in enumerate(f1):
+        for q in f_prev[i:] if dedup_pairs else f_prev:
+            lefts.append(p)
+            rights.append(q)
+    return multiply(lefts, rights)
 
 
 def _rank_stacks(g_polys, X, tol):
@@ -241,6 +242,12 @@ def _verify_gradient_norms(polys, z):
 def fit(X, config):
     """Run the basis construction on ``X``; returns (Basis, FitReport).
 
+    Each degree runs as a short chain of stratum-level kernels: one
+    ``multiply`` builds all candidate products, one ``orthogonal_project``
+    removes the earlier strata from them, two Grams and a generalized
+    eigensolve pick the combinations, and one ``linear_combine`` with the
+    eigenvector matrix builds the stratum's new polynomials.
+
     The loop is deterministic: candidate order is fixed, eigenvalues are
     sorted descending with stable tie-breaks, and eigenvector signs are
     pinned, so repeated runs on one platform are bitwise identical.
@@ -290,9 +297,7 @@ def fit(X, config):
         N = normalization_gram(cands, config.mode, term_cap=config.term_cap)
         res = gen_eig_sym(A, N, rank_tol=config.rank_tol)
 
-        new_polys = [
-            linear_combine(cands, res.vectors[:, i]) for i in range(res.retained_rank)
-        ]
+        new_polys = linear_combine(cands, res.vectors)
         if config.mode.kind == "gradient":
             _verify_gradient_norms(new_polys, config.mode.z)
 

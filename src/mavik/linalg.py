@@ -2,7 +2,8 @@
 
 * :func:`orthogonal_project` -- remove the span of earlier strata from a
   batch of candidate polynomials, on the evaluation side, updating gradients
-  with the same combination weights.
+  with the same combination weights; one matrix product for the weights and
+  one stratum-level combination for the results.
 * :func:`gen_eig_sym` -- symmetric-definite generalized eigenproblem
   ``A V = N V Lambda`` restricted to the numerical range of ``N``, returning
   N-orthonormal eigenvectors.
@@ -132,10 +133,14 @@ def orthogonal_project(cands, f_prev):
 
     ``f_prev`` must have pairwise-orthogonal nonzero evaluation vectors (true
     by construction for completed strata), so the least-squares coefficients
-    reduce to scaled inner products against a diagonal Gram.  Gradients and
-    provenance follow the same linear combination.
+    reduce to scaled inner products against a diagonal Gram.  The whole
+    stratum is projected at once: the coefficients are one matrix product,
+    ``-(E^T C) / diag``, and the projected candidates one
+    :func:`linear_combine` of ``f_prev`` with the candidates as lead terms,
+    so each result is ``c - sum_j w_j f_j`` with provenance ``[c] + f_prev``.
+    Gradients and provenance follow the same linear combination.
     """
-    if not f_prev:
+    if not f_prev or not cands:
         return list(cands)
     E = np.column_stack([f.eval for f in f_prev])
     diag = np.sum(E * E, axis=0)
@@ -143,11 +148,9 @@ def orthogonal_project(cands, f_prev):
         raise InternalInvariantViolation(
             "projection basis contains a zero evaluation vector"
         )
-    out = []
-    for c in cands:
-        w = (E.T @ c.eval) / diag
-        out.append(linear_combine([c] + list(f_prev), np.concatenate(([1.0], -w))))
-    return out
+    C = np.column_stack([c.eval for c in cands])
+    W = -(E.T @ C) / diag[:, None]
+    return linear_combine(f_prev, W, lead=cands)
 
 
 def numerical_rank(M, tol=1e-12):

@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mavik import engine
 from mavik.cli import main
 from mavik.datasets import sample_variety, save_points
+from mavik.errors import InternalInvariantViolation
 from mavik.retrieval import grid_epsilons, load_target_profiles
 
 
@@ -66,6 +68,15 @@ class TestFitCommand:
         save_points(sample_generic(20, 3, seed=1), pts)
         assert main(["fit", "--points", str(pts), "--mode", "coeff",
                      "--term-cap", "2", "--out", str(tmp_path / "o")]) == 3
+
+    def test_internal_invariant_exits_4(self, circle4_csv, tmp_path, monkeypatch, capsys):
+        def broken_fit(X, config):
+            raise InternalInvariantViolation("eigenvectors lost N-orthonormality")
+
+        monkeypatch.setattr(engine, "fit", broken_fit)
+        code = main(["fit", "--points", str(circle4_csv), "--out", str(tmp_path / "o")])
+        assert code == 4
+        assert capsys.readouterr().err == "internal error: eigenvectors lost N-orthonormality\n"
 
     def test_expansions_embedded(self, circle4_csv, tmp_path):
         out = tmp_path / "out"

@@ -83,6 +83,88 @@ class TestLinearCombine:
             linear_combine([variable_poly(0, X), variable_poly(0, Y)], [1.0, 1.0])
 
 
+def assert_same_combination(got, want):
+    """``got`` equals ``want`` to rounding, with the same provenance node."""
+    scale = max(1.0, np.abs(want.eval).max())
+    np.testing.assert_allclose(got.eval, want.eval, rtol=1e-12, atol=1e-12 * scale)
+    scale = max(1.0, np.abs(want.grad).max())
+    np.testing.assert_allclose(got.grad, want.grad, rtol=1e-12, atol=1e-12 * scale)
+    assert got.degree == want.degree
+    assert len(got.prov.children) == len(want.prov.children)
+    assert all(a is b for a, b in zip(got.prov.children, want.prov.children))
+    np.testing.assert_array_equal(got.prov.weights, want.prov.weights)
+
+
+class TestLinearCombineMatrix:
+    """The 2-d form: one output per weight column, as the 1-d form gives."""
+
+    def polys(self):
+        X = generic_points(7, 3, seed=4)
+        rng = rng_for(21)
+        return X, [random_poly(X, d, rng) for d in (0, 1, 2, 3, 2)], rng
+
+    def test_columns_match_one_dimensional_calls(self):
+        _, H, rng = self.polys()
+        W = rng.normal(size=(len(H), 4))
+        W[1, 0] = 0.0  # exact zeros are dropped from that column only
+        W[3, 2] = 0.0
+        out = linear_combine(H, W)
+        assert isinstance(out, list) and len(out) == 4
+        for j, p in enumerate(out):
+            assert_same_combination(p, linear_combine(H, W[:, j]))
+            # reference: one axpy per child with a nonzero weight
+            ev, gr = np.zeros_like(H[0].eval), np.zeros_like(H[0].grad)
+            for h, w in zip(H, W[:, j]):
+                if w != 0.0:
+                    ev += w * h.eval
+                    gr += w * h.grad
+            np.testing.assert_allclose(p.eval, ev, rtol=1e-12, atol=1e-12 * np.abs(ev).max())
+            np.testing.assert_allclose(p.grad, gr, rtol=1e-12, atol=1e-12 * np.abs(gr).max())
+        assert len(out[0].prov.children) == len(H) - 1
+        assert out[0].prov.children == tuple(h.prov for i, h in enumerate(H) if i != 1)
+        assert out[2].degree == 2  # the degree-3 child has weight 0
+
+    def test_all_zero_column(self):
+        X, H, rng = self.polys()
+        W = rng.normal(size=(len(H), 2))
+        W[:, 1] = 0.0
+        zero = linear_combine(H, W)[1]
+        assert np.all(zero.eval == 0.0) and np.all(zero.grad == 0.0)
+        assert zero.degree == 0 and zero.prov.children == ()
+
+    def test_no_columns(self):
+        _, H, _ = self.polys()
+        assert linear_combine(H, np.zeros((len(H), 0))) == []
+
+    def test_lead_goes_first_with_weight_one(self):
+        X, H, rng = self.polys()
+        lead = [random_poly(X, 4, rng), variable_poly(2, X)]
+        W = rng.normal(size=(len(H), 2))
+        W[0, 1] = 0.0
+        out = linear_combine(H, W, lead=lead)
+        for j, p in enumerate(out):
+            keep = np.flatnonzero(W[:, j])
+            want = linear_combine([lead[j]] + [H[i] for i in keep],
+                                  np.concatenate(([1.0], W[keep, j])))
+            assert_same_combination(p, want)
+            assert p.prov.children[0] is lead[j].prov
+        assert out[0].degree == 4 and out[1].degree == 3
+
+    def test_shape_mismatch(self):
+        X, H, rng = self.polys()
+        with pytest.raises(ContractViolation):
+            linear_combine(H, rng.normal(size=(len(H) + 1, 2)))
+        with pytest.raises(ContractViolation):
+            linear_combine(H, rng.normal(size=(len(H), 2, 1)))
+        with pytest.raises(ContractViolation):
+            linear_combine(H, rng.normal(size=(len(H), 2)), lead=[variable_poly(0, X)])
+        with pytest.raises(ContractViolation):
+            linear_combine(H, np.full((len(H), 2), np.nan))
+        Y = generic_points(7, 3, seed=5)
+        with pytest.raises(ContractViolation):
+            linear_combine(H, rng.normal(size=(len(H), 1)), lead=[variable_poly(0, Y)])
+
+
 class TestMultiply:
     def test_square_in_one_variable(self):
         X = PointSet([[2.0]])
@@ -111,6 +193,32 @@ class TestMultiply:
         q = multiply(variable_poly(0, X), variable_poly(1, X))
         with pytest.raises(ContractViolation):
             multiply(q, q)
+        with pytest.raises(ContractViolation):
+            multiply([variable_poly(0, X), q], [q, q])
+
+    def test_sequences_match_pairwise_products_bitwise(self):
+        X = generic_points(9, 3, seed=6)
+        rng = rng_for(17)
+        lefts = [random_poly(X, 1, rng) for _ in range(4)]
+        rights = [random_poly(X, d, rng) for d in (0, 1, 2, 3)]
+        out = multiply(lefts, rights)
+        assert len(out) == 4
+        for p, a, b in zip(out, lefts, rights):
+            # the per-pair product rule, row by row
+            np.testing.assert_array_equal(p.eval, a.eval * b.eval)
+            rule = b.eval[:, None] * a.grad + a.eval[:, None] * b.grad
+            np.testing.assert_array_equal(p.grad, rule)
+            single = multiply(a, b)
+            np.testing.assert_array_equal(p.grad, single.grad)
+            assert p.degree == single.degree == b.degree + 1
+            assert p.prov.left is a.prov and p.prov.right is b.prov
+
+    def test_sequences_must_pair_up(self):
+        X = generic_points(4, 2, seed=1)
+        x, y = variables(X)
+        assert multiply([], []) == []
+        with pytest.raises(ContractViolation):
+            multiply([x, y], [x])
 
 
 class TestReplay:

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from conftest import generic_points, random_poly, rng_for
-from mavik.core import constant_poly, linear_combine, variable_poly, variables
+from mavik.core import PointSet, constant_poly, linear_combine, variable_poly, variables
 from mavik.errors import ContractViolation, InternalInvariantViolation
 from mavik.linalg import gen_eig_sym, numerical_rank, orthogonal_project
 
@@ -128,6 +128,31 @@ class TestOrthogonalProject:
         zero = linear_combine(variables(X), [0.0, 0.0])
         with pytest.raises(InternalInvariantViolation):
             orthogonal_project([variable_poly(0, X)], [zero])
+
+    def test_multiple_of_basis_member_cancels_exactly(self):
+        # On one point every candidate is a multiple of the constant.  The
+        # candidate is added after the weighted sum of f_prev, as in
+        # c + (-w * f), so the cancellation is exact; folding c into the
+        # same product would leave the product's rounding error behind.
+        X = PointSet([[0.3, -0.7]])
+        f = constant_poly(0.7, X)
+        double = linear_combine([f], [2.0])
+        for cands in ([double], variables(X), [double] + variables(X)):
+            out = orthogonal_project(cands, [f])
+            assert all(np.all(p.eval == 0.0) for p in out)
+            np.testing.assert_array_equal(out[-1].grad, cands[-1].grad)
+
+    def test_children_are_candidate_then_basis(self):
+        X = generic_points(8, 3, seed=13)
+        rng = rng_for(14)
+        f_prev = [constant_poly(1.0, X)]
+        for d in (1, 2):
+            f_prev.append(orthogonal_project([random_poly(X, d, rng)], f_prev)[0])
+        cands = [random_poly(X, 3, rng) for _ in range(3)]
+        for c, out in zip(cands, orthogonal_project(cands, f_prev)):
+            assert out.prov.children == tuple(p.prov for p in [c] + f_prev)
+            assert out.prov.weights[0] == 1.0
+            assert out.degree == 3
 
     def test_empty_basis_is_identity(self):
         X = generic_points(4, 2, seed=11)
