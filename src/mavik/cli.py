@@ -148,15 +148,8 @@ def cmd_reduce(args):
 
 def _basis_of(g_polys, X):
     """Wrap a list of vanishing polynomials as a Basis for serialization."""
-    top = max((p.degree for p in g_polys), default=0)
-    F = [[] for _ in range(top + 1)]
-    G = [[] for _ in range(top + 1)]
-    extents = [[] for _ in range(top + 1)]
-    F[0] = [constant_poly(1.0, X)]
-    for p in g_polys:
-        G[p.degree].append(p)
-        extents[p.degree].append(float(np.linalg.norm(p.eval)))
-    return Basis(F=F, G=G, extents=[np.array(e) for e in extents])
+    extents = [float(np.linalg.norm(p.eval)) for p in g_polys]
+    return Basis.from_flat([constant_poly(1.0, X)], g_polys, extents)
 
 
 def cmd_bench_generic(args):

@@ -3,15 +3,17 @@
 The basis construction itself never touches monomials; this module exists for
 the coefficient-normalization mode, for the degree-wise rescaling transform,
 and as an independent oracle against which the evaluation representation can
-be checked.  Exponent vectors are fixed-length integer tuples; iteration
-order is graded lexicographic, purely as a storage/serialization convention.
+be checked.  It reads construction trees only through the flattened records
+of :func:`mavik.core.flatten`, the node format of basis files.  Exponent
+vectors are fixed-length integer tuples; iteration order is graded
+lexicographic, purely as a storage/serialization convention.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import PConst, PLin, PProd, PVar
+from .core import flatten
 from .errors import ContractViolation, ResourceLimitError
 
 __all__ = ["CoeffVec", "expand", "expand_many", "coeff_gram", "degreewise_rescale"]
@@ -72,7 +74,7 @@ def _add_scaled(acc, terms, w):
         acc[exps] = acc.get(exps, 0.0) + w * c
 
 
-def _mul(a, b, n, cap):
+def _mul(a, b, cap):
     prod = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
@@ -85,48 +87,41 @@ def _mul(a, b, n, cap):
     return prod
 
 
-def _expand_node(node, n, cap, cache):
-    key = id(node)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit[1]
-    if isinstance(node, PConst):
-        terms = {(0,) * n: node.value}
-    elif isinstance(node, PVar):
-        exps = [0] * n
-        exps[node.index] = 1
-        terms = {tuple(exps): 1.0}
-    elif isinstance(node, PProd):
-        terms = _mul(
-            _expand_node(node.left, n, cap, cache),
-            _expand_node(node.right, n, cap, cache),
-            n,
-            cap,
-        )
-    elif isinstance(node, PLin):
-        terms = {}
-        for child, w in zip(node.children, node.weights):
-            _add_scaled(terms, _expand_node(child, n, cap, cache), w)
-        if len(terms) > cap:
-            raise ResourceLimitError(f"expansion exceeded the term cap ({cap} terms)")
-    else:
-        raise ContractViolation(f"unknown provenance node {type(node)!r}")
-    terms = {e: c for e, c in terms.items() if abs(c) >= PRUNE_TOL}
-    cache[key] = (node, terms)
-    return terms
-
-
-def expand(poly, term_cap=DEFAULT_TERM_CAP, _cache=None):
+def expand(poly, term_cap=DEFAULT_TERM_CAP):
     """Exact symbolic expansion of a polynomial's construction tree."""
-    n = poly.points.n
-    cache = {} if _cache is None else _cache
-    return CoeffVec(_expand_node(poly.prov, n, term_cap, cache), n)
+    return expand_many([poly], term_cap=term_cap)[0]
 
 
 def expand_many(polys, term_cap=DEFAULT_TERM_CAP):
-    """Expand several polynomials with a shared subtree cache."""
-    cache = {}
-    return [expand(p, term_cap=term_cap, _cache=cache) for p in polys]
+    """Expand several polynomials; a shared subtree is expanded once.
+
+    Works through the :func:`mavik.core.flatten` records, children first,
+    with the same rules as the fit: a product multiplies its factors'
+    terms and a combination adds its children's terms in stored order.
+    """
+    if not polys:
+        return []
+    n = polys[0].points.n
+    records, root_ids = flatten([p.prov for p in polys])
+    expanded = []
+    for rec in records:
+        kind = rec["kind"]
+        if kind == "const":
+            terms = {(0,) * n: rec["value"]}
+        elif kind == "var":
+            exps = [0] * n
+            exps[rec["index"]] = 1
+            terms = {tuple(exps): 1.0}
+        elif kind == "product":
+            terms = _mul(expanded[rec["left"]], expanded[rec["right"]], term_cap)
+        else:
+            terms = {}
+            for j, w in zip(rec["children"], rec["weights"]):
+                _add_scaled(terms, expanded[j], w)
+            if len(terms) > term_cap:
+                raise ResourceLimitError(f"expansion exceeded the term cap ({term_cap} terms)")
+        expanded.append({e: c for e, c in terms.items() if abs(c) >= PRUNE_TOL})
+    return [CoeffVec(expanded[i], n) for i in root_ids]
 
 
 def coeff_gram(polys, term_cap=DEFAULT_TERM_CAP):

@@ -15,6 +15,12 @@ evaluations and one over their stacked gradients, and :func:`multiply`
 forms every product of a list of factor pairs by one broadcast.  The
 provenance stays per polynomial: one ``PLin`` or ``PProd`` node for each
 output.
+
+Every reader of the construction DAG works on one flattened form:
+:func:`flatten` lists each distinct node once, children first, as
+JSON-ready records (the ``nodes`` of a basis file), and :func:`replay`
+rebuilds the records on another point set with the same kernels, so the
+product rule and the linear combination are written only once.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ __all__ = [
     "variables",
     "linear_combine",
     "multiply",
+    "flatten",
     "replay",
     "replay_many",
 ]
@@ -81,8 +88,8 @@ class PointSet:
 
 
 # ---------------------------------------------------------------------------
-# Construction trees.  Nodes are shared by reference, so a basis is a DAG and
-# replay memoizes on node identity.
+# Construction trees.  Nodes are shared by reference, so a basis is a DAG;
+# :func:`flatten` lists each shared node once.
 # ---------------------------------------------------------------------------
 
 
@@ -122,59 +129,6 @@ class PLin:
         self.weights = w
 
 
-def replay(prov, points, _cache=None):
-    """Evaluate a construction tree on ``points`` ((m, n) array).
-
-    Returns ``(values, grads)`` with shapes (m,) and (m, n).  A shared cache
-    may be passed to amortize work across trees with common subtrees.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise ContractViolation("points must be a 2-d array")
-    m, n = pts.shape
-    cache = {} if _cache is None else _cache
-
-    def rec(node):
-        key = id(node)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        if isinstance(node, PConst):
-            out = (np.full(m, node.value), np.zeros((m, n)))
-        elif isinstance(node, PVar):
-            if not 0 <= node.index < n:
-                raise ContractViolation(
-                    f"variable index {node.index} out of range for n={n}"
-                )
-            g = np.zeros((m, n))
-            g[:, node.index] = 1.0
-            out = (pts[:, node.index].copy(), g)
-        elif isinstance(node, PProd):
-            ev_l, gr_l = rec(node.left)
-            ev_r, gr_r = rec(node.right)
-            out = (ev_l * ev_r, ev_r[:, None] * gr_l + ev_l[:, None] * gr_r)
-        elif isinstance(node, PLin):
-            ev = np.zeros(m)
-            gr = np.zeros((m, n))
-            for child, w in zip(node.children, node.weights):
-                ev_c, gr_c = rec(child)
-                ev += w * ev_c
-                gr += w * gr_c
-            out = (ev, gr)
-        else:
-            raise ContractViolation(f"unknown provenance node {type(node)!r}")
-        cache[key] = out
-        return out
-
-    return rec(prov)
-
-
-def replay_many(polys, points):
-    """Replay several polynomials with a shared subtree cache."""
-    cache = {}
-    return [replay(p.prov, points, _cache=cache) for p in polys]
-
-
 class Poly:
     """A polynomial over a fixed :class:`PointSet`, in evaluation form.
 
@@ -202,7 +156,7 @@ class Poly:
 
     def replay(self, points):
         """Re-evaluate on an (m, n) array: returns (values, grads)."""
-        return replay(self.prov, points)
+        return replay_many([self], points)[0]
 
     def __repr__(self):
         return f"Poly(degree={self.degree}, |X|={len(self.eval)})"
@@ -273,11 +227,11 @@ def linear_combine(polys, weights, lead=None):
     k, r = W.shape
     m, n = len(pointset), pointset.n
 
-    ev = W.T @ np.stack([p.eval for p in polys])
-    gr = (W.T @ np.stack([p.grad for p in polys]).reshape(k, m * n)).reshape(r, m, n)
+    ev = W.T @ np.array([p.eval for p in polys])
+    gr = (W.T @ np.array([p.grad for p in polys]).reshape(k, m * n)).reshape(r, m, n)
     if lead:
-        ev = np.stack([p.eval for p in lead]) + ev
-        gr = np.stack([p.grad for p in lead]) + gr
+        ev = np.array([p.eval for p in lead]) + ev
+        gr = np.array([p.grad for p in lead]) + gr
 
     provs = [p.prov for p in polys]
     degrees = np.array([p.degree for p in polys])
@@ -325,6 +279,101 @@ def multiply(p, q):
     return out[0] if single else out
 
 
+def flatten(roots):
+    """List the construction DAG under ``roots``, children before parents.
+
+    Returns ``(records, root_ids)``: one JSON-ready dict per distinct node,
+    in depth-first order, whose children are indices of earlier records,
+    and the record index of each root.  This is the one place that reads
+    the node classes; :func:`replay`, the basis file and the symbolic
+    expansion all work on the records.
+    """
+    records = []
+    ids = {}
+
+    def visit(node):
+        key = id(node)
+        if key in ids:
+            return ids[key]
+        if isinstance(node, PConst):
+            rec = {"kind": "const", "value": node.value}
+        elif isinstance(node, PVar):
+            rec = {"kind": "var", "index": node.index}
+        elif isinstance(node, PProd):
+            rec = {"kind": "product", "left": visit(node.left), "right": visit(node.right)}
+        elif isinstance(node, PLin):
+            rec = {
+                "kind": "lincomb",
+                "children": [visit(c) for c in node.children],
+                "weights": list(map(float, node.weights)),
+            }
+        else:
+            raise ContractViolation(f"unknown provenance node {type(node)!r}")
+        ids[key] = len(records)
+        records.append(rec)
+        return ids[key]
+
+    root_ids = [visit(r) for r in roots]
+    return records, root_ids
+
+
+def _field(rec, key, i):
+    try:
+        return rec[key]
+    except (KeyError, TypeError):
+        raise ContractViolation(f"node {i} has no {key!r} field") from None
+
+
+def _earlier(j, i):
+    if type(j) is not int or not 0 <= j < i:
+        raise ContractViolation(f"node {i}: child index {j!r} is not in [0, {i})")
+    return j
+
+
+def replay(records, pointset):
+    """Rebuild every record of :func:`flatten` on ``pointset``.
+
+    Returns one :class:`Poly` per record, each formed by the construction
+    kernels (:func:`constant_poly`, :func:`variable_poly`, :func:`multiply`,
+    :func:`linear_combine`), so values, gradients, degrees and provenance
+    follow the same rules as during the fit.  A child index must point to
+    an earlier record.  A ``lincomb`` without children is the zero
+    polynomial of degree 0.
+    """
+    built = []
+    for i, rec in enumerate(records):
+        kind = _field(rec, "kind", i)
+        if kind == "const":
+            p = constant_poly(_field(rec, "value", i), pointset)
+        elif kind == "var":
+            p = variable_poly(_field(rec, "index", i), pointset)
+        elif kind == "product":
+            left = built[_earlier(_field(rec, "left", i), i)]
+            p = multiply(left, built[_earlier(_field(rec, "right", i), i)])
+        elif kind == "lincomb":
+            kids = [built[_earlier(j, i)] for j in _field(rec, "children", i)]
+            weights = _field(rec, "weights", i)
+            if kids or len(weights):
+                p = linear_combine(kids, weights)
+            else:
+                p = linear_combine([constant_poly(1.0, pointset)], [0.0])
+        else:
+            raise ContractViolation(f"node {i}: unknown kind {kind!r}")
+        built.append(p)
+    return built
+
+
+def replay_many(polys, points):
+    """Values and gradients of ``polys`` on an (m, n) array of points.
+
+    Shared subtrees are evaluated once.  Returns one ``(values, grads)``
+    pair per polynomial, with shapes (m,) and (m, n).
+    """
+    records, root_ids = flatten([p.prov for p in polys])
+    built = replay(records, PointSet(points))
+    return [(built[i].eval, built[i].grad) for i in root_ids]
+
+
 @dataclass
 class Basis:
     """Degree-stratified output of a fit.
@@ -337,6 +386,18 @@ class Basis:
     F: list = field(default_factory=list)
     G: list = field(default_factory=list)
     extents: list = field(default_factory=list)
+
+    @classmethod
+    def from_flat(cls, f_polys, g_polys, g_extents):
+        """Bucket flat F and G lists (and the G extents) by degree."""
+        top = max((p.degree for p in f_polys + g_polys), default=0)
+        F, G, extents = ([[] for _ in range(top + 1)] for _ in range(3))
+        for p in f_polys:
+            F[p.degree].append(p)
+        for p, e in zip(g_polys, g_extents):
+            G[p.degree].append(p)
+            extents[p.degree].append(e)
+        return cls(F=F, G=G, extents=[np.array(e) for e in extents])
 
     @property
     def n(self):

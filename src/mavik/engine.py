@@ -221,7 +221,13 @@ def check_termination_dimension(g_polys, X, d_max=None, d_min=None, tol=DIM_RANK
     return False
 
 
-def _verify_size_bounds(f_counts, t, n):
+def _verify_size_bounds(f_counts, t, n, m):
+    # F evaluations are nonzero and mutually orthogonal in R^m.
+    if sum(f_counts) > m:
+        raise InternalInvariantViolation(
+            f"|F^({t})| = {sum(f_counts)} exceeds |X| = {m}; "
+            "nonvanishing evaluations are no longer orthogonal"
+        )
     if sum(f_counts) > math.comb(n + t, n):
         raise InternalInvariantViolation(
             f"|F^({t})| = {sum(f_counts)} exceeds C({n}+{t},{n}); "
@@ -318,7 +324,7 @@ def fit(X, config):
         extents.append(np.array(ext_t))
         spectra.append(res.values)
         extent_arrays.append(norms)
-        _verify_size_bounds([len(s) for s in F], t, n)
+        _verify_size_bounds([len(s) for s in F], t, n, len(X))
 
         if not f_t:
             termination = "f-empty"
@@ -364,17 +370,13 @@ def evaluate(basis, X_new):
 
     Returns (F_matrix, G_matrix) whose columns follow the degree-stratified
     order of the basis.  On the training points this reproduces the stored
-    evaluation vectors.
+    evaluation vectors.  The new points pass through :class:`PointSet`, so
+    an empty or non-finite array raises ``ContractViolation``.
     """
     pts = X_new.points if hasattr(X_new, "points") else np.asarray(X_new, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != basis.n:
         raise ContractViolation("new points must be m x n with the training n")
     f_polys = basis.f_polys()
-    g_polys = basis.g_polys()
-    results = replay_many(f_polys + g_polys, pts)
-    m = pts.shape[0]
-    f_vals = [ev for ev, _ in results[: len(f_polys)]]
-    g_vals = [ev for ev, _ in results[len(f_polys) :]]
-    F_mat = np.column_stack(f_vals) if f_vals else np.zeros((m, 0))
-    G_mat = np.column_stack(g_vals) if g_vals else np.zeros((m, 0))
-    return F_mat, G_mat
+    values = [ev for ev, _ in replay_many(f_polys + basis.g_polys(), pts)]
+    E = np.column_stack(values)
+    return E[:, : len(f_polys)], E[:, len(f_polys) :]

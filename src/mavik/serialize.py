@@ -1,10 +1,12 @@
 """Versioned JSON schemas for bases, fit reports and reduction reports.
 
-A basis file stores the construction DAG once (children before parents) and
-references polynomials by node id, so evaluation data can be rebuilt on any
-compatible point set by replay.  Fit reports are written without timings so
-that reruns with identical inputs produce byte-identical files; wall-clock
-numbers go to a sidecar.
+A basis file stores the construction DAG as the node list of
+:func:`mavik.core.flatten` (each shared node once, children before parents)
+and references polynomials by node index; loading is
+:func:`mavik.core.replay` of that list on any compatible point set, which
+rejects child indices that do not point to an earlier node.  Fit reports
+are written without timings so that reruns with identical inputs produce
+byte-identical files; wall-clock numbers go to a sidecar.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import json
 
 import numpy as np
 
-from .core import Basis, PConst, PLin, PProd, PVar, Poly, replay
+from .core import Basis, flatten, replay
 from .errors import ContractViolation
 
 __all__ = [
@@ -44,59 +46,12 @@ def dump_json(obj, path):
         fh.write("\n")
 
 
-def _flatten_dag(roots):
-    nodes = []
-    ids = {}
-
-    def visit(node):
-        key = id(node)
-        if key in ids:
-            return ids[key]
-        if isinstance(node, PConst):
-            rec = {"kind": "const", "value": node.value}
-        elif isinstance(node, PVar):
-            rec = {"kind": "var", "index": node.index}
-        elif isinstance(node, PProd):
-            rec = {"kind": "product", "left": visit(node.left), "right": visit(node.right)}
-        elif isinstance(node, PLin):
-            rec = {
-                "kind": "lincomb",
-                "children": [visit(c) for c in node.children],
-                "weights": list(map(float, node.weights)),
-            }
-        else:
-            raise ContractViolation(f"unknown provenance node {type(node)!r}")
-        ids[key] = len(nodes)
-        nodes.append(rec)
-        return ids[key]
-
-    root_ids = [visit(r) for r in roots]
-    return nodes, root_ids
-
-
-def _rebuild_dag(nodes):
-    built = []
-    for rec in nodes:
-        kind = rec["kind"]
-        if kind == "const":
-            built.append(PConst(rec["value"]))
-        elif kind == "var":
-            built.append(PVar(rec["index"]))
-        elif kind == "product":
-            built.append(PProd(built[rec["left"]], built[rec["right"]]))
-        elif kind == "lincomb":
-            built.append(PLin(tuple(built[i] for i in rec["children"]), rec["weights"]))
-        else:
-            raise ContractViolation(f"unknown node kind {kind!r} in basis file")
-    return built
-
-
 def basis_to_json(basis, points=None, meta=None, expansions=None):
     """Serialize a basis; ``expansions`` optionally maps polynomials to
     CoeffVec objects to embed alongside them."""
     f_polys = basis.f_polys()
     g_polys = basis.g_polys()
-    nodes, root_ids = _flatten_dag([p.prov for p in f_polys + g_polys])
+    nodes, root_ids = flatten([p.prov for p in f_polys + g_polys])
 
     def poly_rec(p, root, extent=None):
         rec = {"degree": p.degree, "root": root}
@@ -126,37 +81,27 @@ def basis_to_json(basis, points=None, meta=None, expansions=None):
 
 
 def basis_from_json(obj, X):
-    """Rebuild a Basis on ``X`` by replaying the stored construction DAG."""
-    if obj.get("schema_version") != SCHEMA_VERSION:
+    """Rebuild a Basis on ``X`` by replaying the stored node list."""
+    if not isinstance(obj, dict) or obj.get("schema_version") != SCHEMA_VERSION:
         raise ContractViolation("unsupported basis schema version")
+    if not {"n", "nodes", "f", "g"} <= obj.keys():
+        raise ContractViolation("basis file lacks one of n, nodes, f, g")
     if obj["n"] != X.n:
         raise ContractViolation(
             f"basis was built in n={obj['n']} but points have n={X.n}"
         )
-    built = _rebuild_dag(obj["nodes"])
-    cache = {}
+    built = replay(obj["nodes"], X)
 
-    def make(rec):
-        ev, gr = replay(built[rec["root"]], X.points, _cache=cache)
-        return Poly(rec["degree"], ev, gr, built[rec["root"]], X)
+    def pick(rec):
+        root, degree = rec.get("root"), rec.get("degree")
+        if type(root) is not int or not 0 <= root < len(built) or built[root].degree != degree:
+            raise ContractViolation(f"no degree-{degree!r} node at basis root {root!r}")
+        return built[root]
 
-    f_polys = [make(rec) for rec in obj["f"]]
-    g_polys = [make(rec) for rec in obj["g"]]
+    f_polys = [pick(rec) for rec in obj["f"]]
+    g_polys = [pick(rec) for rec in obj["g"]]
     g_ext = [rec.get("extent", float(np.linalg.norm(p.eval))) for rec, p in zip(obj["g"], g_polys)]
-
-    top = max(
-        [p.degree for p in f_polys + g_polys],
-        default=0,
-    )
-    F = [[] for _ in range(top + 1)]
-    G = [[] for _ in range(top + 1)]
-    extents = [[] for _ in range(top + 1)]
-    for p in f_polys:
-        F[p.degree].append(p)
-    for p, e in zip(g_polys, g_ext):
-        G[p.degree].append(p)
-        extents[p.degree].append(e)
-    return Basis(F=F, G=G, extents=[np.array(e) for e in extents])
+    return Basis.from_flat(f_polys, g_polys, g_ext)
 
 
 def report_to_json(report):
@@ -178,19 +123,12 @@ def report_to_json(report):
 
 
 def reduction_to_json(report, basis_meta=None):
-    def profile(polys):
-        top = max((p.degree for p in polys), default=0)
-        counts = [0] * (top + 1)
-        for p in polys:
-            counts[p.degree] += 1
-        return counts
-
     obj = {
         "schema_version": SCHEMA_VERSION,
         "threshold": report.threshold,
         "kept_count": len(report.kept),
         "removed_count": len(report.removed),
-        "kept_profile": profile(report.kept),
+        "kept_profile": report.kept_profile(),
         "removed": [
             {"degree": p.degree, "max_rel_residual": r} for p, r in report.removed
         ],

@@ -130,6 +130,38 @@ class TestEvaluateAndReduce:
                      "--basis", str(out / "basis.json"), "--out", str(tmp_path / "e")]) == 2
 
 
+def _lincomb_index(nodes):
+    return next(i for i, rec in enumerate(nodes) if rec["kind"] == "lincomb" and rec["children"])
+
+
+def _negative_child(nodes):
+    nodes[_lincomb_index(nodes)]["children"][0] = -1
+
+
+def _child_out_of_range(nodes):
+    nodes[_lincomb_index(nodes)]["children"][0] = len(nodes)
+
+
+def _node_without_kind(nodes):
+    del nodes[_lincomb_index(nodes)]["kind"]
+
+
+@pytest.mark.parametrize("tamper", [_negative_child, _child_out_of_range, _node_without_kind])
+def test_evaluate_malformed_basis_exits_2(tamper, circle4_csv, tmp_path, capsys):
+    out = tmp_path / "out"
+    main(["fit", "--points", str(circle4_csv), "--eps", "1e-8", "--out", str(out)])
+    obj = read_json(out / "basis.json")
+    tamper(obj["nodes"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    capsys.readouterr()
+    code = main(["evaluate", "--points", str(circle4_csv), "--basis", str(bad),
+                 "--out", str(tmp_path / "e")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestBench:
     def test_generic_2d_row(self, tmp_path):
         out = tmp_path / "bench"

@@ -9,8 +9,10 @@ from conftest import fd_gradient, generic_points, random_poly, rng_for
 from mavik.core import (
     PointSet,
     constant_poly,
+    flatten,
     linear_combine,
     multiply,
+    replay,
     replay_many,
     variable_poly,
     variables,
@@ -239,6 +241,41 @@ class TestReplay:
             fd = fd_gradient(p, X.points)
             scale = max(1.0, np.abs(p.grad).max())
             np.testing.assert_allclose(p.grad, fd, rtol=1e-5, atol=1e-5 * scale)
+
+    def test_rebuilt_records_flatten_to_the_same_records(self):
+        X = generic_points(8, 2, seed=10)
+        rng = rng_for(14)
+        polys = [random_poly(X, d, rng) for d in (1, 3, 5)]
+        records, root_ids = flatten([p.prov for p in polys])
+        built = replay(records, X)
+        assert flatten([built[i].prov for i in root_ids]) == (records, root_ids)
+        for p, i in zip(polys, root_ids):
+            assert built[i].degree == p.degree
+            np.testing.assert_allclose(built[i].eval, p.eval, rtol=1e-12, atol=1e-12)
+
+    def test_childless_lincomb_is_the_zero_polynomial(self):
+        X = generic_points(3, 2, seed=2)
+        (zero,) = replay([{"kind": "lincomb", "children": [], "weights": []}], X)
+        assert zero.degree == 0 and zero.prov.children == ()
+        assert not zero.eval.any() and not zero.grad.any()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"kind": "product", "left": 0, "right": -1},
+            {"kind": "product", "left": 0, "right": 1},
+            {"kind": "lincomb", "children": [0, 2], "weights": [1.0, 2.0]},
+            {"kind": "lincomb", "children": [True], "weights": [1.0]},
+            {"kind": "lincomb", "children": [0], "weights": [1.0, 2.0]},
+            {"kind": "lincomb", "children": [0]},
+            {"kind": "power", "base": 0},
+            {"index": 0},
+        ],
+    )
+    def test_malformed_record_rejected(self, bad):
+        X = generic_points(3, 2, seed=3)
+        with pytest.raises(ContractViolation):
+            replay([{"kind": "var", "index": 0}, bad], X)
 
     def test_variable_index_out_of_range(self):
         X = generic_points(4, 2, seed=1)

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import fd_gradient, generic_points, rng_for
 from mavik.core import PointSet, variables
-from mavik.datasets import scale, translate
+from mavik.datasets import sample_generic, scale, translate
 from mavik.engine import (
     EngineConfig,
     NormalizationMode,
@@ -15,7 +15,7 @@ from mavik.engine import (
     fit,
     normalization_gram,
 )
-from mavik.errors import ContractViolation, ResourceLimitError
+from mavik.errors import ContractViolation, InternalInvariantViolation, ResourceLimitError
 from mavik.coefficients import expand_many
 
 GRAD = NormalizationMode.gradient()
@@ -229,6 +229,14 @@ class TestStructuralInvariants:
             assert report.g_total <= dim * (50 - dim)
             for t in range(len(report.f_counts)):
                 assert sum(report.f_counts[: t + 1]) <= comb(dim + t, dim)
+
+    def test_more_f_than_points_is_an_invariant_violation(self):
+        # single-pass projection at scale 100 lets vca keep 34 nonorthogonal
+        # F members on 30 points; orthogonal nonzero vectors in R^30 cannot
+        X = scale(sample_generic(30, 2, 0), 100.0)
+        config = EngineConfig(epsilon=1e-4, mode=NormalizationMode.vca_baseline(), max_degree=8)
+        with pytest.raises(InternalInvariantViolation, match="exceeds \\|X\\| = 30"):
+            fit(X, config)
 
 
 class TestConsistency:

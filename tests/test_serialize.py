@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import generic_points
+from mavik.coefficients import expand_many
 from mavik.core import PointSet
 from mavik.engine import EngineConfig, NormalizationMode, evaluate, fit
 from mavik.errors import ContractViolation
@@ -77,6 +78,23 @@ class TestBasisRoundtrip:
         obj["schema_version"] = 99
         with pytest.raises(ContractViolation):
             basis_from_json(obj, X)
+
+
+@pytest.mark.parametrize("mode", [NormalizationMode.gradient(), NormalizationMode.vca_baseline()])
+def test_reload_reproduces_node_list_and_expansions(mode):
+    # reloading rebuilds every node with the fit's kernels; writing the
+    # reloaded basis again must give the same nodes (zero-weight drop, lead
+    # term first, degrees) and the same symbolic expansions
+    X = generic_points(20, 2, seed=43)
+    basis, _ = fit(X, EngineConfig(epsilon=1e-6, mode=mode))
+    obj = basis_to_json(basis, points=X)
+    reloaded = basis_from_json(obj, X)
+    again = basis_to_json(reloaded, points=X)
+    assert again["nodes"] == obj["nodes"]
+    assert again["f"] == obj["f"] and again["g"] == obj["g"]
+    original = basis.f_polys() + basis.g_polys()
+    rebuilt = reloaded.f_polys() + reloaded.g_polys()
+    assert expand_many(rebuilt) == expand_many(original)
 
 
 def test_points_digest_is_order_sensitive():
