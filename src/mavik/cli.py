@@ -256,7 +256,6 @@ def _add_fit_flags(p):
     p.add_argument("--dmin", type=int, default=None, help="dimension rule lower target")
     p.add_argument("--no-dedup2", action="store_true",
                    help="keep symmetric duplicate products at degree 2")
-    p.add_argument("--seed", type=int, default=0, help="echoed for reproducibility")
     p.add_argument("--term-cap", type=int, default=None,
                    help="coefficient-expansion term cap (resource guard)")
     p.add_argument("--scale", type=float, default=None,

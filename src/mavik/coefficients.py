@@ -1,22 +1,30 @@
-"""Sparse symbolic expansion of construction trees into monomial coefficients.
+"""Dense monomial-coefficient expansion of construction trees.
 
-The basis construction itself never touches monomials; this module exists for
-the coefficient-normalization mode, for the degree-wise rescaling transform,
-and as an independent oracle against which the evaluation representation can
-be checked.  It reads construction trees only through the flattened records
-of :func:`mavik.core.flatten`, the node format of basis files.  Exponent
-vectors are fixed-length integer tuples; iteration order is graded
-lexicographic, purely as a storage/serialization convention.
+The basis construction itself never touches monomials; this module exists
+for the coefficient-normalization mode and to report the terms of a fitted
+basis.  It reads construction trees only through the flattened records of
+:func:`mavik.core.flatten`, the node format of basis files, and expands
+every record into one dense row of coefficients over the monomials of
+degree <= ``top``, the largest construction degree among the roots; no
+record under a root has a higher degree.  Columns follow graded
+lexicographic order, purely as a storage/serialization convention.  A
+product's left factor has degree 1, so the product is the right factor's
+row times the left factor's constant plus its shifts by each variable,
+weighted by that variable's coefficient.
 """
 
 from __future__ import annotations
+
+import functools
+import math
+from itertools import combinations_with_replacement
 
 import numpy as np
 
 from .core import flatten
 from .errors import ContractViolation, ResourceLimitError
 
-__all__ = ["CoeffVec", "expand", "expand_many", "coeff_gram", "degreewise_rescale"]
+__all__ = ["CoeffVec", "expand", "expand_many", "coeff_gram"]
 
 PRUNE_TOL = 1e-14
 DEFAULT_TERM_CAP = 10**6
@@ -69,22 +77,64 @@ class CoeffVec:
         return f"CoeffVec(n={self.n}, terms={len(self.terms)})"
 
 
-def _add_scaled(acc, terms, w):
-    for exps, c in terms.items():
-        acc[exps] = acc.get(exps, 0.0) + w * c
+@functools.lru_cache(maxsize=None)
+def _monomials(n, top):
+    """Exponent vectors of degree <= ``top`` in grlex order, and the shifts.
+
+    ``shifts[k, i]`` is the column of monomial i times x_k, for each of the
+    monomials of degree < ``top``; ``shifts[k, 0]`` is the column of x_k.
+    """
+    exps = []
+    for d in range(top + 1):
+        exps += sorted(
+            tuple(c.count(k) for k in range(n))
+            for c in combinations_with_replacement(range(n), d)
+        )
+    column = {e: i for i, e in enumerate(exps)}
+    lower = exps[: math.comb(n + top - 1, n)]
+    shifts = np.array(
+        [[column[e[:k] + (e[k] + 1,) + e[k + 1 :]] for e in lower] for k in range(n)],
+        dtype=np.intp,
+    )
+    return exps, shifts
 
 
-def _mul(a, b, cap):
-    prod = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            prod[key] = prod.get(key, 0.0) + ca * cb
-            if len(prod) > cap:
-                raise ResourceLimitError(
-                    f"expansion exceeded the term cap ({cap} terms)"
-                )
-    return prod
+def _coeff_rows(polys, term_cap):
+    """Dense coefficient rows of ``polys`` and the exponent vector of each column.
+
+    Walks the :func:`mavik.core.flatten` records once, children first: a
+    combination adds its children's rows in stored order and a product
+    shifts its right factor's row by its degree-1 left factor.  Entries
+    below ``PRUNE_TOL`` are zeroed after every record.
+    """
+    n = polys[0].points.n
+    top = max(p.degree for p in polys)
+    if math.comb(n + top, n) > term_cap:
+        raise ResourceLimitError(
+            f"expansion exceeded the term cap ({term_cap} terms): degree {top} "
+            f"in {n} variables has {math.comb(n + top, n)} monomials"
+        )
+    exps, shifts = _monomials(n, top)
+    lower = shifts.shape[1]
+    records, root_ids = flatten([p.prov for p in polys])
+    rows = np.zeros((len(records), len(exps)))
+    for i, rec in enumerate(records):
+        row = rows[i]
+        kind = rec["kind"]
+        if kind == "const":
+            row[0] = rec["value"]
+        elif kind == "var":
+            row[shifts[rec["index"], 0]] = 1.0
+        elif kind == "product":
+            left, right = rows[rec["left"]], rows[rec["right"], :lower]
+            row[:lower] = left[0] * right
+            for k in range(n):
+                row[shifts[k]] += left[shifts[k, 0]] * right
+        else:
+            for j, w in zip(rec["children"], rec["weights"]):
+                row += w * rows[j]
+        row[np.abs(row) < PRUNE_TOL] = 0.0
+    return rows[root_ids], exps
 
 
 def expand(poly, term_cap=DEFAULT_TERM_CAP):
@@ -95,55 +145,20 @@ def expand(poly, term_cap=DEFAULT_TERM_CAP):
 def expand_many(polys, term_cap=DEFAULT_TERM_CAP):
     """Expand several polynomials; a shared subtree is expanded once.
 
-    Works through the :func:`mavik.core.flatten` records, children first,
-    with the same rules as the fit: a product multiplies its factors'
-    terms and a combination adds its children's terms in stored order.
+    Raises ``ResourceLimitError`` when the monomials of degree up to the
+    largest construction degree outnumber ``term_cap``.
     """
     if not polys:
         return []
+    rows, exps = _coeff_rows(polys, term_cap)
     n = polys[0].points.n
-    records, root_ids = flatten([p.prov for p in polys])
-    expanded = []
-    for rec in records:
-        kind = rec["kind"]
-        if kind == "const":
-            terms = {(0,) * n: rec["value"]}
-        elif kind == "var":
-            exps = [0] * n
-            exps[rec["index"]] = 1
-            terms = {tuple(exps): 1.0}
-        elif kind == "product":
-            terms = _mul(expanded[rec["left"]], expanded[rec["right"]], term_cap)
-        else:
-            terms = {}
-            for j, w in zip(rec["children"], rec["weights"]):
-                _add_scaled(terms, expanded[j], w)
-            if len(terms) > term_cap:
-                raise ResourceLimitError(f"expansion exceeded the term cap ({term_cap} terms)")
-        expanded.append({e: c for e, c in terms.items() if abs(c) >= PRUNE_TOL})
-    return [CoeffVec(expanded[i], n) for i in root_ids]
+    return [CoeffVec({exps[i]: row[i] for i in np.flatnonzero(row)}, n) for row in rows]
 
 
 def coeff_gram(polys, term_cap=DEFAULT_TERM_CAP):
-    """Gram matrix of coefficient vectors over the union of their monomials."""
+    """Gram matrix of the polynomials' coefficient vectors."""
     if not polys:
         return np.zeros((0, 0))
-    vecs = expand_many(polys, term_cap=term_cap)
-    monomials = sorted({e for v in vecs for e in v.terms}, key=_grlex_key)
-    index = {e: i for i, e in enumerate(monomials)}
-    M = np.zeros((len(monomials), len(vecs)))
-    for j, v in enumerate(vecs):
-        for e, c in v.terms.items():
-            M[index[e], j] = c
-    gram = M.T @ M
+    rows, _ = _coeff_rows(polys, term_cap)
+    gram = rows @ rows.T
     return 0.5 * (gram + gram.T)
-
-
-def degreewise_rescale(cv, alpha, t):
-    """Scale each total-degree-tau monomial by alpha**(t - tau)."""
-    if alpha == 0:
-        raise ContractViolation("alpha must be nonzero")
-    scaled = {
-        exps: c * float(alpha) ** (t - sum(exps)) for exps, c in cv.terms.items()
-    }
-    return CoeffVec(scaled, cv.n)

@@ -25,6 +25,7 @@ product rule and the linear combination are written only once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -164,8 +165,8 @@ class Poly:
 
 def constant_poly(value, pointset):
     """The constant polynomial ``value`` on ``pointset``."""
-    if value == 0:
-        raise ContractViolation("constant polynomial must be nonzero")
+    if value == 0 or not math.isfinite(value):
+        raise ContractViolation("constant polynomial must be finite and nonzero")
     m = len(pointset)
     return Poly(
         0,
@@ -317,11 +318,17 @@ def flatten(roots):
     return records, root_ids
 
 
-def _field(rec, key, i):
+def _field(rec, key, i, types=None):
     try:
-        return rec[key]
+        value = rec[key]
     except (KeyError, TypeError):
         raise ContractViolation(f"node {i} has no {key!r} field") from None
+    if types and type(value) not in types:
+        raise ContractViolation(f"node {i}: {key!r} field {value!r} has the wrong type")
+    return value
+
+
+_NUMBER = (int, float)
 
 
 def _earlier(j, i):
@@ -337,23 +344,29 @@ def replay(records, pointset):
     kernels (:func:`constant_poly`, :func:`variable_poly`, :func:`multiply`,
     :func:`linear_combine`), so values, gradients, degrees and provenance
     follow the same rules as during the fit.  A child index must point to
-    an earlier record.  A ``lincomb`` without children is the zero
-    polynomial of degree 0.
+    an earlier record, and every field must have its JSON type: numbers
+    for values and weights, an int variable index, lists of children and
+    weights.  A ``lincomb`` without children is the zero polynomial of
+    degree 0.
     """
+    if not isinstance(records, list):
+        raise ContractViolation("the node list is not a list")
     built = []
     for i, rec in enumerate(records):
         kind = _field(rec, "kind", i)
         if kind == "const":
-            p = constant_poly(_field(rec, "value", i), pointset)
+            p = constant_poly(_field(rec, "value", i, _NUMBER), pointset)
         elif kind == "var":
-            p = variable_poly(_field(rec, "index", i), pointset)
+            p = variable_poly(_field(rec, "index", i, (int,)), pointset)
         elif kind == "product":
             left = built[_earlier(_field(rec, "left", i), i)]
             p = multiply(left, built[_earlier(_field(rec, "right", i), i)])
         elif kind == "lincomb":
-            kids = [built[_earlier(j, i)] for j in _field(rec, "children", i)]
-            weights = _field(rec, "weights", i)
-            if kids or len(weights):
+            kids = [built[_earlier(j, i)] for j in _field(rec, "children", i, (list,))]
+            weights = _field(rec, "weights", i, (list,))
+            if any(type(w) not in _NUMBER for w in weights):
+                raise ContractViolation(f"node {i}: weights must be numbers")
+            if kids or weights:
                 p = linear_combine(kids, weights)
             else:
                 p = linear_combine([constant_poly(1.0, pointset)], [0.0])

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +28,6 @@ __all__ = [
     "center_and_unitbox",
     "scale",
     "translate",
-    "PreprocessResult",
-    "svd_preprocess",
     "load_points",
     "save_points",
 ]
@@ -139,54 +136,6 @@ def translate(X, beta):
     if beta.shape != (X.n,):
         raise ContractViolation("beta must be a length-n vector")
     return X.derive(X.points + beta, {"kind": "translate", "beta": beta.tolist()})
-
-
-@dataclass
-class PreprocessResult:
-    """SVD split of the centered data into informative and near-null
-    directions, plus the reduced coordinates ``Y`` = centered X times V_F
-    (None when every direction is discarded)."""
-
-    U_F: np.ndarray
-    U_G: np.ndarray
-    V_F: np.ndarray
-    V_G: np.ndarray
-    Y: PointSet | None
-    mean: np.ndarray
-    singular_values: np.ndarray
-
-    @property
-    def fully_degenerate(self):
-        return self.V_F.shape[1] == 0
-
-
-def svd_preprocess(X, epsilon):
-    """Center, SVD, and split singular directions at ``epsilon``.
-
-    Columns of V_F (singular value > epsilon) define reduced coordinates in
-    which a fit sees fewer variables; columns of V_G give linear polynomials
-    (x - mean) @ V_G whose evaluation norms on X are exactly the discarded
-    singular values, i.e. epsilon-vanishing linear forms.
-    """
-    mean = X.points.mean(axis=0)
-    X0 = X.points - mean
-    U, s, Vt = np.linalg.svd(X0, full_matrices=True)
-    n = X.n
-    sigma = np.zeros(n)
-    sigma[: s.shape[0]] = s
-    k = int(np.count_nonzero(sigma > epsilon))
-    V = Vt.T
-    # Fully degenerate data leaves no coordinates to fit in; Y is then None.
-    Y = X.derive(X0 @ V[:, :k], {"kind": "svd-reduce", "kept": k}) if k else None
-    return PreprocessResult(
-        U_F=U[:, :k],
-        U_G=U[:, k:],
-        V_F=V[:, :k],
-        V_G=V[:, k:],
-        Y=Y,
-        mean=mean,
-        singular_values=sigma,
-    )
 
 
 # ---------------------------------------------------------------------------

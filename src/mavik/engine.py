@@ -366,17 +366,23 @@ def fit(X, config):
 
 
 def evaluate(basis, X_new):
-    """Replay every basis polynomial on new points.
+    """Values of every basis polynomial on new points.
 
     Returns (F_matrix, G_matrix) whose columns follow the degree-stratified
-    order of the basis.  On the training points this reproduces the stored
-    evaluation vectors.  The new points pass through :class:`PointSet`, so
-    an empty or non-finite array raises ``ContractViolation``.
+    order of the basis.  When ``X_new`` is the point set the basis lives on
+    (a basis loaded on those points, or the training set itself), the
+    stored evaluation vectors are returned; any other input is replayed.
+    The new points pass through :class:`PointSet`, so an empty or
+    non-finite array raises ``ContractViolation``.
     """
-    pts = X_new.points if hasattr(X_new, "points") else np.asarray(X_new, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != basis.n:
-        raise ContractViolation("new points must be m x n with the training n")
     f_polys = basis.f_polys()
-    values = [ev for ev, _ in replay_many(f_polys + basis.g_polys(), pts)]
+    polys = f_polys + basis.g_polys()
+    if X_new is basis.pointset:
+        values = [p.eval for p in polys]
+    else:
+        pts = X_new.points if hasattr(X_new, "points") else np.asarray(X_new, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != basis.n:
+            raise ContractViolation("new points must be m x n with the training n")
+        values = [ev for ev, _ in replay_many(polys, pts)]
     E = np.column_stack(values)
     return E[:, : len(f_polys)], E[:, len(f_polys) :]

@@ -90,9 +90,14 @@ def basis_from_json(obj, X):
         raise ContractViolation(
             f"basis was built in n={obj['n']} but points have n={X.n}"
         )
+    for key in ("f", "g"):
+        if not isinstance(obj[key], list):
+            raise ContractViolation(f"basis field {key!r} is not a list")
     built = replay(obj["nodes"], X)
 
     def pick(rec):
+        if not isinstance(rec, dict):
+            raise ContractViolation(f"basis polynomial {rec!r} is not an object")
         root, degree = rec.get("root"), rec.get("degree")
         if type(root) is not int or not 0 <= root < len(built) or built[root].degree != degree:
             raise ContractViolation(f"no degree-{degree!r} node at basis root {root!r}")
@@ -100,6 +105,8 @@ def basis_from_json(obj, X):
 
     f_polys = [pick(rec) for rec in obj["f"]]
     g_polys = [pick(rec) for rec in obj["g"]]
+    if not any(p.degree == 0 for p in f_polys):
+        raise ContractViolation("basis has no degree-0 F polynomial")
     g_ext = [rec.get("extent", float(np.linalg.norm(p.eval))) for rec, p in zip(obj["g"], g_polys)]
     return Basis.from_flat(f_polys, g_polys, g_ext)
 

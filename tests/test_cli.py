@@ -130,28 +130,72 @@ class TestEvaluateAndReduce:
                      "--basis", str(out / "basis.json"), "--out", str(tmp_path / "e")]) == 2
 
 
-def _lincomb_index(nodes):
-    return next(i for i, rec in enumerate(nodes) if rec["kind"] == "lincomb" and rec["children"])
+def _lincomb(obj):
+    return next(rec for rec in obj["nodes"] if rec["kind"] == "lincomb" and rec["children"])
 
 
-def _negative_child(nodes):
-    nodes[_lincomb_index(nodes)]["children"][0] = -1
+def _first(obj, kind):
+    return next(rec for rec in obj["nodes"] if rec["kind"] == kind)
 
 
-def _child_out_of_range(nodes):
-    nodes[_lincomb_index(nodes)]["children"][0] = len(nodes)
+def _negative_child(obj):
+    _lincomb(obj)["children"][0] = -1
 
 
-def _node_without_kind(nodes):
-    del nodes[_lincomb_index(nodes)]["kind"]
+def _child_out_of_range(obj):
+    _lincomb(obj)["children"][0] = len(obj["nodes"])
 
 
-@pytest.mark.parametrize("tamper", [_negative_child, _child_out_of_range, _node_without_kind])
+def _node_without_kind(obj):
+    del _lincomb(obj)["kind"]
+
+
+def _string_weight(obj):
+    _lincomb(obj)["weights"][0] = "1.5"
+
+
+def _fractional_var_index(obj):
+    _first(obj, "var")["index"] = 0.5
+
+
+def _nonfinite_const(obj):
+    _first(obj, "const")["value"] = float("inf")
+
+
+def _string_const(obj):
+    _first(obj, "const")["value"] = "1.0"
+
+
+def _nodes_not_a_list(obj):
+    obj["nodes"] = len(obj["nodes"])
+
+
+def _children_not_a_list(obj):
+    _lincomb(obj)["children"] = 0
+
+
+def _empty_f(obj):
+    obj["f"] = []
+
+
+def _g_not_a_list(obj):
+    obj["g"] = {}
+
+
+def _f_entry_not_an_object(obj):
+    obj["f"][0] = obj["f"][0]["root"]
+
+
+@pytest.mark.parametrize("tamper", [
+    _negative_child, _child_out_of_range, _node_without_kind, _string_weight,
+    _fractional_var_index, _nonfinite_const, _string_const, _nodes_not_a_list,
+    _children_not_a_list, _empty_f, _g_not_a_list, _f_entry_not_an_object,
+])
 def test_evaluate_malformed_basis_exits_2(tamper, circle4_csv, tmp_path, capsys):
     out = tmp_path / "out"
     main(["fit", "--points", str(circle4_csv), "--eps", "1e-8", "--out", str(out)])
     obj = read_json(out / "basis.json")
-    tamper(obj["nodes"])
+    tamper(obj)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(obj))
     capsys.readouterr()

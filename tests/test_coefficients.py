@@ -1,4 +1,4 @@
-"""Symbolic expansion, coefficient Grams and degree-wise rescaling."""
+"""Symbolic expansion and coefficient Grams, checked against a sparse oracle."""
 
 import numpy as np
 import pytest
@@ -6,15 +6,54 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import generic_points, random_poly, rng_for
-from mavik.coefficients import (
-    CoeffVec,
-    coeff_gram,
-    degreewise_rescale,
-    expand,
-    expand_many,
+from mavik.coefficients import PRUNE_TOL, CoeffVec, coeff_gram, expand, expand_many
+from mavik.core import (
+    constant_poly,
+    flatten,
+    linear_combine,
+    multiply,
+    variable_poly,
+    variables,
 )
-from mavik.core import constant_poly, linear_combine, multiply, variable_poly, variables
+from mavik.engine import EngineConfig, NormalizationMode, fit
 from mavik.errors import ResourceLimitError
+
+
+def reference_expand(polys):
+    """Sparse dict expansion of the flattened records, children first.
+
+    A product adds the products of every pair of its factors' terms, in the
+    left factor's term order; a combination adds its children's scaled terms
+    in stored order.  Terms below ``PRUNE_TOL`` are dropped after each record.
+    """
+    n = polys[0].points.n
+    records, root_ids = flatten([p.prov for p in polys])
+    expanded = []
+    for rec in records:
+        terms = {}
+        if rec["kind"] == "const":
+            terms = {(0,) * n: rec["value"]}
+        elif rec["kind"] == "var":
+            terms = {tuple(int(k == rec["index"]) for k in range(n)): 1.0}
+        elif rec["kind"] == "product":
+            for ea, ca in expanded[rec["left"]].items():
+                for eb, cb in expanded[rec["right"]].items():
+                    key = tuple(a + b for a, b in zip(ea, eb))
+                    terms[key] = terms.get(key, 0.0) + ca * cb
+        else:
+            for j, w in zip(rec["children"], rec["weights"]):
+                for e, c in expanded[j].items():
+                    terms[e] = terms.get(e, 0.0) + w * c
+        expanded.append({e: c for e, c in terms.items() if abs(c) >= PRUNE_TOL})
+    return [expanded[i] for i in root_ids]
+
+
+def reference_gram(polys):
+    """Gram of the reference expansions over the union of their monomials."""
+    vecs = reference_expand(polys)
+    monomials = sorted({e for v in vecs for e in v})
+    M = np.array([[v.get(e, 0.0) for e in monomials] for v in vecs])
+    return M @ M.T
 
 
 class TestExpand:
@@ -77,6 +116,59 @@ class TestExpand:
             expand(p, term_cap=2)
 
 
+class TestAgainstReference:
+    def test_random_trees(self):
+        X = generic_points(6, 3, seed=18)
+        rng = rng_for(19)
+        polys = [random_poly(X, int(rng.integers(0, 5)), rng) for _ in range(8)]
+        ref = reference_expand(polys)
+        for cv, terms in zip(expand_many(polys), ref):
+            scale = max(abs(c) for c in terms.values())
+            for key in set(cv.terms) | set(terms):
+                assert cv.terms.get(key, 0.0) == pytest.approx(
+                    terms.get(key, 0.0), rel=1e-12, abs=1e-12 * scale
+                )
+        np.testing.assert_allclose(coeff_gram(polys), reference_gram(polys), rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "mode, count, dim",
+        [(NormalizationMode.coefficient(), 20, 3), (NormalizationMode.gradient(), 25, 2)],
+    )
+    def test_fitted_bases_match_exactly(self, mode, count, dim):
+        # a fit's degree-1 left factors list x_0 before the constant, so the
+        # dense product adds each monomial's terms in the reference's order
+        # up to swapping the first two, which is exact
+        X = generic_points(count, dim, seed=20)
+        basis, _ = fit(X, EngineConfig(epsilon=1e-6, mode=mode))
+        polys = basis.f_polys() + basis.g_polys()
+        assert [cv.terms for cv in expand_many(polys)] == reference_expand(polys)
+        for stratum in basis.F[1:]:
+            if stratum:
+                np.testing.assert_allclose(
+                    coeff_gram(stratum), reference_gram(stratum), rtol=1e-12, atol=1e-15
+                )
+
+    def test_tiny_coefficients_are_pruned_at_every_record(self):
+        # the 1e-15 y term is dropped from p, so scaling p up cannot revive it
+        X = generic_points(4, 2, seed=22)
+        x, y = variables(X)
+        p = linear_combine([x, y], [1.0, 1e-15])
+        q = linear_combine([p], [1e6])
+        assert expand(q).terms == reference_expand([q])[0] == {(1, 0): 1e6}
+
+    def test_term_cap_counts_monomials_up_to_the_top_degree(self):
+        # x^2 has one term, but degree 2 in 3 variables has C(5, 3) = 10
+        # monomials, and the dense expansion holds all of them
+        X = generic_points(4, 3, seed=21)
+        x = variable_poly(0, X)
+        sq = multiply(x, x)
+        assert expand(sq, term_cap=10).terms == {(2, 0, 0): 1.0}
+        with pytest.raises(ResourceLimitError):
+            expand(sq, term_cap=9)
+        with pytest.raises(ResourceLimitError):
+            coeff_gram([sq, x], term_cap=9)
+
+
 class TestCoeffGram:
     def test_orthogonal_pair(self):
         X = generic_points(4, 2, seed=10)
@@ -100,49 +192,6 @@ class TestCoeffGram:
 
     def test_empty(self):
         assert coeff_gram([]).shape == (0, 0)
-
-
-class TestDegreewiseRescale:
-    def test_documented_example(self):
-        # x^2 y + x + 2y rescaled with alpha=2 at degree 3 -> x^2 y + 4x + 8y
-        cv = CoeffVec({(2, 1): 1.0, (1, 0): 1.0, (0, 1): 2.0}, 2)
-        out = degreewise_rescale(cv, 2.0, 3)
-        assert out.terms == {(2, 1): 1.0, (1, 0): 4.0, (0, 1): 8.0}
-
-    @settings(max_examples=30, deadline=None)
-    @given(t=st.integers(0, 4), seed=st.integers(0, 100))
-    def test_alpha_one_is_identity(self, t, seed):
-        X = generic_points(4, 2, seed=14)
-        cv = expand(random_poly(X, 3, rng_for(seed)))
-        assert degreewise_rescale(cv, 1.0, t) == cv
-
-    def test_scaling_identities_on_points_and_gradients(self):
-        # the rescaled polynomial satisfies h^(aX) = a^t h(X) and
-        # grad h^(aX) = a^(t-1) grad h(X)
-        X = generic_points(8, 3, seed=15)
-        rng = rng_for(16)
-        alpha, h_step = 0.5, 1e-7
-        for t in (1, 2, 3):
-            p = random_poly(X, t, rng)
-            cv = expand(p)
-            hat = degreewise_rescale(cv, alpha, t)
-            np.testing.assert_allclose(
-                hat.evaluate(alpha * X.points),
-                alpha**t * p.eval,
-                rtol=1e-9,
-                atol=1e-12,
-            )
-            for k in range(X.n):
-                step = np.zeros(X.n)
-                step[k] = h_step
-                fd = (
-                    hat.evaluate(alpha * X.points + step)
-                    - hat.evaluate(alpha * X.points - step)
-                ) / (2 * h_step)
-                scale = max(1.0, np.abs(p.grad[:, k]).max())
-                np.testing.assert_allclose(
-                    fd, alpha ** (t - 1) * p.grad[:, k], rtol=1e-5, atol=1e-5 * scale
-                )
 
 
 def test_expand_many_shares_cache():

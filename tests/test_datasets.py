@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import generic_points, rng_for
+from conftest import generic_points
 from mavik.core import PointSet
 from mavik.datasets import (
     center_and_unitbox,
@@ -13,11 +13,9 @@ from mavik.datasets import (
     sample_variety,
     save_points,
     scale,
-    svd_preprocess,
     translate,
     variety_points,
 )
-from mavik.engine import EngineConfig, NormalizationMode, fit
 from mavik.errors import ContractViolation, DegenerateInputError
 
 
@@ -122,44 +120,6 @@ class TestTransforms:
         )
         with pytest.raises(ContractViolation):
             scale(X, 0.0)
-
-
-class TestSvdPreprocess:
-    def test_points_on_a_line_split_one_one(self):
-        t = np.linspace(-1, 1, 20)
-        X = PointSet(np.column_stack([t, 2 * t]))
-        res = svd_preprocess(X, epsilon=1e-8)
-        assert res.V_F.shape == (2, 1) and res.V_G.shape == (2, 1)
-        assert res.Y is not None and res.Y.n == 1
-
-    def test_full_rank_keeps_everything(self):
-        X = generic_points(30, 3, seed=23)
-        res = svd_preprocess(X, epsilon=1e-12)
-        assert res.V_F.shape == (3, 3) and res.V_G.shape == (3, 0)
-        np.testing.assert_allclose(res.V_F.T @ res.V_F, np.eye(3), atol=1e-10)
-
-    def test_discarded_directions_vanish_within_epsilon(self):
-        # nearly-planar cloud in R^3: the dropped linear form (x - mean) @ V_G
-        # has evaluation norm equal to the discarded singular value
-        rng = rng_for(24)
-        base = rng.uniform(-1, 1, size=(40, 2))
-        pts = np.column_stack([base, base @ [0.5, -0.25] + 1e-6 * rng.normal(size=40)])
-        X = PointSet(pts)
-        eps = 1e-3
-        res = svd_preprocess(X, epsilon=eps)
-        assert res.V_G.shape[1] == 1
-        lin = (X.points - res.mean) @ res.V_G
-        assert np.linalg.norm(lin[:, 0]) <= eps
-
-        basis, report = fit(
-            res.Y, EngineConfig(epsilon=eps, mode=NormalizationMode.gradient())
-        )
-        assert report.n == 2  # the fit runs in the reduced coordinates
-
-    def test_fully_degenerate(self):
-        X = PointSet([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
-        res = svd_preprocess(X, epsilon=1e-6)
-        assert res.fully_degenerate and res.Y is None
 
 
 class TestPointFiles:

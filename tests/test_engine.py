@@ -119,7 +119,7 @@ class TestEvaluate:
     def test_replay_on_training_points_reproduces_stored(self):
         X = generic_points(20, 3, seed=8)
         basis, _ = fit(X, EngineConfig(epsilon=1e-7, mode=GRAD))
-        F_mat, G_mat = evaluate(basis, X)
+        F_mat, G_mat = evaluate(basis, X.points)
         np.testing.assert_allclose(
             F_mat, np.column_stack([p.eval for p in basis.f_polys()]), rtol=1e-9, atol=1e-12
         )

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import generic_points
+from mavik import core, serialize
 from mavik.coefficients import expand_many
 from mavik.core import PointSet
 from mavik.engine import EngineConfig, NormalizationMode, evaluate, fit
@@ -95,6 +96,28 @@ def test_reload_reproduces_node_list_and_expansions(mode):
     original = basis.f_polys() + basis.g_polys()
     rebuilt = reloaded.f_polys() + reloaded.g_polys()
     assert expand_many(rebuilt) == expand_many(original)
+
+
+def test_load_and_evaluate_replay_once(fitted, monkeypatch):
+    # loading already rebuilds the basis on the new points; evaluating on
+    # those same points must reuse it instead of replaying the nodes again
+    X, basis, _ = fitted
+    obj = basis_to_json(basis, points=X)
+    probe = generic_points(6, 2, seed=44)
+    expected = evaluate(basis, probe)
+    calls = []
+    original = core.replay
+
+    def counted(records, pointset):
+        calls.append(len(records))
+        return original(records, pointset)
+
+    monkeypatch.setattr(core, "replay", counted)
+    monkeypatch.setattr(serialize, "replay", counted)
+    F_mat, G_mat = evaluate(basis_from_json(obj, probe), probe)
+    assert calls == [len(obj["nodes"])]
+    np.testing.assert_allclose(F_mat, expected[0], atol=1e-12)
+    np.testing.assert_allclose(G_mat, expected[1], atol=1e-12)
 
 
 def test_points_digest_is_order_sensitive():
