@@ -136,20 +136,18 @@ def cmd_reduce(args):
     basis = serialize.basis_from_json(obj, X)
     report = reduce_basis(basis, X, threshold=args.threshold)
     out = _out_dir(args)
+    stored = dict(zip(basis.g_polys(), basis.g_extents()))
+    kept_basis = Basis.from_flat(
+        [constant_poly(1.0, X)], report.kept, [stored[p] for p in report.kept]
+    )
     kept_basis_obj = serialize.basis_to_json(
-        _basis_of(report.kept, X), points=X, meta={"reduced_from": str(args.basis)}
+        kept_basis, points=X, meta={"reduced_from": str(args.basis)}
     )
     serialize.dump_json(kept_basis_obj, out / "reduced_basis.json")
     serialize.dump_json(serialize.reduction_to_json(report), out / "reduction.json")
     print(f"reduce: kept={len(report.kept)} removed={len(report.removed)} "
           f"threshold={_fmt3(report.threshold)}")
     return EXIT_OK
-
-
-def _basis_of(g_polys, X):
-    """Wrap a list of vanishing polynomials as a Basis for serialization."""
-    extents = [float(np.linalg.norm(p.eval)) for p in g_polys]
-    return Basis.from_flat([constant_poly(1.0, X)], g_polys, extents)
 
 
 def cmd_bench_generic(args):

@@ -40,6 +40,7 @@ __all__ = [
     "normalization_gram",
     "evaluate",
     "check_termination_dimension",
+    "dimension_bounds",
 ]
 
 # Rank cutoff used when estimating tangent-space dimensions from gradient
@@ -49,7 +50,10 @@ DIM_RANK_TOL = 1e-6
 # Extents this far below the stratum's evaluation scale are floating-point
 # zeros and always classified as vanishing, so that epsilon = 0 behaves like
 # exact arithmetic instead of sending rounding noise into the nonvanishing
-# side (where its near-zero norm would poison later projections).
+# side (where its near-zero norm would poison later projections).  The scale
+# is the norm of the candidates before projection: once the F strata span
+# R^|X|, the projected candidates are themselves rounding residue, and a
+# floor taken from them would shrink with it.
 ZERO_EXTENT_REL = 1e-12
 
 
@@ -180,45 +184,48 @@ def _candidate_products(f1, f_prev, dedup_pairs):
     return multiply(lefts, rights)
 
 
-def _rank_stacks(g_polys, X, tol):
-    """Per-point numerical rank of the stacked gradients of ``g_polys``.
+def dimension_bounds(g_polys, X, tol=DIM_RANK_TOL):
+    """(d_min, d_max) of the variety cut out by ``g_polys`` on ``X``.
 
-    Returns (ranks, nonzero_mask); a stack counts as zero when its Frobenius
-    norm is negligible relative to the largest stack over all points.
+    Per point, the numerical rank of the stacked gradients is the
+    codimension of the tangent space.  A stack counts as zero when its
+    Frobenius norm is negligible relative to the largest stack over all
+    points, and then has rank 0.  d_min is n minus the largest rank over
+    all points; d_max is n minus the smallest rank over points with a
+    nonzero stack, or n when every stack vanishes.  Hence d_min < n exactly
+    when some point has a nonzero stack.  No polynomials give (n, n).
     """
-    m = len(X)
+    n = X.n
+    if not g_polys:
+        return n, n
     stacks = np.stack([g.grad for g in g_polys])  # (|G|, |X|, n)
     fro = np.sqrt(np.sum(stacks**2, axis=(0, 2)))
-    fmax = float(fro.max()) if m else 0.0
-    nonzero = fro > tol * fmax if fmax > 0 else np.zeros(m, dtype=bool)
-    ranks = np.array(
-        [numerical_rank(stacks[:, i, :], tol) if nonzero[i] else 0 for i in range(m)]
-    )
-    return ranks, nonzero
+    fmax = float(fro.max())
+    nonzero = fro > tol * fmax if fmax > 0 else np.zeros(len(X), dtype=bool)
+    ranks = np.where(nonzero, numerical_rank(stacks.transpose(1, 0, 2), tol), 0)
+    d_min = n - int(ranks.max())
+    d_max = n - int(ranks[nonzero].min()) if np.any(nonzero) else n
+    return d_min, d_max
 
 
 def check_termination_dimension(g_polys, X, d_max=None, d_min=None, tol=DIM_RANK_TOL):
     """Dimension-based stopping rule from per-point tangent-space codimension.
 
-    Fires when the estimated variety dimension has been pushed down to the
-    requested target: with ``d_max`` set, once n - rank <= d_max at every
-    point with a nonzero gradient stack; with ``d_min`` set, once
-    n - rank <= d_min at some point.  A target of 0 (or None) disables the
-    corresponding rule so the full basis is computed.
+    Fires when the estimated variety dimension (:func:`dimension_bounds`)
+    has been pushed down to the requested target: with ``d_max`` set, once
+    n - rank <= d_max at every point with a nonzero gradient stack (and
+    some point has one); with ``d_min`` set, once n - rank <= d_min at some
+    point.  A target of 0 (or None) disables the corresponding rule so the
+    full basis is computed.
     """
     d_max = None if not d_max else int(d_max)
     d_min = None if not d_min else int(d_min)
     if (d_max is None and d_min is None) or not g_polys:
         return False
-    n = X.n
-    ranks, nonzero = _rank_stacks(g_polys, X, tol)
-    if d_max is not None and np.any(nonzero):
-        if n - int(ranks[nonzero].min()) <= d_max:
-            return True
-    if d_min is not None:
-        if n - int(ranks.max()) <= d_min:
-            return True
-    return False
+    lo, hi = dimension_bounds(g_polys, X, tol)
+    if d_max is not None and lo < X.n and hi <= d_max:
+        return True
+    return d_min is not None and lo <= d_min
 
 
 def _verify_size_bounds(f_counts, t, n, m):
@@ -310,7 +317,7 @@ def fit(X, config):
         # Extents taken directly from the assembled evaluation vectors: the
         # Gram eigenvalues can only resolve extents down to sqrt(eps)*scale.
         norms = np.array([float(np.linalg.norm(p.eval)) for p in new_polys])
-        zero_floor = ZERO_EXTENT_REL * float(np.linalg.norm(E))
+        zero_floor = ZERO_EXTENT_REL * float(np.linalg.norm([c.eval for c in cands_pre]))
         eps_eff = max(eps, zero_floor)
         f_t, g_t, ext_t = [], [], []
         for p, s in zip(new_polys, norms):

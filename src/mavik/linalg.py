@@ -7,7 +7,8 @@
 * :func:`gen_eig_sym` -- symmetric-definite generalized eigenproblem
   ``A V = N V Lambda`` restricted to the numerical range of ``N``, returning
   N-orthonormal eigenvectors.
-* :func:`numerical_rank` -- SVD rank with a relative cutoff.
+* :func:`numerical_rank` -- SVD rank with a relative cutoff, of one matrix
+  or of a whole stack at once.
 """
 
 from __future__ import annotations
@@ -154,13 +155,17 @@ def orthogonal_project(cands, f_prev):
 
 
 def numerical_rank(M, tol=1e-12):
-    """Number of singular values above ``tol`` times the largest one."""
+    """Number of singular values above ``tol`` times the largest one.
+
+    ``M`` is one matrix, giving an int, or a stack of shape (..., r, c),
+    giving an integer array of one rank per matrix from one stacked SVD.
+    """
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if not np.all(np.isfinite(M)):
         raise ContractViolation("matrix entries must be finite")
     if M.size == 0:
-        return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol * s[0]))
+        ranks = np.zeros(M.shape[:-2], dtype=int)
+    else:
+        s = np.linalg.svd(M, compute_uv=False)
+        ranks = np.count_nonzero(s > tol * s[..., :1], axis=-1)
+    return int(ranks) if M.ndim == 2 else ranks

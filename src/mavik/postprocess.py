@@ -1,11 +1,20 @@
 """Gradient-based basis post-processing.
 
-Two consumers of the stored per-point gradients: removal of redundant basis
+Two consumers of the stored per-point gradients, each a stacked kernel over
+a (points x members x n) gradient array: removal of redundant basis
 polynomials (a vanishing polynomial whose gradient lies, at every data
 point, in the span of the gradients of the kept lower-degree ones behaves
 identically to an ideal member of those up to first order and is dropped),
 and estimation of the dimension of the underlying variety from per-point
-tangent-space codimensions.
+tangent-space codimensions (:func:`mavik.engine.dimension_bounds`, the one
+rank-to-dimension rule, shared with the fit's dimension stopping rule).
+
+The reduction works one degree at a time: one stacked pseudo-inverse of the
+kept lower-degree gradients, one per point, and the residuals of every
+member of the degree against it at once.  Removed members carry their
+worst relative residual; residuals below :data:`RESIDUAL_FLOOR` are
+rounding noise and the reduction report writes them as the floor, so
+``reduction.json`` does not change with the summation order of a replay.
 """
 
 from __future__ import annotations
@@ -14,12 +23,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import DIM_RANK_TOL, _rank_stacks
+from .engine import DIM_RANK_TOL, dimension_bounds
 from .errors import ContractViolation
 
-__all__ = ["ReductionReport", "reduce_basis", "estimate_dimension"]
+__all__ = ["RESIDUAL_FLOOR", "ReductionReport", "reduce_basis", "estimate_dimension"]
 
 PINV_RANK_TOL = 1e-12
+
+# Relative gradient residuals this small are the rounding noise of the
+# least-squares fit (at most about 1e-13 on the generic benchmark grid); the
+# reduction report writes any smaller residual as this value.
+RESIDUAL_FLOOR = 1e-12
 
 
 @dataclass
@@ -41,22 +55,8 @@ class ReductionReport:
         return counts
 
 
-def _relative_residuals(g, pool_pinvs, pool_stacks):
-    """Per-point relative residual of projecting grad g onto the pool span."""
-    m = g.grad.shape[0]
-    out = np.zeros(m)
-    for i in range(m):
-        target = g.grad[i]
-        norm = np.linalg.norm(target)
-        if norm == 0.0:
-            out[i] = 0.0
-            continue
-        if pool_stacks is None:
-            out[i] = 1.0
-            continue
-        v = target @ pool_pinvs[i]
-        out[i] = np.linalg.norm(target - v @ pool_stacks[i]) / norm
-    return out
+def _g_polys(basis):
+    return basis.g_polys() if hasattr(basis, "g_polys") else list(basis)
 
 
 def reduce_basis(basis, X, threshold=1e-6):
@@ -67,54 +67,36 @@ def reduce_basis(basis, X, threshold=1e-6):
     of one degree are mutually independent under gradient normalization, so
     no reduction is attempted within a degree).  A polynomial is removed iff
     at every point the least-squares residual of its gradient against the
-    pool gradients is at most ``threshold`` times its own gradient norm.
+    pool gradients is at most ``threshold`` times its own gradient norm; a
+    zero gradient has residual 0, and against an empty pool every nonzero
+    gradient has residual 1.
     """
     if not 0 <= threshold < 1:
         raise ContractViolation("threshold must lie in [0, 1)")
-    g_polys = basis.g_polys() if hasattr(basis, "g_polys") else list(basis)
-    if not g_polys:
-        return ReductionReport(kept=[], removed=[], threshold=threshold)
-    order = sorted(range(len(g_polys)), key=lambda i: (g_polys[i].degree, i))
-    m = len(X)
-
+    g_polys = _g_polys(basis)
     kept, removed = [], []
-    pool_degree = None  # pool rebuilt whenever the current degree advances
-    pool_pinvs = pool_stacks = None
-    for idx in order:
-        g = g_polys[idx]
-        if g.degree != pool_degree:
-            pool_degree = g.degree
-            lower = [p for p in kept if p.degree < pool_degree]
-            if lower:
-                pool_stacks = [
-                    np.stack([p.grad[i] for p in lower]) for i in range(m)
-                ]
-                pool_pinvs = [
-                    np.linalg.pinv(s, rcond=PINV_RANK_TOL) for s in pool_stacks
-                ]
+    for degree in sorted({g.degree for g in g_polys}):
+        members = [g for g in g_polys if g.degree == degree]
+        T = np.stack([g.grad for g in members], axis=1)  # (|X|, k, n)
+        R = T
+        if kept:
+            S = np.stack([p.grad for p in kept], axis=1)  # (|X|, |pool|, n)
+            R = T - (T @ np.linalg.pinv(S, rcond=PINV_RANK_TOL)) @ S
+        norms = np.linalg.norm(T, axis=2)
+        resid = np.divide(
+            np.linalg.norm(R, axis=2), norms, out=np.zeros_like(norms), where=norms > 0
+        )
+        for g, r in zip(members, resid.max(axis=0).tolist()):
+            if r <= threshold:
+                removed.append((g, r))
             else:
-                pool_stacks = pool_pinvs = None
-        residuals = _relative_residuals(g, pool_pinvs, pool_stacks)
-        if np.all(residuals <= threshold):
-            removed.append((g, float(residuals.max())))
-        else:
-            kept.append(g)
+                kept.append(g)
     return ReductionReport(kept=kept, removed=removed, threshold=threshold)
 
 
 def estimate_dimension(basis, X, tol=DIM_RANK_TOL):
-    """Estimate (d_min, d_max) of the variety carved out by the G polynomials.
-
-    Per point, the rank of the stacked gradients is the codimension of the
-    tangent space; d_max = n minus the smallest rank over points with a
-    nonzero stack (n when every stack vanishes), d_min = n minus the largest
-    rank over all points.  An empty basis gives (n, n).
-    """
-    g_polys = basis.g_polys() if hasattr(basis, "g_polys") else list(basis)
-    n = X.n
-    if not g_polys:
-        return n, n
-    ranks, nonzero = _rank_stacks(g_polys, X, tol)
-    d_min = n - int(ranks.max())
-    d_max = n - int(ranks[nonzero].min()) if np.any(nonzero) else n
-    return d_min, d_max
+    """Estimate (d_min, d_max) of the variety carved out by the G polynomials
+    of ``basis`` (a Basis or a list of polynomials) from per-point
+    tangent-space codimensions, by :func:`mavik.engine.dimension_bounds`.
+    An empty basis gives (n, n)."""
+    return dimension_bounds(_g_polys(basis), X, tol)

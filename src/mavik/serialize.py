@@ -18,6 +18,7 @@ import numpy as np
 
 from .core import Basis, flatten, replay
 from .errors import ContractViolation
+from .postprocess import RESIDUAL_FLOOR
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -137,7 +138,8 @@ def reduction_to_json(report, basis_meta=None):
         "removed_count": len(report.removed),
         "kept_profile": report.kept_profile(),
         "removed": [
-            {"degree": p.degree, "max_rel_residual": r} for p, r in report.removed
+            {"degree": p.degree, "max_rel_residual": max(r, RESIDUAL_FLOOR)}
+            for p, r in report.removed
         ],
     }
     if basis_meta:

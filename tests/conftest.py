@@ -9,7 +9,15 @@ are built directly from construction-tree primitives.
 import numpy as np
 import pytest
 
-from mavik.core import PointSet, constant_poly, linear_combine, multiply, variable_poly
+from mavik.core import (
+    PointSet,
+    Poly,
+    constant_poly,
+    linear_combine,
+    multiply,
+    replay_many,
+    variable_poly,
+)
 
 
 def rng_for(seed):
@@ -23,18 +31,27 @@ def generic_points(count, dim, seed, centered=False):
     return PointSet(pts)
 
 
-def fd_gradient(poly, points, h=1e-6):
-    """Central-difference gradient of a polynomial via provenance replay."""
+def fd_gradient(polys, points, h=1e-6):
+    """Central-difference gradient of a polynomial via provenance replay.
+
+    ``polys`` is one polynomial, giving one (m, n) gradient, or a list of
+    polynomials on one point set, giving a list of them; the list is
+    replayed together once per +-h step.  Each record's replay depends only
+    on its children, so both forms give bitwise equal values.
+    """
+    single = isinstance(polys, Poly)
+    polys = [polys] if single else list(polys)
     pts = np.asarray(points, dtype=float)
     m, n = pts.shape
-    grad = np.zeros((m, n))
+    grads = np.zeros((len(polys), m, n))
     for k in range(n):
         step = np.zeros(n)
         step[k] = h
-        plus, _ = poly.replay(pts + step)
-        minus, _ = poly.replay(pts - step)
-        grad[:, k] = (plus - minus) / (2 * h)
-    return grad
+        plus = replay_many(polys, pts + step)
+        minus = replay_many(polys, pts - step)
+        for j, ((ev_plus, _), (ev_minus, _)) in enumerate(zip(plus, minus)):
+            grads[j, :, k] = (ev_plus - ev_minus) / (2 * h)
+    return grads[0] if single else list(grads)
 
 
 def random_linear(X, rng, with_constant=True):

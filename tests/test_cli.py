@@ -7,10 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mavik import engine
+from mavik import engine, serialize
 from mavik.cli import main
-from mavik.datasets import sample_variety, save_points
+from mavik.datasets import sample_generic, sample_variety, save_points
 from mavik.errors import InternalInvariantViolation
+from mavik.postprocess import RESIDUAL_FLOOR
 from mavik.retrieval import grid_epsilons, load_target_profiles
 
 
@@ -96,6 +97,32 @@ class TestEvaluateAndReduce:
         assert code == 0
         report = read_json(red / "reduction.json")
         assert report["kept_count"] == 2 and report["removed_count"] == 2
+
+    def test_reduce_writes_stored_extents_and_is_deterministic(self, tmp_path, monkeypatch):
+        # the reduced file carries the input file's extents (not norms of
+        # replayed evaluations), and a basis and its re-saved copy reduce
+        # to byte-identical files
+        X = sample_generic(30, 2, seed=0)
+        pts = tmp_path / "pts.csv"
+        save_points(X, pts)
+        first, copy = tmp_path / "first", tmp_path / "copy"
+        assert main(["fit", "--points", str(pts), "--out", str(first)]) == 0
+        loaded = serialize.basis_from_json(read_json(first / "basis.json"), X)
+        copy.mkdir()
+        serialize.dump_json(serialize.basis_to_json(loaded, points=X), copy / "basis.json")
+        for d in (first, copy):
+            monkeypatch.chdir(d)
+            assert main(["reduce", "--points", str(pts), "--basis", "basis.json",
+                         "--out", "red"]) == 0
+        stored = [rec["extent"] for rec in read_json(first / "basis.json")["g"]]
+        reduced = [rec["extent"] for rec in read_json(first / "red" / "reduced_basis.json")["g"]]
+        assert 0 < len(reduced) < len(stored)
+        remaining = iter(stored)
+        assert all(e in remaining for e in reduced)
+        for name in ("reduction.json", "reduced_basis.json"):
+            assert (first / "red" / name).read_bytes() == (copy / "red" / name).read_bytes()
+        removed = read_json(first / "red" / "reduction.json")["removed"]
+        assert removed and all(r["max_rel_residual"] == RESIDUAL_FLOOR for r in removed)
 
     def test_reduce_rejects_mismatched_points(self, circle4_csv, tmp_path):
         out = tmp_path / "out"

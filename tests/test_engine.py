@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from conftest import fd_gradient, generic_points, rng_for
-from mavik.core import PointSet, variables
+from mavik import engine
+from mavik.core import PointSet, Poly, constant_poly, variables
 from mavik.datasets import sample_generic, scale, translate
 from mavik.engine import (
     EngineConfig,
     NormalizationMode,
     check_termination_dimension,
+    dimension_bounds,
     evaluate,
     fit,
     normalization_gram,
@@ -172,6 +174,23 @@ class TestDimensionTermination:
         X = circle_points(10, seed=13)
         assert not check_termination_dimension([], X, d_max=1, d_min=None)
 
+    def test_dmax_rule_needs_a_nonzero_gradient_stack(self):
+        # a constant has zero gradients everywhere, so no point bounds the
+        # dimension from above and the d_max rule does not fire, even at n
+        X = circle_points(10, seed=13)
+        assert not check_termination_dimension([constant_poly(1.0, X)], X, d_max=X.n)
+        assert dimension_bounds([constant_poly(1.0, X)], X) == (X.n, X.n)
+
+    def test_negligible_gradient_stack_has_rank_zero(self):
+        # the third point's stack has full rank but sits 1e-9 below the
+        # largest one, so it counts as zero and does not lower d_min
+        X = PointSet([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        grads = np.array([[[1.0, 0.0]] * 3, [[2.0, 0.0]] * 3])
+        grads[:, 2] = 1e-9 * np.eye(2)
+        g_polys = [Poly(2, np.zeros(3), g, None, X) for g in grads]
+        assert dimension_bounds(g_polys, X) == (1, 1)
+        assert check_termination_dimension(g_polys, X, d_max=1)
+
     def test_rejects_out_of_range_targets(self):
         with pytest.raises(ContractViolation):
             fit(CIRCLE4, EngineConfig(epsilon=1e-8, mode=GRAD, d_max=5))
@@ -230,13 +249,26 @@ class TestStructuralInvariants:
             for t in range(len(report.f_counts)):
                 assert sum(report.f_counts[: t + 1]) <= comb(dim + t, dim)
 
-    def test_more_f_than_points_is_an_invariant_violation(self):
-        # single-pass projection at scale 100 lets vca keep 34 nonorthogonal
-        # F members on 30 points; orthogonal nonzero vectors in R^30 cannot
+    def test_more_f_than_points_is_an_invariant_violation(self, monkeypatch):
+        # a projection that drops the earlier strata lets vca keep 36
+        # nonorthogonal F members on 30 points by degree 7; orthogonal
+        # nonzero vectors in R^30 cannot
+        monkeypatch.setattr(engine, "orthogonal_project", lambda cands, f_prev: list(cands))
         X = scale(sample_generic(30, 2, 0), 100.0)
         config = EngineConfig(epsilon=1e-4, mode=NormalizationMode.vca_baseline(), max_degree=8)
         with pytest.raises(InternalInvariantViolation, match="exceeds \\|X\\| = 30"):
             fit(X, config)
+
+    def test_zero_floor_follows_the_unprojected_candidates(self):
+        # once F spans R^30 every projected candidate is rounding residue; a
+        # floor taken from the projected candidates shrank with that residue
+        # and sent it into F (|F| > |X|).  This is the scale-1 profile.
+        X = scale(sample_generic(30, 2, 0), 100.0)
+        config = EngineConfig(epsilon=1e-4, mode=NormalizationMode.vca_baseline(), max_degree=8)
+        _, report = fit(X, config)
+        assert report.f_counts == [1, 2, 3, 4, 5, 6, 7, 2, 0]
+        assert report.g_counts == [0, 0, 0, 2, 3, 4, 5, 12, 4]
+        assert report.termination == "f-empty"
 
 
 class TestConsistency:

@@ -180,3 +180,20 @@ class TestNumericalRank:
     def test_rejects_nonfinite(self):
         with pytest.raises(ContractViolation):
             numerical_rank(np.array([[np.nan, 0.0]]), 1e-12)
+
+    def test_stack_matches_one_matrix_at_a_time(self):
+        # zero matrices, rank-deficient ones and full-rank ones in one stack
+        rng = rng_for(14)
+        stack = rng.normal(size=(9, 4, 3))
+        stack[1] = 0.0
+        stack[2, :, 2] = stack[2, :, 0] - 2.0 * stack[2, :, 1]
+        stack[3] = np.outer(rng.normal(size=4), rng.normal(size=3))
+        stack[4] *= 1e-300
+        ranks = numerical_rank(stack, 1e-10)
+        assert ranks.shape == (9,) and ranks.dtype.kind == "i"
+        assert ranks.tolist() == [numerical_rank(M, 1e-10) for M in stack]
+        assert ranks[:4].tolist() == [3, 0, 2, 1]
+        assert numerical_rank(stack.reshape(3, 3, 4, 3), 1e-10).tolist() == (
+            ranks.reshape(3, 3).tolist()
+        )
+        assert numerical_rank(np.zeros((0, 4, 3))).shape == (0,)

@@ -1,10 +1,13 @@
 """Basis reduction and variety-dimension estimation."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import generic_points, rng_for
 from mavik.coefficients import expand
-from mavik.core import Basis, PointSet, linear_combine, multiply, variable_poly
+from mavik.core import Basis, PointSet, Poly, linear_combine, multiply, variable_poly
+from mavik.datasets import scale
 from mavik.engine import EngineConfig, NormalizationMode, fit
 from mavik.postprocess import estimate_dimension, reduce_basis
 
@@ -15,6 +18,73 @@ CIRCLE4 = PointSet([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
 def circle_points(count=40, seed=0):
     theta = rng_for(seed).uniform(0.0, 2 * np.pi, size=count)
     return PointSet(np.column_stack([np.cos(theta), np.sin(theta)]))
+
+
+def reference_reduce(g_polys, threshold):
+    """The per-point reduction loop: one pseudo-inverse per point per member.
+
+    Returns (kept, removed) in the order of :func:`reduce_basis`, with the
+    worst relative residual of each removed member.
+    """
+    order = sorted(range(len(g_polys)), key=lambda i: (g_polys[i].degree, i))
+    kept, removed = [], []
+    for idx in order:
+        g = g_polys[idx]
+        pool = [p for p in kept if p.degree < g.degree]
+        residuals = []
+        for i, target in enumerate(g.grad):
+            norm = np.linalg.norm(target)
+            if norm == 0.0:
+                residuals.append(0.0)
+            elif not pool:
+                residuals.append(1.0)
+            else:
+                S = np.stack([p.grad[i] for p in pool])
+                v = target @ np.linalg.pinv(S, rcond=1e-12)
+                residuals.append(np.linalg.norm(target - v @ S) / norm)
+        if max(residuals) <= threshold:
+            removed.append((g, float(max(residuals))))
+        else:
+            kept.append(g)
+    return kept, removed
+
+
+def gradient_member(X, degree, grad):
+    # reduce_basis reads only degrees and gradients
+    return Poly(degree, np.zeros(len(X)), grad, None, X)
+
+
+def random_gradient_basis(rng):
+    """G members of degrees 2..4 whose gradients are, per member, random,
+    copies of an earlier member, or per-point combinations of lower-degree
+    members (exactly or up to relative noise 1e-9 or 1e-3), and zero at
+    some or all points.  Pools with more members than n, or with copied
+    members, are rank-deficient."""
+    m, n = int(rng.integers(4, 12)), int(rng.integers(2, 5))
+    X = PointSet(rng.uniform(-1.0, 1.0, size=(m, n)))
+    members = []
+    for degree in (2, 3, 4):
+        for _ in range(int(rng.integers(1, 5))):
+            kind = rng.choice(["random", "span", "span+1e-9", "span+1e-3", "copy"])
+            grad = rng.normal(size=(m, n))
+            lower = [g.grad for g in members if g.degree < degree]
+            if kind == "copy" and members:
+                grad = members[int(rng.integers(len(members)))].grad.copy()
+            elif kind.startswith("span") and lower:
+                lower = np.stack(lower, axis=1)
+                grad = np.einsum("ik,ikn->in", rng.normal(size=lower.shape[:2]), lower)
+                if kind != "span":
+                    noise = rng.normal(size=(m, n))
+                    scale_i = np.linalg.norm(grad, axis=1, keepdims=True)
+                    grad = grad + float(kind[5:]) * scale_i * noise / np.linalg.norm(
+                        noise, axis=1, keepdims=True
+                    )
+            grad[rng.random(m) < 0.2] = 0.0
+            if rng.random() < 0.1:
+                grad[:] = 0.0
+            members.append(gradient_member(X, degree, grad))
+    order = rng.permutation(len(members))
+    return X, [members[i] for i in order]
 
 
 def coeff_vector(poly, monomials):
@@ -95,6 +165,73 @@ class TestReduceBasis:
     def test_empty_basis(self):
         report = reduce_basis([], CIRCLE4, threshold=1e-6)
         assert report.kept == [] and report.removed == []
+
+    def test_pool_spans_nearly_parallel_gradients(self):
+        # pool gradients e1 and e1 + 1e-8 e2 are distinct at the 1e-12
+        # pseudo-inverse cutoff, so a degree-3 gradient e2 is in their span
+        X = PointSet([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        e1, e2 = np.tile([1.0, 0.0], (3, 1)), np.tile([0.0, 1.0], (3, 1))
+        pool = [gradient_member(X, 2, e1), gradient_member(X, 2, e1 + 1e-8 * e2)]
+        target = gradient_member(X, 3, e2)
+        report = reduce_basis(pool + [target], X, threshold=1e-6)
+        assert report.kept == pool
+        assert [p for p, _ in report.removed] == [target]
+
+    def test_stacked_kernel_matches_per_point_loop(self):
+        n_removed = n_kept = 0
+        for seed in range(60):
+            X, g_polys = random_gradient_basis(rng_for(seed))
+            report = reduce_basis(g_polys, X, threshold=1e-6)
+            kept, removed = reference_reduce(g_polys, 1e-6)
+            assert [id(p) for p in report.kept] == [id(p) for p in kept]
+            assert [id(p) for p, _ in report.removed] == [id(p) for p, _ in removed]
+            np.testing.assert_allclose(
+                [r for _, r in report.removed], [r for _, r in removed], rtol=0, atol=1e-12
+            )
+            n_removed += len(removed)
+            n_kept += len(kept)
+        assert n_removed > 50 and n_kept > 50
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        dim=st.integers(2, 3),
+        count=st.integers(20, 40),
+        radius=st.floats(0.5, 2.0),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_variable_times_kept_member_is_removed(self, dim, count, radius, seed, data):
+        # points on a sphere; up to degree 3 its G members vanish exactly
+        # on X, so grad(x_k g) = x_k grad g at every point
+        rng = rng_for(seed)
+        d = rng.normal(size=(count, dim))
+        X = PointSet(rng.uniform(-1, 1, dim) + radius * d / np.linalg.norm(d, axis=1)[:, None])
+        basis, _ = fit(X, EngineConfig(epsilon=1e-9, mode=GRAD, max_degree=3))
+        kept = reduce_basis(basis, X, threshold=1e-6).kept
+        assert kept
+        g = data.draw(st.sampled_from(kept))
+        product = multiply(variable_poly(data.draw(st.integers(0, dim - 1)), X), g)
+        report = reduce_basis(kept + [product], X, threshold=1e-6)
+        assert [p for p, _ in report.removed] == [product]
+        assert report.kept == kept
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        dim=st.integers(2, 3),
+        count=st.integers(12, 25),
+        seed=st.integers(0, 2**16),
+        log_alpha=st.floats(-3.0, 3.0),
+    )
+    def test_grad_mode_kept_set_is_scale_invariant(self, dim, count, seed, log_alpha):
+        X = generic_points(count, dim, seed=seed)
+
+        def kept_positions(alpha):
+            Xa = scale(X, alpha)
+            basis, _ = fit(Xa, EngineConfig(epsilon=1e-6 * alpha, mode=GRAD))
+            pos = {id(p): i for i, p in enumerate(basis.g_polys())}
+            return [pos[id(p)] for p in reduce_basis(basis, Xa, threshold=1e-6).kept]
+
+        assert kept_positions(10.0**log_alpha) == kept_positions(1.0)
 
 
 class TestEstimateDimension:
