@@ -17,13 +17,19 @@ are dropped entirely: with the coefficient or gradient normalization these
 are exactly the combinations with no polynomial content (or none visible
 at the data), which is what keeps the basis free of spuriously vanishing
 members.
+
+Each degree is one step that never reads epsilon (candidates, projection,
+Grams, eigensolve, combination), followed by the epsilon-dependent split,
+size guards and termination rules.  :class:`Fitter` keeps the steps, so
+fits of one point set at several epsilons share every degree up to the
+first one whose F/G split differs.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,6 +42,7 @@ __all__ = [
     "NormalizationMode",
     "EngineConfig",
     "FitReport",
+    "Fitter",
     "fit",
     "normalization_gram",
     "evaluate",
@@ -252,124 +259,194 @@ def _verify_gradient_norms(polys, z):
             )
 
 
+@dataclass(frozen=True)
+class _Step:
+    """One degree of the construction before its F/G split.
+
+    ``polys`` are the combinations the normalization retains, in eigenvalue
+    order; ``extents`` their evaluation norms, ``values`` the generalized
+    eigenvalues and ``zero_floor`` the extent below which a combination is
+    a floating-point zero.
+    """
+
+    polys: list
+    extents: np.ndarray
+    values: np.ndarray
+    zero_floor: float
+
+
+def _degree_step(X, config, F, t):
+    """Build degree t from the nonvanishing strata ``F[0..t-1]``.
+
+    One ``multiply`` builds all candidate products, one
+    ``orthogonal_project`` removes the earlier strata from them, two Grams
+    and a generalized eigensolve pick the combinations, and one
+    ``linear_combine`` with the eigenvector matrix builds them.  Nothing
+    here reads epsilon.
+    """
+    if t == 1:
+        cands_pre = variables(X)
+    else:
+        cands_pre = _candidate_products(
+            F[1], F[t - 1], dedup_pairs=(t == 2 and config.dedup_degree2)
+        )
+    f_flat = [f for stratum in F for f in stratum]
+    cands = orthogonal_project(cands_pre, f_flat)
+
+    E = np.column_stack([c.eval for c in cands])
+    A = E.T @ E
+    A = 0.5 * (A + A.T)
+    N = normalization_gram(cands, config.mode, term_cap=config.term_cap)
+    res = gen_eig_sym(A, N, rank_tol=config.rank_tol)
+
+    new_polys = linear_combine(cands, res.vectors)
+    if config.mode.kind == "gradient":
+        _verify_gradient_norms(new_polys, config.mode.z)
+
+    # Extents taken directly from the assembled evaluation vectors: the
+    # Gram eigenvalues can only resolve extents down to sqrt(eps)*scale.
+    norms = np.array([float(np.linalg.norm(p.eval)) for p in new_polys])
+    zero_floor = ZERO_EXTENT_REL * float(np.linalg.norm([c.eval for c in cands_pre]))
+    return _Step(new_polys, norms, res.values, zero_floor)
+
+
+class Fitter:
+    """Fits of one point set that share their per-degree steps.
+
+    Degree t depends on epsilon only through the F/G split of the degrees
+    below it.  A fitter therefore keeps the steps of its last fit.  The
+    next fit whose configuration differs at most in epsilon reclassifies
+    the kept steps from degree 1 upward and recomputes only the steps above
+    the lowest degree whose F mask changed.  Any other configuration starts
+    afresh.  Every fit returns what a fresh :func:`fit` returns, bitwise:
+    the kept steps are the ones a fresh fit would compute.
+    """
+
+    def __init__(self, X):
+        if len(X) < 1:
+            raise ContractViolation("point set is empty")
+        self.X = X
+        self._key = None  # the configuration of the kept steps, epsilon aside
+        self._steps = []  # _steps[t-1] builds degree t
+        self._masks = []  # _masks[t-1]: the F mask of degree t under which _steps[t] was built
+
+    def _start(self, config):
+        """Check an epsilon-free configuration and drop the kept steps."""
+        X = self.X
+        for name, d in (("d_max", config.d_max), ("d_min", config.d_min)):
+            if d is not None and not 0 <= d <= X.n:
+                raise ContractViolation(f"{name} must lie in [0, n]")
+        m_const = (
+            float(config.m_constant)
+            if config.m_constant is not None
+            else default_m_constant(X, config.mode)
+        )
+        if m_const == 0:
+            raise ContractViolation("m_constant must be nonzero")
+        max_degree = config.max_degree if config.max_degree is not None else len(X)
+        if max_degree < 1:
+            raise ContractViolation("max_degree must be at least 1")
+        # The constant is shared with the kept steps' provenance, so it is
+        # kept with them: a saved basis then lists it once.
+        self._const = constant_poly(m_const, X)
+        self._m_const, self._max_degree = m_const, max_degree
+        self._key = config
+        self._steps, self._masks = [], []
+
+    def fit(self, config):
+        """Run the basis construction at ``config``; returns (Basis, FitReport).
+
+        The loop is deterministic: candidate order is fixed, eigenvalues
+        are sorted descending with stable tie-breaks, and eigenvector signs
+        are pinned, so repeated runs on one platform are bitwise identical.
+        """
+        t_start = time.perf_counter()
+        X = self.X
+        eps = float(config.epsilon)
+        if not math.isfinite(eps):
+            raise ContractViolation("epsilon must be finite")
+        if eps < 0:
+            raise ContractViolation("epsilon must be nonnegative")
+        key = replace(config, epsilon=0.0)
+        if key != self._key:
+            self._start(key)
+        n = X.n
+        max_degree = self._max_degree
+
+        F = [[self._const]]
+        G = [[]]
+        extents = [np.zeros(0)]
+        spectra = []
+        extent_arrays = []
+        termination = None
+        t = 0
+        while termination is None:
+            t += 1
+            if t > len(self._steps):
+                self._steps.append(_degree_step(X, config, F, t))
+            step = self._steps[t - 1]
+            keep = step.extents > max(eps, step.zero_floor)
+            mask = keep.tolist()
+            if self._masks[t - 1 : t] != [mask]:
+                # New or changed split: the kept steps above were built
+                # from other F strata.
+                del self._steps[t:], self._masks[t - 1 :]
+                self._masks.append(mask)
+            F.append([p for p, k in zip(step.polys, mask) if k])
+            G.append([p for p, k in zip(step.polys, mask) if not k])
+            extents.append(step.extents[~keep])
+            spectra.append(step.values)
+            extent_arrays.append(step.extents)
+            _verify_size_bounds([len(s) for s in F], t, n, len(X))
+
+            if not F[t]:
+                termination = "f-empty"
+            elif t >= max_degree:
+                termination = "max-degree"
+            elif check_termination_dimension(
+                [g for stratum in G for g in stratum], X, config.d_max, config.d_min
+            ):
+                termination = "dimension-rule"
+
+        basis = Basis(F=F, G=G, extents=extents)
+        g_total = sum(len(s) for s in G)
+        # The n(|X|-n) output bound holds once the point count reaches the
+        # quadratic saturation threshold C(n+2, n); below it, genuine
+        # vanishing quadrics exist and legitimate bases can exceed the bound
+        # (e.g. 10 generic points in R^4 give |G| = 25 > 24), so the guard
+        # is scoped.
+        if (
+            config.mode.kind in ("coefficient", "gradient")
+            and len(X) > n
+            and len(X) >= math.comb(n + 2, n)
+        ):
+            if g_total > n * (len(X) - n):
+                raise InternalInvariantViolation(
+                    f"|G| = {g_total} exceeds n(|X|-n) = {n * (len(X) - n)}"
+                )
+        report = FitReport(
+            config=config.echo(),
+            n=n,
+            n_points=len(X),
+            m_constant=self._m_const,
+            f_counts=[len(s) for s in F],
+            g_counts=[len(s) for s in G],
+            spectra=spectra,
+            extents=extent_arrays,
+            termination=termination,
+            wall_time_s=time.perf_counter() - t_start,
+        )
+        return basis, report
+
+
 def fit(X, config):
     """Run the basis construction on ``X``; returns (Basis, FitReport).
 
-    Each degree runs as a short chain of stratum-level kernels: one
-    ``multiply`` builds all candidate products, one ``orthogonal_project``
-    removes the earlier strata from them, two Grams and a generalized
-    eigensolve pick the combinations, and one ``linear_combine`` with the
-    eigenvector matrix builds the stratum's new polynomials.
-
-    The loop is deterministic: candidate order is fixed, eigenvalues are
-    sorted descending with stable tie-breaks, and eigenvector signs are
-    pinned, so repeated runs on one platform are bitwise identical.
+    Each degree runs as a short chain of stratum-level kernels
+    (:func:`_degree_step`), then splits its combinations into F and G by
+    epsilon; see :class:`Fitter`, whose loop this is.
     """
-    t_start = time.perf_counter()
-    if len(X) < 1:
-        raise ContractViolation("point set is empty")
-    eps = float(config.epsilon)
-    if eps < 0:
-        raise ContractViolation("epsilon must be nonnegative")
-    n = X.n
-    for name, d in (("d_max", config.d_max), ("d_min", config.d_min)):
-        if d is not None and not 0 <= d <= n:
-            raise ContractViolation(f"{name} must lie in [0, n]")
-    m_const = (
-        float(config.m_constant)
-        if config.m_constant is not None
-        else default_m_constant(X, config.mode)
-    )
-    if m_const == 0:
-        raise ContractViolation("m_constant must be nonzero")
-    max_degree = config.max_degree if config.max_degree is not None else len(X)
-    if max_degree < 1:
-        raise ContractViolation("max_degree must be at least 1")
-
-    F = [[constant_poly(m_const, X)]]
-    G = [[]]
-    extents = [np.zeros(0)]
-    spectra = []
-    extent_arrays = []
-    termination = None
-    t = 0
-    while termination is None:
-        t += 1
-        if t == 1:
-            cands_pre = variables(X)
-        else:
-            cands_pre = _candidate_products(
-                F[1], F[t - 1], dedup_pairs=(t == 2 and config.dedup_degree2)
-            )
-        f_flat = [f for stratum in F for f in stratum]
-        cands = orthogonal_project(cands_pre, f_flat)
-
-        E = np.column_stack([c.eval for c in cands])
-        A = E.T @ E
-        A = 0.5 * (A + A.T)
-        N = normalization_gram(cands, config.mode, term_cap=config.term_cap)
-        res = gen_eig_sym(A, N, rank_tol=config.rank_tol)
-
-        new_polys = linear_combine(cands, res.vectors)
-        if config.mode.kind == "gradient":
-            _verify_gradient_norms(new_polys, config.mode.z)
-
-        # Extents taken directly from the assembled evaluation vectors: the
-        # Gram eigenvalues can only resolve extents down to sqrt(eps)*scale.
-        norms = np.array([float(np.linalg.norm(p.eval)) for p in new_polys])
-        zero_floor = ZERO_EXTENT_REL * float(np.linalg.norm([c.eval for c in cands_pre]))
-        eps_eff = max(eps, zero_floor)
-        f_t, g_t, ext_t = [], [], []
-        for p, s in zip(new_polys, norms):
-            if s > eps_eff:
-                f_t.append(p)
-            else:
-                g_t.append(p)
-                ext_t.append(s)
-        F.append(f_t)
-        G.append(g_t)
-        extents.append(np.array(ext_t))
-        spectra.append(res.values)
-        extent_arrays.append(norms)
-        _verify_size_bounds([len(s) for s in F], t, n, len(X))
-
-        if not f_t:
-            termination = "f-empty"
-        elif t >= max_degree:
-            termination = "max-degree"
-        elif check_termination_dimension(
-            [g for stratum in G for g in stratum], X, config.d_max, config.d_min
-        ):
-            termination = "dimension-rule"
-
-    basis = Basis(F=F, G=G, extents=extents)
-    g_total = sum(len(s) for s in G)
-    # The n(|X|-n) output bound holds once the point count reaches the
-    # quadratic saturation threshold C(n+2, n); below it, genuine vanishing
-    # quadrics exist and legitimate bases can exceed the bound (e.g. 10
-    # generic points in R^4 give |G| = 25 > 24), so the guard is scoped.
-    if (
-        config.mode.kind in ("coefficient", "gradient")
-        and len(X) > n
-        and len(X) >= math.comb(n + 2, n)
-    ):
-        if g_total > n * (len(X) - n):
-            raise InternalInvariantViolation(
-                f"|G| = {g_total} exceeds n(|X|-n) = {n * (len(X) - n)}"
-            )
-    report = FitReport(
-        config=config.echo(),
-        n=n,
-        n_points=len(X),
-        m_constant=m_const,
-        f_counts=[len(s) for s in F],
-        g_counts=[len(s) for s in G],
-        spectra=spectra,
-        extents=extent_arrays,
-        termination=termination,
-        wall_time_s=time.perf_counter() - t_start,
-    )
-    return basis, report
+    return Fitter(X).fit(config)
 
 
 def evaluate(basis, X_new):

@@ -50,15 +50,12 @@ def _check_symmetric(M, name):
 
 
 def _fix_column_signs(V):
-    # First component of nonnegligible magnitude made positive, per column.
-    for j in range(V.shape[1]):
-        col = V[:, j]
-        amax = np.max(np.abs(col))
-        if amax == 0.0:
-            continue
-        lead = np.argmax(np.abs(col) > 1e-12 * amax)
-        if col[lead] < 0:
-            V[:, j] = -col
+    # First component of nonnegligible magnitude made positive, per column
+    # (a zero column has no such component and stays as it is).
+    mag = np.abs(V)
+    lead = np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0)
+    flip = V[lead, np.arange(V.shape[1])] < 0
+    V[:, flip] = -V[:, flip]
     return V
 
 

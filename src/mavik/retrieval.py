@@ -9,7 +9,14 @@ the same number of points, at the same positions relative to alpha.
 The scan exploits that a fit is a piecewise-constant function of epsilon:
 classification decisions only flip when epsilon crosses one of the extents
 of vanishing encountered during the run, so consecutive grid points
-between breakpoints reuse the previous fit verbatim.
+between breakpoints reuse the previous fit verbatim.  At a breakpoint the
+scan does not refit from degree 1 either.  Degree t depends on epsilon only
+through the F/G split of the degrees below it, so one
+:class:`~mavik.engine.Fitter` serves the whole grid: it reclassifies its
+kept per-degree steps at the new epsilon and recomputes only the degrees
+above the lowest one whose split changed.  The classification, the size
+guards and the termination rules are the engine's own, so every scanned
+profile is the profile of a fresh fit at that epsilon.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from importlib import resources
 import numpy as np
 
 from . import datasets
-from .engine import EngineConfig, NormalizationMode, evaluate, fit
+from .engine import EngineConfig, Fitter, NormalizationMode, evaluate, fit
 from .errors import ContractViolation
 
 __all__ = [
@@ -72,23 +79,25 @@ def mode_from_kind(kind, n_points=None, z=None):
 
 
 def _next_breakpoint(report, eps):
-    nxt = math.inf
-    for norms in report.extents:
-        for value in norms:
-            if eps < value < nxt:
-                nxt = float(value)
-    return nxt
+    """The smallest extent of ``report`` above ``eps`` (inf if none)."""
+    extents = np.concatenate(report.extents)
+    above = extents[extents > eps]
+    return float(above.min()) if above.size else math.inf
 
 
 def scan_g_profiles(X, mode, max_degree, epsilons):
-    """Vanishing-stratum profiles of fits at each epsilon (ascending grid)."""
+    """Vanishing-stratum profiles of fits at each epsilon of a nondecreasing grid."""
+    grid = np.asarray(epsilons, dtype=float)
+    if not np.all(np.isfinite(grid)) or np.any(np.diff(grid) < 0):
+        raise ContractViolation("epsilon grid must be finite and nondecreasing")
+    fitter = Fitter(X)
     profiles = []
     current = None
     next_bp = -math.inf
-    for eps in epsilons:
+    for eps in grid:
         if current is None or eps >= next_bp:
-            _, report = fit(
-                X, EngineConfig(epsilon=float(eps), mode=mode, max_degree=max_degree)
+            _, report = fitter.fit(
+                EngineConfig(epsilon=float(eps), mode=mode, max_degree=max_degree)
             )
             current = tuple(report.g_counts)
             next_bp = _next_breakpoint(report, eps)
@@ -142,7 +151,8 @@ def _single_trial(args):
     max_degree = len(target) - 1
     eps_grid = grid_epsilons(alpha)
     profiles = scan_g_profiles(X_run, mode, max_degree, eps_grid)
-    hits = [i for i, p in enumerate(profiles) if _matches_target(p, target)]
+    matching = {p for p in set(profiles) if _matches_target(p, target)}
+    hits = [i for i, p in enumerate(profiles) if p in matching]
     if not hits:
         return RetrievalOutcome(False, None, None, len(eps_grid))
     runs = _contiguous_runs(hits)

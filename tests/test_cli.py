@@ -57,6 +57,12 @@ class TestFitCommand:
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
         assert (out1 / "basis.json").read_bytes() == (out2 / "basis.json").read_bytes()
 
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_nonfinite_eps_exits_2(self, circle4_csv, tmp_path, eps):
+        out = tmp_path / "out"
+        assert main(["fit", "--points", str(circle4_csv), "--eps", eps, "--out", str(out)]) == 2
+        assert not (out / "report.json").exists()
+
     def test_malformed_points_exits_2(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("x1,x2\noops,1\n")

@@ -1,11 +1,13 @@
 """The degree-incremental fit: classification, normalization modes,
 termination rules, replay, and the consistency/robustness guarantees."""
 
+import json
+
 import numpy as np
 import pytest
 
 from conftest import fd_gradient, generic_points, rng_for
-from mavik import engine
+from mavik import engine, serialize
 from mavik.core import PointSet, Poly, constant_poly, variables
 from mavik.datasets import sample_generic, scale, translate
 from mavik.engine import (
@@ -60,6 +62,28 @@ class TestFitSmall:
     def test_empty_epsilon_rejected(self):
         with pytest.raises(ContractViolation):
             fit(CIRCLE4, EngineConfig(epsilon=-1.0, mode=GRAD))
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), float("-inf")])
+    def test_nonfinite_epsilon_rejected(self, eps):
+        with pytest.raises(ContractViolation):
+            fit(CIRCLE4, EngineConfig(epsilon=eps, mode=GRAD))
+
+    def test_fitter_refits_match_fresh_fits_bitwise(self):
+        # one fitter walked up and down an epsilon sequence, with changes of
+        # max_degree and of the dimension rule in between, writes the files a
+        # fresh fit writes
+        X = sample_generic(30, 2, 0)
+        fitter = engine.Fitter(X)
+        steps = ((1e-9, 6, None), (0.3, 6, None), (0.05, 6, None), (0.05, 4, None),
+                 (1e-3, 6, None), (0.3, 6, None), (0.05, 6, 1), (0.3, 6, 1))
+        for eps, max_degree, d_max in steps:
+            config = EngineConfig(epsilon=eps, mode=GRAD, max_degree=max_degree, d_max=d_max)
+            got = fitter.fit(config)
+            want = fit(X, config)
+            assert serialize.report_to_json(got[1]) == serialize.report_to_json(want[1])
+            assert json.dumps(serialize.basis_to_json(got[0], points=X)) == json.dumps(
+                serialize.basis_to_json(want[0], points=X)
+            )
 
     def test_coefficient_mode_term_cap(self):
         X = generic_points(30, 4, seed=1)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import rng_for
+from mavik import engine
 from mavik.core import PointSet
 from mavik.datasets import center_and_unitbox, perturb, sample_variety
 from mavik.engine import EngineConfig, fit
@@ -47,6 +48,73 @@ def test_scan_handles_threshold_exactly_at_extent():
     for eps, profile in zip(eps_grid, scanned):
         _, rep = fit(X, EngineConfig(epsilon=float(eps), mode=mode, max_degree=2))
         assert profile == tuple(rep.g_counts)
+
+
+def _oracle_case():
+    clean = center_and_unitbox(sample_variety("V1", 60, seed=4))
+    return perturb(clean, 0.05, seed=11)
+
+
+def _brute_force_reports(X, mode, max_degree, eps_grid):
+    return [
+        fit(X, EngineConfig(epsilon=float(eps), mode=mode, max_degree=max_degree))[1]
+        for eps in eps_grid
+    ]
+
+
+@pytest.mark.parametrize("kind", ["vca", "coeff", "grad"])
+def test_scan_equals_brute_force_in_every_mode_through_f_empty(kind):
+    # the grid reaches past the largest degree-1 extent, so its upper part
+    # stops with an empty F stratum at several degrees below max_degree
+    X = _oracle_case()
+    mode = mode_from_kind(kind, n_points=len(X))
+    eps_grid = np.geomspace(1e-4, 5.0, 97)
+    reports = _brute_force_reports(X, mode, 6, eps_grid)
+    assert scan_g_profiles(X, mode, 6, eps_grid) == [tuple(r.g_counts) for r in reports]
+    early = {len(r.g_counts) - 1 for r in reports if r.termination == "f-empty"}
+    assert {1, 2, 3} <= early and min(early) < 6
+
+
+def test_scan_makes_at_most_a_third_of_the_refitting_eigensolves(monkeypatch):
+    # one eigensolve per degree step: resuming from the lowest degree whose
+    # split flips must save at least 3x, both over fitting at every grid
+    # point and over refitting from degree 1 wherever the scan reclassifies
+    X = _oracle_case()
+    mode = mode_from_kind("grad", n_points=len(X))
+    eps_grid = np.linspace(1e-4, 0.6, 97)
+    eig_calls, fit_eps = [], []
+    counted_eig, counted_fit = engine.gen_eig_sym, engine.Fitter.fit
+
+    def eig(*args, **kwargs):
+        eig_calls.append(1)
+        return counted_eig(*args, **kwargs)
+
+    def refit(self, config):
+        fit_eps.append(config.epsilon)
+        return counted_fit(self, config)
+
+    monkeypatch.setattr(engine, "gen_eig_sym", eig)
+    monkeypatch.setattr(engine.Fitter, "fit", refit)
+    scan_g_profiles(X, mode, 6, eps_grid)
+    scanned, reclassified_at = len(eig_calls), list(fit_eps)
+    eig_calls.clear()
+    _brute_force_reports(X, mode, 6, eps_grid)
+    every_point = len(eig_calls)
+    eig_calls.clear()
+    _brute_force_reports(X, mode, 6, reclassified_at)
+    assert 0 < 3 * scanned <= min(every_point, len(eig_calls))
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [np.linspace(1e-4, 0.6, 97)[::-1], [1e-3, float("nan"), 0.1], [1e-3, float("inf")]],
+)
+def test_scan_rejects_descending_or_nonfinite_grid(grid):
+    # a scan only moves its breakpoint upward: a descending grid would
+    # silently repeat stale profiles
+    X = _oracle_case()
+    with pytest.raises(ContractViolation):
+        scan_g_profiles(X, mode_from_kind("grad", n_points=len(X)), 6, grid)
 
 
 def test_matches_target_compares_up_to_target_degree():
