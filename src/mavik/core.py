@@ -13,11 +13,12 @@ Both operations work on whole strata at once: :func:`linear_combine` forms
 r combinations of k polynomials as one matrix product over their stacked
 evaluations and one over their stacked gradients, and :func:`multiply`
 forms every product of a list of factor pairs by one broadcast.  The
-provenance stays per polynomial: one ``PLin`` or ``PProd`` node for each
-output.
+provenance is recorded once per call as well: one ``PLin`` node holds the
+call's weight matrix, one ``PProd`` node its two factor lists, and each
+output's ``prov`` is the pair ``(node, column)``.
 
 Every reader of the construction DAG works on one flattened form:
-:func:`flatten` lists each distinct node once, children first, as
+:func:`flatten` lists each distinct (node, column) once, children first, as
 JSON-ready records (the ``nodes`` of a basis file), and :func:`replay`
 rebuilds the records on another point set with the same kernels, so the
 product rule and the linear combination are written only once.
@@ -89,8 +90,10 @@ class PointSet:
 
 
 # ---------------------------------------------------------------------------
-# Construction trees.  Nodes are shared by reference, so a basis is a DAG;
-# :func:`flatten` lists each shared node once.
+# Construction trees.  A polynomial's provenance is a pair (node, column):
+# one node per kernel call, the column picking the call's output.  Nodes are
+# shared by reference, so a basis is a DAG; :func:`flatten` lists each
+# shared (node, column) once.
 # ---------------------------------------------------------------------------
 
 
@@ -109,6 +112,8 @@ class PVar:
 
 
 class PProd:
+    """Column j is ``left[j] * right[j]``."""
+
     __slots__ = ("left", "right")
 
     def __init__(self, left, right):
@@ -117,25 +122,26 @@ class PProd:
 
 
 class PLin:
-    __slots__ = ("children", "weights")
+    """Column j is ``lead[j] + sum_i weights[i, j] * children[i]``.
 
-    def __init__(self, children, weights):
-        w = np.array(weights, dtype=float)
-        if len(children) != w.shape[0]:
-            raise ContractViolation("children/weights length mismatch")
-        if not np.all(np.isfinite(w)):
-            raise ContractViolation("combination weights must be finite")
-        w.setflags(write=False)
-        self.children = tuple(children)
-        self.weights = w
+    ``weights`` is the read-only (k, r) matrix :func:`linear_combine`
+    checked; ``lead`` is empty or holds r provenance pairs.
+    """
+
+    __slots__ = ("children", "weights", "lead")
+
+    def __init__(self, children, weights, lead):
+        self.children = children
+        self.weights = weights
+        self.lead = lead
 
 
 class Poly:
     """A polynomial over a fixed :class:`PointSet`, in evaluation form.
 
     ``eval`` is h(X), ``grad`` is the |X| x n matrix of per-point gradients,
-    ``degree`` is the construction degree and ``prov`` the construction tree.
-    Instances are immutable.
+    ``degree`` is the construction degree and ``prov`` the ``(node, column)``
+    pair of the construction tree.  Instances are immutable.
     """
 
     __slots__ = ("degree", "eval", "grad", "prov", "points")
@@ -155,10 +161,6 @@ class Poly:
         self.prov = prov
         self.points = points
 
-    def replay(self, points):
-        """Re-evaluate on an (m, n) array: returns (values, grads)."""
-        return replay_many([self], points)[0]
-
     def __repr__(self):
         return f"Poly(degree={self.degree}, |X|={len(self.eval)})"
 
@@ -172,7 +174,7 @@ def constant_poly(value, pointset):
         0,
         np.full(m, float(value)),
         np.zeros((m, pointset.n)),
-        PConst(value),
+        (PConst(value), 0),
         pointset,
     )
 
@@ -184,7 +186,7 @@ def variable_poly(index, pointset):
     m = len(pointset)
     grad = np.zeros((m, pointset.n))
     grad[:, index] = 1.0
-    return Poly(1, pointset.points[:, index], grad, PVar(index), pointset)
+    return Poly(1, pointset.points[:, index], grad, (PVar(index), 0), pointset)
 
 
 def variables(pointset):
@@ -207,13 +209,12 @@ def linear_combine(polys, weights, lead=None):
     of r, one per column.  All columns are formed by one matrix product over
     the stacked evaluations and one over the stacked gradients.  ``lead``,
     if given, holds r polynomials added to the columns with weight 1 after
-    the product; each goes first in its column's provenance node.
+    the product.  The call records one ``PLin`` node for all columns.
 
     Degree is the maximum over children with a nonzero weight (0 if all
-    weights vanish).  Children with an exactly-zero weight are dropped from
-    the provenance node.
+    weights vanish) and the column's lead.
     """
-    W = np.asarray(weights, dtype=float)
+    W = np.array(weights, dtype=float)
     single = W.ndim == 1
     if single:
         W = W[:, None]
@@ -230,24 +231,15 @@ def linear_combine(polys, weights, lead=None):
 
     ev = W.T @ np.array([p.eval for p in polys])
     gr = (W.T @ np.array([p.grad for p in polys]).reshape(k, m * n)).reshape(r, m, n)
+    degrees = np.where(W != 0.0, np.array([p.degree for p in polys])[:, None], 0).max(axis=0)
     if lead:
         ev = np.array([p.eval for p in lead]) + ev
         gr = np.array([p.grad for p in lead]) + gr
+        degrees = np.maximum(degrees, [p.degree for p in lead])
 
-    provs = [p.prov for p in polys]
-    degrees = np.array([p.degree for p in polys])
-    out = []
-    for j in range(r):
-        col = W[:, j]
-        kept = np.flatnonzero(col)
-        children = [provs[i] for i in kept.tolist()]
-        kept_weights = col[kept]
-        degree = int(degrees[kept].max()) if kept.size else 0
-        if lead:
-            children.insert(0, lead[j].prov)
-            kept_weights = np.concatenate(([1.0], kept_weights))
-            degree = max(degree, lead[j].degree)
-        out.append(Poly(degree, ev[j], gr[j], PLin(children, kept_weights), pointset))
+    W.setflags(write=False)
+    node = PLin([p.prov for p in polys], W, [p.prov for p in lead])
+    out = [Poly(d, ev[j], gr[j], (node, j), pointset) for j, d in enumerate(degrees.tolist())]
     return out[0] if single else out
 
 
@@ -257,7 +249,8 @@ def multiply(p, q):
     ``p`` and ``q`` are single polynomials, giving one product, or equally
     long sequences, giving the list of pairwise products ``p[i] * q[i]``.
     Evaluations and product-rule gradients, q(x) * grad p(x) + p(x) *
-    grad q(x), are formed for all pairs at once by broadcasting.
+    grad q(x), are formed for all pairs at once by broadcasting.  The call
+    records one ``PProd`` node for all pairs.
     """
     single = isinstance(p, Poly)
     ps, qs = ([p], [q]) if single else (list(p), list(q))
@@ -273,27 +266,28 @@ def multiply(p, q):
     ev = p_ev * q_ev
     gr = (q_ev[:, :, None] * np.stack([a.grad for a in ps])
           + p_ev[:, :, None] * np.stack([b.grad for b in qs]))
-    out = [
-        Poly(a.degree + b.degree, ev[i], gr[i], PProd(a.prov, b.prov), pointset)
-        for i, (a, b) in enumerate(zip(ps, qs))
-    ]
+    node = PProd([a.prov for a in ps], [b.prov for b in qs])
+    out = [Poly(1 + b.degree, ev[i], gr[i], (node, i), pointset) for i, b in enumerate(qs)]
     return out[0] if single else out
 
 
 def flatten(roots):
     """List the construction DAG under ``roots``, children before parents.
 
-    Returns ``(records, root_ids)``: one JSON-ready dict per distinct node,
-    in depth-first order, whose children are indices of earlier records,
-    and the record index of each root.  This is the one place that reads
-    the node classes; :func:`replay`, the basis file and the symbolic
-    expansion all work on the records.
+    ``roots`` are ``prov`` pairs.  Returns ``(records, root_ids)``: one
+    JSON-ready dict per distinct (node, column), in depth-first order, whose
+    children are indices of earlier records, and the record index of each
+    root.  A ``lincomb`` record lists its column's lead first, with weight
+    1.0, then the children whose weight is not exactly zero, in order.  This
+    is the one place that reads the node classes; :func:`replay`, the basis
+    file and the symbolic expansion all work on the records.
     """
     records = []
     ids = {}
 
-    def visit(node):
-        key = id(node)
+    def visit(prov):
+        node, j = prov
+        key = (id(node), j)
         if key in ids:
             return ids[key]
         if isinstance(node, PConst):
@@ -301,13 +295,14 @@ def flatten(roots):
         elif isinstance(node, PVar):
             rec = {"kind": "var", "index": node.index}
         elif isinstance(node, PProd):
-            rec = {"kind": "product", "left": visit(node.left), "right": visit(node.right)}
+            rec = {"kind": "product", "left": visit(node.left[j]), "right": visit(node.right[j])}
         elif isinstance(node, PLin):
-            rec = {
-                "kind": "lincomb",
-                "children": [visit(c) for c in node.children],
-                "weights": list(map(float, node.weights)),
-            }
+            kids, weights = ([visit(node.lead[j])], [1.0]) if node.lead else ([], [])
+            for child, w in zip(node.children, node.weights[:, j].tolist()):
+                if w != 0.0:
+                    kids.append(visit(child))
+                    weights.append(w)
+            rec = {"kind": "lincomb", "children": kids, "weights": weights}
         else:
             raise ContractViolation(f"unknown provenance node {type(node)!r}")
         ids[key] = len(records)
@@ -434,7 +429,3 @@ class Basis:
 
     def g_extents(self):
         return [e for stratum in self.extents for e in stratum]
-
-    @property
-    def max_degree(self):
-        return len(self.F) - 1

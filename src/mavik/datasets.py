@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -107,8 +108,8 @@ def sample_variety(which, count, seed):
 
 def perturb(X, nu, seed):
     """Additive Gaussian noise (std ``nu`` per coordinate), then recenter."""
-    if nu < 0:
-        raise ContractViolation("nu must be nonnegative")
+    if not 0 <= nu < math.inf:
+        raise ContractViolation("nu must be finite and nonnegative")
     noisy = X.points + _rng(seed).normal(0.0, nu, size=X.points.shape) if nu > 0 else X.points
     noisy = noisy - noisy.mean(axis=0)
     return X.derive(noisy, {"kind": "perturb", "nu": nu, "seed": seed, "rng": RNG_ALGORITHM})

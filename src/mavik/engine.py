@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -107,18 +107,8 @@ class EngineConfig:
     term_cap: int = DEFAULT_TERM_CAP
 
     def echo(self):
-        return {
-            "epsilon": self.epsilon,
-            "mode": self.mode.kind,
-            "z": self.mode.z,
-            "m_constant": self.m_constant,
-            "max_degree": self.max_degree,
-            "d_max": self.d_max,
-            "d_min": self.d_min,
-            "dedup_degree2": self.dedup_degree2,
-            "rank_tol": self.rank_tol,
-            "term_cap": self.term_cap,
-        }
+        """Every field, with ``mode`` as its kind and the mode's ``z`` beside it."""
+        return {**asdict(self), "mode": self.mode.kind, "z": self.mode.z}
 
 
 @dataclass

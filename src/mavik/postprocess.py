@@ -45,10 +45,8 @@ class ReductionReport:
     removed: list  # (Poly, max relative residual over X)
     threshold: float
 
-    def kept_profile(self, max_degree=None):
-        top = max_degree
-        if top is None:
-            top = max((p.degree for p in self.kept), default=0)
+    def kept_profile(self):
+        top = max((p.degree for p in self.kept), default=0)
         counts = [0] * (top + 1)
         for p in self.kept:
             counts[p.degree] += 1

@@ -279,6 +279,15 @@ class TestRetrieval:
         lo, hi = row["valid_eps_range"]
         assert 0 < lo <= hi < 1
 
+    @pytest.mark.parametrize("noise", ["nan", "inf", "-0.1"])
+    def test_bad_noise_exits_2(self, tmp_path, capsys, noise):
+        out = tmp_path / "ret"
+        code = main(["retrieval-test", "--variety", "V2", "--noise", noise,
+                     "--scales", "1.0", "--runs", "1", "--out", str(out)])
+        assert code == 2
+        assert "nu must be finite and nonnegative" in capsys.readouterr().err
+        assert not (out / "retrieval.json").exists()
+
     def test_worker_pool_matches_serial(self, monkeypatch):
         from mavik.retrieval import run_retrieval
 

@@ -12,6 +12,7 @@ from mavik.core import (
     flatten,
     linear_combine,
     multiply,
+    replay_many,
     variable_poly,
     variables,
 )
@@ -76,7 +77,7 @@ class TestExpand:
         for _ in range(10):
             p = random_poly(X, 4, rng)
             cv = expand(p)
-            replayed, _ = p.replay(probe)
+            ((replayed, _),) = replay_many([p], probe)
             scale = max(1.0, np.abs(replayed).max())
             np.testing.assert_allclose(
                 cv.evaluate(probe), replayed, rtol=1e-9, atol=1e-9 * scale

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fd_gradient, generic_points, random_poly, rng_for
+from mavik import core
 from mavik.core import (
     PointSet,
     constant_poly,
@@ -86,15 +87,16 @@ class TestLinearCombine:
 
 
 def assert_same_combination(got, want):
-    """``got`` equals ``want`` to rounding, with the same provenance node."""
+    """``got`` equals ``want`` to rounding, with the same provenance record."""
     scale = max(1.0, np.abs(want.eval).max())
     np.testing.assert_allclose(got.eval, want.eval, rtol=1e-12, atol=1e-12 * scale)
     scale = max(1.0, np.abs(want.grad).max())
     np.testing.assert_allclose(got.grad, want.grad, rtol=1e-12, atol=1e-12 * scale)
     assert got.degree == want.degree
-    assert len(got.prov.children) == len(want.prov.children)
-    assert all(a is b for a, b in zip(got.prov.children, want.prov.children))
-    np.testing.assert_array_equal(got.prov.weights, want.prov.weights)
+    # flattened together, shared children get one record: equal records
+    # mean the same children, in the same order, with the same weights
+    records, (g, w) = flatten([got.prov, want.prov])
+    assert records[g] == records[w]
 
 
 class TestLinearCombineMatrix:
@@ -122,8 +124,8 @@ class TestLinearCombineMatrix:
                     gr += w * h.grad
             np.testing.assert_allclose(p.eval, ev, rtol=1e-12, atol=1e-12 * np.abs(ev).max())
             np.testing.assert_allclose(p.grad, gr, rtol=1e-12, atol=1e-12 * np.abs(gr).max())
-        assert len(out[0].prov.children) == len(H) - 1
-        assert out[0].prov.children == tuple(h.prov for i, h in enumerate(H) if i != 1)
+        records, ids = flatten([h.prov for h in H] + [out[0].prov])
+        assert records[ids[-1]]["children"] == [ids[i] for i in range(len(H)) if i != 1]
         assert out[2].degree == 2  # the degree-3 child has weight 0
 
     def test_all_zero_column(self):
@@ -132,7 +134,8 @@ class TestLinearCombineMatrix:
         W[:, 1] = 0.0
         zero = linear_combine(H, W)[1]
         assert np.all(zero.eval == 0.0) and np.all(zero.grad == 0.0)
-        assert zero.degree == 0 and zero.prov.children == ()
+        assert zero.degree == 0
+        assert flatten([zero.prov])[0] == [{"kind": "lincomb", "children": [], "weights": []}]
 
     def test_no_columns(self):
         _, H, _ = self.polys()
@@ -149,7 +152,9 @@ class TestLinearCombineMatrix:
             want = linear_combine([lead[j]] + [H[i] for i in keep],
                                   np.concatenate(([1.0], W[keep, j])))
             assert_same_combination(p, want)
-            assert p.prov.children[0] is lead[j].prov
+            records, (i_lead, i_p) = flatten([lead[j].prov, p.prov])
+            assert records[i_p]["children"][0] == i_lead
+            assert records[i_p]["weights"][0] == 1.0
         assert out[0].degree == 4 and out[1].degree == 3
 
     def test_shape_mismatch(self):
@@ -213,7 +218,8 @@ class TestMultiply:
             single = multiply(a, b)
             np.testing.assert_array_equal(p.grad, single.grad)
             assert p.degree == single.degree == b.degree + 1
-            assert p.prov.left is a.prov and p.prov.right is b.prov
+            records, (i_a, i_b, i_p) = flatten([a.prov, b.prov, p.prov])
+            assert records[i_p] == {"kind": "product", "left": i_a, "right": i_b}
 
     def test_sequences_must_pair_up(self):
         X = generic_points(4, 2, seed=1)
@@ -221,6 +227,54 @@ class TestMultiply:
         assert multiply([], []) == []
         with pytest.raises(ContractViolation):
             multiply([x, y], [x])
+
+
+class TestProvenance:
+    """One node per kernel call; :func:`flatten` writes one record per column."""
+
+    def test_one_node_per_call(self, monkeypatch):
+        made = []
+
+        def counting(cls):
+            class Counting(cls):
+                def __init__(self, *args):
+                    made.append(self)
+                    super().__init__(*args)
+
+            monkeypatch.setattr(core, cls.__name__, Counting)
+
+        X = generic_points(7, 3, seed=4)
+        rng = rng_for(22)
+        H = [random_poly(X, d, rng) for d in (0, 1, 2)]
+        lead = [random_poly(X, 2, rng) for _ in range(4)]
+        counting(core.PLin)
+        counting(core.PProd)
+        W = rng.normal(size=(3, 4))
+        lefts = variables(X) + variables(X)[:1]
+        for call in (lambda: linear_combine(H, W),
+                     lambda: linear_combine(H, W, lead=lead),
+                     lambda: multiply(lefts, H + H[:1])):
+            out = call()
+            assert len(made) == 1
+            assert [p.prov for p in out] == [(made[0], j) for j in range(4)]
+            made.clear()
+
+    def test_flatten_keeps_the_lead_and_the_nonzero_weights(self):
+        X = generic_points(7, 3, seed=4)
+        rng = rng_for(23)
+        H = [random_poly(X, d, rng) for d in (1, 2, 0, 2)]
+        lead = [random_poly(X, 3, rng), variable_poly(1, X)]
+        W = rng.normal(size=(4, 2))
+        W[0, 1] = 0.0
+        W[2, 1] = -0.0
+        out = linear_combine(H, W, lead=lead)
+        records, ids = flatten([lead[1].prov] + [h.prov for h in H] + [out[1].prov])
+        assert records[ids[-1]] == {
+            "kind": "lincomb",
+            "children": [ids[0], ids[2], ids[4]],
+            "weights": [1.0, W[1, 1], W[3, 1]],
+        }
+        assert all(type(w) is float for w in records[ids[-1]]["weights"])
 
 
 class TestReplay:
@@ -255,8 +309,9 @@ class TestReplay:
 
     def test_childless_lincomb_is_the_zero_polynomial(self):
         X = generic_points(3, 2, seed=2)
-        (zero,) = replay([{"kind": "lincomb", "children": [], "weights": []}], X)
-        assert zero.degree == 0 and zero.prov.children == ()
+        record = {"kind": "lincomb", "children": [], "weights": []}
+        (zero,) = replay([record], X)
+        assert zero.degree == 0 and flatten([zero.prov]) == ([record], [0])
         assert not zero.eval.any() and not zero.grad.any()
 
     @pytest.mark.parametrize(
@@ -281,7 +336,7 @@ class TestReplay:
         X = generic_points(4, 2, seed=1)
         p = variable_poly(1, X)
         with pytest.raises(ContractViolation):
-            p.replay(np.zeros((3, 1)))
+            replay_many([p], np.zeros((3, 1)))
 
 
 def test_constant_poly_must_be_nonzero():

@@ -89,6 +89,12 @@ class TestPerturb:
         stds = (out.points - centered_in).std(axis=0)
         assert np.all(np.abs(stds - nu) < 0.1 * nu)
 
+    @pytest.mark.parametrize("nu", [-0.1, float("nan"), float("inf")])
+    def test_rejects_negative_and_nonfinite_nu(self, nu):
+        X = generic_points(5, 2, seed=15)
+        with pytest.raises(ContractViolation, match="nu must be finite"):
+            perturb(X, nu, seed=16)
+
 
 class TestCenterAndUnitbox:
     def test_two_point_example(self):

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from conftest import generic_points, random_poly, rng_for
-from mavik.core import PointSet, constant_poly, linear_combine, variable_poly, variables
+from mavik.core import PointSet, constant_poly, flatten, linear_combine, variable_poly, variables
 from mavik.errors import ContractViolation, InternalInvariantViolation
 from mavik.linalg import gen_eig_sym, numerical_rank, orthogonal_project
 
@@ -150,8 +150,9 @@ class TestOrthogonalProject:
             f_prev.append(orthogonal_project([random_poly(X, d, rng)], f_prev)[0])
         cands = [random_poly(X, 3, rng) for _ in range(3)]
         for c, out in zip(cands, orthogonal_project(cands, f_prev)):
-            assert out.prov.children == tuple(p.prov for p in [c] + f_prev)
-            assert out.prov.weights[0] == 1.0
+            records, ids = flatten([p.prov for p in [c] + f_prev] + [out.prov])
+            assert records[ids[-1]]["children"] == ids[:-1]
+            assert records[ids[-1]]["weights"][0] == 1.0
             assert out.degree == 3
 
     def test_empty_basis_is_identity(self):
