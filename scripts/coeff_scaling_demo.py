@@ -22,8 +22,8 @@ on the data.  Run:  python3 scripts/coeff_scaling_demo.py
 import numpy as np
 
 from mavik.core import PointSet
-from mavik.engine import EngineConfig, NormalizationMode, fit
-from mavik.retrieval import grid_epsilons
+from mavik.engine import NormalizationMode
+from mavik.retrieval import grid_epsilons, scan_g_profiles
 
 MAX_DEGREE = 2
 
@@ -35,27 +35,26 @@ def near_line_points(count=40, jitter=0.02, seed=7):
     return PointSet(pts - pts.mean(axis=0))
 
 
-def g_profile(X, mode, eps):
-    _, report = fit(X, EngineConfig(epsilon=eps, mode=mode, max_degree=MAX_DEGREE))
-    counts = report.g_counts + [0] * (MAX_DEGREE + 1 - len(report.g_counts))
-    return tuple(counts[: MAX_DEGREE + 1])
+def g_profiles(X, mode, epsilons):
+    """Vanishing counts of degrees 0..MAX_DEGREE at each epsilon."""
+    return [
+        tuple(counts) + (0,) * (MAX_DEGREE + 1 - len(counts))
+        for counts in scan_g_profiles(X, mode, MAX_DEGREE, epsilons)
+    ]
 
 
 def base_configuration(X, mode):
     """The mode's configuration once the near-vanishing line is captured:
     profile at the smallest grid epsilon with one degree-1 vanisher."""
-    for eps in grid_epsilons(1.0):
-        profile = g_profile(X, mode, float(eps))
+    grid = grid_epsilons(1.0)
+    for eps, profile in zip(grid, g_profiles(X, mode, grid)):
         if profile[1] == 1:
             return profile, float(eps)
     raise SystemExit("no epsilon captures the near-vanishing line; adjust jitter")
 
 
 def reachable(X_scaled, mode, target, alpha):
-    return any(
-        g_profile(X_scaled, mode, float(eps)) == target
-        for eps in grid_epsilons(alpha)
-    )
+    return target in g_profiles(X_scaled, mode, grid_epsilons(alpha))
 
 
 def main():

@@ -48,6 +48,13 @@ def _out_dir(args):
     return out
 
 
+def _number_list(text, kind, flag):
+    try:
+        return [kind(s) for s in text.split(",")]
+    except ValueError:
+        raise ContractViolation(f"{flag} needs comma-separated numbers, got {text!r}") from None
+
+
 def _engine_config(args, X):
     mode = mode_from_kind(args.mode, n_points=len(X), z=args.z)
     kwargs = {}
@@ -151,7 +158,7 @@ def cmd_reduce(args):
 
 
 def cmd_bench_generic(args):
-    dims = [int(d) for d in args.dims.split(",")]
+    dims = _number_list(args.dims, int, "--dims")
     modes = args.modes.split(",")
     rows = run_generic_bench(dims, args.count, args.eps, modes, args.seed)
     out = _out_dir(args)
@@ -175,7 +182,7 @@ def cmd_retrieval_test(args):
     if args.scale is not None:
         scales = [args.scale]
     else:
-        scales = [float(s) for s in args.scales.split(",")]
+        scales = _number_list(args.scales, float, "--scales")
     t0 = time.perf_counter()
     table = run_retrieval(
         args.variety,

@@ -12,10 +12,10 @@ obtained by symbolic differentiation.
 Both operations work on whole strata at once: :func:`linear_combine` forms
 r combinations of k polynomials as one matrix product over their stacked
 evaluations and one over their stacked gradients, and :func:`multiply`
-forms every product of a list of factor pairs by one broadcast.  The
-provenance is recorded once per call as well: one ``PLin`` node holds the
-call's weight matrix, one ``PProd`` node its two factor lists, and each
-output's ``prov`` is the pair ``(node, column)``.
+forms every product of a list of factor pairs by one broadcast.  A call's
+outputs are the rows of those blocks, and its provenance is one node: a
+``PLin`` holds the call's weight matrix, a ``PProd`` its two factor lists,
+and each output's ``prov`` is the pair ``(node, column)``.
 
 Every reader of the construction DAG works on one flattened form:
 :func:`flatten` lists each distinct (node, column) once, children first, as
@@ -141,7 +141,8 @@ class Poly:
 
     ``eval`` is h(X), ``grad`` is the |X| x n matrix of per-point gradients,
     ``degree`` is the construction degree and ``prov`` the ``(node, column)``
-    pair of the construction tree.  Instances are immutable.
+    pair of the construction tree.  Instances are immutable; ``eval`` and
+    ``grad`` are read-only and, for a kernel output, rows of the call's blocks.
     """
 
     __slots__ = ("degree", "eval", "grad", "prov", "points")
@@ -151,8 +152,6 @@ class Poly:
         gr = np.asarray(grad_mat, dtype=float)
         if ev.shape != (len(points),) or gr.shape != (len(points), points.n):
             raise ContractViolation("eval/grad shapes do not match the point set")
-        ev = ev.copy()
-        gr = gr.copy()
         ev.setflags(write=False)
         gr.setflags(write=False)
         self.degree = int(degree)
@@ -202,35 +201,30 @@ def _same_points(polys):
     return first
 
 
-def linear_combine(polys, weights, lead=None):
+def linear_combine(polys, weights, lead=()):
     """Weighted sums of polynomials: evals, grads and provenance combine linearly.
 
-    ``weights`` of shape (k,) gives one polynomial; shape (k, r) gives a list
-    of r, one per column.  All columns are formed by one matrix product over
-    the stacked evaluations and one over the stacked gradients.  ``lead``,
-    if given, holds r polynomials added to the columns with weight 1 after
-    the product.  The call records one ``PLin`` node for all columns.
+    ``weights`` of shape (k, r) gives a list of r outputs, one per column:
+    the rows of one matrix product over the stacked evaluations and one
+    over the stacked gradients.  ``lead``, if given, holds r polynomials
+    added to the columns with weight 1 after the product.  The call records
+    one ``PLin`` node for all columns.
 
     Degree is the maximum over children with a nonzero weight (0 if all
     weights vanish) and the column's lead.
     """
     W = np.array(weights, dtype=float)
-    single = W.ndim == 1
-    if single:
-        W = W[:, None]
     if len(polys) < 1 or W.ndim != 2 or W.shape[0] != len(polys):
-        raise ContractViolation("weights must have len(polys) >= 1 rows")
+        raise ContractViolation("weights must be a (len(polys), r) matrix with len(polys) >= 1")
     if not np.all(np.isfinite(W)):
         raise ContractViolation("weights must be finite")
-    lead = [] if lead is None else list(lead)
     if lead and len(lead) != W.shape[1]:
         raise ContractViolation("need one lead polynomial per weight column")
-    pointset = _same_points(list(polys) + lead)
-    k, r = W.shape
+    pointset = _same_points([*polys, *lead])
     m, n = len(pointset), pointset.n
 
     ev = W.T @ np.array([p.eval for p in polys])
-    gr = (W.T @ np.array([p.grad for p in polys]).reshape(k, m * n)).reshape(r, m, n)
+    gr = (W.T @ np.array([p.grad for p in polys]).reshape(len(polys), m * n)).reshape(-1, m, n)
     degrees = np.where(W != 0.0, np.array([p.degree for p in polys])[:, None], 0).max(axis=0)
     if lead:
         ev = np.array([p.eval for p in lead]) + ev
@@ -239,21 +233,18 @@ def linear_combine(polys, weights, lead=None):
 
     W.setflags(write=False)
     node = PLin([p.prov for p in polys], W, [p.prov for p in lead])
-    out = [Poly(d, ev[j], gr[j], (node, j), pointset) for j, d in enumerate(degrees.tolist())]
-    return out[0] if single else out
+    return [Poly(d, ev[j], gr[j], (node, j), pointset) for j, d in enumerate(degrees.tolist())]
 
 
-def multiply(p, q):
+def multiply(ps, qs):
     """Products of degree-1 polynomials with other polynomials.
 
-    ``p`` and ``q`` are single polynomials, giving one product, or equally
-    long sequences, giving the list of pairwise products ``p[i] * q[i]``.
-    Evaluations and product-rule gradients, q(x) * grad p(x) + p(x) *
+    ``ps`` and ``qs`` are equally long lists; the result is the list of the
+    pairwise products ``ps[i] * qs[i]``, the rows of one evaluation and one
+    gradient block.  Product-rule gradients, q(x) * grad p(x) + p(x) *
     grad q(x), are formed for all pairs at once by broadcasting.  The call
     records one ``PProd`` node for all pairs.
     """
-    single = isinstance(p, Poly)
-    ps, qs = ([p], [q]) if single else (list(p), list(q))
     if len(ps) != len(qs):
         raise ContractViolation("need as many left factors as right factors")
     if not ps:
@@ -267,8 +258,7 @@ def multiply(p, q):
     gr = (q_ev[:, :, None] * np.stack([a.grad for a in ps])
           + p_ev[:, :, None] * np.stack([b.grad for b in qs]))
     node = PProd([a.prov for a in ps], [b.prov for b in qs])
-    out = [Poly(1 + b.degree, ev[i], gr[i], (node, i), pointset) for i, b in enumerate(qs)]
-    return out[0] if single else out
+    return [Poly(1 + b.degree, ev[i], gr[i], (node, i), pointset) for i, b in enumerate(qs)]
 
 
 def flatten(roots):
@@ -355,16 +345,15 @@ def replay(records, pointset):
             p = variable_poly(_field(rec, "index", i, (int,)), pointset)
         elif kind == "product":
             left = built[_earlier(_field(rec, "left", i), i)]
-            p = multiply(left, built[_earlier(_field(rec, "right", i), i)])
+            (p,) = multiply([left], [built[_earlier(_field(rec, "right", i), i)]])
         elif kind == "lincomb":
             kids = [built[_earlier(j, i)] for j in _field(rec, "children", i, (list,))]
             weights = _field(rec, "weights", i, (list,))
             if any(type(w) not in _NUMBER for w in weights):
                 raise ContractViolation(f"node {i}: weights must be numbers")
-            if kids or weights:
-                p = linear_combine(kids, weights)
-            else:
-                p = linear_combine([constant_poly(1.0, pointset)], [0.0])
+            if not kids and not weights:  # the zero polynomial
+                kids, weights = [constant_poly(1.0, pointset)], [0.0]
+            (p,) = linear_combine(kids, np.array(weights, dtype=float)[:, None])
         else:
             raise ContractViolation(f"node {i}: unknown kind {kind!r}")
         built.append(p)

@@ -46,6 +46,8 @@ VARIETIES = tuple(VARIETY_PARAM_RANGES)
 
 
 def _rng(seed):
+    if seed < 0:
+        raise ContractViolation(f"seed must be nonnegative, got {seed}")
     return np.random.Generator(np.random.Philox(seed))
 
 
@@ -167,7 +169,7 @@ def load_points(path):
         try:
             payload = json.loads(path.read_text())
             return PointSet(payload["points"], tuple(payload.get("provenance", ())))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ContractViolation(f"malformed points JSON: {exc}") from exc
     try:
         with open(path, newline="") as fh:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -108,7 +108,8 @@ class EngineConfig:
 
     def echo(self):
         """Every field, with ``mode`` as its kind and the mode's ``z`` beside it."""
-        return {**asdict(self), "mode": self.mode.kind, "z": self.mode.z}
+        echo = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {**echo, "mode": self.mode.kind, "z": self.mode.z}
 
 
 @dataclass

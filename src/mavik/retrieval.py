@@ -188,6 +188,8 @@ def run_retrieval(
     from ``workers`` or the MAVIK_THREADS environment variable (default
     serial); aggregation order is fixed regardless of pool size.
     """
+    if runs < 1:
+        raise ContractViolation("runs must be at least 1")
     if workers is None:
         workers = max(1, int(os.environ.get("MAVIK_THREADS", "1")))
     jobs = [

@@ -60,7 +60,7 @@ def random_linear(X, rng, with_constant=True):
     if with_constant:
         parts.append(constant_poly(1.0, X))
         weights.append(rng.normal())
-    return linear_combine(parts, weights)
+    return linear_combine(parts, np.reshape(weights, (-1, 1)))[0]
 
 
 def random_poly(X, degree, rng):
@@ -69,9 +69,9 @@ def random_poly(X, degree, rng):
         return constant_poly(rng.normal() or 1.0, X)
     if degree == 1:
         return random_linear(X, rng)
-    product = multiply(random_linear(X, rng), random_poly(X, degree - 1, rng))
+    (product,) = multiply([random_linear(X, rng)], [random_poly(X, degree - 1, rng)])
     lower = random_poly(X, rng.integers(0, degree), rng)
-    return linear_combine([product, lower], [1.0, rng.normal()])
+    return linear_combine([product, lower], [[1.0], [rng.normal()]])[0]
 
 
 @pytest.fixture

@@ -239,6 +239,29 @@ def test_evaluate_malformed_basis_exits_2(tamper, circle4_csv, tmp_path, capsys)
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "--points", "ragged.json"],
+        ["fit", "--points", "text.json"],
+        ["bench-generic", "--dims", "2", "--modes", "grad", "--seed", "-1"],
+        ["bench-generic", "--dims", "2,x", "--modes", "grad"],
+        ["retrieval-test", "--variety", "V2", "--scales", "1.0", "--runs", "1", "--seed", "-1"],
+        ["retrieval-test", "--variety", "V2", "--scales", "1.0", "--runs", "0"],
+        ["retrieval-test", "--variety", "V2", "--scales", "1,x", "--runs", "1"],
+        ["retrieval-test", "--variety", "V2", "--scales", ",", "--runs", "1"],
+    ],
+)
+def test_bad_points_seeds_counts_and_lists_exit_2(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ragged.json").write_text(json.dumps({"points": [[1, 2], [3]]}))
+    (tmp_path / "text.json").write_text(json.dumps({"points": [["a", 1], [2, 3]]}))
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 class TestBench:
     def test_generic_2d_row(self, tmp_path):
         out = tmp_path / "bench"

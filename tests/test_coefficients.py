@@ -60,14 +60,14 @@ def reference_gram(polys):
 class TestExpand:
     def test_linear_combination_of_variables(self):
         X = generic_points(3, 2, seed=0)
-        p = linear_combine(variables(X), [2.0, 3.0])
+        (p,) = linear_combine(variables(X), [[2.0], [3.0]])
         assert expand(p).terms == {(1, 0): 2.0, (0, 1): 3.0}
 
     def test_product_with_affine_factor(self):
         X = generic_points(3, 2, seed=1)
         x = variable_poly(0, X)
-        affine = linear_combine([x, constant_poly(1.0, X)], [1.0, 1.0])
-        p = multiply(x, affine)
+        (affine,) = linear_combine([x, constant_poly(1.0, X)], [[1.0], [1.0]])
+        (p,) = multiply([x], [affine])
         assert expand(p).terms == {(2, 0): 1.0, (1, 0): 1.0}
 
     def test_random_trees_match_replay_oracle(self):
@@ -91,7 +91,7 @@ class TestExpand:
         rng = rng_for(seed)
         p = random_poly(X, 1, rng)
         q = random_poly(X, int(rng.integers(0, 3)), rng)
-        lhs = expand(multiply(p, q))
+        lhs = expand(multiply([p], [q])[0])
         ep, eq = expand(p), expand(q)
         prod = {}
         for ea, ca in ep.terms.items():
@@ -106,7 +106,7 @@ class TestExpand:
     def test_cancellation_gives_empty_expansion(self):
         X = generic_points(4, 2, seed=6)
         p = random_poly(X, 2, rng_for(7))
-        zero = linear_combine([p, p], [1.0, -1.0])
+        (zero,) = linear_combine([p, p], [[1.0], [-1.0]])
         assert expand(zero).terms == {}
         assert np.allclose(zero.eval, 0.0) and np.allclose(zero.grad, 0.0)
 
@@ -153,8 +153,8 @@ class TestAgainstReference:
         # the 1e-15 y term is dropped from p, so scaling p up cannot revive it
         X = generic_points(4, 2, seed=22)
         x, y = variables(X)
-        p = linear_combine([x, y], [1.0, 1e-15])
-        q = linear_combine([p], [1e6])
+        (p,) = linear_combine([x, y], [[1.0], [1e-15]])
+        (q,) = linear_combine([p], [[1e6]])
         assert expand(q).terms == reference_expand([q])[0] == {(1, 0): 1e6}
 
     def test_term_cap_counts_monomials_up_to_the_top_degree(self):
@@ -162,7 +162,7 @@ class TestAgainstReference:
         # monomials, and the dense expansion holds all of them
         X = generic_points(4, 3, seed=21)
         x = variable_poly(0, X)
-        sq = multiply(x, x)
+        (sq,) = multiply([x], [x])
         assert expand(sq, term_cap=10).terms == {(2, 0, 0): 1.0}
         with pytest.raises(ResourceLimitError):
             expand(sq, term_cap=9)
@@ -174,14 +174,13 @@ class TestCoeffGram:
     def test_orthogonal_pair(self):
         X = generic_points(4, 2, seed=10)
         x, y = variables(X)
-        plus = linear_combine([x, y], [1.0, 1.0])
-        minus = linear_combine([x, y], [1.0, -1.0])
+        plus, minus = linear_combine([x, y], [[1.0, 1.0], [1.0, -1.0]])
         np.testing.assert_allclose(coeff_gram([plus, minus]), [[2.0, 0.0], [0.0, 2.0]])
 
     def test_duplicate_squares(self):
         X = generic_points(4, 2, seed=11)
         x = variable_poly(0, X)
-        sq = multiply(x, x)
+        (sq,) = multiply([x], [x])
         np.testing.assert_allclose(coeff_gram([sq, sq]), [[1.0, 1.0], [1.0, 1.0]])
 
     def test_random_stratum_is_psd(self):
@@ -198,9 +197,9 @@ class TestCoeffGram:
 def test_expand_many_shares_cache():
     X = generic_points(5, 2, seed=17)
     x, y = variables(X)
-    shared = multiply(x, y)
-    a = linear_combine([shared, x], [1.0, 2.0])
-    b = linear_combine([shared, y], [3.0, 4.0])
+    (shared,) = multiply([x], [y])
+    (a,) = linear_combine([shared, x], [[1.0], [2.0]])
+    (b,) = linear_combine([shared, y], [[3.0], [4.0]])
     va, vb = expand_many([a, b])
     assert va.terms == {(1, 1): 1.0, (1, 0): 2.0}
     assert vb.terms == {(1, 1): 3.0, (0, 1): 4.0}

@@ -44,14 +44,14 @@ class TestPointSet:
 class TestLinearCombine:
     def test_two_variables_on_one_point(self):
         X = PointSet([[1.0, 2.0]])
-        p = linear_combine(variables(X), [2.0, 3.0])
+        (p,) = linear_combine(variables(X), [[2.0], [3.0]])
         assert p.eval == pytest.approx([8.0])
         assert p.grad[0] == pytest.approx([2.0, 3.0])
         assert p.degree == 1
 
     def test_all_zero_weights(self):
         X = generic_points(4, 2, seed=1)
-        p = linear_combine(variables(X), [0.0, 0.0])
+        (p,) = linear_combine(variables(X), [[0.0], [0.0]])
         assert np.all(p.eval == 0.0) and np.all(p.grad == 0.0)
         assert p.degree == 0
 
@@ -60,7 +60,7 @@ class TestLinearCombine:
         rng = rng_for(7)
         H = [random_poly(X, 2, rng) for _ in range(3)]
         w = rng.normal(size=3)
-        combo = linear_combine(H, w)
+        (combo,) = linear_combine(H, w[:, None])
         oracle = np.column_stack([h.eval for h in H]) @ w
         np.testing.assert_allclose(combo.eval, oracle, rtol=1e-12, atol=1e-14)
 
@@ -76,14 +76,14 @@ class TestLinearCombine:
         H = [random_poly(X, 2, rng) for _ in range(3)]
         u = rng.normal(size=3)
         v = rng.normal(size=3)
-        lhs = linear_combine(H, a * u + b * v).eval
-        rhs = a * linear_combine(H, u).eval + b * linear_combine(H, v).eval
+        lhs = linear_combine(H, (a * u + b * v)[:, None])[0].eval
+        rhs = a * linear_combine(H, u[:, None])[0].eval + b * linear_combine(H, v[:, None])[0].eval
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
     def test_rejects_mismatched_pointsets(self):
         X, Y = generic_points(4, 2, seed=1), generic_points(4, 2, seed=2)
         with pytest.raises(ContractViolation):
-            linear_combine([variable_poly(0, X), variable_poly(0, Y)], [1.0, 1.0])
+            linear_combine([variable_poly(0, X), variable_poly(0, Y)], [[1.0], [1.0]])
 
 
 def assert_same_combination(got, want):
@@ -100,7 +100,7 @@ def assert_same_combination(got, want):
 
 
 class TestLinearCombineMatrix:
-    """The 2-d form: one output per weight column, as the 1-d form gives."""
+    """One output per weight column, as a call with that column alone gives."""
 
     def polys(self):
         X = generic_points(7, 3, seed=4)
@@ -115,7 +115,7 @@ class TestLinearCombineMatrix:
         out = linear_combine(H, W)
         assert isinstance(out, list) and len(out) == 4
         for j, p in enumerate(out):
-            assert_same_combination(p, linear_combine(H, W[:, j]))
+            assert_same_combination(p, linear_combine(H, W[:, j : j + 1])[0])
             # reference: one axpy per child with a nonzero weight
             ev, gr = np.zeros_like(H[0].eval), np.zeros_like(H[0].grad)
             for h, w in zip(H, W[:, j]):
@@ -149,8 +149,8 @@ class TestLinearCombineMatrix:
         out = linear_combine(H, W, lead=lead)
         for j, p in enumerate(out):
             keep = np.flatnonzero(W[:, j])
-            want = linear_combine([lead[j]] + [H[i] for i in keep],
-                                  np.concatenate(([1.0], W[keep, j])))
+            (want,) = linear_combine([lead[j]] + [H[i] for i in keep],
+                                     np.concatenate(([1.0], W[keep, j]))[:, None])
             assert_same_combination(p, want)
             records, (i_lead, i_p) = flatten([lead[j].prov, p.prov])
             assert records[i_p]["children"][0] == i_lead
@@ -161,6 +161,8 @@ class TestLinearCombineMatrix:
         X, H, rng = self.polys()
         with pytest.raises(ContractViolation):
             linear_combine(H, rng.normal(size=(len(H) + 1, 2)))
+        with pytest.raises(ContractViolation):
+            linear_combine(H, rng.normal(size=len(H)))
         with pytest.raises(ContractViolation):
             linear_combine(H, rng.normal(size=(len(H), 2, 1)))
         with pytest.raises(ContractViolation):
@@ -176,14 +178,14 @@ class TestMultiply:
     def test_square_in_one_variable(self):
         X = PointSet([[2.0]])
         x = variable_poly(0, X)
-        p = multiply(x, x)
+        (p,) = multiply([x], [x])
         assert p.eval == pytest.approx([4.0])
         assert p.grad[0] == pytest.approx([4.0])
         assert p.degree == 2
 
     def test_xy_on_two_points(self):
         X = PointSet([[1.0, 2.0], [3.0, 4.0]])
-        p = multiply(variable_poly(0, X), variable_poly(1, X))
+        (p,) = multiply([variable_poly(0, X)], [variable_poly(1, X)])
         np.testing.assert_allclose(p.eval, [2.0, 12.0])
         np.testing.assert_allclose(p.grad, [[2.0, 1.0], [4.0, 3.0]])
 
@@ -197,9 +199,9 @@ class TestMultiply:
 
     def test_left_factor_must_be_linear(self):
         X = generic_points(4, 2, seed=1)
-        q = multiply(variable_poly(0, X), variable_poly(1, X))
+        (q,) = multiply([variable_poly(0, X)], [variable_poly(1, X)])
         with pytest.raises(ContractViolation):
-            multiply(q, q)
+            multiply([q], [q])
         with pytest.raises(ContractViolation):
             multiply([variable_poly(0, X), q], [q, q])
 
@@ -215,7 +217,7 @@ class TestMultiply:
             np.testing.assert_array_equal(p.eval, a.eval * b.eval)
             rule = b.eval[:, None] * a.grad + a.eval[:, None] * b.grad
             np.testing.assert_array_equal(p.grad, rule)
-            single = multiply(a, b)
+            (single,) = multiply([a], [b])
             np.testing.assert_array_equal(p.grad, single.grad)
             assert p.degree == single.degree == b.degree + 1
             records, (i_a, i_b, i_p) = flatten([a.prov, b.prov, p.prov])
@@ -275,6 +277,23 @@ class TestProvenance:
             "weights": [1.0, W[1, 1], W[3, 1]],
         }
         assert all(type(w) is float for w in records[ids[-1]]["weights"])
+
+
+class TestBlocks:
+    """A call's outputs are read-only rows of one evaluation and one gradient block."""
+
+    def test_outputs_of_one_call_share_one_block(self):
+        X = generic_points(7, 3, seed=4)
+        rng = rng_for(24)
+        H = [random_poly(X, d, rng) for d in (0, 1, 2)]
+        lead = [random_poly(X, 2, rng) for _ in range(2)]
+        for out in (linear_combine(H, rng.normal(size=(3, 2))),
+                    linear_combine(H, rng.normal(size=(3, 2)), lead=lead),
+                    multiply(variables(X)[:2], H[1:])):
+            for a, b in ((out[0].eval, out[1].eval), (out[0].grad, out[1].grad)):
+                assert a.base is not None and a.base is b.base
+                with pytest.raises(ValueError):
+                    a[0] = 1.0
 
 
 class TestReplay:

@@ -120,7 +120,7 @@ class TestNormalizationGram:
 
         X = generic_points(4, 2, seed=5)
         x, y = variables(X)
-        C = [linear_combine([x, y], [1.0, 1.0]), linear_combine([x, y], [1.0, -1.0])]
+        C = linear_combine([x, y], [[1.0, 1.0], [1.0, -1.0]])
         N = normalization_gram(C, NormalizationMode.coefficient())
         np.testing.assert_allclose(N, [[2.0, 0.0], [0.0, 2.0]])
 

@@ -82,8 +82,8 @@ class TestOrthogonalProject:
     def test_already_orthogonal_candidate_unchanged(self):
         X = generic_points(6, 2, seed=1)
         f = constant_poly(1.0, X)
-        c = linear_combine(variables(X), [1.0, -0.5])
-        centered = linear_combine([c, f], [1.0, -float(c.eval.mean())])
+        (c,) = linear_combine(variables(X), [[1.0], [-0.5]])
+        (centered,) = linear_combine([c, f], [[1.0], [-float(c.eval.mean())]])
         out = orthogonal_project([centered], [f])[0]
         np.testing.assert_allclose(out.eval, centered.eval, atol=1e-12)
 
@@ -125,7 +125,7 @@ class TestOrthogonalProject:
 
     def test_zero_evaluation_vector_rejected(self):
         X = generic_points(4, 2, seed=10)
-        zero = linear_combine(variables(X), [0.0, 0.0])
+        (zero,) = linear_combine(variables(X), [[0.0], [0.0]])
         with pytest.raises(InternalInvariantViolation):
             orthogonal_project([variable_poly(0, X)], [zero])
 
@@ -136,7 +136,7 @@ class TestOrthogonalProject:
         # same product would leave the product's rounding error behind.
         X = PointSet([[0.3, -0.7]])
         f = constant_poly(0.7, X)
-        double = linear_combine([f], [2.0])
+        (double,) = linear_combine([f], [[2.0]])
         for cands in ([double], variables(X), [double] + variables(X)):
             out = orthogonal_project(cands, [f])
             assert all(np.all(p.eval == 0.0) for p in out)

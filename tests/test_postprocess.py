@@ -123,7 +123,7 @@ class TestReduceBasis:
         g1, g2 = basis.G[2]
         x = variable_poly(0, CIRCLE4)
         y = variable_poly(1, CIRCLE4)
-        composite = linear_combine([multiply(x, g1), multiply(y, g2)], [1.0, 1.0])
+        (composite,) = linear_combine(multiply([x, y], [g1, g2]), [[1.0], [1.0]])
         stack = Basis(
             F=basis.F[:3],
             G=[[], [], [g1, g2], [composite]],
@@ -210,7 +210,7 @@ class TestReduceBasis:
         kept = reduce_basis(basis, X, threshold=1e-6).kept
         assert kept
         g = data.draw(st.sampled_from(kept))
-        product = multiply(variable_poly(data.draw(st.integers(0, dim - 1)), X), g)
+        (product,) = multiply([variable_poly(data.draw(st.integers(0, dim - 1)), X)], [g])
         report = reduce_basis(kept + [product], X, threshold=1e-6)
         assert [p for p, _ in report.removed] == [product]
         assert report.kept == kept
