@@ -104,13 +104,19 @@ def cmd_fit(args):
     return EXIT_OK
 
 
+def _read_basis(path):
+    try:
+        obj = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ContractViolation(f"cannot read basis file: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ContractViolation("basis file does not hold a JSON object")
+    return obj
+
+
 def cmd_evaluate(args):
     X_new = datasets.load_points(args.points)
-    try:
-        obj = json.loads(Path(args.basis).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ContractViolation(f"cannot read basis file: {exc}") from exc
-    basis = serialize.basis_from_json(obj, X_new)
+    basis = serialize.basis_from_json(_read_basis(args.basis), X_new)
     F_mat, G_mat = evaluate(basis, X_new)
     out = _out_dir(args)
     serialize.dump_json(
@@ -131,10 +137,7 @@ def cmd_evaluate(args):
 
 def cmd_reduce(args):
     X = datasets.load_points(args.points)
-    try:
-        obj = json.loads(Path(args.basis).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ContractViolation(f"cannot read basis file: {exc}") from exc
+    obj = _read_basis(args.basis)
     recorded = obj.get("points_sha256")
     if recorded is not None and recorded != serialize.points_digest(X):
         raise ContractViolation(

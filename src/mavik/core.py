@@ -20,8 +20,13 @@ and each output's ``prov`` is the pair ``(node, column)``.
 Every reader of the construction DAG works on one flattened form:
 :func:`flatten` lists each distinct (node, column) once, children first, as
 JSON-ready records (the ``nodes`` of a basis file), and :func:`replay`
-rebuilds the records on another point set with the same kernels, so the
-product rule and the linear combination are written only once.
+rebuilds the records on another point set.  It regroups the records the
+way the fit's calls made them -- the products of one DAG level, the
+combinations of one level over the same children -- and makes one kernel
+call per group: :func:`multiply`, or :func:`_combine_columns`, which forms
+each column by its own vector-matrix product so that a record's values do
+not depend on its group.  The product rule, the lead, the degree rule and
+the ``PLin`` node of a combination are written only once.
 """
 
 from __future__ import annotations
@@ -201,6 +206,25 @@ def _same_points(polys):
     return first
 
 
+def _combination(polys, W, lead, ev, gr):
+    """The outputs of one combination call whose weighted sums of ``polys``
+    are the rows of ``ev`` and ``gr``: adds the lead, applies the degree
+    rule and records the call's one ``PLin`` node.
+
+    Degree is the maximum over children with a nonzero weight (0 if all
+    weights vanish) and the column's lead.
+    """
+    pointset = polys[0].points
+    degrees = np.where(W != 0.0, np.array([p.degree for p in polys])[:, None], 0).max(axis=0)
+    if lead:
+        ev = np.array([p.eval for p in lead]) + ev
+        gr = np.array([p.grad for p in lead]) + gr
+        degrees = np.maximum(degrees, [p.degree for p in lead])
+    W.setflags(write=False)
+    node = PLin([p.prov for p in polys], W, [p.prov for p in lead])
+    return [Poly(d, ev[j], gr[j], (node, j), pointset) for j, d in enumerate(degrees.tolist())]
+
+
 def linear_combine(polys, weights, lead=()):
     """Weighted sums of polynomials: evals, grads and provenance combine linearly.
 
@@ -208,10 +232,7 @@ def linear_combine(polys, weights, lead=()):
     the rows of one matrix product over the stacked evaluations and one
     over the stacked gradients.  ``lead``, if given, holds r polynomials
     added to the columns with weight 1 after the product.  The call records
-    one ``PLin`` node for all columns.
-
-    Degree is the maximum over children with a nonzero weight (0 if all
-    weights vanish) and the column's lead.
+    one ``PLin`` node for all columns; degrees follow :func:`_combination`.
     """
     W = np.array(weights, dtype=float)
     if len(polys) < 1 or W.ndim != 2 or W.shape[0] != len(polys):
@@ -225,15 +246,38 @@ def linear_combine(polys, weights, lead=()):
 
     ev = W.T @ np.array([p.eval for p in polys])
     gr = (W.T @ np.array([p.grad for p in polys]).reshape(len(polys), m * n)).reshape(-1, m, n)
-    degrees = np.where(W != 0.0, np.array([p.degree for p in polys])[:, None], 0).max(axis=0)
-    if lead:
-        ev = np.array([p.eval for p in lead]) + ev
-        gr = np.array([p.grad for p in lead]) + gr
-        degrees = np.maximum(degrees, [p.degree for p in lead])
+    return _combination(polys, W, lead, ev, gr)
 
-    W.setflags(write=False)
-    node = PLin([p.prov for p in polys], W, [p.prov for p in lead])
-    return [Poly(d, ev[j], gr[j], (node, j), pointset) for j, d in enumerate(degrees.tolist())]
+
+# Stacked child values per column chunk of a replayed combination (1 MiB),
+# so that the chunk stays in cache across the per-record products.
+_CHUNK_VALUES = 1 << 17
+
+
+def _combine_columns(polys, Wt, lead):
+    """Replay's combination kernel: ``linear_combine(polys, Wt.T, lead)``
+    with every column formed by its own vector-matrix product.
+
+    The children's evaluations and gradients are stacked once into a
+    (k, m(1+n)) block, and row j of the (r, k) matrix ``Wt`` multiplies it
+    alone, so a column's values do not depend on the other columns of the
+    call (a matrix-matrix product may round a row differently with the row
+    count).  The products run over column chunks of the block that stay in
+    cache; the chunks depend only on k, m and n.
+    """
+    pointset = polys[0].points
+    m, n = len(pointset), pointset.n
+    r, k = Wt.shape
+    block = np.empty((k, m * (1 + n)))
+    for row, p in zip(block, polys):
+        row[:m] = p.eval
+        row[m:] = p.grad.reshape(-1)
+    out = np.empty((r, 1, block.shape[1]))
+    step = max(1, _CHUNK_VALUES // k)
+    for a in range(0, block.shape[1], step):
+        np.matmul(Wt.reshape(r, 1, k), block[:, a:a + step], out=out[:, :, a:a + step])
+    out = out.reshape(r, -1)
+    return _combination(polys, Wt.T, lead, out[:, :m], out[:, m:].reshape(r, m, n))
 
 
 def multiply(ps, qs):
@@ -313,50 +357,92 @@ def _field(rec, key, i, types=None):
     return value
 
 
-_NUMBER = (int, float)
+_NUMBER = {int, float}
 
 
-def _earlier(j, i):
-    if type(j) is not int or not 0 <= j < i:
+def _earlier(js, i):
+    """The child indices ``js`` of record ``i``, each an int in [0, i)."""
+    if js and not (set(map(type, js)) == {int} and min(js) >= 0 and max(js) < i):
+        j = next(j for j in js if type(j) is not int or not 0 <= j < i)
         raise ContractViolation(f"node {i}: child index {j!r} is not in [0, {i})")
-    return j
+    return js
+
+
+def _finite(values, i, key):
+    try:
+        finite = all(map(math.isfinite, values))
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
+        raise ContractViolation(f"node {i}: {key} must be finite")
 
 
 def replay(records, pointset):
     """Rebuild every record of :func:`flatten` on ``pointset``.
 
-    Returns one :class:`Poly` per record, each formed by the construction
-    kernels (:func:`constant_poly`, :func:`variable_poly`, :func:`multiply`,
-    :func:`linear_combine`), so values, gradients, degrees and provenance
-    follow the same rules as during the fit.  A child index must point to
-    an earlier record, and every field must have its JSON type: numbers
-    for values and weights, an int variable index, lists of children and
-    weights.  A ``lincomb`` without children is the zero polynomial of
-    degree 0.
+    Returns one :class:`Poly` per record, formed by the construction
+    kernels, so values, gradients, degrees and provenance follow the fit's
+    rules.  A first pass checks every record before any kernel runs: child
+    indices must point to earlier records, and every field must have its
+    JSON type (numbers for values and weights, an int variable index, lists
+    of children and of as many finite weights).  It builds the constants
+    and variables and groups the other records by level (one above the
+    highest child): the products of a level, and the ``lincomb`` records
+    of a level that share their children.  A ``lincomb`` whose first weight
+    is exactly 1.0 takes its first child as its lead, as :func:`flatten`
+    writes a lead, so the columns of one fitted call fall back into one
+    group.  A second pass makes one kernel call per group, level by level:
+    :func:`multiply`, or :func:`_combine_columns`, whose per-column products
+    keep a record's values independent of its group.  A ``lincomb`` without
+    children is the zero polynomial of degree 0.
     """
     if not isinstance(records, list):
         raise ContractViolation("the node list is not a list")
-    built = []
+    built = [None] * len(records)
+    levels = [0] * len(records)
+    groups = {}  # (level, kind[, lead?, shared children]) -> [(record, arguments)]
     for i, rec in enumerate(records):
         kind = _field(rec, "kind", i)
         if kind == "const":
-            p = constant_poly(_field(rec, "value", i, _NUMBER), pointset)
-        elif kind == "var":
-            p = variable_poly(_field(rec, "index", i, (int,)), pointset)
-        elif kind == "product":
-            left = built[_earlier(_field(rec, "left", i), i)]
-            (p,) = multiply([left], [built[_earlier(_field(rec, "right", i), i)]])
+            value = _field(rec, "value", i, _NUMBER)
+            _finite([value], i, "value")
+            built[i] = constant_poly(value, pointset)
+            continue
+        if kind == "var":
+            built[i] = variable_poly(_field(rec, "index", i, (int,)), pointset)
+            continue
+        if kind == "product":
+            kids = _earlier([_field(rec, "left", i), _field(rec, "right", i)], i)
+            key, args = (kind,), kids
         elif kind == "lincomb":
-            kids = [built[_earlier(j, i)] for j in _field(rec, "children", i, (list,))]
+            kids = _earlier(_field(rec, "children", i, (list,)), i)
             weights = _field(rec, "weights", i, (list,))
-            if any(type(w) not in _NUMBER for w in weights):
+            if not set(map(type, weights)) <= _NUMBER:
                 raise ContractViolation(f"node {i}: weights must be numbers")
-            if not kids and not weights:  # the zero polynomial
-                kids, weights = [constant_poly(1.0, pointset)], [0.0]
-            (p,) = linear_combine(kids, np.array(weights, dtype=float)[:, None])
+            if len(weights) != len(kids):
+                raise ContractViolation(f"node {i}: {len(kids)} children but {len(weights)} weights")
+            _finite(weights, i, "weights")
+            lead = kids[:1] if weights[:1] == [1.0] else []
+            key = (kind, bool(lead), tuple(kids[len(lead):]))
+            args = (lead, weights[len(lead):])
         else:
             raise ContractViolation(f"node {i}: unknown kind {kind!r}")
-        built.append(p)
+        levels[i] = 1 + max(map(levels.__getitem__, kids), default=0)
+        groups.setdefault((levels[i], *key), []).append((i, args))
+
+    for key in sorted(groups, key=lambda key: key[0]):  # ties keep their first-seen order
+        members, args = zip(*groups[key])
+        if key[1] == "product":
+            outs = multiply([built[a] for a, _ in args], [built[b] for _, b in args])
+        else:
+            lead = [built[j] for head, _ in args for j in head]
+            kids = [built[j] for j in key[3]]
+            Wt = np.array([w for _, w in args], dtype=float)
+            if not kids:  # zero polynomials, or leads alone
+                kids, Wt = [constant_poly(1.0, pointset)], np.zeros((len(args), 1))
+            outs = _combine_columns(kids, Wt, lead)
+        for i, p in zip(members, outs):
+            built[i] = p
     return built
 
 

@@ -163,7 +163,7 @@ def save_points(X, path):
 
 def load_points(path):
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise ContractViolation(f"points file not found: {path}")
     if path.suffix.lower() == ".json":
         try:

@@ -27,6 +27,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
@@ -229,13 +230,25 @@ def run_retrieval(
 
 
 def load_target_profiles(path=None):
-    """Per-variety target profiles (counts of vanishing polynomials by degree)."""
-    if path is not None:
-        text = open(path).read()
-    else:
-        text = resources.files("mavik").joinpath("data/target_profiles.json").read_text()
+    """Per-variety target profiles (counts of vanishing polynomials by degree).
+
+    Each profile must be a nonempty list of nonnegative integer counts.
+    """
     try:
-        payload = json.loads(text)
-        return {k: list(v) for k, v in payload["profiles"].items()}
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        if path is not None:
+            text = Path(path).read_text()
+        else:
+            text = resources.files("mavik").joinpath("data/target_profiles.json").read_text()
+    except (OSError, ValueError) as exc:
+        raise ContractViolation(f"cannot read target profile file: {exc}") from exc
+    try:
+        profiles = json.loads(text)["profiles"].items()
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ContractViolation(f"malformed target profile file: {exc}") from exc
+    for name, counts in profiles:
+        if type(counts) is not list or not counts or not all(type(c) is int and c >= 0 for c in counts):
+            raise ContractViolation(
+                f"target profile {name!r} must be a nonempty list of nonnegative integer counts, "
+                f"got {counts!r}"
+            )
+    return {name: counts for name, counts in profiles}

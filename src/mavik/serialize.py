@@ -3,10 +3,15 @@
 A basis file stores the construction DAG as the node list of
 :func:`mavik.core.flatten` (each shared node once, children before parents)
 and references polynomials by node index; loading is
-:func:`mavik.core.replay` of that list on any compatible point set, which
-rejects child indices that do not point to an earlier node.  Fit reports
-are written without timings so that reruns with identical inputs produce
-byte-identical files; wall-clock numbers go to a sidecar.
+:func:`mavik.core.replay` of that list on any compatible point set.  The
+replay checks every node before it computes anything (a malformed node,
+such as a child index that does not point to an earlier node, is rejected
+with its index) and then makes one kernel call per group of sibling nodes,
+about three per fitted degree (products, projections, combinations)
+instead of one per node.  Loading and re-saving a basis writes the same
+node list.  Fit reports are written without timings so that reruns with
+identical inputs produce byte-identical files; wall-clock numbers go to a
+sidecar.
 """
 
 from __future__ import annotations

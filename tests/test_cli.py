@@ -262,6 +262,37 @@ def test_bad_points_seeds_counts_and_lists_exit_2(argv, tmp_path, capsys, monkey
     assert not out.exists()
 
 
+RETRIEVAL_V2 = ["retrieval-test", "--variety", "V2", "--scales", "1.0", "--runs", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "--points", "nosuch.csv"],
+        ["fit", "--points", "somedir.csv"],
+        ["fit", "--points", "somedir.json"],
+        RETRIEVAL_V2 + ["--target", "nosuch.json"],
+        RETRIEVAL_V2 + ["--target", "somedir.json"],
+        RETRIEVAL_V2 + ["--target", "text_count.json"],
+        RETRIEVAL_V2 + ["--target", "negative_count.json"],
+        ["reduce", "--points", "points.csv", "--basis", "list.json"],
+    ],
+)
+def test_missing_directory_and_malformed_input_files_exit_2(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "somedir.csv").mkdir()
+    (tmp_path / "somedir.json").mkdir()
+    (tmp_path / "text_count.json").write_text(json.dumps({"profiles": {"V2": [0, "a"]}}))
+    (tmp_path / "negative_count.json").write_text(json.dumps({"profiles": {"V2": [0, -1]}}))
+    (tmp_path / "list.json").write_text(json.dumps([{"schema_version": 1}]))
+    save_points(sample_generic(10, 2, 0), tmp_path / "points.csv")
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 class TestBench:
     def test_generic_2d_row(self, tmp_path):
         out = tmp_path / "bench"

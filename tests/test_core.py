@@ -18,6 +18,8 @@ from mavik.core import (
     variable_poly,
     variables,
 )
+from mavik.datasets import sample_generic
+from mavik.engine import EngineConfig, NormalizationMode, fit
 from mavik.errors import ContractViolation
 
 
@@ -344,6 +346,10 @@ class TestReplay:
             {"kind": "lincomb", "children": [0]},
             {"kind": "power", "base": 0},
             {"index": 0},
+            {"kind": "lincomb", "children": [0], "weights": [float("inf")]},
+            {"kind": "lincomb", "children": [0, 0], "weights": [1.0, float("nan")]},
+            {"kind": "lincomb", "children": [0], "weights": [10**400]},
+            {"kind": "const", "value": 10**400},
         ],
     )
     def test_malformed_record_rejected(self, bad):
@@ -356,6 +362,55 @@ class TestReplay:
         p = variable_poly(1, X)
         with pytest.raises(ContractViolation):
             replay_many([p], np.zeros((3, 1)))
+
+
+class TestGroupedReplay:
+    """Replay makes one kernel call per group of sibling records."""
+
+    def test_a_fitted_basis_replays_in_few_kernel_calls(self, monkeypatch):
+        X = sample_generic(200, 3, 0)
+        basis, _ = fit(X, EngineConfig(epsilon=1e-6, mode=NormalizationMode.gradient()))
+        records, _ = flatten([p.prov for p in basis.f_polys() + basis.g_polys()])
+        made = []  # every kernel call records one node
+        for cls in (core.PLin, core.PProd):
+            class Counting(cls):
+                def __init__(self, *args):
+                    made.append(self)
+                    super().__init__(*args)
+
+            monkeypatch.setattr(core, cls.__name__, Counting)
+        replay(records, generic_points(20, 3, seed=6))
+        assert len(made) <= 40 < len(records)
+
+    def test_a_root_replayed_alone_matches_the_full_list_bitwise(self):
+        X = sample_generic(60, 3, 0)
+        basis, _ = fit(X, EngineConfig(epsilon=1e-6, mode=NormalizationMode.gradient()))
+        polys = basis.f_polys() + basis.g_polys()
+        points = generic_points(40, 3, seed=7).points
+        together = replay_many(polys, points)
+        for p, (ev, gr) in zip(polys, together):
+            ((ev_alone, gr_alone),) = replay_many([p], points)
+            assert np.array_equal(ev_alone, ev) and np.array_equal(gr_alone, gr)
+
+    def test_records_with_and_without_a_lead_round_trip(self):
+        # a lead group and a plain group over the same children at one
+        # level, a first weight of 1.0 on a child that was no lead in the
+        # fit, and a lead alone
+        X = generic_points(6, 2, seed=8)
+        rng = rng_for(32)
+        low, *H = [random_poly(X, d, rng) for d in (1, 3, 2)]
+        polys = (linear_combine(H, rng.normal(size=(2, 2)), lead=[low, low])
+                 + linear_combine(H, rng.normal(size=(2, 1)))
+                 + linear_combine([low, *H], [[1.0], [-0.5], [2.0]])
+                 + linear_combine([low], [[1.0]]))
+        records, ids = flatten([p.prov for p in polys])
+        assert records[ids[3]]["weights"] == [1.0, -0.5, 2.0]
+        built = replay(records, X)
+        assert flatten([built[i].prov for i in ids]) == (records, ids)
+        for p, i in zip(polys, ids):
+            assert built[i].degree == p.degree
+            np.testing.assert_allclose(built[i].eval, p.eval, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(built[i].grad, p.grad, rtol=1e-12, atol=1e-12)
 
 
 def test_constant_poly_must_be_nonzero():

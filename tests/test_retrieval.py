@@ -1,5 +1,7 @@
 """Epsilon-grid scan semantics and the retrieval harness plumbing."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from mavik.retrieval import (
     RetrievalOutcome,
     _matches_target,
     grid_epsilons,
+    load_target_profiles,
     mode_from_kind,
     run_retrieval,
     scan_g_profiles,
@@ -141,3 +144,15 @@ def test_outcome_invariant_success_iff_range():
 def test_mode_from_kind_rejects_unknown():
     with pytest.raises(ContractViolation):
         mode_from_kind("fancy")
+
+
+@pytest.mark.parametrize(
+    "profiles",
+    [{"V2": [0, "a"]}, {"V2": [0, -1]}, {"V2": [0, 1.5]}, {"V2": [0, True]},
+     {"V2": []}, {"V2": "0101"}, ["V2"]],
+)
+def test_target_profiles_must_be_lists_of_nonnegative_counts(profiles, tmp_path):
+    path = tmp_path / "target.json"
+    path.write_text(json.dumps({"profiles": profiles}))
+    with pytest.raises(ContractViolation):
+        load_target_profiles(path)
