@@ -2,15 +2,15 @@
 
 The basis construction itself never touches monomials; this module exists
 for the coefficient-normalization mode and to report the terms of a fitted
-basis.  It reads construction trees only through the flattened records of
-:func:`mavik.core.flatten`, the node format of basis files, and expands
-every record into one dense row of coefficients over the monomials of
-degree <= ``top``, the largest construction degree among the roots; no
-record under a root has a higher degree.  Columns follow graded
-lexicographic order, purely as a storage/serialization convention.  A
-product's left factor has degree 1, so the product is the right factor's
-row times the left factor's constant plus its shifts by each variable,
-weighted by that variable's coefficient.
+basis.  It reads construction trees through :func:`mavik.core.walk`, like
+an in-memory replay, and expands every kernel call into a block of dense
+coefficient rows over the monomials of degree <= ``top``, the largest
+construction degree among the roots, in graded lexicographic order.  A
+column of higher degree under the roots is reached only through zero
+weights, so its cut-off row adds nothing.  A product's left factor has
+degree 1, so the product is the right factor's row times the left factor's
+constant plus its shifts by each variable, weighted by that variable's
+coefficient.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .core import flatten
+from .core import walk
 from .errors import ContractViolation, ResourceLimitError
 
 __all__ = ["CoeffVec", "expand", "expand_many", "coeff_gram"]
@@ -99,13 +99,20 @@ def _monomials(n, top):
     return exps, shifts
 
 
+def _pruned(rows):
+    rows[np.abs(rows) < PRUNE_TOL] = 0.0
+    return rows
+
+
 def _coeff_rows(polys, term_cap):
     """Dense coefficient rows of ``polys`` and the exponent vector of each column.
 
-    Walks the :func:`mavik.core.flatten` records once, children first: a
-    combination adds its children's rows in stored order and a product
-    shifts its right factor's row by its degree-1 left factor.  Entries
-    below ``PRUNE_TOL`` are zeroed after every record.
+    A :func:`mavik.core.walk` whose outputs are rows.  A product node
+    shifts its right factors' rows by their degree-1 left factors in one
+    vectorized step; a combination node starts every column from its lead
+    (or zero) and adds the children one at a time in stored order, as a
+    record-by-record sum over the children with nonzero weight would.
+    Entries below ``PRUNE_TOL`` are zeroed in every node's rows.
     """
     n = polys[0].points.n
     top = max(p.degree for p in polys)
@@ -114,27 +121,27 @@ def _coeff_rows(polys, term_cap):
             f"expansion exceeded the term cap ({term_cap} terms): degree {top} "
             f"in {n} variables has {math.comb(n + top, n)} monomials"
         )
-    exps, shifts = _monomials(n, top)
+    exps, shifts = _monomials(n, max(top, 1))  # a variable may sit under zero weights
     lower = shifts.shape[1]
-    records, root_ids = flatten([p.prov for p in polys])
-    rows = np.zeros((len(records), len(exps)))
-    for i, rec in enumerate(records):
-        row = rows[i]
-        kind = rec["kind"]
-        if kind == "const":
-            row[0] = rec["value"]
-        elif kind == "var":
-            row[shifts[rec["index"], 0]] = 1.0
-        elif kind == "product":
-            left, right = rows[rec["left"]], rows[rec["right"], :lower]
-            row[:lower] = left[0] * right
-            for k in range(n):
-                row[shifts[k]] += left[shifts[k, 0]] * right
-        else:
-            for j, w in zip(rec["children"], rec["weights"]):
-                row += w * rows[j]
-        row[np.abs(row) < PRUNE_TOL] = 0.0
-    return rows[root_ids], exps
+
+    def product(lefts, rights):
+        left, right = np.array(lefts), np.array(rights)[:, :lower]
+        rows = np.zeros((len(left), len(exps)))
+        rows[:, :lower] = left[:, :1] * right
+        for k in range(n):
+            rows[:, shifts[k]] += left[:, shifts[k, 0], None] * right
+        return _pruned(rows)
+
+    def combine(children, weights, leads):
+        rows = np.array(leads) if leads else np.zeros((weights.shape[1], len(exps)))
+        for w, child in zip(weights, children):
+            rows += w[:, None] * child
+        return _pruned(rows)
+
+    rows = walk([p.prov for p in polys], const=lambda value: _pruned(value * np.eye(1, len(exps))),
+                var=lambda index: np.eye(1, len(exps), shifts[index, 0]),
+                product=product, combine=combine)
+    return np.array(rows), exps
 
 
 def expand(poly, term_cap=DEFAULT_TERM_CAP):

@@ -17,16 +17,13 @@ outputs are the rows of those blocks, and its provenance is one node: a
 ``PLin`` holds the call's weight matrix, a ``PProd`` its two factor lists,
 and each output's ``prov`` is the pair ``(node, column)``.
 
-Every reader of the construction DAG works on one flattened form:
-:func:`flatten` lists each distinct (node, column) once, children first, as
-JSON-ready records (the ``nodes`` of a basis file), and :func:`replay`
-rebuilds the records on another point set.  It regroups the records the
-way the fit's calls made them -- the products of one DAG level, the
-combinations of one level over the same children -- and makes one kernel
-call per group: :func:`multiply`, or :func:`_combine_columns`, which forms
-each column by its own vector-matrix product so that a record's values do
-not depend on its group.  The product rule, the lead, the degree rule and
-the ``PLin`` node of a combination are written only once.
+In memory, :func:`walk` runs every node under some roots once, children
+first, and its callbacks make all the columns of a node at once, so
+:func:`replay_many` re-runs every kernel call of the fit whole and gives
+the fit's values bitwise.  For files, :func:`flatten` lists each distinct
+(node, column) once as JSON-ready records (the ``nodes`` of a basis file),
+and :func:`replay` checks the records and rebuilds them on another point
+set with one kernel call per group of sibling records.
 """
 
 from __future__ import annotations
@@ -51,6 +48,7 @@ __all__ = [
     "variables",
     "linear_combine",
     "multiply",
+    "walk",
     "flatten",
     "replay",
     "replay_many",
@@ -206,25 +204,6 @@ def _same_points(polys):
     return first
 
 
-def _combination(polys, W, lead, ev, gr):
-    """The outputs of one combination call whose weighted sums of ``polys``
-    are the rows of ``ev`` and ``gr``: adds the lead, applies the degree
-    rule and records the call's one ``PLin`` node.
-
-    Degree is the maximum over children with a nonzero weight (0 if all
-    weights vanish) and the column's lead.
-    """
-    pointset = polys[0].points
-    degrees = np.where(W != 0.0, np.array([p.degree for p in polys])[:, None], 0).max(axis=0)
-    if lead:
-        ev = np.array([p.eval for p in lead]) + ev
-        gr = np.array([p.grad for p in lead]) + gr
-        degrees = np.maximum(degrees, [p.degree for p in lead])
-    W.setflags(write=False)
-    node = PLin([p.prov for p in polys], W, [p.prov for p in lead])
-    return [Poly(d, ev[j], gr[j], (node, j), pointset) for j, d in enumerate(degrees.tolist())]
-
-
 def linear_combine(polys, weights, lead=()):
     """Weighted sums of polynomials: evals, grads and provenance combine linearly.
 
@@ -232,7 +211,8 @@ def linear_combine(polys, weights, lead=()):
     the rows of one matrix product over the stacked evaluations and one
     over the stacked gradients.  ``lead``, if given, holds r polynomials
     added to the columns with weight 1 after the product.  The call records
-    one ``PLin`` node for all columns; degrees follow :func:`_combination`.
+    one ``PLin`` node for all columns.  A column's degree is the largest of
+    its lead's and its nonzero-weight children's (0 if there are none).
     """
     W = np.array(weights, dtype=float)
     if len(polys) < 1 or W.ndim != 2 or W.shape[0] != len(polys):
@@ -246,38 +226,14 @@ def linear_combine(polys, weights, lead=()):
 
     ev = W.T @ np.array([p.eval for p in polys])
     gr = (W.T @ np.array([p.grad for p in polys]).reshape(len(polys), m * n)).reshape(-1, m, n)
-    return _combination(polys, W, lead, ev, gr)
-
-
-# Stacked child values per column chunk of a replayed combination (1 MiB),
-# so that the chunk stays in cache across the per-record products.
-_CHUNK_VALUES = 1 << 17
-
-
-def _combine_columns(polys, Wt, lead):
-    """Replay's combination kernel: ``linear_combine(polys, Wt.T, lead)``
-    with every column formed by its own vector-matrix product.
-
-    The children's evaluations and gradients are stacked once into a
-    (k, m(1+n)) block, and row j of the (r, k) matrix ``Wt`` multiplies it
-    alone, so a column's values do not depend on the other columns of the
-    call (a matrix-matrix product may round a row differently with the row
-    count).  The products run over column chunks of the block that stay in
-    cache; the chunks depend only on k, m and n.
-    """
-    pointset = polys[0].points
-    m, n = len(pointset), pointset.n
-    r, k = Wt.shape
-    block = np.empty((k, m * (1 + n)))
-    for row, p in zip(block, polys):
-        row[:m] = p.eval
-        row[m:] = p.grad.reshape(-1)
-    out = np.empty((r, 1, block.shape[1]))
-    step = max(1, _CHUNK_VALUES // k)
-    for a in range(0, block.shape[1], step):
-        np.matmul(Wt.reshape(r, 1, k), block[:, a:a + step], out=out[:, :, a:a + step])
-    out = out.reshape(r, -1)
-    return _combination(polys, Wt.T, lead, out[:, :m], out[:, m:].reshape(r, m, n))
+    degrees = np.where(W != 0.0, np.array([p.degree for p in polys])[:, None], 0).max(axis=0)
+    if lead:
+        ev = np.array([p.eval for p in lead]) + ev
+        gr = np.array([p.grad for p in lead]) + gr
+        degrees = np.maximum(degrees, [p.degree for p in lead])
+    W.setflags(write=False)
+    node = PLin([p.prov for p in polys], W, [p.prov for p in lead])
+    return [Poly(d, ev[j], gr[j], (node, j), pointset) for j, d in enumerate(degrees.tolist())]
 
 
 def multiply(ps, qs):
@@ -305,6 +261,37 @@ def multiply(ps, qs):
     return [Poly(1 + b.degree, ev[i], gr[i], (node, i), pointset) for i, b in enumerate(qs)]
 
 
+def walk(roots, const, var, product, combine):
+    """Run every provenance node under ``roots`` once, children first.
+
+    ``roots`` are ``prov`` pairs.  A node goes to the callback of its kind
+    with its children's outputs -- ``const(value)``, ``var(index)``,
+    ``product(lefts, rights)`` or ``combine(children, weights, leads)``,
+    with the node's read-only (k, r) ``weights`` and no leads or r -- and
+    the callback returns the outputs of all the node's columns.  Returns
+    the output of each root.
+    """
+    memo = {}
+
+    def run(prov):
+        node, j = prov
+        if node not in memo:
+            if isinstance(node, PConst):
+                memo[node] = const(node.value)
+            elif isinstance(node, PVar):
+                memo[node] = var(node.index)
+            elif isinstance(node, PProd):
+                memo[node] = product(list(map(run, node.left)), list(map(run, node.right)))
+            else:
+                memo[node] = combine(list(map(run, node.children)), node.weights,
+                                     list(map(run, node.lead)))
+        return memo[node][j]
+
+    outs = list(map(run, roots))
+    memo.clear()  # run refers to itself, so the memo would wait for the cyclic GC
+    return outs
+
+
 def flatten(roots):
     """List the construction DAG under ``roots``, children before parents.
 
@@ -312,9 +299,8 @@ def flatten(roots):
     JSON-ready dict per distinct (node, column), in depth-first order, whose
     children are indices of earlier records, and the record index of each
     root.  A ``lincomb`` record lists its column's lead first, with weight
-    1.0, then the children whose weight is not exactly zero, in order.  This
-    is the one place that reads the node classes; :func:`replay`, the basis
-    file and the symbolic expansion all work on the records.
+    1.0, then the children whose weight is not exactly zero, in order.  The
+    records are the node list of a basis file, which :func:`replay` reads.
     """
     records = []
     ids = {}
@@ -392,8 +378,7 @@ def replay(records, pointset):
     is exactly 1.0 takes its first child as its lead, as :func:`flatten`
     writes a lead, so the columns of one fitted call fall back into one
     group.  A second pass makes one kernel call per group, level by level:
-    :func:`multiply`, or :func:`_combine_columns`, whose per-column products
-    keep a record's values independent of its group.  A ``lincomb`` without
+    :func:`multiply` or :func:`linear_combine`.  A ``lincomb`` without
     children is the zero polynomial of degree 0.
     """
     if not isinstance(records, list):
@@ -437,10 +422,10 @@ def replay(records, pointset):
         else:
             lead = [built[j] for head, _ in args for j in head]
             kids = [built[j] for j in key[3]]
-            Wt = np.array([w for _, w in args], dtype=float)
+            W = np.array([w for _, w in args], dtype=float).T
             if not kids:  # zero polynomials, or leads alone
-                kids, Wt = [constant_poly(1.0, pointset)], np.zeros((len(args), 1))
-            outs = _combine_columns(kids, Wt, lead)
+                kids, W = [constant_poly(1.0, pointset)], np.zeros((1, len(args)))
+            outs = linear_combine(kids, W, lead)
         for i, p in zip(members, outs):
             built[i] = p
     return built
@@ -449,12 +434,16 @@ def replay(records, pointset):
 def replay_many(polys, points):
     """Values and gradients of ``polys`` on an (m, n) array of points.
 
-    Shared subtrees are evaluated once.  Returns one ``(values, grads)``
-    pair per polynomial, with shapes (m,) and (m, n).
+    A :func:`walk` with the construction kernels: every kernel call under
+    ``polys`` runs once, whole, so a polynomial's values do not depend on
+    the others asked for and on the fit's points are the fit's, bitwise.
+    Returns one ``(values, grads)`` pair per polynomial, shaped (m,), (m, n).
     """
-    records, root_ids = flatten([p.prov for p in polys])
-    built = replay(records, PointSet(points))
-    return [(built[i].eval, built[i].grad) for i in root_ids]
+    X = PointSet(points)
+    built = walk([p.prov for p in polys], const=lambda value: [constant_poly(value, X)],
+                 var=lambda index: [variable_poly(index, X)], product=multiply,
+                 combine=linear_combine)
+    return [(p.eval, p.grad) for p in built]
 
 
 @dataclass

@@ -2,22 +2,24 @@
 
 A basis file stores the construction DAG as the node list of
 :func:`mavik.core.flatten` (each shared node once, children before parents)
-and references polynomials by node index; loading is
-:func:`mavik.core.replay` of that list on any compatible point set.  The
-replay checks every node before it computes anything (a malformed node,
-such as a child index that does not point to an earlier node, is rejected
-with its index) and then makes one kernel call per group of sibling nodes,
-about three per fitted degree (products, projections, combinations)
-instead of one per node.  Loading and re-saving a basis writes the same
-node list.  Fit reports are written without timings so that reruns with
-identical inputs produce byte-identical files; wall-clock numbers go to a
-sidecar.
+and references polynomials by node index; :func:`basis_to_json` is the one
+writer of that list.  Loading is :func:`mavik.core.replay` of the list on
+any compatible point set.  The replay checks every node before it computes
+anything (a malformed node, such as a child index that does not point to an
+earlier node, is rejected with its index) and then makes one kernel call
+per group of sibling nodes, about three per fitted degree (products,
+projections, combinations) instead of one per node.  ``n`` and every root
+``degree`` must be ints and every G ``extent`` a finite nonnegative number.
+Loading and re-saving a basis writes the same node list.  Fit reports are
+written without timings so that reruns with identical inputs produce
+byte-identical files; wall-clock numbers go to a sidecar.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import sys
 
 import numpy as np
 
@@ -92,10 +94,8 @@ def basis_from_json(obj, X):
         raise ContractViolation("unsupported basis schema version")
     if not {"n", "nodes", "f", "g"} <= obj.keys():
         raise ContractViolation("basis file lacks one of n, nodes, f, g")
-    if obj["n"] != X.n:
-        raise ContractViolation(
-            f"basis was built in n={obj['n']} but points have n={X.n}"
-        )
+    if type(obj["n"]) is not int or obj["n"] != X.n:
+        raise ContractViolation(f"basis was built in n={obj['n']!r} but points have n={X.n}")
     for key in ("f", "g"):
         if not isinstance(obj[key], list):
             raise ContractViolation(f"basis field {key!r} is not a list")
@@ -105,7 +105,8 @@ def basis_from_json(obj, X):
         if not isinstance(rec, dict):
             raise ContractViolation(f"basis polynomial {rec!r} is not an object")
         root, degree = rec.get("root"), rec.get("degree")
-        if type(root) is not int or not 0 <= root < len(built) or built[root].degree != degree:
+        if (type(root) is not int or type(degree) is not int
+                or not 0 <= root < len(built) or built[root].degree != degree):
             raise ContractViolation(f"no degree-{degree!r} node at basis root {root!r}")
         return built[root]
 
@@ -114,6 +115,9 @@ def basis_from_json(obj, X):
     if not any(p.degree == 0 for p in f_polys):
         raise ContractViolation("basis has no degree-0 F polynomial")
     g_ext = [rec.get("extent", float(np.linalg.norm(p.eval))) for rec, p in zip(obj["g"], g_polys)]
+    for e in g_ext:
+        if type(e) not in (int, float) or not 0 <= e <= sys.float_info.max:
+            raise ContractViolation(f"basis G extent {e!r} is not a finite nonnegative number")
     return Basis.from_flat(f_polys, g_polys, g_ext)
 
 

@@ -36,10 +36,8 @@ def fd_gradient(polys, points, h=1e-6):
 
     ``polys`` is one polynomial, giving one (m, n) gradient, or a list of
     polynomials on one point set, giving a list of them; the list is
-    replayed together once per +-h step.  The replay groups sibling records
-    into one kernel call but forms each record's values by its own product
-    over the group's shared children, so a record's values depend only on
-    its children and both forms give bitwise equal values.
+    replayed together once per +-h step.  A replay re-runs every kernel call
+    under the polynomials whole, so both forms give bitwise equal values.
     """
     single = isinstance(polys, Poly)
     polys = [polys] if single else list(polys)

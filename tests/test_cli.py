@@ -239,6 +239,35 @@ def test_evaluate_malformed_basis_exits_2(tamper, circle4_csv, tmp_path, capsys)
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _set_extent(value):
+    def tamper(obj):
+        obj["g"][0]["extent"] = value
+    return tamper
+
+
+@pytest.mark.parametrize("command", ["evaluate", "reduce"])
+@pytest.mark.parametrize("tamper", [
+    _set_extent("abc"), _set_extent(None), _set_extent(True), _set_extent(-1.0),
+    _set_extent(float("nan")), lambda obj: obj.update(n=str(obj["n"])),
+    lambda obj: obj.update(n=float(obj["n"])), lambda obj: obj["f"][0].update(degree=False),
+], ids=["extent-str", "extent-null", "extent-bool", "extent-negative", "extent-nan",
+        "n-str", "n-float", "degree-bool"])
+def test_mistyped_basis_fields_exit_2(command, tamper, circle4_csv, tmp_path, capsys):
+    fitted = tmp_path / "fitted"
+    main(["fit", "--points", str(circle4_csv), "--eps", "1e-8", "--out", str(fitted)])
+    obj = read_json(fitted / "basis.json")
+    tamper(obj)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    code = main([command, "--points", str(circle4_csv), "--basis", str(bad), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

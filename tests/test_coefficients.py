@@ -110,6 +110,17 @@ class TestExpand:
         assert expand(zero).terms == {}
         assert np.allclose(zero.eval, 0.0) and np.allclose(zero.grad, 0.0)
 
+    def test_children_of_weight_zero_add_nothing(self):
+        # every child of a call is expanded, also one of weight 0 whose
+        # degree is above that of the polynomials asked for
+        X = generic_points(4, 2, seed=6)
+        x, y = variables(X)
+        (xy,) = multiply([x], [y])
+        zero, line = linear_combine([x, xy], [[0.0, 2.0], [0.0, 0.0]])
+        assert (zero.degree, line.degree) == (0, 1)
+        assert expand(zero).terms == {}
+        assert expand(line).terms == {(1, 0): 2.0}
+
     def test_term_cap_raises_resource_error(self):
         X = generic_points(4, 3, seed=8)
         p = random_poly(X, 4, rng_for(9))

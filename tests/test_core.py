@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fd_gradient, generic_points, random_poly, rng_for
-from mavik import core
+from mavik import coefficients, core, engine
 from mavik.core import (
     PointSet,
     constant_poly,
@@ -17,6 +17,7 @@ from mavik.core import (
     replay_many,
     variable_poly,
     variables,
+    walk,
 )
 from mavik.datasets import sample_generic
 from mavik.engine import EngineConfig, NormalizationMode, fit
@@ -411,6 +412,67 @@ class TestGroupedReplay:
             assert built[i].degree == p.degree
             np.testing.assert_allclose(built[i].eval, p.eval, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(built[i].grad, p.grad, rtol=1e-12, atol=1e-12)
+
+
+class TestWalk:
+    """In memory, the DAG is walked one kernel call per node."""
+
+    @pytest.mark.parametrize(
+        "mode",
+        [NormalizationMode.vca_baseline(), NormalizationMode.coefficient(),
+         NormalizationMode.gradient()],
+        ids=["vca", "coeff", "grad"],
+    )
+    def test_in_memory_replay_is_the_fit_bitwise(self, mode):
+        X = sample_generic(50, 3, 0)
+        basis, _ = fit(X, EngineConfig(epsilon=1e-6, mode=mode))
+        polys = basis.f_polys() + basis.g_polys()
+        for p, (ev, gr) in zip(polys, replay_many(polys, X.points)):
+            assert np.array_equal(ev, p.eval) and np.array_equal(gr, p.grad)
+
+    def test_each_node_runs_once(self):
+        X = sample_generic(50, 3, 1)
+        basis, _ = fit(X, EngineConfig(epsilon=1e-6, mode=NormalizationMode.gradient()))
+        roots = [p.prov for p in basis.f_polys() + basis.g_polys()]
+        nodes, todo = set(), [node for node, _ in roots]
+        while todo:
+            node = todo.pop()
+            if node not in nodes:
+                nodes.add(node)
+                for attr in ("left", "right", "children", "lead"):
+                    todo += [child for child, _ in getattr(node, attr, ())]
+        calls = []
+
+        def counting(kind, width):
+            def callback(*args):
+                calls.append(kind)
+                return [kind] * width(*args)
+            return callback
+
+        out = walk(
+            roots,
+            const=counting("const", lambda value: 1),
+            var=counting("var", lambda index: 1),
+            product=counting("product", lambda lefts, rights: len(lefts)),
+            combine=counting("combine", lambda children, weights, leads: weights.shape[1]),
+        )
+        assert len(out) == len(roots)
+        assert len(calls) == len(nodes)
+        kinds = {core.PConst: "const", core.PVar: "var", core.PProd: "product", core.PLin: "combine"}
+        assert sorted(calls) == sorted(kinds[type(node)] for node in nodes)
+
+    def test_no_in_memory_reader_flattens(self, monkeypatch):
+        def refuse(roots):
+            raise AssertionError("flatten called")
+
+        monkeypatch.setattr(core, "flatten", refuse)
+        monkeypatch.setattr(coefficients, "flatten", refuse, raising=False)
+        X = sample_generic(30, 2, 0)
+        basis, _ = fit(X, EngineConfig(epsilon=1e-6, mode=NormalizationMode.coefficient()))
+        polys = basis.f_polys() + basis.g_polys()
+        assert len(coefficients.expand_many(polys)) == len(polys)
+        F, G = engine.evaluate(basis, sample_generic(20, 2, 1))
+        assert F.shape == (20, len(basis.f_polys())) and G.shape == (20, len(basis.g_polys()))
 
 
 def test_constant_poly_must_be_nonzero():
