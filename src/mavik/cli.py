@@ -19,8 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import datasets, engine, serialize
-from .bench import run_generic_bench
-from .coefficients import expand_many
+from .coefficients import DEFAULT_TERM_CAP, expand_many
 from .core import Basis, constant_poly
 from .engine import EngineConfig, evaluate
 from .errors import (
@@ -56,19 +55,15 @@ def _number_list(text, kind, flag):
 
 
 def _engine_config(args, X):
-    mode = mode_from_kind(args.mode, n_points=len(X), z=args.z)
-    kwargs = {}
-    if getattr(args, "term_cap", None) is not None:
-        kwargs["term_cap"] = args.term_cap
     return EngineConfig(
         epsilon=args.eps,
-        mode=mode,
+        mode=mode_from_kind(args.mode, n_points=len(X), z=args.z),
         m_constant=args.m_const,
         max_degree=args.max_degree,
         d_max=args.dmax,
         d_min=args.dmin,
         dedup_degree2=not args.no_dedup2,
-        **kwargs,
+        term_cap=args.term_cap,
     )
 
 
@@ -78,12 +73,12 @@ def cmd_fit(args):
         X = datasets.scale(X, args.scale)
     config = _engine_config(args, X)
     basis, report = engine.fit(X, config)
-    out = _out_dir(args)
 
     expansions = None
     if args.expand:
         polys = basis.f_polys() + basis.g_polys()
-        expansions = dict(zip(polys, expand_many(polys)))
+        expansions = dict(zip(polys, expand_many(polys, term_cap=config.term_cap)))
+    out = _out_dir(args)
     meta = {
         "config": config.echo(),
         "points_file": str(args.points),
@@ -161,9 +156,17 @@ def cmd_reduce(args):
 
 
 def cmd_bench_generic(args):
-    dims = _number_list(args.dims, int, "--dims")
-    modes = args.modes.split(",")
-    rows = run_generic_bench(dims, args.count, args.eps, modes, args.seed)
+    rows = []
+    for dim in _number_list(args.dims, int, "--dims"):
+        X = datasets.sample_generic(args.count, dim, args.seed)
+        for kind in args.modes.split(","):
+            # z = 1: the harness z convention only matters for retrieval.
+            config = EngineConfig(epsilon=args.eps, mode=mode_from_kind(kind, z=1.0))
+            _, report = engine.fit(X, config)
+            rows.append({"count": args.count, "dim": dim, "mode": kind, "seed": args.seed,
+                         "epsilon": args.eps, "g_total": report.g_total,
+                         "g_profile": report.g_counts, "max_degree": len(report.g_counts) - 1,
+                         "runtime_s": report.wall_time_s})
     out = _out_dir(args)
     serialize.dump_json({"schema_version": serialize.SCHEMA_VERSION, "rows": rows},
                         out / "bench.json")
@@ -182,10 +185,7 @@ def cmd_retrieval_test(args):
     if args.variety not in target_map:
         raise ContractViolation(f"no target profile for variety {args.variety!r}")
     target = target_map[args.variety]
-    if args.scale is not None:
-        scales = [args.scale]
-    else:
-        scales = _number_list(args.scales, float, "--scales")
+    scales = _number_list(args.scales, float, "--scales")
     t0 = time.perf_counter()
     table = run_retrieval(
         args.variety,
@@ -264,8 +264,9 @@ def _add_fit_flags(p):
     p.add_argument("--dmin", type=int, default=None, help="dimension rule lower target")
     p.add_argument("--no-dedup2", action="store_true",
                    help="keep symmetric duplicate products at degree 2")
-    p.add_argument("--term-cap", type=int, default=None,
-                   help="coefficient-expansion term cap (resource guard)")
+    p.add_argument("--term-cap", type=int, default=DEFAULT_TERM_CAP,
+                   help="monomial cap of coefficient expansions in coeff mode "
+                        "and --expand (resource guard)")
     p.add_argument("--scale", type=float, default=None,
                    help="multiply the input points by this factor before fitting")
 
@@ -310,8 +311,6 @@ def build_parser():
     p.add_argument("--variety", required=True, choices=list(datasets.VARIETIES))
     p.add_argument("--noise", type=float, default=0.05)
     p.add_argument("--scales", default="0.01,0.1,1.0,10,100")
-    p.add_argument("--scale", type=float, default=None,
-                   help="shortcut for a single-scale run (overrides --scales)")
     p.add_argument("--runs", type=int, default=20)
     p.add_argument("--mode", default="grad", choices=["vca", "coeff", "grad"])
     p.add_argument("--z", type=float, default=None)

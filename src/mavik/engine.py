@@ -51,7 +51,8 @@ __all__ = [
 ]
 
 # Rank cutoff used when estimating tangent-space dimensions from gradient
-# stacks; independent of both epsilon and the whitening rank tolerance.
+# stacks; independent of both epsilon and the whitening cutoff
+# ``linalg.RANK_TOL``.
 DIM_RANK_TOL = 1e-6
 
 # Extents this far below the stratum's evaluation scale are floating-point
@@ -103,7 +104,6 @@ class EngineConfig:
     d_max: int | None = None  # dimension rule; None or 0 disables
     d_min: int | None = None
     dedup_degree2: bool = True
-    rank_tol: float = 1e-12
     term_cap: int = DEFAULT_TERM_CAP
 
     def echo(self):
@@ -182,7 +182,7 @@ def _candidate_products(f1, f_prev, dedup_pairs):
     return multiply(lefts, rights)
 
 
-def dimension_bounds(g_polys, X, tol=DIM_RANK_TOL):
+def dimension_bounds(g_polys, X):
     """(d_min, d_max) of the variety cut out by ``g_polys`` on ``X``.
 
     Per point, the numerical rank of the stacked gradients is the
@@ -199,14 +199,14 @@ def dimension_bounds(g_polys, X, tol=DIM_RANK_TOL):
     stacks = np.stack([g.grad for g in g_polys])  # (|G|, |X|, n)
     fro = np.sqrt(np.sum(stacks**2, axis=(0, 2)))
     fmax = float(fro.max())
-    nonzero = fro > tol * fmax if fmax > 0 else np.zeros(len(X), dtype=bool)
-    ranks = np.where(nonzero, numerical_rank(stacks.transpose(1, 0, 2), tol), 0)
+    nonzero = fro > DIM_RANK_TOL * fmax if fmax > 0 else np.zeros(len(X), dtype=bool)
+    ranks = np.where(nonzero, numerical_rank(stacks.transpose(1, 0, 2), DIM_RANK_TOL), 0)
     d_min = n - int(ranks.max())
     d_max = n - int(ranks[nonzero].min()) if np.any(nonzero) else n
     return d_min, d_max
 
 
-def check_termination_dimension(g_polys, X, d_max=None, d_min=None, tol=DIM_RANK_TOL):
+def check_termination_dimension(g_polys, X, d_max=None, d_min=None):
     """Dimension-based stopping rule from per-point tangent-space codimension.
 
     Fires when the estimated variety dimension (:func:`dimension_bounds`)
@@ -220,7 +220,7 @@ def check_termination_dimension(g_polys, X, d_max=None, d_min=None, tol=DIM_RANK
     d_min = None if not d_min else int(d_min)
     if (d_max is None and d_min is None) or not g_polys:
         return False
-    lo, hi = dimension_bounds(g_polys, X, tol)
+    lo, hi = dimension_bounds(g_polys, X)
     if d_max is not None and lo < X.n and hi <= d_max:
         return True
     return d_min is not None and lo <= d_min
@@ -281,6 +281,11 @@ def _degree_step(X, config, F, t):
         cands_pre = _candidate_products(
             F[1], F[t - 1], dedup_pairs=(t == 2 and config.dedup_degree2)
         )
+    # Every entry of the evaluation Gram is bounded by the square of this norm.
+    with np.errstate(over="ignore"):
+        scale = float(np.linalg.norm([c.eval for c in cands_pre]))
+    if not math.isfinite(scale * scale):
+        raise ContractViolation(f"degree-{t} evaluations overflow float64; rescale the points")
     f_flat = [f for stratum in F for f in stratum]
     cands = orthogonal_project(cands_pre, f_flat)
 
@@ -288,7 +293,7 @@ def _degree_step(X, config, F, t):
     A = E.T @ E
     A = 0.5 * (A + A.T)
     N = normalization_gram(cands, config.mode, term_cap=config.term_cap)
-    res = gen_eig_sym(A, N, rank_tol=config.rank_tol)
+    res = gen_eig_sym(A, N)
 
     new_polys = linear_combine(cands, res.vectors)
     if config.mode.kind == "gradient":
@@ -297,8 +302,7 @@ def _degree_step(X, config, F, t):
     # Extents taken directly from the assembled evaluation vectors: the
     # Gram eigenvalues can only resolve extents down to sqrt(eps)*scale.
     norms = np.array([float(np.linalg.norm(p.eval)) for p in new_polys])
-    zero_floor = ZERO_EXTENT_REL * float(np.linalg.norm([c.eval for c in cands_pre]))
-    return _Step(new_polys, norms, res.values, zero_floor)
+    return _Step(new_polys, norms, res.values, ZERO_EXTENT_REL * scale)
 
 
 class Fitter:

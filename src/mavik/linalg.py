@@ -23,6 +23,9 @@ from .errors import ContractViolation, InternalInvariantViolation
 __all__ = ["GenEigResult", "gen_eig_sym", "orthogonal_project", "numerical_rank"]
 
 SYMMETRY_TOL = 1e-10
+# Normalization-matrix eigenvalues at or below this fraction of the largest
+# one span the numerical nullspace that gen_eig_sym drops.
+RANK_TOL = 1e-12
 # Eigenvalues of the whitened problem this far below zero (relative to the
 # problem scale) indicate a broken Gram computation rather than rounding.
 NEGATIVE_EIG_TOL = 1e-10
@@ -59,11 +62,11 @@ def _fix_column_signs(V):
     return V
 
 
-def gen_eig_sym(A, N, rank_tol=1e-12):
+def gen_eig_sym(A, N):
     """Solve A V = N V Lambda for symmetric PSD A, N, dropping the N-nullspace.
 
     The normalization matrix is eigendecomposed, directions with eigenvalue
-    <= rank_tol * max eigenvalue are discarded, the remainder is whitened and
+    <= RANK_TOL * max eigenvalue are discarded, the remainder is whitened and
     an ordinary symmetric eigendecomposition finishes the job.  Returned
     vectors satisfy V^T N V = I and V^T A V = diag(values).
     """
@@ -81,7 +84,7 @@ def gen_eig_sym(A, N, rank_tol=1e-12):
         # Nothing survives normalization; the caller treats this stratum as
         # contributing no polynomials.
         return GenEigResult(np.zeros((d, 0)), np.zeros(0), 0)
-    keep = s > rank_tol * smax
+    keep = s > RANK_TOL * smax
     r = int(np.count_nonzero(keep))
     if r == 0:
         return GenEigResult(np.zeros((d, 0)), np.zeros(0), 0)

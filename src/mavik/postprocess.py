@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import DIM_RANK_TOL, dimension_bounds
+from .engine import dimension_bounds
 from .errors import ContractViolation
 
 __all__ = ["RESIDUAL_FLOOR", "ReductionReport", "reduce_basis", "estimate_dimension"]
@@ -92,9 +92,9 @@ def reduce_basis(basis, X, threshold=1e-6):
     return ReductionReport(kept=kept, removed=removed, threshold=threshold)
 
 
-def estimate_dimension(basis, X, tol=DIM_RANK_TOL):
+def estimate_dimension(basis, X):
     """Estimate (d_min, d_max) of the variety carved out by the G polynomials
     of ``basis`` (a Basis or a list of polynomials) from per-point
     tangent-space codimensions, by :func:`mavik.engine.dimension_bounds`.
     An empty basis gives (n, n)."""
-    return dimension_bounds(_g_polys(basis), X, tol)
+    return dimension_bounds(_g_polys(basis), X)

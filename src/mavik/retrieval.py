@@ -60,7 +60,7 @@ def grid_epsilons(alpha):
 
 
 def mode_from_kind(kind, n_points=None, z=None):
-    """Map a CLI mode name to a NormalizationMode with harness defaults.
+    """Map a mode name (vca, coeff or grad) to a NormalizationMode.
 
     In gradient mode the harness normalizes the *mean per-point* gradient
     norm to one (z = sqrt(|X|)) rather than the norm of the full stacked
@@ -68,11 +68,11 @@ def mode_from_kind(kind, n_points=None, z=None):
     scale, which keeps the epsilon search grid (relative step 1e-3) fine
     enough to resolve the valid window.
     """
-    if kind in ("vca", "vca-baseline"):
+    if kind == "vca":
         return NormalizationMode.vca_baseline()
-    if kind in ("coeff", "coefficient"):
+    if kind == "coeff":
         return NormalizationMode.coefficient()
-    if kind in ("grad", "gradient"):
+    if kind == "grad":
         if z is None:
             z = math.sqrt(n_points) if n_points else 1.0
         return NormalizationMode.gradient(z=z)

@@ -139,8 +139,8 @@ def report_to_json(report):
     }
 
 
-def reduction_to_json(report, basis_meta=None):
-    obj = {
+def reduction_to_json(report):
+    return {
         "schema_version": SCHEMA_VERSION,
         "threshold": report.threshold,
         "kept_count": len(report.kept),
@@ -151,6 +151,3 @@ def reduction_to_json(report, basis_meta=None):
             for p, r in report.removed
         ],
     }
-    if basis_meta:
-        obj["meta"] = basis_meta
-    return obj

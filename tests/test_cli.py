@@ -85,6 +85,31 @@ class TestFitCommand:
         assert code == 4
         assert capsys.readouterr().err == "internal error: eigenvectors lost N-orthonormality\n"
 
+    def test_term_cap_also_caps_expand(self, tmp_path, capsys):
+        pts = tmp_path / "g.csv"
+        save_points(sample_generic(50, 3, 0), pts)
+        out = tmp_path / "out"
+        assert main(["fit", "--points", str(pts), "--mode", "grad", "--expand",
+                     "--term-cap", "5", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "mode, alpha, degree",
+        [("vca", 1e80, 2), ("grad", 1e80, 2), ("vca", 1e154, 1), ("coeff", 1e154, 1),
+         ("grad", 1e154, 1), ("vca", 1e200, 1), ("coeff", 1e200, 1), ("grad", 1e200, 1)],
+    )
+    def test_overflowing_scale_exits_2(self, tmp_path, capsys, mode, alpha, degree):
+        pts = tmp_path / "g.csv"
+        save_points(sample_generic(50, 3, 0), pts)
+        out = tmp_path / "out"
+        assert main(["fit", "--points", str(pts), "--mode", mode, "--scale", str(alpha),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: degree-{degree} evaluations overflow float64" in err
+        assert not out.exists()
+
     def test_expansions_embedded(self, circle4_csv, tmp_path):
         out = tmp_path / "out"
         assert main(["fit", "--points", str(circle4_csv), "--eps", "1e-8",
@@ -330,8 +355,12 @@ class TestBench:
                      "--out", str(out)])
         assert code == 0
         rows = read_json(out / "bench.json")["rows"]
-        assert rows[0]["g_total"] == 15
-        assert rows[0]["g_profile"] == [0, 0, 0, 0, 0, 0, 0, 0, 0, 5, 10]
+        runtime = rows[0].pop("runtime_s")
+        assert rows == [{
+            "count": 50, "dim": 2, "mode": "grad", "seed": 0, "epsilon": 1e-6,
+            "g_total": 15, "g_profile": [0, 0, 0, 0, 0, 0, 0, 0, 0, 5, 10], "max_degree": 10,
+        }]
+        assert runtime > 0
 
 
 class TestRetrieval:

@@ -358,6 +358,14 @@ class TestConsistency:
                     p1.eval, alpha * p0.eval, atol=1e-7 * abs(alpha)
                 )
 
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_scaling_keeps_generic_profiles_from_1e_minus_6_to_1e6(self, dim):
+        X = sample_generic(50, dim, 0)
+        _, r0 = fit(X, EngineConfig(epsilon=1e-6, mode=GRAD))
+        for alpha in (1e-6, 1e-3, 1e3, 1e6):
+            _, r1 = fit(scale(X, alpha), EngineConfig(epsilon=1e-6 * alpha, mode=GRAD))
+            assert (r1.f_counts, r1.g_counts) == (r0.f_counts, r0.g_counts), alpha
+
     def test_perturbation_bound_spot_check(self):
         rng = rng_for(20)
         X_star = generic_points(25, 2, seed=21)

@@ -142,8 +142,10 @@ def test_outcome_invariant_success_iff_range():
 
 
 def test_mode_from_kind_rejects_unknown():
-    with pytest.raises(ContractViolation):
-        mode_from_kind("fancy")
+    # only the --mode choices are mode names
+    for kind in ("fancy", "vca-baseline", "coefficient", "gradient"):
+        with pytest.raises(ContractViolation):
+            mode_from_kind(kind)
 
 
 @pytest.mark.parametrize(
