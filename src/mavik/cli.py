@@ -216,11 +216,8 @@ def cmd_retrieval_test(args):
                 "mode": args.mode,
                 "scale": alpha,
                 "noise": args.noise,
-                "successes": agg["successes"],
+                **agg,
                 "trials": agg["runs"],
-                "success_rate": agg["success_rate"],
-                "valid_eps_range": agg["valid_eps_range"],
-                "extent_at_unperturbed": agg["extent_at_unperturbed"],
                 "runs": [asdict(outcome) for outcome in table["runs"][alpha]],
             }
         )

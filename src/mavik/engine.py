@@ -59,9 +59,10 @@ DIM_RANK_TOL = 1e-6
 # zeros and always classified as vanishing, so that epsilon = 0 behaves like
 # exact arithmetic instead of sending rounding noise into the nonvanishing
 # side (where its near-zero norm would poison later projections).  The scale
-# is the norm of the candidates before projection: once the F strata span
-# R^|X|, the projected candidates are themselves rounding residue, and a
-# floor taken from them would shrink with it.
+# is the norm of the candidates before projection, since a floor taken from
+# the projected ones would shrink with them.  Once the F strata hold |X|
+# members they span R^|X|, every projected candidate is rounding residue, and
+# the floor is infinite: all of them vanish.
 ZERO_EXTENT_REL = 1e-12
 
 
@@ -302,7 +303,8 @@ def _degree_step(X, config, F, t):
     # Extents taken directly from the assembled evaluation vectors: the
     # Gram eigenvalues can only resolve extents down to sqrt(eps)*scale.
     norms = np.array([float(np.linalg.norm(p.eval)) for p in new_polys])
-    return _Step(new_polys, norms, res.values, ZERO_EXTENT_REL * scale)
+    zero_floor = math.inf if len(f_flat) == len(X) else ZERO_EXTENT_REL * scale
+    return _Step(new_polys, norms, res.values, zero_floor)
 
 
 class Fitter:

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -139,8 +137,7 @@ class RetrievalOutcome:
     noncontiguous: bool = False
 
 
-def _single_trial(args):
-    (which, noise, alpha, run_seed, mode_kind, z, target, n_points) = args
+def _single_trial(which, noise, alpha, run_seed, mode_kind, z, target, n_points):
     clean = datasets.center_and_unitbox(
         datasets.sample_variety(which, n_points, seed=run_seed)
     )
@@ -185,43 +182,27 @@ def run_retrieval(
 
     Returns {"runs": {alpha: [RetrievalOutcome, ...]}, "per_scale": {alpha:
     aggregate dict}} where the aggregate averages the valid range and the
-    unperturbed extent over the successful runs.  Worker-pool size comes
-    from ``workers`` or the MAVIK_THREADS environment variable (default
-    serial); aggregation order is fixed regardless of pool size.
+    unperturbed extent over the successful runs.  The trials run one after
+    another, alpha by alpha and run by run; ``workers`` may only be None or
+    1, and any other value raises ContractViolation.
     """
     if runs < 1:
         raise ContractViolation("runs must be at least 1")
-    if workers is None:
-        workers = max(1, int(os.environ.get("MAVIK_THREADS", "1")))
-    jobs = [
-        (which, noise, float(alpha), base_seed + r, mode_kind, z, tuple(target), n_points)
-        for alpha in scales
-        for r in range(runs)
-    ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_single_trial, jobs))
-    else:
-        results = [_single_trial(job) for job in jobs]
-
-    per_scale = {}
-    per_run = {}
-    for i, alpha in enumerate(scales):
-        chunk = results[i * runs : (i + 1) * runs]
-        per_run[float(alpha)] = chunk
+    if workers not in (None, 1):
+        raise ContractViolation("retrieval trials run serially; workers must be 1")
+    per_scale, per_run = {}, {}
+    for alpha in map(float, scales):
+        chunk = per_run[alpha] = [
+            _single_trial(which, noise, alpha, base_seed + r, mode_kind, z, target, n_points)
+            for r in range(runs)
+        ]
         ok = [c for c in chunk if c.success]
-        per_scale[float(alpha)] = {
+        bounds = zip(*(c.valid_eps_range for c in ok))  # the lower ends, then the upper
+        per_scale[alpha] = {
             "successes": len(ok),
-            "runs": len(chunk),
-            "success_rate": len(ok) / len(chunk),
-            "valid_eps_range": (
-                (
-                    float(np.mean([c.valid_eps_range[0] for c in ok])),
-                    float(np.mean([c.valid_eps_range[1] for c in ok])),
-                )
-                if ok
-                else None
-            ),
+            "runs": runs,
+            "success_rate": len(ok) / runs,
+            "valid_eps_range": tuple(float(np.mean(side)) for side in bounds) or None,
             "extent_at_unperturbed": (
                 float(np.mean([c.extent_at_unperturbed for c in ok])) if ok else None
             ),

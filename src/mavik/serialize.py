@@ -114,7 +114,7 @@ def basis_from_json(obj, X):
     g_polys = [pick(rec) for rec in obj["g"]]
     if not any(p.degree == 0 for p in f_polys):
         raise ContractViolation("basis has no degree-0 F polynomial")
-    g_ext = [rec.get("extent", float(np.linalg.norm(p.eval))) for rec, p in zip(obj["g"], g_polys)]
+    g_ext = [rec.get("extent") for rec in obj["g"]]
     for e in g_ext:
         if type(e) not in (int, float) or not 0 <= e <= sys.float_info.max:
             raise ContractViolation(f"basis G extent {e!r} is not a finite nonnegative number")

@@ -57,6 +57,19 @@ class TestFitCommand:
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
         assert (out1 / "basis.json").read_bytes() == (out2 / "basis.json").read_bytes()
 
+    @pytest.mark.parametrize("flags, key, value", [
+        (["--z", "3"], "z", 3.0),
+        (["--m-const", "2.5"], "m_constant", 2.5),
+        (["--dmax", "1"], "d_max", 1),
+        (["--dmin", "1"], "d_min", 1),
+        (["--no-dedup2"], "dedup_degree2", False),
+    ])
+    def test_fit_flags_reach_the_config_echo(self, circle4_csv, tmp_path, flags, key, value):
+        out = tmp_path / "out"
+        assert main(["fit", "--points", str(circle4_csv), "--eps", "1e-8", *flags,
+                     "--out", str(out)]) == 0
+        assert read_json(out / "report.json")["config"][key] == value
+
     @pytest.mark.parametrize("eps", ["nan", "inf"])
     def test_nonfinite_eps_exits_2(self, circle4_csv, tmp_path, eps):
         out = tmp_path / "out"
@@ -128,6 +141,14 @@ class TestEvaluateAndReduce:
         assert code == 0
         report = read_json(red / "reduction.json")
         assert report["kept_count"] == 2 and report["removed_count"] == 2
+
+    def test_reduce_threshold_reaches_the_echo(self, circle4_csv, tmp_path):
+        out = tmp_path / "out"
+        main(["fit", "--points", str(circle4_csv), "--eps", "1e-8", "--out", str(out)])
+        red = tmp_path / "red"
+        assert main(["reduce", "--points", str(circle4_csv), "--basis", str(out / "basis.json"),
+                     "--threshold", "0.25", "--out", str(red)]) == 0
+        assert read_json(red / "reduction.json")["threshold"] == 0.25
 
     def test_reduce_writes_stored_extents_and_is_deterministic(self, tmp_path, monkeypatch):
         # the reduced file carries the input file's extents (not norms of
@@ -273,10 +294,11 @@ def _set_extent(value):
 @pytest.mark.parametrize("command", ["evaluate", "reduce"])
 @pytest.mark.parametrize("tamper", [
     _set_extent("abc"), _set_extent(None), _set_extent(True), _set_extent(-1.0),
-    _set_extent(float("nan")), lambda obj: obj.update(n=str(obj["n"])),
+    _set_extent(float("nan")), lambda obj: obj["g"][0].pop("extent"),
+    lambda obj: obj.update(n=str(obj["n"])),
     lambda obj: obj.update(n=float(obj["n"])), lambda obj: obj["f"][0].update(degree=False),
 ], ids=["extent-str", "extent-null", "extent-bool", "extent-negative", "extent-nan",
-        "n-str", "n-float", "degree-bool"])
+        "extent-missing", "n-str", "n-float", "degree-bool"])
 def test_mistyped_basis_fields_exit_2(command, tamper, circle4_csv, tmp_path, capsys):
     fitted = tmp_path / "fitted"
     main(["fit", "--points", str(circle4_csv), "--eps", "1e-8", "--out", str(fitted)])
@@ -399,17 +421,3 @@ class TestRetrieval:
         assert code == 2
         assert "nu must be finite and nonnegative" in capsys.readouterr().err
         assert not (out / "retrieval.json").exists()
-
-    def test_worker_pool_matches_serial(self, monkeypatch):
-        from mavik.retrieval import run_retrieval
-
-        kwargs = dict(which="V1", noise=0.05, scales=[1.0], runs=2,
-                      mode_kind="grad", target=[0, 0, 0, 0, 0, 0, 1], base_seed=0)
-        serial = run_retrieval(**kwargs, workers=1)
-        pooled = run_retrieval(**kwargs, workers=2)
-        assert serial["runs"] == pooled["runs"]
-        assert serial["per_scale"][1.0] == pooled["per_scale"][1.0]
-        # pool size may also come from the environment
-        monkeypatch.setenv("MAVIK_THREADS", "2")
-        env_pooled = run_retrieval(**kwargs)
-        assert env_pooled["runs"] == serial["runs"]

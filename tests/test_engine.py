@@ -53,6 +53,16 @@ class TestFitSmall:
         )
         assert report.g_total == 5
 
+    @pytest.mark.parametrize("mode", [
+        NormalizationMode.vca_baseline(), NormalizationMode.coefficient(), GRAD,
+    ], ids=["vca", "coeff", "grad"])
+    def test_eps_zero_on_the_line_ends_where_f_spans_the_points(self, mode):
+        # at degree |X| the F strata span R^|X|, so the one candidate is
+        # rounding residue and vanishes even at epsilon 0
+        _, report = fit(sample_generic(30, 1, 0), EngineConfig(epsilon=0.0, mode=mode))
+        assert sum(report.f_counts) == 30
+        assert report.g_counts[30] == 1
+
     def test_generic_3d_profile(self):
         X = generic_points(50, 3, seed=0)
         _, report = fit(X, EngineConfig(epsilon=1e-6, mode=GRAD))

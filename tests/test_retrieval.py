@@ -141,6 +141,11 @@ def test_outcome_invariant_success_iff_range():
         assert outcome.trials == grid_epsilons(1.0).shape[0]
 
 
+def test_trials_run_serially():
+    with pytest.raises(ContractViolation, match="workers must be 1"):
+        run_retrieval("V1", 0.05, [1.0], 1, "grad", [0, 0, 0, 0, 0, 0, 1], workers=2)
+
+
 def test_mode_from_kind_rejects_unknown():
     # only the --mode choices are mode names
     for kind in ("fancy", "vca-baseline", "coefficient", "gradient"):
