@@ -301,9 +301,12 @@ def flatten(roots):
     root.  A ``lincomb`` record lists its column's lead first, with weight
     1.0, then the children whose weight is not exactly zero, in order.  The
     records are the node list of a basis file, which :func:`replay` reads.
+    A ``PLin`` node's child is visited once, by the first column that weights
+    it; the node's other columns reuse its record index.
     """
     records = []
     ids = {}
+    child_ids = {}  # id of a PLin node -> {row: record id} of its visited children
 
     def visit(prov):
         node, j = prov
@@ -317,12 +320,14 @@ def flatten(roots):
         elif isinstance(node, PProd):
             rec = {"kind": "product", "left": visit(node.left[j]), "right": visit(node.right[j])}
         elif isinstance(node, PLin):
-            kids, weights = ([visit(node.lead[j])], [1.0]) if node.lead else ([], [])
-            for child, w in zip(node.children, node.weights[:, j].tolist()):
-                if w != 0.0:
-                    kids.append(visit(child))
-                    weights.append(w)
-            rec = {"kind": "lincomb", "children": kids, "weights": weights}
+            lead = [visit(node.lead[j])] if node.lead else []
+            column = node.weights[:, j]
+            rows = np.flatnonzero(column).tolist()
+            kids = child_ids.setdefault(id(node), {})
+            for i in sorted(set(rows).difference(kids)):  # children no column visited yet
+                kids[i] = visit(node.children[i])
+            rec = {"kind": "lincomb", "children": [*lead, *map(kids.__getitem__, rows)],
+                   "weights": [1.0] * len(lead) + column[rows].tolist()}
         else:
             raise ContractViolation(f"unknown provenance node {type(node)!r}")
         ids[key] = len(records)

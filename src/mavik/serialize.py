@@ -10,16 +10,19 @@ earlier node, is rejected with its index) and then makes one kernel call
 per group of sibling nodes, about three per fitted degree (products,
 projections, combinations) instead of one per node.  ``n`` and every root
 ``degree`` must be ints and every G ``extent`` a finite nonnegative number.
-Loading and re-saving a basis writes the same node list.  Fit reports are
-written without timings so that reruns with identical inputs produce
-byte-identical files; wall-clock numbers go to a sidecar.
+Loading and re-saving a basis writes the same node list.  Every file is the
+stdlib's ``indent=1, sort_keys=True`` JSON text, written by :func:`dump_json`
+with the C encoder for lists of numbers.  Fit reports are written without
+timings, so reruns with identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -49,9 +52,47 @@ def points_digest(X):
 
 
 def dump_json(obj, path):
+    """Write ``obj`` to ``path`` as ``json.dumps(obj, indent=1, sort_keys=True)``
+    and a newline, byte for byte, streamed; a list of exact ints and floats (an
+    evaluation row, a node's weights) is one piece from the stdlib's C encoder,
+    which gives the same text.  What the stdlib cannot write raises ``TypeError``."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
+        fh.writelines(_pieces(obj, ""))
         fh.write("\n")
+
+
+@functools.lru_cache(maxsize=None)
+def _numbers(pad):
+    return json.JSONEncoder(separators=(",\n" + pad, ": ")).encode
+
+
+def _atom(o, pad):
+    """The stdlib's text of a scalar, an empty container or a list of numbers."""
+    if type(o) is str:
+        return encode_basestring_ascii(o)
+    if type(o) is int:
+        return int.__repr__(o)
+    if isinstance(o, (list, tuple)) and o:
+        return "[\n" + pad + " " + _numbers(pad + " ")(o)[1:-1] + "\n" + pad + "]"
+    return _numbers("")((o,))[1:-1]
+
+
+def _pieces(o, pad):
+    """The text of ``o`` indented by ``pad``, walking dicts and lists of non-numbers."""
+    inner = pad + " "
+    if isinstance(o, dict) and o:
+        items = [(_numbers("")({k: 0})[1:-2] if type(k) is not str  # as the stdlib writes keys
+                  else encode_basestring_ascii(k) + ": ", v) for k, v in sorted(o.items())]
+    elif isinstance(o, (list, tuple)) and o and not set(map(type, o)) <= {int, float}:
+        items = [("", v) for v in o]
+    else:
+        yield _atom(o, pad)
+        return
+    brackets = "{}" if isinstance(o, dict) else "[]"
+    for n, (head, value) in enumerate(items):
+        yield ("," if n else brackets[0]) + "\n" + inner + head
+        yield from _pieces(value, inner)
+    yield "\n" + pad + brackets[1]
 
 
 def basis_to_json(basis, points=None, meta=None, expansions=None):

@@ -282,6 +282,81 @@ class TestProvenance:
         assert all(type(w) is float for w in records[ids[-1]]["weights"])
 
 
+def flatten_per_edge(roots):
+    """The per-edge walk that :func:`flatten` replaced: one visit per nonzero weight."""
+    records = []
+    ids = {}
+
+    def visit(prov):
+        node, j = prov
+        key = (id(node), j)
+        if key in ids:
+            return ids[key]
+        if isinstance(node, core.PConst):
+            rec = {"kind": "const", "value": node.value}
+        elif isinstance(node, core.PVar):
+            rec = {"kind": "var", "index": node.index}
+        elif isinstance(node, core.PProd):
+            rec = {"kind": "product", "left": visit(node.left[j]), "right": visit(node.right[j])}
+        else:
+            kids, weights = ([visit(node.lead[j])], [1.0]) if node.lead else ([], [])
+            for child, w in zip(node.children, node.weights[:, j].tolist()):
+                if w != 0.0:
+                    kids.append(visit(child))
+                    weights.append(w)
+            rec = {"kind": "lincomb", "children": kids, "weights": weights}
+        ids[key] = len(records)
+        records.append(rec)
+        return ids[key]
+
+    root_ids = [visit(r) for r in roots]
+    return records, root_ids
+
+
+class TestFlatten:
+    """:func:`flatten` gives the records and order of the per-edge walk."""
+
+    @staticmethod
+    def assert_same_as_per_edge(roots):
+        got = flatten(roots)
+        # repr also tells 1 from 1.0 and -0.0 from 0.0
+        assert got == flatten_per_edge(roots) and repr(got) == repr(flatten_per_edge(roots))
+
+    @pytest.mark.parametrize(
+        "mode",
+        [NormalizationMode.vca_baseline(), NormalizationMode.coefficient(),
+         NormalizationMode.gradient()],
+        ids=["vca", "coeff", "grad"],
+    )
+    def test_fitted_bases(self, mode):
+        for count, dim in ((30, 2), (40, 3)):
+            basis, _ = fit(sample_generic(count, dim, 5), EngineConfig(epsilon=1e-6, mode=mode))
+            polys = basis.f_polys() + basis.g_polys()
+            self.assert_same_as_per_edge([p.prov for p in polys])
+            self.assert_same_as_per_edge([p.prov for p in reversed(polys)])
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_a_child_first_weighted_by_a_later_column(self, zero):
+        # column 0 skips H[1]; column 1 is the first to weight it, so H[1]'s
+        # subtree, not visited before, is listed after column 0's record
+        X = generic_points(6, 2, seed=31)
+        rng = rng_for(32)
+        H = [random_poly(X, d, rng) for d in (1, 3, 2)]
+        W = rng.normal(size=(3, 2))
+        W[1, 0] = zero
+        out = linear_combine(H, W)
+        roots = [out[0].prov, out[1].prov, out[0].prov]
+        self.assert_same_as_per_edge(roots)
+        records, ids = flatten(roots)
+        first, second = records[ids[0]], records[ids[1]]
+        assert len(first["children"]) == 2 and len(second["children"]) == 3
+        h1 = second["children"][1]
+        assert ids[0] < h1 < ids[1] and ids[2] == ids[0]
+        assert second["children"][::2] == first["children"]
+        lead = [random_poly(X, 2, rng) for _ in range(2)]
+        self.assert_same_as_per_edge([p.prov for p in linear_combine(H, W, lead=lead)][::-1])
+
+
 class TestBlocks:
     """A call's outputs are read-only rows of one evaluation and one gradient block."""
 
