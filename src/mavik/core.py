@@ -15,7 +15,10 @@ evaluations and one over their stacked gradients, and :func:`multiply`
 forms every product of a list of factor pairs by one broadcast.  A call's
 outputs are the rows of those blocks, and its provenance is one node: a
 ``PLin`` holds the call's weight matrix, a ``PProd`` its two factor lists,
-and each output's ``prov`` is the pair ``(node, column)``.
+and each output's ``prov`` is the pair ``(node, column)``.  The outputs are
+views of the blocks, checked and made read-only once per call, and come
+back as :class:`Rows`, a list that carries the blocks: the next kernel
+and the fit's Grams read them instead of stacking the rows again.
 
 In memory, :func:`walk` runs every node under some roots once, children
 first, and its callbacks make all the columns of a node at once, so
@@ -42,10 +45,12 @@ __all__ = [
     "PProd",
     "PLin",
     "Poly",
+    "Rows",
     "Basis",
     "constant_poly",
     "variable_poly",
     "variables",
+    "rows_of",
     "linear_combine",
     "multiply",
     "walk",
@@ -145,7 +150,9 @@ class Poly:
     ``eval`` is h(X), ``grad`` is the |X| x n matrix of per-point gradients,
     ``degree`` is the construction degree and ``prov`` the ``(node, column)``
     pair of the construction tree.  Instances are immutable; ``eval`` and
-    ``grad`` are read-only and, for a kernel output, rows of the call's blocks.
+    ``grad`` are read-only.  The constructor checks their shapes; a kernel
+    output is made by :meth:`_rows` instead, as views of one row of the
+    call's blocks, which are checked once for all rows.
     """
 
     __slots__ = ("degree", "eval", "grad", "prov", "points")
@@ -163,8 +170,61 @@ class Poly:
         self.prov = prov
         self.points = points
 
+    @classmethod
+    def _rows(cls, degrees, ev, gr, node, points):
+        """The rows of the blocks ``ev`` (r, m) and ``gr`` (r, m, n) as :class:`Rows`;
+        row j has degree ``degrees[j]`` and provenance ``(node, j)``."""
+        r, m = len(degrees), len(points)
+        if ev.shape != (r, m) or gr.shape != (r, m, points.n):
+            raise ContractViolation("eval/grad blocks do not match the point set")
+        ev.setflags(write=False)
+        gr.setflags(write=False)
+        rows = Rows()
+        for j, d in enumerate(degrees):
+            p = cls.__new__(cls)
+            p.degree, p.eval, p.grad, p.prov, p.points = d, ev[j], gr[j], (node, j), points
+            rows.append(p)
+        rows.evals, rows.grads = ev, gr
+        return rows
+
     def __repr__(self):
         return f"Poly(degree={self.degree}, |X|={len(self.eval)})"
+
+
+class Rows(list):
+    """Polynomials with their stacked evaluations and gradients.
+
+    ``evals`` is the read-only, C-contiguous (r, m) block whose row j is
+    ``self[j].eval``, and ``grads`` the (r, m, n) block of the ``grad``
+    matrices: the values and layout stacking the rows gives, so BLAS
+    returns the same bits.  A ``Rows`` is never changed after it is made;
+    slices, copies and filtered lists are plain lists.  Nothing but the
+    list refers to its blocks (no provenance node does), so a kernel's
+    blocks do not outlive its rows.
+    """
+
+    __slots__ = ("evals", "grads")
+
+
+def _evals(polys):
+    """The (k, m) evaluation block of ``polys``: a :class:`Rows`'s own, or stacked."""
+    return polys.evals if isinstance(polys, Rows) else np.array([p.eval for p in polys])
+
+
+def _grads(polys):
+    """The (k, m, n) gradient block of ``polys``: a :class:`Rows`'s own, or stacked."""
+    return polys.grads if isinstance(polys, Rows) else np.array([p.grad for p in polys])
+
+
+def rows_of(polys):
+    """``polys`` as :class:`Rows`: itself if it is one, else its members stacked."""
+    if isinstance(polys, Rows):
+        return polys
+    rows = Rows(polys)
+    rows.evals, rows.grads = _evals(polys), _grads(polys)
+    rows.evals.setflags(write=False)
+    rows.grads.setflags(write=False)
+    return rows
 
 
 def constant_poly(value, pointset):
@@ -213,6 +273,8 @@ def linear_combine(polys, weights, lead=()):
     added to the columns with weight 1 after the product.  The call records
     one ``PLin`` node for all columns.  A column's degree is the largest of
     its lead's and its nonzero-weight children's (0 if there are none).
+    Returns :class:`Rows`; a ``Rows`` passed as ``polys`` or ``lead`` gives
+    its blocks, any other list is stacked.
     """
     W = np.array(weights, dtype=float)
     if len(polys) < 1 or W.ndim != 2 or W.shape[0] != len(polys):
@@ -224,16 +286,18 @@ def linear_combine(polys, weights, lead=()):
     pointset = _same_points([*polys, *lead])
     m, n = len(pointset), pointset.n
 
-    ev = W.T @ np.array([p.eval for p in polys])
-    gr = (W.T @ np.array([p.grad for p in polys]).reshape(len(polys), m * n)).reshape(-1, m, n)
+    # A list that is not a Rows is stacked for its own product only, so at
+    # most one stacked copy is alive at a time.
+    ev = W.T @ _evals(polys)
+    gr = (W.T @ _grads(polys).reshape(len(polys), m * n)).reshape(-1, m, n)
     degrees = np.where(W != 0.0, np.array([p.degree for p in polys])[:, None], 0).max(axis=0)
     if lead:
-        ev = np.array([p.eval for p in lead]) + ev
-        gr = np.array([p.grad for p in lead]) + gr
+        ev = _evals(lead) + ev
+        gr = _grads(lead) + gr
         degrees = np.maximum(degrees, [p.degree for p in lead])
     W.setflags(write=False)
     node = PLin([p.prov for p in polys], W, [p.prov for p in lead])
-    return [Poly(d, ev[j], gr[j], (node, j), pointset) for j, d in enumerate(degrees.tolist())]
+    return Poly._rows(degrees.tolist(), ev, gr, node, pointset)
 
 
 def multiply(ps, qs):
@@ -243,7 +307,7 @@ def multiply(ps, qs):
     pairwise products ``ps[i] * qs[i]``, the rows of one evaluation and one
     gradient block.  Product-rule gradients, q(x) * grad p(x) + p(x) *
     grad q(x), are formed for all pairs at once by broadcasting.  The call
-    records one ``PProd`` node for all pairs.
+    records one ``PProd`` node for all pairs and returns :class:`Rows`.
     """
     if len(ps) != len(qs):
         raise ContractViolation("need as many left factors as right factors")
@@ -252,13 +316,11 @@ def multiply(ps, qs):
     if any(a.degree != 1 for a in ps):
         raise ContractViolation("left factor must have degree 1")
     pointset = _same_points(ps + qs)
-    p_ev = np.stack([a.eval for a in ps])
-    q_ev = np.stack([b.eval for b in qs])
+    p_ev, q_ev = _evals(ps), _evals(qs)
     ev = p_ev * q_ev
-    gr = (q_ev[:, :, None] * np.stack([a.grad for a in ps])
-          + p_ev[:, :, None] * np.stack([b.grad for b in qs]))
+    gr = q_ev[:, :, None] * _grads(ps) + p_ev[:, :, None] * _grads(qs)
     node = PProd([a.prov for a in ps], [b.prov for b in qs])
-    return [Poly(1 + b.degree, ev[i], gr[i], (node, i), pointset) for i, b in enumerate(qs)]
+    return Poly._rows([1 + b.degree for b in qs], ev, gr, node, pointset)
 
 
 def walk(roots, const, var, product, combine):

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .coefficients import DEFAULT_TERM_CAP, coeff_gram
-from .core import Basis, constant_poly, linear_combine, multiply, replay_many, variables
+from .core import Basis, constant_poly, linear_combine, multiply, replay_many, rows_of, variables
 from .errors import ContractViolation, InternalInvariantViolation
 from .linalg import gen_eig_sym, numerical_rank, orthogonal_project
 
@@ -164,7 +164,7 @@ def normalization_gram(cands, mode, term_cap=DEFAULT_TERM_CAP):
         return np.eye(k)
     if mode.kind == "coefficient":
         return coeff_gram(cands, term_cap=term_cap)
-    stack = np.stack([c.grad for c in cands])  # (k, |X|, n)
+    stack = rows_of(cands).grads  # (k, |X|, n)
     gram = np.einsum("ixk,jxk->ij", stack, stack) / (mode.z**2)
     return 0.5 * (gram + gram.T)
 
@@ -243,7 +243,8 @@ def _verify_size_bounds(f_counts, t, n, m):
 
 def _verify_gradient_norms(polys, z):
     for p in polys:
-        norm = float(np.linalg.norm(p.grad))
+        g = p.grad.ravel()
+        norm = math.sqrt(g.dot(g))
         if not 0.5 * z <= norm <= 2.0 * z:
             raise InternalInvariantViolation(
                 f"retained polynomial has gradient norm {norm:0.3e}, "
@@ -273,24 +274,27 @@ def _degree_step(X, config, F, t):
     One ``multiply`` builds all candidate products, one
     ``orthogonal_project`` removes the earlier strata from them, two Grams
     and a generalized eigensolve pick the combinations, and one
-    ``linear_combine`` with the eigenvector matrix builds them.  Nothing
-    here reads epsilon.
+    ``linear_combine`` with the eigenvector matrix builds them.  Each
+    kernel's blocks (:class:`~mavik.core.Rows`) feed the next one and the
+    Grams; only the flattened F strata are stacked.  Nothing here reads
+    epsilon.
     """
     if t == 1:
-        cands_pre = variables(X)
+        cands_pre = rows_of(variables(X))
     else:
         cands_pre = _candidate_products(
             F[1], F[t - 1], dedup_pairs=(t == 2 and config.dedup_degree2)
         )
     # Every entry of the evaluation Gram is bounded by the square of this norm.
     with np.errstate(over="ignore"):
-        scale = float(np.linalg.norm([c.eval for c in cands_pre]))
+        scale = float(np.linalg.norm(cands_pre.evals))
     if not math.isfinite(scale * scale):
         raise ContractViolation(f"degree-{t} evaluations overflow float64; rescale the points")
     f_flat = [f for stratum in F for f in stratum]
-    cands = orthogonal_project(cands_pre, f_flat)
+    cands = rows_of(orthogonal_project(cands_pre, f_flat))
 
-    E = np.column_stack([c.eval for c in cands])
+    # The (|X|, k) C-contiguous layout makes E^T E one syrk.
+    E = np.ascontiguousarray(cands.evals.T)
     A = E.T @ E
     A = 0.5 * (A + A.T)
     N = normalization_gram(cands, config.mode, term_cap=config.term_cap)
@@ -302,7 +306,7 @@ def _degree_step(X, config, F, t):
 
     # Extents taken directly from the assembled evaluation vectors: the
     # Gram eigenvalues can only resolve extents down to sqrt(eps)*scale.
-    norms = np.array([float(np.linalg.norm(p.eval)) for p in new_polys])
+    norms = np.array([math.sqrt(v.dot(v)) for v in new_polys.evals])
     zero_floor = math.inf if len(f_flat) == len(X) else ZERO_EXTENT_REL * scale
     return _Step(new_polys, norms, res.values, zero_floor)
 

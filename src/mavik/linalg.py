@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import linear_combine
+from .core import linear_combine, rows_of
 from .errors import ContractViolation, InternalInvariantViolation
 
 __all__ = ["GenEigResult", "gen_eig_sym", "orthogonal_project", "numerical_rank"]
@@ -69,6 +69,11 @@ def gen_eig_sym(A, N):
     <= RANK_TOL * max eigenvalue are discarded, the remainder is whitened and
     an ordinary symmetric eigendecomposition finishes the job.  Returned
     vectors satisfy V^T N V = I and V^T A V = diag(values).
+
+    An N exactly equal to the identity (plain VCA) has eigenvectors I and
+    eigenvalues 1, so whitening would change nothing: its eigendecomposition
+    and the whitening products are skipped, with the same bits in the
+    result.  The N-orthonormality check runs either way.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     N = np.atleast_2d(np.asarray(N, dtype=float))
@@ -78,28 +83,34 @@ def gen_eig_sym(A, N):
     A = _check_symmetric(A, "A")
     N = _check_symmetric(N, "N")
 
-    s, Q = np.linalg.eigh(N)
-    smax = float(s[-1]) if s.size else 0.0
-    if smax <= 0.0:
-        # Nothing survives normalization; the caller treats this stratum as
-        # contributing no polynomials.
-        return GenEigResult(np.zeros((d, 0)), np.zeros(0), 0)
-    keep = s > RANK_TOL * smax
-    r = int(np.count_nonzero(keep))
-    if r == 0:
-        return GenEigResult(np.zeros((d, 0)), np.zeros(0), 0)
+    if d and np.array_equal(N, np.eye(d)):
+        W, M, r, smax, s_min = None, A, d, 1.0, 1.0
+    else:
+        s, Q = np.linalg.eigh(N)
+        smax = float(s[-1]) if s.size else 0.0
+        if smax <= 0.0:
+            # Nothing survives normalization; the caller treats this stratum
+            # as contributing no polynomials.
+            return GenEigResult(np.zeros((d, 0)), np.zeros(0), 0)
+        keep = s > RANK_TOL * smax
+        r = int(np.count_nonzero(keep))
+        if r == 0:
+            return GenEigResult(np.zeros((d, 0)), np.zeros(0), 0)
 
-    s_min = float(s[keep].min())
-    W = Q[:, keep] / np.sqrt(s[keep])
-    M = W.T @ A @ W
-    M = 0.5 * (M + M.T)
+        s_min = float(s[keep].min())
+        W = Q[:, keep] / np.sqrt(s[keep])
+        M = W.T @ A @ W
+        M = 0.5 * (M + M.T)
     lam, U = np.linalg.eigh(M)
 
     # Rounding in forming M is bounded by eps * ||A|| / s_min, which can
     # exceed the plain 1e-10 window when retained directions sit close to
     # the rank cutoff; only eigenvalues below both signal a broken Gram.
+    # ||A|| is taken as amax * ||A / amax||, which does not overflow while
+    # A is finite.
     lam_max = float(lam[-1]) if lam.size else 0.0
-    norm_a = float(np.linalg.norm(A))
+    amax = float(np.max(np.abs(A)))
+    norm_a = amax * float(np.linalg.norm(A / amax)) if amax > 0.0 else 0.0
     window = max(NEGATIVE_EIG_TOL * max(1.0, lam_max), 1e-12 * norm_a / s_min)
     if np.any(lam < -window):
         raise InternalInvariantViolation(
@@ -110,7 +121,10 @@ def gen_eig_sym(A, N):
 
     order = np.argsort(-lam, kind="stable")
     lam = lam[order]
-    V = W @ U[:, order]
+    # W @ U with W = I gives U in C order with -0.0 turned to +0.0, and so
+    # does adding 0.0 in C order: the checks below and the caller's
+    # products see the same bits in the same layout.
+    V = np.add(U[:, order], 0.0, order="C") if W is None else W @ U[:, order]
 
     # Verification of V^T N V = I is itself limited to eps * smax / s_min,
     # so the tolerance widens with the retained condition number.  The
@@ -139,17 +153,20 @@ def orthogonal_project(cands, f_prev):
     ``-(E^T C) / diag``, and the projected candidates one
     :func:`linear_combine` of ``f_prev`` with the candidates as lead terms,
     so each result is ``c - sum_j w_j f_j`` with provenance ``[c] + f_prev``.
-    Gradients and provenance follow the same linear combination.
+    Gradients and provenance follow the same linear combination.  A list
+    that is not a kernel's :class:`~mavik.core.Rows` is stacked once.
     """
     if not f_prev or not cands:
         return list(cands)
-    E = np.column_stack([f.eval for f in f_prev])
+    f_prev, cands = rows_of(f_prev), rows_of(cands)
+    # (|X|, k) in C order, the layout the products below were rounded in.
+    E = np.ascontiguousarray(f_prev.evals.T)
     diag = np.sum(E * E, axis=0)
     if np.any(diag == 0.0):
         raise InternalInvariantViolation(
             "projection basis contains a zero evaluation vector"
         )
-    C = np.column_stack([c.eval for c in cands])
+    C = np.ascontiguousarray(cands.evals.T)
     W = -(E.T @ C) / diag[:, None]
     return linear_combine(f_prev, W, lead=cands)
 

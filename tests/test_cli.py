@@ -108,10 +108,12 @@ class TestFitCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "mode, alpha, degree",
         [("vca", 1e80, 2), ("grad", 1e80, 2), ("vca", 1e154, 1), ("coeff", 1e154, 1),
-         ("grad", 1e154, 1), ("vca", 1e200, 1), ("coeff", 1e200, 1), ("grad", 1e200, 1)],
+         ("grad", 1e154, 1), ("vca", 1e200, 1), ("coeff", 1e200, 1), ("grad", 1e200, 1),
+         ("vca", 1e60, 3), ("grad", 1e100, 2)],
     )
     def test_overflowing_scale_exits_2(self, tmp_path, capsys, mode, alpha, degree):
         pts = tmp_path / "g.csv"

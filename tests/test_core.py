@@ -22,6 +22,7 @@ from mavik.core import (
 from mavik.datasets import sample_generic
 from mavik.engine import EngineConfig, NormalizationMode, fit
 from mavik.errors import ContractViolation
+from mavik.linalg import orthogonal_project
 
 
 class TestPointSet:
@@ -372,6 +373,64 @@ class TestBlocks:
                 assert a.base is not None and a.base is b.base
                 with pytest.raises(ValueError):
                     a[0] = 1.0
+
+    @staticmethod
+    def kernel_inputs():
+        """Kernel outputs to pass on: mixed degrees, degree-1 factors, products."""
+        X = generic_points(9, 3, seed=31)
+        rng = rng_for(32)
+        base = [random_poly(X, d, rng) for d in (0, 1, 2, 3)]
+        H = linear_combine(base, rng.normal(size=(4, 5)))
+        P = linear_combine(variables(X) + [constant_poly(1.0, X)], rng.normal(size=(4, 5)))
+        Q = multiply(P, H)
+        return X, H, P, Q, rng.normal(size=(5, 5))
+
+    CALLS = {
+        "linear_combine": lambda H, P, Q, W: linear_combine(H, W),
+        "linear_combine-lead": lambda H, P, Q, W: linear_combine(H, W, lead=Q),
+        "multiply": lambda H, P, Q, W: multiply(P, H),
+        "orthogonal_project": lambda H, P, Q, W: orthogonal_project(Q, H),
+    }
+
+    @pytest.mark.parametrize("kernel", CALLS)
+    def test_own_output_list_reads_as_a_plain_copy(self, kernel):
+        X, H, P, Q, W = self.kernel_inputs()
+        assert all(isinstance(rows, core.Rows) for rows in (H, P, Q))
+        carried = self.CALLS[kernel](H, P, Q, W)
+        stacked = self.CALLS[kernel](list(H), list(P), list(Q), W)
+        assert isinstance(carried, core.Rows) and isinstance(stacked, core.Rows)
+        for out in (carried, stacked):
+            np.testing.assert_array_equal(out.evals, np.array([p.eval for p in out]))
+            np.testing.assert_array_equal(out.grads, np.array([p.grad for p in out]))
+        for a, b in ((carried.evals, stacked.evals), (carried.grads, stacked.grads)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert [p.degree for p in carried] == [p.degree for p in stacked]
+        records, ids = flatten([p.prov for p in carried] + [p.prov for p in stacked])
+        half = len(carried)
+        assert [records[i] for i in ids[:half]] == [records[i] for i in ids[half:]]
+
+    @pytest.mark.parametrize("kernel", CALLS)
+    def test_output_rows_are_read_only_and_shaped(self, kernel):
+        X, H, P, Q, W = self.kernel_inputs()
+        m, n = len(X), X.n
+        out = self.CALLS[kernel](H, P, Q, W)
+        for p in out:
+            assert p.eval.shape == (m,) and p.grad.shape == (m, n)
+            with pytest.raises(ValueError):
+                p.eval[0] = 1.0
+            with pytest.raises(ValueError):
+                p.grad[0, 0] = 1.0
+        for block in (out.evals, out.grads):
+            with pytest.raises(ValueError):
+                block.flat[0] = 1.0
+
+    def test_public_constructor_checks_shapes(self):
+        X = generic_points(4, 2, seed=33)
+        core.Poly(1, np.zeros(4), np.zeros((4, 2)), None, X)
+        for ev, gr in ((np.zeros(3), np.zeros((4, 2))), (np.zeros((4, 1)), np.zeros((4, 2))),
+                       (np.zeros(4), np.zeros((4, 3))), (np.zeros(4), np.zeros(8))):
+            with pytest.raises(ContractViolation):
+                core.Poly(1, ev, gr, None, X)
 
 
 class TestReplay:

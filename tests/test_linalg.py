@@ -1,5 +1,7 @@
 """Matrix kernels: projection, generalized eigensolver, numerical rank."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,6 +9,7 @@ import scipy.linalg
 from conftest import generic_points, random_poly, rng_for
 from mavik.core import PointSet, constant_poly, flatten, linear_combine, variable_poly, variables
 from mavik.errors import ContractViolation, InternalInvariantViolation
+from mavik import linalg
 from mavik.linalg import gen_eig_sym, numerical_rank, orthogonal_project
 
 
@@ -76,6 +79,84 @@ class TestGenEigSym:
             col = r1.vectors[:, j]
             lead = np.argmax(np.abs(col) > 1e-12 * np.abs(col).max())
             assert col[lead] > 0
+
+
+def gen_eig_whitened(A, N):
+    """Reference: ``gen_eig_sym`` through the whitening, whatever N is.
+
+    This is the solver as it was before the identity shortcut: N is always
+    eigendecomposed and A whitened by W = Q / sqrt(s).
+    """
+    A = linalg._check_symmetric(np.atleast_2d(np.asarray(A, dtype=float)), "A")
+    N = linalg._check_symmetric(np.atleast_2d(np.asarray(N, dtype=float)), "N")
+    d = A.shape[0]
+    s, Q = np.linalg.eigh(N)
+    smax = float(s[-1]) if s.size else 0.0
+    if smax <= 0.0:
+        return linalg.GenEigResult(np.zeros((d, 0)), np.zeros(0), 0)
+    keep = s > linalg.RANK_TOL * smax
+    r = int(np.count_nonzero(keep))
+    if r == 0:
+        return linalg.GenEigResult(np.zeros((d, 0)), np.zeros(0), 0)
+    s_min = float(s[keep].min())
+    W = Q[:, keep] / np.sqrt(s[keep])
+    M = W.T @ A @ W
+    M = 0.5 * (M + M.T)
+    lam, U = np.linalg.eigh(M)
+    lam_max = float(lam[-1]) if lam.size else 0.0
+    window = max(linalg.NEGATIVE_EIG_TOL * max(1.0, lam_max),
+                 1e-12 * float(np.linalg.norm(A)) / s_min)
+    assert not np.any(lam < -window)
+    lam = np.where(lam < 0.0, 0.0, lam)
+    order = np.argsort(-lam, kind="stable")
+    lam = lam[order]
+    V = W @ U[:, order]
+    gram = V.T @ N @ V
+    diag = np.diag(gram).copy()
+    V = linalg._fix_column_signs(V / np.sqrt(diag))
+    return linalg.GenEigResult(V, lam / diag, r)
+
+
+class TestIdentityNormalization:
+    """An identity N skips the whitening and gives the whitened path's bits."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 20, 45, 135])
+    @pytest.mark.parametrize("case", ["psd", "rank-deficient", "zero"])
+    def test_bitwise_equal_to_the_whitened_path(self, d, case):
+        if case == "psd":
+            A = random_psd(d, 50 + d)
+        elif case == "rank-deficient":
+            A = random_psd(d, 60 + d, rank=max(1, d // 3))
+        else:
+            A = np.zeros((d, d))
+        got = gen_eig_sym(A, np.eye(d))
+        want = gen_eig_whitened(A, np.eye(d))
+        assert got.retained_rank == want.retained_rank == d
+        for a, b in ((got.vectors, want.vectors), (got.values, want.values)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert a.flags.c_contiguous == b.flags.c_contiguous
+
+    def test_skips_the_eigendecomposition_of_n(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(M):
+            calls.append(M.shape)
+            return eigh(M)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        gen_eig_sym(random_psd(5, 70), np.eye(5))
+        assert calls == [(5, 5)]
+        calls.clear()
+        gen_eig_sym(random_psd(5, 70), 2.0 * np.eye(5))
+        assert calls == [(5, 5), (5, 5)]
+
+    def test_overflowing_norm_of_a_raises_no_warning(self):
+        A = np.full((3, 3), 1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = gen_eig_sym(A, np.eye(3))
+        assert res.values[0] == pytest.approx(3e300)
 
 
 class TestOrthogonalProject:
