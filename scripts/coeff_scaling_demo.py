@@ -22,7 +22,7 @@ on the data.  Run:  python3 scripts/coeff_scaling_demo.py
 import numpy as np
 
 from mavik.core import PointSet
-from mavik.engine import NormalizationMode
+from mavik.engine import Fitter, NormalizationMode
 from mavik.retrieval import grid_epsilons, scan_g_profiles
 
 MAX_DEGREE = 2
@@ -39,7 +39,7 @@ def g_profiles(X, mode, epsilons):
     """Vanishing counts of degrees 0..MAX_DEGREE at each epsilon."""
     return [
         tuple(counts) + (0,) * (MAX_DEGREE + 1 - len(counts))
-        for counts in scan_g_profiles(X, mode, MAX_DEGREE, epsilons)
+        for counts in scan_g_profiles(Fitter(X), mode, MAX_DEGREE, epsilons)
     ]
 
 

@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 from mavik.datasets import center_and_unitbox, perturb, sample_variety
-from mavik.engine import EngineConfig, NormalizationMode, fit
+from mavik.engine import EngineConfig, Fitter, NormalizationMode, fit
 from mavik.retrieval import _matches_target, grid_epsilons, mode_from_kind, scan_g_profiles
 
 EXPECTED = {
@@ -52,7 +52,7 @@ def noisy_window_exists(which, target, nu=0.05):
     clean = center_and_unitbox(sample_variety(which, 100, seed=SEED))
     X = perturb(clean, nu, seed=SEED + 1)
     mode = mode_from_kind("grad", n_points=len(X))
-    profiles = scan_g_profiles(X, mode, len(target) - 1, grid_epsilons(1.0))
+    profiles = scan_g_profiles(Fitter(X), mode, len(target) - 1, grid_epsilons(1.0))
     return any(_matches_target(p, target) for p in profiles)
 
 

@@ -20,9 +20,9 @@ members.
 
 Each degree is one step that never reads epsilon (candidates, projection,
 Grams, eigensolve, combination), followed by the epsilon-dependent split,
-size guards and termination rules.  :class:`Fitter` keeps the steps, so
-fits of one point set at several epsilons share every degree up to the
-first one whose F/G split differs.
+size guards and termination rules.  :class:`Fitter` keeps every step it
+computes, so fits of one point set at several epsilons share every degree
+whose lower degrees they split alike.
 """
 
 from __future__ import annotations
@@ -241,15 +241,16 @@ def _verify_size_bounds(f_counts, t, n, m):
         )
 
 
-def _verify_gradient_norms(polys, z):
-    for p in polys:
-        g = p.grad.ravel()
-        norm = math.sqrt(g.dot(g))
-        if not 0.5 * z <= norm <= 2.0 * z:
-            raise InternalInvariantViolation(
-                f"retained polynomial has gradient norm {norm:0.3e}, "
-                f"expected {z:0.3e}; normalization is broken"
-            )
+def _verify_gradient_norms(grads, z):
+    # One norm per retained polynomial over its whole (|X|, n) gradient
+    # block; a NaN norm fails the test as well.
+    norms = np.sqrt(np.einsum("ixk,ixk->i", grads, grads))
+    bad = ~((0.5 * z <= norms) & (norms <= 2.0 * z))
+    if bad.any():
+        raise InternalInvariantViolation(
+            f"retained polynomial has gradient norm {norms[bad][0]:0.3e}, "
+            f"expected {z:0.3e}; normalization is broken"
+        )
 
 
 @dataclass(frozen=True)
@@ -302,7 +303,7 @@ def _degree_step(X, config, F, t):
 
     new_polys = linear_combine(cands, res.vectors)
     if config.mode.kind == "gradient":
-        _verify_gradient_norms(new_polys, config.mode.z)
+        _verify_gradient_norms(new_polys.grads, config.mode.z)
 
     # Extents taken directly from the assembled evaluation vectors: the
     # Gram eigenvalues can only resolve extents down to sqrt(eps)*scale.
@@ -314,13 +315,14 @@ def _degree_step(X, config, F, t):
 class Fitter:
     """Fits of one point set that share their per-degree steps.
 
-    Degree t depends on epsilon only through the F/G split of the degrees
-    below it.  A fitter therefore keeps the steps of its last fit.  The
-    next fit whose configuration differs at most in epsilon reclassifies
-    the kept steps from degree 1 upward and recomputes only the steps above
-    the lowest degree whose F mask changed.  Any other configuration starts
-    afresh.  Every fit returns what a fresh :func:`fit` returns, bitwise:
-    the kept steps are the ones a fresh fit would compute.
+    Degree t depends on epsilon only through the F masks (which retained
+    combinations went to F) of the degrees below it.  A fitter keeps every
+    step it computes in a tree keyed by mask history, a node being ``(step,
+    {F mask of this degree: next node})``, so a fit computes a step only
+    where its path leaves the tree, and memory is bounded by the steps
+    already computed.  A configuration that differs in more than epsilon
+    starts a new tree.  Every fit returns what a fresh :func:`fit` returns,
+    bitwise: the kept steps are the ones a fresh fit would compute.
     """
 
     def __init__(self, X):
@@ -328,8 +330,6 @@ class Fitter:
             raise ContractViolation("point set is empty")
         self.X = X
         self._key = None  # the configuration of the kept steps, epsilon aside
-        self._steps = []  # _steps[t-1] builds degree t
-        self._masks = []  # _masks[t-1]: the F mask of degree t under which _steps[t] was built
 
     def _start(self, config):
         """Check an epsilon-free configuration and drop the kept steps."""
@@ -352,7 +352,7 @@ class Fitter:
         self._const = constant_poly(m_const, X)
         self._m_const, self._max_degree = m_const, max_degree
         self._key = config
-        self._steps, self._masks = [], []
+        self._tree = {}  # {(): the degree-1 node}
 
     def fit(self, config):
         """Run the basis construction at ``config``; returns (Basis, FitReport).
@@ -381,18 +381,14 @@ class Fitter:
         extent_arrays = []
         termination = None
         t = 0
+        children, mask = self._tree, ()
         while termination is None:
             t += 1
-            if t > len(self._steps):
-                self._steps.append(_degree_step(X, config, F, t))
-            step = self._steps[t - 1]
+            if mask not in children:
+                children[mask] = (_degree_step(X, config, F, t), {})
+            step, children = children[mask]
             keep = step.extents > max(eps, step.zero_floor)
-            mask = keep.tolist()
-            if self._masks[t - 1 : t] != [mask]:
-                # New or changed split: the kept steps above were built
-                # from other F strata.
-                del self._steps[t:], self._masks[t - 1 :]
-                self._masks.append(mask)
+            mask = tuple(keep.tolist())
             F.append([p for p, k in zip(step.polys, mask) if k])
             G.append([p for p, k in zip(step.polys, mask) if not k])
             extents.append(step.extents[~keep])

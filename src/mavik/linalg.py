@@ -13,6 +13,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +47,15 @@ class GenEigResult:
 
 
 def _check_symmetric(M, name):
-    scale = max(1.0, float(np.max(np.abs(M))) if M.size else 0.0)
-    if M.size and np.max(np.abs(M - M.T)) > SYMMETRY_TOL * scale:
+    # One pass gives the scale and the finiteness test: a NaN or an infinity
+    # makes the largest magnitude non-finite.
+    amax = float(np.abs(M).max()) if M.size else 0.0
+    if not math.isfinite(amax):
+        raise ContractViolation(f"{name} has a non-finite entry")
+    # An exactly symmetric M is its own symmetric part, bit for bit.
+    if (M == M.T).all():
+        return M
+    if np.abs(M - M.T).max() > SYMMETRY_TOL * max(1.0, amax):
         raise ContractViolation(f"{name} is not symmetric within tolerance")
     return 0.5 * (M + M.T)
 
@@ -56,9 +64,10 @@ def _fix_column_signs(V):
     # First component of nonnegligible magnitude made positive, per column
     # (a zero column has no such component and stays as it is).
     mag = np.abs(V)
-    lead = np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0)
+    lead = (mag > 1e-12 * mag.max(axis=0)).argmax(axis=0)
     flip = V[lead, np.arange(V.shape[1])] < 0
-    V[:, flip] = -V[:, flip]
+    if flip.any():
+        V[:, flip] = -V[:, flip]
     return V
 
 
@@ -68,7 +77,8 @@ def gen_eig_sym(A, N):
     The normalization matrix is eigendecomposed, directions with eigenvalue
     <= RANK_TOL * max eigenvalue are discarded, the remainder is whitened and
     an ordinary symmetric eigendecomposition finishes the job.  Returned
-    vectors satisfy V^T N V = I and V^T A V = diag(values).
+    vectors satisfy V^T N V = I and V^T A V = diag(values).  A non-finite
+    or asymmetric (beyond SYMMETRY_TOL) A or N raises ContractViolation.
 
     An N exactly equal to the identity (plain VCA) has eigenvectors I and
     eigenvalues 1, so whitening would change nothing: its eigendecomposition
@@ -83,7 +93,8 @@ def gen_eig_sym(A, N):
     A = _check_symmetric(A, "A")
     N = _check_symmetric(N, "N")
 
-    if d and np.array_equal(N, np.eye(d)):
+    # The first entry rules out most N that are not the identity cheaply.
+    if d and N[0, 0] == 1.0 and np.array_equal(N, np.eye(d)):
         W, M, r, smax, s_min = None, A, d, 1.0, 1.0
     else:
         s, Q = np.linalg.eigh(N)
@@ -92,32 +103,33 @@ def gen_eig_sym(A, N):
             # Nothing survives normalization; the caller treats this stratum
             # as contributing no polynomials.
             return GenEigResult(np.zeros((d, 0)), np.zeros(0), 0)
+        # eigh's eigenvalues ascend, so the r kept ones are the last r, and
+        # smax itself is always kept.  The masked copy of Q is the layout
+        # the products below were rounded in.
         keep = s > RANK_TOL * smax
         r = int(np.count_nonzero(keep))
-        if r == 0:
-            return GenEigResult(np.zeros((d, 0)), np.zeros(0), 0)
-
-        s_min = float(s[keep].min())
+        s_min = float(s[d - r])
         W = Q[:, keep] / np.sqrt(s[keep])
         M = W.T @ A @ W
         M = 0.5 * (M + M.T)
     lam, U = np.linalg.eigh(M)
 
-    # Rounding in forming M is bounded by eps * ||A|| / s_min, which can
-    # exceed the plain 1e-10 window when retained directions sit close to
-    # the rank cutoff; only eigenvalues below both signal a broken Gram.
-    # ||A|| is taken as amax * ||A / amax||, which does not overflow while
-    # A is finite.
-    lam_max = float(lam[-1]) if lam.size else 0.0
-    amax = float(np.max(np.abs(A)))
-    norm_a = amax * float(np.linalg.norm(A / amax)) if amax > 0.0 else 0.0
-    window = max(NEGATIVE_EIG_TOL * max(1.0, lam_max), 1e-12 * norm_a / s_min)
-    if np.any(lam < -window):
-        raise InternalInvariantViolation(
-            f"generalized eigenproblem produced eigenvalue {lam.min():0.3e} "
-            "far below zero; the Gram matrices are inconsistent"
-        )
-    lam = np.where(lam < 0.0, 0.0, lam)
+    # lam ascends: lam[0] is the smallest eigenvalue.  Rounding in forming M
+    # is bounded by eps * ||A|| / s_min, which can exceed the plain 1e-10
+    # window when retained directions sit close to the rank cutoff; only
+    # eigenvalues below both signal a broken Gram.  ||A|| is needed only
+    # past the first window, and is taken as amax * ||A / amax||, which
+    # does not overflow while A is finite.
+    if lam[0] < -NEGATIVE_EIG_TOL * max(1.0, float(lam[-1])):
+        amax = float(np.abs(A).max())
+        norm_a = amax * float(np.linalg.norm(A / amax)) if amax > 0.0 else 0.0
+        if lam[0] < -1e-12 * norm_a / s_min:
+            raise InternalInvariantViolation(
+                f"generalized eigenproblem produced eigenvalue {lam[0]:0.3e} "
+                "far below zero; the Gram matrices are inconsistent"
+            )
+    if lam[0] < 0.0:
+        lam = np.where(lam < 0.0, 0.0, lam)
 
     order = np.argsort(-lam, kind="stable")
     lam = lam[order]
@@ -131,12 +143,9 @@ def gen_eig_sym(A, N):
     # diagonal is rescaled to exactly 1 so downstream norm bookkeeping
     # (extents, gradient-norm guards) stays sharp.
     gram = V.T @ N @ V
-    diag = np.diag(gram).copy()
+    diag = gram.diagonal()
     cond_floor = 100.0 * np.finfo(float).eps * smax / s_min
-    tol = max(ORTHONORMALITY_TOL, cond_floor)
-    if np.any(np.abs(diag - 1.0) > tol) or (
-        r > 1 and np.max(np.abs(gram - np.diag(diag))) > tol
-    ):
+    if np.abs(gram - np.eye(r)).max() > max(ORTHONORMALITY_TOL, cond_floor):
         raise InternalInvariantViolation("eigenvectors lost N-orthonormality")
     V = _fix_column_signs(V / np.sqrt(diag))
     lam = lam / diag

@@ -10,13 +10,12 @@ The scan exploits that a fit is a piecewise-constant function of epsilon:
 classification decisions only flip when epsilon crosses one of the extents
 of vanishing encountered during the run, so consecutive grid points
 between breakpoints reuse the previous fit verbatim.  At a breakpoint the
-scan does not refit from degree 1 either.  Degree t depends on epsilon only
-through the F/G split of the degrees below it, so one
-:class:`~mavik.engine.Fitter` serves the whole grid: it reclassifies its
-kept per-degree steps at the new epsilon and recomputes only the degrees
-above the lowest one whose split changed.  The classification, the size
-guards and the termination rules are the engine's own, so every scanned
-profile is the profile of a fresh fit at that epsilon.
+scan does not refit from degree 1 either: one :class:`~mavik.engine.Fitter`
+serves the whole trial, final fit included, and computes a degree only for
+a split of the degrees below it that it has not seen.  The classification,
+the size guards and the termination rules are the engine's own, so every
+scanned profile and the final basis are those of a fresh fit at that
+epsilon.
 """
 
 from __future__ import annotations
@@ -30,7 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from . import datasets
-from .engine import EngineConfig, Fitter, NormalizationMode, evaluate, fit
+from .engine import EngineConfig, Fitter, NormalizationMode, evaluate
+from .engine import fit  # unused here, but the benchmark tracer wraps retrieval.fit
 from .errors import ContractViolation
 
 __all__ = [
@@ -84,12 +84,11 @@ def _next_breakpoint(report, eps):
     return float(above.min()) if above.size else math.inf
 
 
-def scan_g_profiles(X, mode, max_degree, epsilons):
-    """Vanishing-stratum profiles of fits at each epsilon of a nondecreasing grid."""
+def scan_g_profiles(fitter, mode, max_degree, epsilons):
+    """Vanishing-stratum profiles of ``fitter``'s fits at each epsilon of a nondecreasing grid."""
     grid = np.asarray(epsilons, dtype=float)
     if not np.all(np.isfinite(grid)) or np.any(np.diff(grid) < 0):
         raise ContractViolation("epsilon grid must be finite and nondecreasing")
-    fitter = Fitter(X)
     profiles = []
     current = None
     next_bp = -math.inf
@@ -138,6 +137,7 @@ class RetrievalOutcome:
 
 
 def _single_trial(which, noise, alpha, run_seed, mode_kind, z, target, n_points):
+    """Scan the grid, then fit the widest valid window's midpoint on the scan's fitter."""
     clean = datasets.center_and_unitbox(
         datasets.sample_variety(which, n_points, seed=run_seed)
     )
@@ -148,7 +148,8 @@ def _single_trial(which, noise, alpha, run_seed, mode_kind, z, target, n_points)
     mode = mode_from_kind(mode_kind, n_points=len(X_run), z=z)
     max_degree = len(target) - 1
     eps_grid = grid_epsilons(alpha)
-    profiles = scan_g_profiles(X_run, mode, max_degree, eps_grid)
+    fitter = Fitter(X_run)
+    profiles = scan_g_profiles(fitter, mode, max_degree, eps_grid)
     matching = {p for p in set(profiles) if _matches_target(p, target)}
     hits = [i for i, p in enumerate(profiles) if p in matching]
     if not hits:
@@ -157,9 +158,8 @@ def _single_trial(which, noise, alpha, run_seed, mode_kind, z, target, n_points)
     widest = max(runs, key=lambda r: r[1] - r[0])
     lo, hi = float(eps_grid[widest[0]]), float(eps_grid[widest[1]])
 
-    basis, _ = fit(
-        X_run,
-        EngineConfig(epsilon=0.5 * (lo + hi), mode=mode, max_degree=max_degree),
+    basis, _ = fitter.fit(
+        EngineConfig(epsilon=0.5 * (lo + hi), mode=mode, max_degree=max_degree)
     )
     _, G_mat = evaluate(basis, X_ref)
     extent = float(np.mean(np.linalg.norm(G_mat, axis=0))) if G_mat.shape[1] else 0.0

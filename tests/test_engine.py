@@ -78,22 +78,39 @@ class TestFitSmall:
         with pytest.raises(ContractViolation):
             fit(CIRCLE4, EngineConfig(epsilon=eps, mode=GRAD))
 
-    def test_fitter_refits_match_fresh_fits_bitwise(self):
+    def test_fitter_refits_match_fresh_fits_bitwise(self, monkeypatch):
         # one fitter walked up and down an epsilon sequence, with changes of
         # max_degree and of the dimension rule in between, writes the files a
-        # fresh fit writes
+        # fresh fit writes; a return to an epsilon it has fitted under the
+        # same configuration (marked True) computes no eigensolve
         X = sample_generic(30, 2, 0)
         fitter = engine.Fitter(X)
-        steps = ((1e-9, 6, None), (0.3, 6, None), (0.05, 6, None), (0.05, 4, None),
-                 (1e-3, 6, None), (0.3, 6, None), (0.05, 6, 1), (0.3, 6, 1))
-        for eps, max_degree, d_max in steps:
+        eig_calls = []
+        counted = engine.gen_eig_sym
+
+        def eig(A, N):
+            eig_calls.append(A.shape)
+            return counted(A, N)
+
+        monkeypatch.setattr(engine, "gen_eig_sym", eig)
+        steps = ((1e-9, 6, None, False), (0.05, 6, None, False), (0.3, 6, None, False),
+                 (1e-9, 6, None, True), (0.05, 6, None, True), (0.3, 6, None, True),
+                 (0.05, 4, None, False), (1e-3, 6, None, False), (0.3, 6, None, False),
+                 (1e-3, 6, None, True), (0.05, 6, 1, False), (0.3, 6, 1, False))
+        computed = []
+        for eps, max_degree, d_max, returning in steps:
             config = EngineConfig(epsilon=eps, mode=GRAD, max_degree=max_degree, d_max=d_max)
+            eig_calls.clear()
             got = fitter.fit(config)
+            computed.append(len(eig_calls))
+            if returning:
+                assert not eig_calls
             want = fit(X, config)
             assert serialize.report_to_json(got[1]) == serialize.report_to_json(want[1])
             assert json.dumps(serialize.basis_to_json(got[0], points=X)) == json.dumps(
                 serialize.basis_to_json(want[0], points=X)
             )
+        assert computed[0] == 6
 
     def test_coefficient_mode_term_cap(self):
         X = generic_points(30, 4, seed=1)
@@ -257,6 +274,20 @@ class TestStructuralInvariants:
             basis, _ = fit(X, EngineConfig(epsilon=1e-6, mode=NormalizationMode.gradient(z=z)))
             for p in basis.f_polys()[1:] + basis.g_polys():
                 assert np.linalg.norm(p.grad) == pytest.approx(z, rel=1e-6)
+
+    def test_gradient_norm_guard_checks_every_block_row(self):
+        # one norm per retained polynomial, over its whole (|X|, n) block;
+        # 0.5 z and 2 z are the edges of the accepted band
+        grads = np.zeros((4, 3, 2))
+        grads[:, 0, 0] = [0.5, 1.0, 2.0, -2.0]
+        engine._verify_gradient_norms(grads, 1.0)
+        engine._verify_gradient_norms(np.zeros((0, 3, 2)), 1.0)
+        for bad in (0.49, 2.01, np.nan):
+            broken = grads.copy()
+            broken[2] = 0.0
+            broken[2, 1, 1] = bad
+            with pytest.raises(InternalInvariantViolation, match="gradient norm"):
+                engine._verify_gradient_norms(broken, 1.0)
 
     def test_intra_degree_gradient_independence(self):
         # within one vanishing stratum there is always a point where two

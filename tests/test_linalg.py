@@ -159,6 +159,159 @@ class TestIdentityNormalization:
         assert res.values[0] == pytest.approx(3e300)
 
 
+def gen_eig_reference(A, N):
+    """Reference: ``gen_eig_sym`` as it was before its checks were trimmed.
+
+    Every check runs in full: the symmetric part is always formed, the
+    negative-eigenvalue window always reads ||A||, the orthonormality test
+    takes one reduction for the diagonal and one for the rest, and the sign
+    fix always writes.
+    """
+
+    def symmetric_part(M, name):
+        scale = max(1.0, float(np.max(np.abs(M))) if M.size else 0.0)
+        if M.size and np.max(np.abs(M - M.T)) > linalg.SYMMETRY_TOL * scale:
+            raise ContractViolation(f"{name} is not symmetric within tolerance")
+        return 0.5 * (M + M.T)
+
+    A = symmetric_part(np.atleast_2d(np.asarray(A, dtype=float)), "A")
+    N = symmetric_part(np.atleast_2d(np.asarray(N, dtype=float)), "N")
+    d = A.shape[0]
+    if d and np.array_equal(N, np.eye(d)):
+        W, M, r, smax, s_min = None, A, d, 1.0, 1.0
+    else:
+        s, Q = np.linalg.eigh(N)
+        smax = float(s[-1]) if s.size else 0.0
+        if smax <= 0.0:
+            return linalg.GenEigResult(np.zeros((d, 0)), np.zeros(0), 0)
+        keep = s > linalg.RANK_TOL * smax
+        r = int(np.count_nonzero(keep))
+        s_min = float(s[keep].min())
+        W = Q[:, keep] / np.sqrt(s[keep])
+        M = W.T @ A @ W
+        M = 0.5 * (M + M.T)
+    lam, U = np.linalg.eigh(M)
+    lam_max = float(lam[-1]) if lam.size else 0.0
+    amax = float(np.max(np.abs(A)))
+    norm_a = amax * float(np.linalg.norm(A / amax)) if amax > 0.0 else 0.0
+    window = max(linalg.NEGATIVE_EIG_TOL * max(1.0, lam_max), 1e-12 * norm_a / s_min)
+    if np.any(lam < -window):
+        raise InternalInvariantViolation("eigenvalue far below zero")
+    lam = np.where(lam < 0.0, 0.0, lam)
+    order = np.argsort(-lam, kind="stable")
+    lam = lam[order]
+    V = np.add(U[:, order], 0.0, order="C") if W is None else W @ U[:, order]
+    gram = V.T @ N @ V
+    diag = np.diag(gram).copy()
+    tol = max(linalg.ORTHONORMALITY_TOL, 100.0 * np.finfo(float).eps * smax / s_min)
+    if np.any(np.abs(diag - 1.0) > tol) or (
+        r > 1 and np.max(np.abs(gram - np.diag(diag))) > tol
+    ):
+        raise InternalInvariantViolation("eigenvectors lost N-orthonormality")
+    V = V / np.sqrt(diag)
+    mag = np.abs(V)
+    lead = np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0)
+    flip = V[lead, np.arange(V.shape[1])] < 0
+    V[:, flip] = -V[:, flip]
+    return linalg.GenEigResult(V, lam / diag, r)
+
+
+def assert_same_result(got, want):
+    assert got.retained_rank == want.retained_rank
+    for a, b in ((got.vectors, want.vectors), (got.values, want.values)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert a.flags.c_contiguous == b.flags.c_contiguous
+
+
+class TestTrimmedChecks:
+    """The solver's checks are cheaper than the reference's, not weaker."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 9, 20, 30])
+    @pytest.mark.parametrize("case", ["psd", "rank-deficient", "zero"])
+    @pytest.mark.parametrize("n_rank", ["full", "deficient"])
+    def test_whitened_path_bitwise_equal_to_the_reference(self, d, case, n_rank):
+        if case == "psd":
+            A = random_psd(d, 80 + d)
+        elif case == "rank-deficient":
+            A = random_psd(d, 90 + d, rank=max(1, d // 3))
+        else:
+            A = np.zeros((d, d))
+        N = random_psd(d, 110 + d, rank=None if n_rank == "full" else max(1, d // 2))
+        got, want = gen_eig_sym(A, N), gen_eig_reference(A, N)
+        assert got.retained_rank > 0
+        assert_same_result(got, want)
+
+    @pytest.mark.parametrize("which", ["A with N = I", "A", "N"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", [(1, 1), (1, 2)], ids=["diagonal", "off-diagonal"])
+    def test_nonfinite_input_raises_without_warnings(self, which, bad, entry):
+        # before the check, a NaN in A with N = I gave NaN vectors, a NaN in
+        # N gave rank 0, and an inf in A gave RuntimeWarnings and NaN values
+        A = random_psd(4, 120)
+        N = np.eye(4) if which == "A with N = I" else random_psd(4, 121)
+        M = N if which == "N" else A
+        M[entry] = M[entry[::-1]] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ContractViolation, match=f"{which[0]} has a non-finite entry"):
+                gen_eig_sym(A, N)
+
+    @pytest.mark.parametrize("which", ["A", "N"])
+    def test_asymmetry_beyond_tolerance_raises(self, which):
+        A, N = random_psd(5, 130), random_psd(5, 131)
+        M = A if which == "A" else N
+        M[0, 3] += 10.0 * linalg.SYMMETRY_TOL * np.abs(M).max()
+        with pytest.raises(ContractViolation, match="not symmetric"):
+            gen_eig_sym(A, N)
+
+    @pytest.mark.parametrize("n_kind", ["identity", "psd"])
+    def test_asymmetry_within_tolerance_solves_the_symmetric_part(self, n_kind):
+        A = random_psd(6, 140)
+        N = np.eye(6) if n_kind == "identity" else random_psd(6, 141)
+        A_skew, N_skew = A.copy(), N.copy()
+        A_skew[1, 4] += 1e-3 * linalg.SYMMETRY_TOL * np.abs(A).max()
+        if n_kind == "psd":
+            N_skew[2, 5] += 1e-3 * linalg.SYMMETRY_TOL * np.abs(N).max()
+        assert not np.array_equal(A_skew, A_skew.T)
+        got = gen_eig_sym(A_skew, N_skew)
+        want = gen_eig_sym(0.5 * (A_skew + A_skew.T), 0.5 * (N_skew + N_skew.T))
+        assert_same_result(got, want)
+        assert_same_result(got, gen_eig_reference(A_skew, N_skew))
+
+    @pytest.mark.parametrize("N", [np.eye(3), 2.0 * np.eye(3)], ids=["identity", "whitened"])
+    def test_negative_eigenvalue_raises(self, N):
+        A = np.diag([1.0, 0.5, -0.25])
+        with pytest.raises(InternalInvariantViolation, match="far below zero"):
+            gen_eig_sym(A, N)
+
+    @pytest.mark.parametrize("loss", ["diagonal", "off-diagonal"])
+    def test_lost_orthonormality_raises(self, monkeypatch, loss):
+        # the inner eigensolve returns vectors that are off by 1e-3 in one
+        # column's norm, or (normalized) 1e-3 apart from orthogonal
+        eigh = np.linalg.eigh
+
+        def skewed(M):
+            lam, U = eigh(M)
+            if M.shape == (4, 4) and not np.array_equal(M, N):
+                U = U.copy()
+                if loss == "diagonal":
+                    U[:, 0] *= 1.0 + 1e-3
+                else:
+                    U[:, 0] += 1e-3 * U[:, 1]
+                    U[:, 0] /= np.linalg.norm(U[:, 0])
+            return lam, U
+
+        A, N = random_psd(4, 150), random_psd(4, 151)
+        monkeypatch.setattr(np.linalg, "eigh", skewed)
+        with pytest.raises(InternalInvariantViolation, match="orthonormality"):
+            gen_eig_sym(A, N)
+
+    def test_rounding_sized_negative_eigenvalues_are_clipped(self):
+        A = np.diag([1.0, 0.5, -1e-13])
+        res = gen_eig_sym(A, np.eye(3))
+        assert res.values.tolist() == [1.0, 0.5, 0.0]
+
+
 class TestOrthogonalProject:
     def test_already_orthogonal_candidate_unchanged(self):
         X = generic_points(6, 2, seed=1)

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import rng_for
-from mavik import engine
+from mavik import engine, retrieval
 from mavik.core import PointSet
-from mavik.datasets import center_and_unitbox, perturb, sample_variety
-from mavik.engine import EngineConfig, fit
+from mavik.datasets import center_and_unitbox, perturb, sample_variety, scale
+from mavik.engine import EngineConfig, evaluate, fit
 from mavik.errors import ContractViolation
 from mavik.retrieval import (
     RetrievalOutcome,
@@ -30,7 +30,7 @@ def test_scan_equals_brute_force_per_epsilon_fits():
     X = perturb(clean, 0.05, seed=11)
     mode = mode_from_kind("grad", n_points=len(X))
     eps_grid = np.linspace(1e-4, 0.6, 97)
-    scanned = scan_g_profiles(X, mode, 6, eps_grid)
+    scanned = scan_g_profiles(engine.Fitter(X), mode, 6, eps_grid)
     brute = []
     for eps in eps_grid:
         _, report = fit(X, EngineConfig(epsilon=float(eps), mode=mode, max_degree=6))
@@ -47,7 +47,7 @@ def test_scan_handles_threshold_exactly_at_extent():
     _, report = fit(X, EngineConfig(epsilon=1e-9, mode=mode, max_degree=2))
     breakpoint_value = float(report.extents[1].max())
     eps_grid = np.array([breakpoint_value / 2, breakpoint_value, breakpoint_value * 1.5])
-    scanned = scan_g_profiles(X, mode, 2, eps_grid)
+    scanned = scan_g_profiles(engine.Fitter(X), mode, 2, eps_grid)
     for eps, profile in zip(eps_grid, scanned):
         _, rep = fit(X, EngineConfig(epsilon=float(eps), mode=mode, max_degree=2))
         assert profile == tuple(rep.g_counts)
@@ -73,7 +73,9 @@ def test_scan_equals_brute_force_in_every_mode_through_f_empty(kind):
     mode = mode_from_kind(kind, n_points=len(X))
     eps_grid = np.geomspace(1e-4, 5.0, 97)
     reports = _brute_force_reports(X, mode, 6, eps_grid)
-    assert scan_g_profiles(X, mode, 6, eps_grid) == [tuple(r.g_counts) for r in reports]
+    assert scan_g_profiles(engine.Fitter(X), mode, 6, eps_grid) == [
+        tuple(r.g_counts) for r in reports
+    ]
     early = {len(r.g_counts) - 1 for r in reports if r.termination == "f-empty"}
     assert {1, 2, 3} <= early and min(early) < 6
 
@@ -98,7 +100,7 @@ def test_scan_makes_at_most_a_third_of_the_refitting_eigensolves(monkeypatch):
 
     monkeypatch.setattr(engine, "gen_eig_sym", eig)
     monkeypatch.setattr(engine.Fitter, "fit", refit)
-    scan_g_profiles(X, mode, 6, eps_grid)
+    scan_g_profiles(engine.Fitter(X), mode, 6, eps_grid)
     scanned, reclassified_at = len(eig_calls), list(fit_eps)
     eig_calls.clear()
     _brute_force_reports(X, mode, 6, eps_grid)
@@ -106,6 +108,41 @@ def test_scan_makes_at_most_a_third_of_the_refitting_eigensolves(monkeypatch):
     eig_calls.clear()
     _brute_force_reports(X, mode, 6, reclassified_at)
     assert 0 < 3 * scanned <= min(every_point, len(eig_calls))
+
+
+@pytest.mark.parametrize("which, alpha", [("V1", 0.01), ("V3", 1.0), ("V1", 100.0)])
+def test_final_fit_reuses_the_scan_and_matches_a_fresh_fit(monkeypatch, which, alpha):
+    # the trial fits the valid window's midpoint on the scan's fitter: that
+    # fit computes no eigensolve, and the outcome is the one a fresh fit at
+    # the midpoint gives, bitwise
+    eig_calls, after_scan = [], []
+    counted_eig, counted_scan = engine.gen_eig_sym, retrieval.scan_g_profiles
+
+    def eig(A, N):
+        eig_calls.append(A.shape)
+        return counted_eig(A, N)
+
+    def scan(*args):
+        out = counted_scan(*args)
+        after_scan.append(len(eig_calls))
+        return out
+
+    monkeypatch.setattr(engine, "gen_eig_sym", eig)
+    monkeypatch.setattr(retrieval, "scan_g_profiles", scan)
+    target = load_target_profiles()[which]
+    outcome = retrieval._single_trial(which, 0.05, alpha, 0, "grad", None, target, 100)
+    assert outcome.success and after_scan == [len(eig_calls)] and eig_calls
+    monkeypatch.undo()
+
+    clean = center_and_unitbox(sample_variety(which, 100, seed=0))
+    X_run = scale(perturb(clean, 0.05, seed=7_000_003), alpha)
+    lo, hi = outcome.valid_eps_range
+    mode = mode_from_kind("grad", n_points=len(X_run))
+    config = EngineConfig(epsilon=0.5 * (lo + hi), mode=mode, max_degree=len(target) - 1)
+    _, G_mat = evaluate(fit(X_run, config)[0], scale(clean, alpha))
+    extent = float(np.mean(np.linalg.norm(G_mat, axis=0)))
+    trials = len(grid_epsilons(alpha))
+    assert outcome == RetrievalOutcome(True, (lo, hi), extent, trials, outcome.noncontiguous)
 
 
 @pytest.mark.parametrize(
@@ -117,7 +154,7 @@ def test_scan_rejects_descending_or_nonfinite_grid(grid):
     # silently repeat stale profiles
     X = _oracle_case()
     with pytest.raises(ContractViolation):
-        scan_g_profiles(X, mode_from_kind("grad", n_points=len(X)), 6, grid)
+        scan_g_profiles(engine.Fitter(X), mode_from_kind("grad", n_points=len(X)), 6, grid)
 
 
 def test_matches_target_compares_up_to_target_degree():
