@@ -11,6 +11,13 @@ weights, so its cut-off row adds nothing.  A product's left factor has
 degree 1, so the product is the right factor's row times the left factor's
 constant plus its shifts by each variable, weighted by that variable's
 coefficient.
+
+A :class:`~mavik.engine.Fitter` in coefficient mode hands :func:`coeff_gram`
+one walk memo, which keeps every node's rows for the fitter's lifetime
+(until a configuration that differs in more than epsilon drops its steps),
+so each node is expanded once and every later degree's Gram reuses its
+rows.  Rows kept from a lower degree are narrower, and are read
+zero-padded to the current width.
 """
 
 from __future__ import annotations
@@ -104,7 +111,15 @@ def _pruned(rows):
     return rows
 
 
-def _coeff_rows(polys, term_cap):
+def _padded(rows, width):
+    """Stack ``rows`` into a (len(rows), ``width``) block, each zero-padded or cut to ``width``."""
+    block = np.zeros((len(rows), width))
+    for i, row in enumerate(rows):
+        block[i, : len(row)] = row[:width]
+    return block
+
+
+def _coeff_rows(polys, term_cap, memo=None):
     """Dense coefficient rows of ``polys`` and the exponent vector of each column.
 
     A :func:`mavik.core.walk` whose outputs are rows.  A product node
@@ -113,6 +128,15 @@ def _coeff_rows(polys, term_cap):
     (or zero) and adds the children one at a time in stored order, as a
     record-by-record sum over the children with nonzero weight would.
     Entries below ``PRUNE_TOL`` are zeroed in every node's rows.
+
+    ``memo`` is the walk's memo; a caller that keeps it across calls (a
+    fit does) computes each node's rows once.  Rows kept from a call with a
+    lower ``top`` are narrower and are read zero-padded; a combination adds
+    a child into its leading columns.  The columns are a prefix-stable
+    grlex list and pruned zeros are +0.0, so each column is the same
+    arithmetic at any width and the rows are the memo-less rows bitwise,
+    as long as no node under a call's roots has a higher degree than its
+    highest root (a fit builds its nodes in degree order).
     """
     n = polys[0].points.n
     top = max(p.degree for p in polys)
@@ -122,26 +146,27 @@ def _coeff_rows(polys, term_cap):
             f"in {n} variables has {math.comb(n + top, n)} monomials"
         )
     exps, shifts = _monomials(n, max(top, 1))  # a variable may sit under zero weights
-    lower = shifts.shape[1]
+    width, lower = len(exps), shifts.shape[1]
 
     def product(lefts, rights):
-        left, right = np.array(lefts), np.array(rights)[:, :lower]
-        rows = np.zeros((len(left), len(exps)))
+        left, right = _padded(lefts, n + 1), _padded(rights, lower)
+        rows = np.zeros((len(left), width))
         rows[:, :lower] = left[:, :1] * right
         for k in range(n):
             rows[:, shifts[k]] += left[:, shifts[k, 0], None] * right
         return _pruned(rows)
 
     def combine(children, weights, leads):
-        rows = np.array(leads) if leads else np.zeros((weights.shape[1], len(exps)))
+        rows = _padded(leads, width) if leads else np.zeros((weights.shape[1], width))
         for w, child in zip(weights, children):
-            rows += w[:, None] * child
+            child = child[:width]
+            rows[:, : len(child)] += w[:, None] * child
         return _pruned(rows)
 
-    rows = walk([p.prov for p in polys], const=lambda value: _pruned(value * np.eye(1, len(exps))),
-                var=lambda index: np.eye(1, len(exps), shifts[index, 0]),
-                product=product, combine=combine)
-    return np.array(rows), exps
+    rows = walk([p.prov for p in polys], const=lambda value: _pruned(value * np.eye(1, width)),
+                var=lambda index: np.eye(1, width, shifts[index, 0]),
+                product=product, combine=combine, memo=memo)
+    return _padded(rows, width), exps
 
 
 def expand(poly, term_cap=DEFAULT_TERM_CAP):
@@ -162,10 +187,14 @@ def expand_many(polys, term_cap=DEFAULT_TERM_CAP):
     return [CoeffVec({exps[i]: row[i] for i in np.flatnonzero(row)}, n) for row in rows]
 
 
-def coeff_gram(polys, term_cap=DEFAULT_TERM_CAP):
-    """Gram matrix of the polynomials' coefficient vectors."""
+def coeff_gram(polys, term_cap=DEFAULT_TERM_CAP, memo=None):
+    """Gram matrix of the polynomials' coefficient vectors.
+
+    ``memo``, if given, keeps every node's rows for later calls over the
+    same construction DAG (see :func:`_coeff_rows`).
+    """
     if not polys:
         return np.zeros((0, 0))
-    rows, _ = _coeff_rows(polys, term_cap)
+    rows, _ = _coeff_rows(polys, term_cap, memo)
     gram = rows @ rows.T
     return 0.5 * (gram + gram.T)

@@ -323,7 +323,7 @@ def multiply(ps, qs):
     return Poly._rows([1 + b.degree for b in qs], ev, gr, node, pointset)
 
 
-def walk(roots, const, var, product, combine):
+def walk(roots, const, var, product, combine, memo=None):
     """Run every provenance node under ``roots`` once, children first.
 
     ``roots`` are ``prov`` pairs.  A node goes to the callback of its kind
@@ -332,8 +332,14 @@ def walk(roots, const, var, product, combine):
     with the node's read-only (k, r) ``weights`` and no leads or r -- and
     the callback returns the outputs of all the node's columns.  Returns
     the output of each root.
+
+    ``memo`` maps a node to its callback's outputs.  A caller's dict is
+    read and filled, so a node it already holds is not run again, and is
+    left filled; without one the walk uses its own, and clears it.
     """
-    memo = {}
+    own = memo is None
+    if own:
+        memo = {}
 
     def run(prov):
         node, j = prov
@@ -350,7 +356,8 @@ def walk(roots, const, var, product, combine):
         return memo[node][j]
 
     outs = list(map(run, roots))
-    memo.clear()  # run refers to itself, so the memo would wait for the cyclic GC
+    if own:
+        memo.clear()  # run refers to itself, so the memo would wait for the cyclic GC
     return outs
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -109,8 +109,8 @@ class EngineConfig:
 
     def echo(self):
         """Every field, with ``mode`` as its kind and the mode's ``z`` beside it."""
-        echo = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {**echo, "mode": self.mode.kind, "z": self.mode.z}
+        # A dataclass instance's dict holds its fields, in field order.
+        return {**vars(self), "mode": self.mode.kind, "z": self.mode.z}
 
 
 @dataclass
@@ -157,13 +157,17 @@ def default_m_constant(pointset, mode):
     return m if m > 0 else 1.0
 
 
-def normalization_gram(cands, mode, term_cap=DEFAULT_TERM_CAP):
-    """Normalization matrix N for a candidate stratum under ``mode``."""
+def normalization_gram(cands, mode, term_cap=DEFAULT_TERM_CAP, memo=None):
+    """Normalization matrix N for a candidate stratum under ``mode``.
+
+    ``memo`` is the coefficient rows' walk memo of coefficient mode (see
+    :func:`mavik.coefficients.coeff_gram`); the other modes ignore it.
+    """
     k = len(cands)
     if mode.kind == "vca":
         return np.eye(k)
     if mode.kind == "coefficient":
-        return coeff_gram(cands, term_cap=term_cap)
+        return coeff_gram(cands, term_cap=term_cap, memo=memo)
     stack = rows_of(cands).grads  # (k, |X|, n)
     gram = np.einsum("ixk,jxk->ij", stack, stack) / (mode.z**2)
     return 0.5 * (gram + gram.T)
@@ -227,16 +231,16 @@ def check_termination_dimension(g_polys, X, d_max=None, d_min=None):
     return d_min is not None and lo <= d_min
 
 
-def _verify_size_bounds(f_counts, t, n, m):
+def _verify_size_bounds(f_total, t, n, m):
     # F evaluations are nonzero and mutually orthogonal in R^m.
-    if sum(f_counts) > m:
+    if f_total > m:
         raise InternalInvariantViolation(
-            f"|F^({t})| = {sum(f_counts)} exceeds |X| = {m}; "
+            f"|F^({t})| = {f_total} exceeds |X| = {m}; "
             "nonvanishing evaluations are no longer orthogonal"
         )
-    if sum(f_counts) > math.comb(n + t, n):
+    if f_total > math.comb(n + t, n):
         raise InternalInvariantViolation(
-            f"|F^({t})| = {sum(f_counts)} exceeds C({n}+{t},{n}); "
+            f"|F^({t})| = {f_total} exceeds C({n}+{t},{n}); "
             "nonvanishing strata are no longer independent"
         )
 
@@ -269,7 +273,7 @@ class _Step:
     zero_floor: float
 
 
-def _degree_step(X, config, F, t):
+def _degree_step(X, config, F, t, coeff_memo):
     """Build degree t from the nonvanishing strata ``F[0..t-1]``.
 
     One ``multiply`` builds all candidate products, one
@@ -278,7 +282,8 @@ def _degree_step(X, config, F, t):
     ``linear_combine`` with the eigenvector matrix builds them.  Each
     kernel's blocks (:class:`~mavik.core.Rows`) feed the next one and the
     Grams; only the flattened F strata are stacked.  Nothing here reads
-    epsilon.
+    epsilon.  ``coeff_memo`` is the coefficient rows' walk memo of the
+    fit's tree of steps.
     """
     if t == 1:
         cands_pre = rows_of(variables(X))
@@ -298,7 +303,7 @@ def _degree_step(X, config, F, t):
     E = np.ascontiguousarray(cands.evals.T)
     A = E.T @ E
     A = 0.5 * (A + A.T)
-    N = normalization_gram(cands, config.mode, term_cap=config.term_cap)
+    N = normalization_gram(cands, config.mode, term_cap=config.term_cap, memo=coeff_memo)
     res = gen_eig_sym(A, N)
 
     new_polys = linear_combine(cands, res.vectors)
@@ -320,19 +325,23 @@ class Fitter:
     step it computes in a tree keyed by mask history, a node being ``(step,
     {F mask of this degree: next node})``, so a fit computes a step only
     where its path leaves the tree, and memory is bounded by the steps
-    already computed.  A configuration that differs in more than epsilon
-    starts a new tree.  Every fit returns what a fresh :func:`fit` returns,
-    bitwise: the kept steps are the ones a fresh fit would compute.
+    already computed.  In coefficient mode it keeps every provenance node's
+    coefficient rows beside the steps, so each degree's Gram expands only
+    the nodes no earlier Gram reached; the rows belong to nodes the kept
+    steps hold, so memory is still bounded by the nodes built.  A
+    configuration that differs in more than epsilon starts a new tree.
+    Every fit returns what a fresh :func:`fit` returns, bitwise: the kept
+    steps are the ones a fresh fit would compute.
     """
 
     def __init__(self, X):
         if len(X) < 1:
             raise ContractViolation("point set is empty")
         self.X = X
-        self._key = None  # the configuration of the kept steps, epsilon aside
+        self._key = None  # the fields of the kept steps' configuration, epsilon aside
 
     def _start(self, config):
-        """Check an epsilon-free configuration and drop the kept steps."""
+        """Check ``config``, epsilon aside, and drop the kept steps and rows."""
         X = self.X
         for name, d in (("d_max", config.d_max), ("d_min", config.d_min)):
             if d is not None and not 0 <= d <= X.n:
@@ -351,8 +360,8 @@ class Fitter:
         # kept with them: a saved basis then lists it once.
         self._const = constant_poly(m_const, X)
         self._m_const, self._max_degree = m_const, max_degree
-        self._key = config
         self._tree = {}  # {(): the degree-1 node}
+        self._coeff_memo = {}  # provenance node -> coefficient rows, in coefficient mode
 
     def fit(self, config):
         """Run the basis construction at ``config``; returns (Basis, FitReport).
@@ -368,11 +377,13 @@ class Fitter:
             raise ContractViolation("epsilon must be finite")
         if eps < 0:
             raise ContractViolation("epsilon must be nonnegative")
-        key = replace(config, epsilon=0.0)
+        key = {**vars(config), "epsilon": None}
         if key != self._key:
-            self._start(key)
-        n = X.n
+            self._start(config)
+            self._key = key
+        n, m = X.n, len(X)
         max_degree = self._max_degree
+        dimension_rule = bool(config.d_max) or bool(config.d_min)
 
         F = [[self._const]]
         G = [[]]
@@ -381,11 +392,12 @@ class Fitter:
         extent_arrays = []
         termination = None
         t = 0
+        f_total = 1
         children, mask = self._tree, ()
         while termination is None:
             t += 1
             if mask not in children:
-                children[mask] = (_degree_step(X, config, F, t), {})
+                children[mask] = (_degree_step(X, config, F, t, self._coeff_memo), {})
             step, children = children[mask]
             keep = step.extents > max(eps, step.zero_floor)
             mask = tuple(keep.tolist())
@@ -394,13 +406,14 @@ class Fitter:
             extents.append(step.extents[~keep])
             spectra.append(step.values)
             extent_arrays.append(step.extents)
-            _verify_size_bounds([len(s) for s in F], t, n, len(X))
+            f_total += len(F[t])
+            _verify_size_bounds(f_total, t, n, m)
 
             if not F[t]:
                 termination = "f-empty"
             elif t >= max_degree:
                 termination = "max-degree"
-            elif check_termination_dimension(
+            elif dimension_rule and check_termination_dimension(
                 [g for stratum in G for g in stratum], X, config.d_max, config.d_min
             ):
                 termination = "dimension-rule"
@@ -414,17 +427,17 @@ class Fitter:
         # is scoped.
         if (
             config.mode.kind in ("coefficient", "gradient")
-            and len(X) > n
-            and len(X) >= math.comb(n + 2, n)
+            and m > n
+            and m >= math.comb(n + 2, n)
         ):
-            if g_total > n * (len(X) - n):
+            if g_total > n * (m - n):
                 raise InternalInvariantViolation(
-                    f"|G| = {g_total} exceeds n(|X|-n) = {n * (len(X) - n)}"
+                    f"|G| = {g_total} exceeds n(|X|-n) = {n * (m - n)}"
                 )
         report = FitReport(
             config=config.echo(),
             n=n,
-            n_points=len(X),
+            n_points=m,
             m_constant=self._m_const,
             f_counts=[len(s) for s in F],
             g_counts=[len(s) for s in G],

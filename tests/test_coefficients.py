@@ -204,6 +204,22 @@ class TestCoeffGram:
     def test_empty(self):
         assert coeff_gram([]).shape == (0, 0)
 
+    def test_narrower_kept_rows_give_the_memoless_gram_bitwise(self):
+        # a memo first filled by degree-1 Grams holds 4-column rows; the
+        # degree-3 Gram reads them zero-padded to 20 columns
+        X = generic_points(8, 3, seed=14)
+        rng = rng_for(15)
+        lin = linear_combine([constant_poly(0.7, X), *variables(X)], rng.normal(size=(4, 3)))
+        quad = linear_combine([*multiply(lin, lin[::-1]), *lin], rng.normal(size=(6, 2)))
+        cubic = linear_combine(
+            [*multiply(lin[:2], quad), *quad, *lin], rng.normal(size=(7, 3)), lead=lin
+        )
+        memo = {}
+        coeff_gram(lin, memo=memo)
+        assert {rows.shape[1] for rows in memo.values()} == {4}
+        assert coeff_gram(cubic, memo=memo).tobytes() == coeff_gram(cubic).tobytes()
+        assert memo[lin[0].prov[0]].shape[1] == 4
+
 
 def test_expand_many_shares_cache():
     X = generic_points(5, 2, seed=17)

@@ -595,6 +595,31 @@ class TestWalk:
         kinds = {core.PConst: "const", core.PVar: "var", core.PProd: "product", core.PLin: "combine"}
         assert sorted(calls) == sorted(kinds[type(node)] for node in nodes)
 
+    def test_a_callers_memo_is_kept_and_reused(self):
+        X = sample_generic(30, 2, 0)
+        basis, _ = fit(X, EngineConfig(epsilon=1e-6, mode=NormalizationMode.gradient()))
+        roots = [p.prov for p in basis.f_polys() + basis.g_polys()]
+        calls = []
+
+        def counting(width):
+            def callback(*args):
+                calls.append(args)
+                return [len(calls)] * width(*args)
+            return callback
+
+        callbacks = dict(
+            const=counting(lambda value: 1),
+            var=counting(lambda index: 1),
+            product=counting(lambda lefts, rights: len(lefts)),
+            combine=counting(lambda children, weights, leads: weights.shape[1]),
+        )
+        memo = {}
+        first = walk(roots, **callbacks, memo=memo)
+        assert calls and len(memo) == len(calls)
+        calls.clear()
+        assert walk(roots, **callbacks, memo=memo) == first
+        assert not calls
+
     def test_no_in_memory_reader_flattens(self, monkeypatch):
         def refuse(roots):
             raise AssertionError("flatten called")

@@ -78,11 +78,13 @@ class TestFitSmall:
         with pytest.raises(ContractViolation):
             fit(CIRCLE4, EngineConfig(epsilon=eps, mode=GRAD))
 
-    def test_fitter_refits_match_fresh_fits_bitwise(self, monkeypatch):
+    @pytest.mark.parametrize("mode", [GRAD, NormalizationMode.coefficient()], ids=["grad", "coeff"])
+    def test_fitter_refits_match_fresh_fits_bitwise(self, monkeypatch, mode):
         # one fitter walked up and down an epsilon sequence, with changes of
         # max_degree and of the dimension rule in between, writes the files a
         # fresh fit writes; a return to an epsilon it has fitted under the
-        # same configuration (marked True) computes no eigensolve
+        # same configuration (marked True) computes no eigensolve.  In coeff
+        # mode the fitter's Grams read the coefficient rows it has kept.
         X = sample_generic(30, 2, 0)
         fitter = engine.Fitter(X)
         eig_calls = []
@@ -99,7 +101,7 @@ class TestFitSmall:
                  (1e-3, 6, None, True), (0.05, 6, 1, False), (0.3, 6, 1, False))
         computed = []
         for eps, max_degree, d_max, returning in steps:
-            config = EngineConfig(epsilon=eps, mode=GRAD, max_degree=max_degree, d_max=d_max)
+            config = EngineConfig(epsilon=eps, mode=mode, max_degree=max_degree, d_max=d_max)
             eig_calls.clear()
             got = fitter.fit(config)
             computed.append(len(eig_calls))
@@ -111,6 +113,26 @@ class TestFitSmall:
                 serialize.basis_to_json(want[0], points=X)
             )
         assert computed[0] == 6
+
+    @pytest.mark.parametrize("count, dim", [(50, 2), (50, 3), (50, 4), (50, 5), (100, 4)])
+    def test_coefficient_grams_from_kept_rows_match_fresh_grams_bitwise(
+        self, monkeypatch, count, dim
+    ):
+        formed = []
+        gram = engine.coeff_gram
+
+        def capture(cands, **kwargs):
+            assert kwargs["memo"] is not None
+            N = gram(cands, **kwargs)
+            formed.append((cands, N))
+            return N
+
+        monkeypatch.setattr(engine, "coeff_gram", capture)
+        config = EngineConfig(epsilon=1e-6, mode=NormalizationMode.coefficient())
+        _, report = fit(sample_generic(count, dim, 0), config)
+        assert len(formed) == len(report.spectra) > 2
+        for cands, N in formed:
+            assert N.tobytes() == gram(cands).tobytes()
 
     def test_coefficient_mode_term_cap(self):
         X = generic_points(30, 4, seed=1)
