@@ -15,10 +15,12 @@ evaluations and one over their stacked gradients, and :func:`multiply`
 forms every product of a list of factor pairs by one broadcast.  A call's
 outputs are the rows of those blocks, and its provenance is one node: a
 ``PLin`` holds the call's weight matrix, a ``PProd`` its two factor lists,
-and each output's ``prov`` is the pair ``(node, column)``.  The outputs are
-views of the blocks, checked and made read-only once per call, and come
-back as :class:`Rows`, a list that carries the blocks: the next kernel
-and the fit's Grams read them instead of stacking the rows again.
+and each output's ``prov`` is the pair ``(node, column)``.  The outputs come
+back as :class:`Rows`, which holds the blocks, checked and made read-only
+once per call, with the node, the degrees and the point set.  The next
+kernel and the fit's Grams read the blocks, provenance and degrees off a
+``Rows`` without stacking or making rows; the :class:`Poly` rows, views of
+the blocks, are made lazily, only when something reads an element.
 
 In memory, :func:`walk` runs every node under some roots once, children
 first, and its callbacks make all the columns of a node at once, so
@@ -151,7 +153,7 @@ class Poly:
     ``degree`` is the construction degree and ``prov`` the ``(node, column)``
     pair of the construction tree.  Instances are immutable; ``eval`` and
     ``grad`` are read-only.  The constructor checks their shapes; a kernel
-    output is made by :meth:`_rows` instead, as views of one row of the
+    output is made by its :class:`Rows` instead, as views of one row of the
     call's blocks, which are checked once for all rows.
     """
 
@@ -170,40 +172,68 @@ class Poly:
         self.prov = prov
         self.points = points
 
-    @classmethod
-    def _rows(cls, degrees, ev, gr, node, points):
-        """The rows of the blocks ``ev`` (r, m) and ``gr`` (r, m, n) as :class:`Rows`;
-        row j has degree ``degrees[j]`` and provenance ``(node, j)``."""
-        r, m = len(degrees), len(points)
-        if ev.shape != (r, m) or gr.shape != (r, m, points.n):
-            raise ContractViolation("eval/grad blocks do not match the point set")
-        ev.setflags(write=False)
-        gr.setflags(write=False)
-        rows = Rows()
-        for j, d in enumerate(degrees):
-            p = cls.__new__(cls)
-            p.degree, p.eval, p.grad, p.prov, p.points = d, ev[j], gr[j], (node, j), points
-            rows.append(p)
-        rows.evals, rows.grads = ev, gr
-        return rows
-
     def __repr__(self):
         return f"Poly(degree={self.degree}, |X|={len(self.eval)})"
 
 
-class Rows(list):
-    """Polynomials with their stacked evaluations and gradients.
+class Rows:
+    """The outputs of one kernel call, held as their stacked blocks.
 
-    ``evals`` is the read-only, C-contiguous (r, m) block whose row j is
-    ``self[j].eval``, and ``grads`` the (r, m, n) block of the ``grad``
-    matrices: the values and layout stacking the rows gives, so BLAS
-    returns the same bits.  A ``Rows`` is never changed after it is made;
-    slices, copies and filtered lists are plain lists.  Nothing but the
-    list refers to its blocks (no provenance node does), so a kernel's
-    blocks do not outlive its rows.
+    ``evals`` is the read-only, C-contiguous (r, m) block of the outputs'
+    evaluations and ``grads`` the (r, m, n) block of their gradients: the
+    values and layout stacking the rows gives, so BLAS returns the same
+    bits.  ``degrees`` lists the r construction degrees, ``points`` is the
+    point set and ``provs`` gives the r provenance pairs: ``(node, j)`` for
+    row j of a kernel call, the members' own for :func:`rows_of` a list.
+
+    Kernels and Grams read these without making any :class:`Poly`: a fit's
+    candidates and projected candidates never become objects.  The rows are
+    made once, on first element access, as views of one row of each block,
+    and kept, so a row is the same object whenever it is read.  A ``Rows``
+    is a read-only sequence, never changed after it is made; slices are
+    plain lists.  Nothing but the ``Rows`` and its rows refers to its blocks
+    (no provenance node does), so a kernel's blocks do not outlive them.
     """
 
-    __slots__ = ("evals", "grads")
+    __slots__ = ("evals", "grads", "degrees", "points", "_node", "_polys")
+
+    def __init__(self, degrees, evals, grads, node, points):
+        r, m = len(degrees), len(points)
+        if evals.shape != (r, m) or grads.shape != (r, m, points.n):
+            raise ContractViolation("eval/grad blocks do not match the point set")
+        evals.setflags(write=False)
+        grads.setflags(write=False)
+        self.degrees, self.evals, self.grads, self.points = degrees, evals, grads, points
+        self._node, self._polys = node, None
+
+    @property
+    def provs(self):
+        """The provenance pair of each row, without making the rows."""
+        if self._node is None:
+            return [p.prov for p in self._polys]
+        node = self._node
+        return [(node, j) for j in range(len(self.degrees))]
+
+    def _members(self):
+        """The :class:`Poly` rows, made on the first call and kept."""
+        if self._polys is None:
+            ev, gr, node, points = self.evals, self.grads, self._node, self.points
+            polys = []
+            for j, d in enumerate(self.degrees):
+                p = Poly.__new__(Poly)
+                p.degree, p.eval, p.grad, p.prov, p.points = d, ev[j], gr[j], (node, j), points
+                polys.append(p)
+            self._polys = polys
+        return self._polys
+
+    def __len__(self):
+        return len(self.degrees)
+
+    def __getitem__(self, i):
+        return (self._polys or self._members())[i]
+
+    def __iter__(self):
+        return iter(self._polys or self._members())
 
 
 def _evals(polys):
@@ -216,14 +246,35 @@ def _grads(polys):
     return polys.grads if isinstance(polys, Rows) else np.array([p.grad for p in polys])
 
 
+def _degrees(polys):
+    """The construction degrees of ``polys``: a :class:`Rows`'s own, or read off each."""
+    return polys.degrees if isinstance(polys, Rows) else [p.degree for p in polys]
+
+
+def _provs(polys):
+    """The provenance pairs of ``polys``: a :class:`Rows`'s own, or read off each."""
+    return polys.provs if isinstance(polys, Rows) else [p.prov for p in polys]
+
+
+def _points(polys):
+    """The point set of the nonempty ``polys``: a :class:`Rows`'s own, or the
+    one every member lives on."""
+    if isinstance(polys, Rows):
+        return polys.points
+    first = polys[0].points
+    for p in polys[1:]:
+        if p.points is not first:
+            raise ContractViolation("polynomials live on different point sets")
+    return first
+
+
 def rows_of(polys):
-    """``polys`` as :class:`Rows`: itself if it is one, else its members stacked."""
+    """``polys`` as :class:`Rows`: itself if it is one, else its nonempty
+    list of members stacked, with the members as its rows."""
     if isinstance(polys, Rows):
         return polys
-    rows = Rows(polys)
-    rows.evals, rows.grads = _evals(polys), _grads(polys)
-    rows.evals.setflags(write=False)
-    rows.grads.setflags(write=False)
+    rows = Rows(_degrees(polys), _evals(polys), _grads(polys), None, _points(polys))
+    rows._polys = list(polys)
     return rows
 
 
@@ -256,14 +307,6 @@ def variables(pointset):
     return [variable_poly(k, pointset) for k in range(pointset.n)]
 
 
-def _same_points(polys):
-    first = polys[0].points
-    for p in polys[1:]:
-        if p.points is not first:
-            raise ContractViolation("polynomials live on different point sets")
-    return first
-
-
 def linear_combine(polys, weights, lead=()):
     """Weighted sums of polynomials: evals, grads and provenance combine linearly.
 
@@ -274,7 +317,8 @@ def linear_combine(polys, weights, lead=()):
     one ``PLin`` node for all columns.  A column's degree is the largest of
     its lead's and its nonzero-weight children's (0 if there are none).
     Returns :class:`Rows`; a ``Rows`` passed as ``polys`` or ``lead`` gives
-    its blocks, any other list is stacked.
+    its blocks, degrees and provenance without making its rows, any other
+    list is stacked.
     """
     W = np.array(weights, dtype=float)
     if len(polys) < 1 or W.ndim != 2 or W.shape[0] != len(polys):
@@ -283,44 +327,49 @@ def linear_combine(polys, weights, lead=()):
         raise ContractViolation("weights must be finite")
     if lead and len(lead) != W.shape[1]:
         raise ContractViolation("need one lead polynomial per weight column")
-    pointset = _same_points([*polys, *lead])
+    pointset = _points(polys)
+    if lead and _points(lead) is not pointset:
+        raise ContractViolation("polynomials live on different point sets")
     m, n = len(pointset), pointset.n
 
     # A list that is not a Rows is stacked for its own product only, so at
     # most one stacked copy is alive at a time.
     ev = W.T @ _evals(polys)
     gr = (W.T @ _grads(polys).reshape(len(polys), m * n)).reshape(-1, m, n)
-    degrees = np.where(W != 0.0, np.array([p.degree for p in polys])[:, None], 0).max(axis=0)
+    degrees = np.where(W != 0.0, np.array(_degrees(polys))[:, None], 0).max(axis=0)
     if lead:
         ev = _evals(lead) + ev
         gr = _grads(lead) + gr
-        degrees = np.maximum(degrees, [p.degree for p in lead])
+        degrees = np.maximum(degrees, _degrees(lead))
     W.setflags(write=False)
-    node = PLin([p.prov for p in polys], W, [p.prov for p in lead])
-    return Poly._rows(degrees.tolist(), ev, gr, node, pointset)
+    node = PLin(_provs(polys), W, _provs(lead) if lead else [])
+    return Rows(degrees.tolist(), ev, gr, node, pointset)
 
 
 def multiply(ps, qs):
     """Products of degree-1 polynomials with other polynomials.
 
-    ``ps`` and ``qs`` are equally long lists; the result is the list of the
-    pairwise products ``ps[i] * qs[i]``, the rows of one evaluation and one
-    gradient block.  Product-rule gradients, q(x) * grad p(x) + p(x) *
-    grad q(x), are formed for all pairs at once by broadcasting.  The call
-    records one ``PProd`` node for all pairs and returns :class:`Rows`.
+    ``ps`` and ``qs`` are equally long lists or :class:`Rows`; the result
+    is the list of the pairwise products ``ps[i] * qs[i]``, the rows of one
+    evaluation and one gradient block.  Product-rule gradients, q(x) *
+    grad p(x) + p(x) * grad q(x), are formed for all pairs at once by
+    broadcasting.  The call records one ``PProd`` node for all pairs and
+    returns :class:`Rows`.
     """
     if len(ps) != len(qs):
         raise ContractViolation("need as many left factors as right factors")
     if not ps:
         return []
-    if any(a.degree != 1 for a in ps):
+    if any(d != 1 for d in _degrees(ps)):
         raise ContractViolation("left factor must have degree 1")
-    pointset = _same_points(ps + qs)
+    pointset = _points(ps)
+    if _points(qs) is not pointset:
+        raise ContractViolation("polynomials live on different point sets")
     p_ev, q_ev = _evals(ps), _evals(qs)
     ev = p_ev * q_ev
     gr = q_ev[:, :, None] * _grads(ps) + p_ev[:, :, None] * _grads(qs)
-    node = PProd([a.prov for a in ps], [b.prov for b in qs])
-    return Poly._rows([1 + b.degree for b in qs], ev, gr, node, pointset)
+    node = PProd(_provs(ps), _provs(qs))
+    return Rows([1 + d for d in _degrees(qs)], ev, gr, node, pointset)
 
 
 def walk(roots, const, var, product, combine, memo=None):

@@ -160,7 +160,11 @@ def default_m_constant(pointset, mode):
 def normalization_gram(cands, mode, term_cap=DEFAULT_TERM_CAP, memo=None):
     """Normalization matrix N for a candidate stratum under ``mode``.
 
-    ``memo`` is the coefficient rows' walk memo of coefficient mode (see
+    In gradient mode N = R R^T / z^2, where row i of R is candidate i's
+    (|X|, n) gradient block flattened: the C-contiguous (k, |X| n) reshape
+    of the stacked gradients, so the product is one BLAS syrk, which writes
+    one triangle and mirrors it, and N is exactly symmetric.  ``memo`` is
+    the coefficient rows' walk memo of coefficient mode (see
     :func:`mavik.coefficients.coeff_gram`); the other modes ignore it.
     """
     k = len(cands)
@@ -168,9 +172,8 @@ def normalization_gram(cands, mode, term_cap=DEFAULT_TERM_CAP, memo=None):
         return np.eye(k)
     if mode.kind == "coefficient":
         return coeff_gram(cands, term_cap=term_cap, memo=memo)
-    stack = rows_of(cands).grads  # (k, |X|, n)
-    gram = np.einsum("ixk,jxk->ij", stack, stack) / (mode.z**2)
-    return 0.5 * (gram + gram.T)
+    R = rows_of(cands).grads.reshape(k, -1)
+    return (R @ R.T) / (mode.z**2)
 
 
 def _candidate_products(f1, f_prev, dedup_pairs):
@@ -280,10 +283,14 @@ def _degree_step(X, config, F, t, coeff_memo):
     ``orthogonal_project`` removes the earlier strata from them, two Grams
     and a generalized eigensolve pick the combinations, and one
     ``linear_combine`` with the eigenvector matrix builds them.  Each
-    kernel's blocks (:class:`~mavik.core.Rows`) feed the next one and the
-    Grams; only the flattened F strata are stacked.  Nothing here reads
-    epsilon.  ``coeff_memo`` is the coefficient rows' walk memo of the
-    fit's tree of steps.
+    kernel's :class:`~mavik.core.Rows` (blocks, degrees, provenance) feeds
+    the next one and the Grams; only the flattened F strata are stacked.
+    No kernel reads a candidate as a :class:`~mavik.core.Poly`, so the
+    only rows ever made are the retained combinations', when the caller
+    splits them into F and G.  Both Grams are single syrk products and
+    come out exactly symmetric.  Nothing here reads epsilon.
+    ``coeff_memo`` is the coefficient rows' walk memo of the fit's tree of
+    steps.
     """
     if t == 1:
         cands_pre = rows_of(variables(X))
@@ -302,7 +309,6 @@ def _degree_step(X, config, F, t, coeff_memo):
     # The (|X|, k) C-contiguous layout makes E^T E one syrk.
     E = np.ascontiguousarray(cands.evals.T)
     A = E.T @ E
-    A = 0.5 * (A + A.T)
     N = normalization_gram(cands, config.mode, term_cap=config.term_cap, memo=coeff_memo)
     res = gen_eig_sym(A, N)
 

@@ -117,7 +117,7 @@ class TestLinearCombineMatrix:
         W[1, 0] = 0.0  # exact zeros are dropped from that column only
         W[3, 2] = 0.0
         out = linear_combine(H, W)
-        assert isinstance(out, list) and len(out) == 4
+        assert isinstance(out, core.Rows) and len(out) == 4
         for j, p in enumerate(out):
             assert_same_combination(p, linear_combine(H, W[:, j : j + 1])[0])
             # reference: one axpy per child with a nonzero weight
@@ -143,7 +143,7 @@ class TestLinearCombineMatrix:
 
     def test_no_columns(self):
         _, H, _ = self.polys()
-        assert linear_combine(H, np.zeros((len(H), 0))) == []
+        assert list(linear_combine(H, np.zeros((len(H), 0)))) == []
 
     def test_lead_goes_first_with_weight_one(self):
         X, H, rng = self.polys()
@@ -410,6 +410,31 @@ class TestBlocks:
         assert [records[i] for i in ids[:half]] == [records[i] for i in ids[half:]]
 
     @pytest.mark.parametrize("kernel", CALLS)
+    def test_provenance_read_off_rows_flattens_as_the_stacked_list(self, kernel):
+        # kernels read their inputs' degrees and provenance without making
+        # rows, and what a Rows gives for them is what its rows carry
+        X, H, P, Q, W = self.kernel_inputs()
+        carried = self.CALLS[kernel](H, P, Q, W)
+        provs, degrees = carried.provs, carried.degrees
+        assert all(rows._polys is None for rows in (H, P, Q, carried))
+        stacked = self.CALLS[kernel](list(H), list(P), list(Q), W)
+        assert degrees == [p.degree for p in carried] == [p.degree for p in stacked]
+        assert flatten(provs) == flatten([p.prov for p in carried])
+        records, ids = flatten(provs + [p.prov for p in stacked])
+        half = len(carried)
+        assert [records[i] for i in ids[:half]] == [records[i] for i in ids[half:]]
+        copied = core.rows_of(list(carried))
+        assert copied.provs == [p.prov for p in carried] and copied.degrees == degrees
+        assert [p is q for p, q in zip(carried, copied)] == [True] * half
+
+    def test_rows_are_made_once(self):
+        X, H, P, Q, W = self.kernel_inputs()
+        first = list(Q)
+        assert [p is q for p, q in zip(first, Q)] == [True] * len(Q)
+        assert Q[-1] is first[-1] and Q[1:3] == first[1:3]
+        assert [p.prov for p in first] == [(Q.provs[j][0], j) for j in range(len(Q))]
+
+    @pytest.mark.parametrize("kernel", CALLS)
     def test_output_rows_are_read_only_and_shaped(self, kernel):
         X, H, P, Q, W = self.kernel_inputs()
         m, n = len(X), X.n
@@ -534,10 +559,10 @@ class TestGroupedReplay:
         X = generic_points(6, 2, seed=8)
         rng = rng_for(32)
         low, *H = [random_poly(X, d, rng) for d in (1, 3, 2)]
-        polys = (linear_combine(H, rng.normal(size=(2, 2)), lead=[low, low])
-                 + linear_combine(H, rng.normal(size=(2, 1)))
-                 + linear_combine([low, *H], [[1.0], [-0.5], [2.0]])
-                 + linear_combine([low], [[1.0]]))
+        polys = [*linear_combine(H, rng.normal(size=(2, 2)), lead=[low, low]),
+                 *linear_combine(H, rng.normal(size=(2, 1))),
+                 *linear_combine([low, *H], [[1.0], [-0.5], [2.0]]),
+                 *linear_combine([low], [[1.0]])]
         records, ids = flatten([p.prov for p in polys])
         assert records[ids[3]]["weights"] == [1.0, -0.5, 2.0]
         built = replay(records, X)

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import fd_gradient, generic_points, rng_for
-from mavik import engine, serialize
-from mavik.core import PointSet, Poly, constant_poly, variables
+from mavik import core, engine, serialize
+from mavik.core import PointSet, Poly, Rows, constant_poly, variables
 from mavik.datasets import sample_generic, scale, translate
 from mavik.engine import (
     EngineConfig,
@@ -21,6 +21,7 @@ from mavik.engine import (
 )
 from mavik.errors import ContractViolation, InternalInvariantViolation, ResourceLimitError
 from mavik.coefficients import expand_many
+from mavik.retrieval import mode_from_kind
 
 GRAD = NormalizationMode.gradient()
 CIRCLE4 = PointSet([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
@@ -178,6 +179,47 @@ class TestNormalizationGram:
         N = normalization_gram(variables(X), NormalizationMode.vca_baseline())
         np.testing.assert_array_equal(N, np.eye(2))
 
+    @pytest.mark.parametrize("as_list", [False, True], ids=["rows", "list"])
+    def test_gradient_gram_matches_einsum_and_is_exactly_symmetric(self, monkeypatch, as_list):
+        # every projected candidate stratum of a grad fit, as the kernel's
+        # Rows or as a plain list of its rows
+        captured = []
+        gram = engine.normalization_gram
+
+        def capture(cands, mode, **kwargs):
+            captured.append(cands)
+            return gram(cands, mode, **kwargs)
+
+        monkeypatch.setattr(engine, "normalization_gram", capture)
+        fit(sample_generic(50, 4, 0), EngineConfig(epsilon=1e-6, mode=GRAD))
+        assert len(captured) == 5
+        mode = NormalizationMode.gradient(z=3.0)
+        for cands in captured:
+            assert isinstance(cands, Rows)
+            cands = list(cands) if as_list else cands
+            stack = np.array([p.grad for p in cands])
+            want = np.einsum("ixk,jxk->ij", stack, stack) / 9.0
+            N = normalization_gram(cands, mode)
+            assert (N == N.T).all()
+            assert np.abs(N - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("kind", ["vca", "grad"])
+    def test_both_grams_of_a_step_are_exactly_symmetric(self, monkeypatch, kind):
+        pairs = []
+        eig = engine.gen_eig_sym
+
+        def capture(A, N):
+            pairs.append((A, N))
+            return eig(A, N)
+
+        monkeypatch.setattr(engine, "gen_eig_sym", capture)
+        for count, dim in ((50, 3), (100, 4)):
+            X = sample_generic(count, dim, 1)
+            fit(X, EngineConfig(epsilon=1e-6, mode=mode_from_kind(kind, n_points=len(X))))
+        assert len(pairs) == 12
+        for A, N in pairs:
+            assert (A == A.T).all() and (N == N.T).all()
+
     def test_gradient_gram_matches_finite_difference_stacks(self):
         X = generic_points(8, 2, seed=7)
         basis, _ = fit(X, EngineConfig(epsilon=1e-9, mode=GRAD, max_degree=2))
@@ -188,6 +230,91 @@ class TestNormalizationGram:
             [[np.sum(a * b) for b in stacks] for a in stacks]
         )
         np.testing.assert_allclose(N, oracle, rtol=1e-5, atol=1e-5)
+
+
+class TestLazyRows:
+    """A fit makes Poly objects only for the members of its basis."""
+
+    MODES = [NormalizationMode.vca_baseline(), NormalizationMode.coefficient(), GRAD]
+
+    @staticmethod
+    def count_made(monkeypatch):
+        """The sizes of the row lists ``Rows`` makes, one entry per list."""
+        made = []
+        members = core.Rows._members
+
+        def counting(rows):
+            if rows._polys is None:
+                made.append(len(rows))
+            return members(rows)
+
+        monkeypatch.setattr(core.Rows, "_members", counting)
+        return made
+
+    @pytest.mark.parametrize("mode", MODES, ids=["vca", "coeff", "grad"])
+    def test_degree_step_makes_rows_only_for_its_retained_combinations(self, monkeypatch, mode):
+        X = sample_generic(50, 3, 0)
+        config = EngineConfig(epsilon=1e-6, mode=mode)
+        basis, _ = fit(X, config)
+        made = self.count_made(monkeypatch)
+        step = engine._degree_step(X, config, basis.F[:3], 3, {})
+        assert made == []
+        polys = list(step.polys)
+        assert made == [len(step.values)] == [len(polys)]
+        assert all(p is q for p, q in zip(step.polys, polys)) and made == [len(polys)]
+
+    @pytest.mark.parametrize("mode", MODES, ids=["vca", "coeff", "grad"])
+    def test_a_fit_makes_rows_only_for_basis_members(self, monkeypatch, mode):
+        made = self.count_made(monkeypatch)
+        _, report = fit(sample_generic(50, 4, 1), EngineConfig(epsilon=1e-6, mode=mode))
+        # the constant is made by its own constructor, and so are the
+        # degree-1 candidates, the coordinates
+        assert made == [f + g for f, g in zip(report.f_counts[1:], report.g_counts[1:])]
+
+
+# F profile of each grid shape, and G profile per mode; both seeds agree.
+GRID_PROFILES = {
+    (50, 2): ([1, 2, 3, 4, 5, 6, 7, 8, 9, 5, 0], {
+        "vca": [0, 0, 0, 2, 3, 4, 5, 6, 7, 13, 10],
+        "grad": [0, 0, 0, 0, 0, 0, 0, 0, 0, 5, 10],
+        "coeff": [0, 0, 0, 0, 0, 0, 0, 0, 0, 5, 10]}),
+    (50, 3): ([1, 3, 6, 10, 15, 15, 0], {
+        "vca": [0, 0, 0, 8, 15, 30, 45],
+        "grad": [0, 0, 0, 0, 0, 6, 34],
+        "coeff": [0, 0, 0, 0, 0, 6, 34]}),
+    (50, 4): ([1, 4, 10, 20, 15, 0], {
+        "vca": [0, 0, 0, 20, 65, 60],
+        "grad": [0, 0, 0, 0, 20, 60],
+        "coeff": [0, 0, 0, 0, 20, 60]}),
+    (50, 5): ([1, 5, 15, 29, 0], {
+        "vca": [0, 0, 0, 46, 145],
+        "grad": [0, 0, 0, 6, 76],
+        "coeff": [0, 0, 0, 6, 76]}),
+    (100, 4): ([1, 4, 10, 20, 35, 30, 0], {
+        "vca": [0, 0, 0, 20, 45, 110, 120],
+        "grad": [0, 0, 0, 0, 0, 26, 110],
+        "coeff": [0, 0, 0, 0, 0, 26, 110]}),
+    (200, 3): ([1, 3, 6, 10, 15, 21, 28, 36, 45, 35, 0], {
+        "vca": [0, 0, 0, 8, 15, 24, 35, 48, 63, 100, 105],
+        "grad": [0, 0, 0, 0, 0, 0, 0, 0, 0, 20, 86]}),
+}
+
+
+class TestGridProfiles:
+    """The 34 fits of the benchmark grid (``scripts/grid_outputs.py``) at
+    epsilon 1e-6, with the CLI's mode settings: a rounding change that moves
+    a profile fails here, not only in the benchmark."""
+
+    @pytest.mark.parametrize("count, dim", list(GRID_PROFILES))
+    def test_profiles_and_termination(self, count, dim):
+        f_profile, g_profiles = GRID_PROFILES[(count, dim)]
+        for seed in (0, 1):
+            X = sample_generic(count, dim, seed)
+            for kind, g_profile in g_profiles.items():
+                mode = mode_from_kind(kind, n_points=len(X))
+                _, report = fit(X, EngineConfig(epsilon=1e-6, mode=mode))
+                assert (report.f_counts, report.g_counts, report.termination) == (
+                    f_profile, g_profile, "f-empty"), (kind, seed)
 
 
 class TestEvaluate:
