@@ -11,12 +11,12 @@ the sha256 of the retrieval.json of ``mavik retrieval-test --variety V1
 --runs 2 --scales 0.01,1,100``, the output that holds tuples.
 
 Every file must be, byte for byte, the stdlib's ``json.dumps(obj,
-indent=1, sort_keys=True)`` text of what it holds plus a newline; the
-script stops at the first file that is not.  The hash is taken of that
-text, without the newline, once the input paths recorded under ``meta``
-are removed, so two source trees that write the same outputs print the
-same lines.  mavik is
-imported from the import path, so compare two trees with
+sort_keys=True)`` text of what it holds plus a newline; the script stops
+at the first file that is not.  The hash is taken of the ``json.dumps(obj,
+indent=1, sort_keys=True)`` text of what the file holds, once the input
+paths recorded under ``meta`` are removed, so two source trees that write
+the same content print the same lines whatever whitespace they write.
+mavik is imported from the import path, so compare two trees with
 
     PYTHONPATH=<tree>/src python3 scripts/grid_outputs.py > <tree>.txt
 """
@@ -38,19 +38,15 @@ FRESH = 1000
 RETRIEVAL = ["--variety", "V1", "--runs", "2", "--scales", "0.01,1,100"]
 
 
-def canonical(obj):
-    return json.dumps(obj, indent=1, sort_keys=True)
-
-
 def digest(path):
     """sha256 of a JSON output with the paths in its ``meta`` removed."""
     raw = path.read_bytes()
     obj = json.loads(raw)
-    if raw != (canonical(obj) + "\n").encode():
+    if raw != (json.dumps(obj, sort_keys=True) + "\n").encode():
         raise SystemExit(f"{path.name} is not the canonical JSON text of what it holds")
     for key in ("points_file", "reduced_from"):
         obj.get("meta", {}).pop(key, None)
-    return hashlib.sha256(canonical(obj).encode()).hexdigest()
+    return hashlib.sha256(json.dumps(obj, indent=1, sort_keys=True).encode()).hexdigest()
 
 
 def run(argv):

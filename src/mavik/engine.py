@@ -71,7 +71,8 @@ class NormalizationMode:
     """One of the three normalizations: ``vca``, ``coefficient``, ``gradient``.
 
     ``z`` is the positive constant dividing the gradient norm in gradient
-    mode (ignored by the other modes).
+    mode (ignored by the other modes).  The Gram divides by z², so z² must
+    be a finite positive float.
     """
 
     kind: str
@@ -80,8 +81,9 @@ class NormalizationMode:
     def __post_init__(self):
         if self.kind not in ("vca", "coefficient", "gradient"):
             raise ContractViolation(f"unknown normalization mode {self.kind!r}")
-        if not self.z > 0:
-            raise ContractViolation("z must be positive")
+        if not (self.z > 0 and 0 < self.z * self.z < math.inf):
+            raise ContractViolation(
+                f"z must be positive with a finite nonzero square, got {self.z!r}")
 
     @staticmethod
     def vca_baseline():

@@ -9,7 +9,7 @@ import pytest
 
 from mavik import engine, serialize
 from mavik.cli import main
-from mavik.datasets import sample_generic, sample_variety, save_points
+from mavik.datasets import sample_generic, sample_variety, save_points, scale
 from mavik.errors import InternalInvariantViolation
 from mavik.postprocess import RESIDUAL_FLOOR
 from mavik.retrieval import grid_epsilons, load_target_profiles
@@ -75,6 +75,19 @@ class TestFitCommand:
         out = tmp_path / "out"
         assert main(["fit", "--points", str(circle4_csv), "--eps", eps, "--out", str(out)]) == 2
         assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("command", ["fit", "retrieval-test"])
+    @pytest.mark.parametrize("z", ["inf", "1e300", "1e-300"])
+    def test_z_without_finite_positive_square_exits_2(self, tmp_path, capsys, command, z):
+        pts = tmp_path / "g.csv"
+        save_points(sample_generic(30, 2, 0), pts)
+        args = (["--points", str(pts)] if command == "fit"
+                else ["--variety", "V1", "--runs", "1", "--scales", "1"])
+        out = tmp_path / "out"
+        assert main([command, *args, "--z", z, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: z must be positive") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_malformed_points_exits_2(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -201,6 +214,20 @@ class TestEvaluateAndReduce:
         # takes opposite-sign values at the origin and at (1,1)
         col = G[:, np.argmax(np.abs(G[0]) > 1e-6)]
         assert col[0] * col[1] < 0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_evaluate_overflowing_points_exits_2(self, tmp_path, capsys):
+        pts, big = tmp_path / "g.csv", tmp_path / "big.csv"
+        save_points(sample_generic(30, 2, 0), pts)
+        save_points(scale(sample_generic(40, 2, 5), 1e40), big)
+        out, ev = tmp_path / "out", tmp_path / "ev"
+        assert main(["fit", "--points", str(pts), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", "--points", str(big), "--basis", str(out / "basis.json"),
+                     "--out", str(ev)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: evaluations overflow float64 on these points; rescale the points\n"
+        assert not ev.exists()
 
     def test_evaluate_dimension_mismatch_exits_2(self, circle4_csv, tmp_path):
         out = tmp_path / "out"

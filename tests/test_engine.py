@@ -174,6 +174,11 @@ class TestNormalizationGram:
         N = normalization_gram(C, NormalizationMode.coefficient())
         np.testing.assert_allclose(N, [[2.0, 0.0], [0.0, 2.0]])
 
+    @pytest.mark.parametrize("z", [float("inf"), float("nan"), 1e300, 1e-300, 0.0, -1.0])
+    def test_z_whose_square_is_not_finite_positive_is_rejected(self, z):
+        with pytest.raises(ContractViolation, match="z must be positive"):
+            NormalizationMode.gradient(z=z)
+
     def test_vca_is_identity(self):
         X = generic_points(4, 2, seed=6)
         N = normalization_gram(variables(X), NormalizationMode.vca_baseline())
