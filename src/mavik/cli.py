@@ -111,13 +111,8 @@ def _read_basis(path):
 
 def cmd_evaluate(args):
     X_new = datasets.load_points(args.points)
-    # Points far beyond the training scale overflow the replay; the check
-    # below reports that instead of numpy's warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        basis = serialize.basis_from_json(_read_basis(args.basis), X_new)
-        F_mat, G_mat = evaluate(basis, X_new)
-    if not (np.isfinite(F_mat).all() and np.isfinite(G_mat).all()):
-        raise ContractViolation("evaluations overflow float64 on these points; rescale the points")
+    basis = serialize.basis_from_json(_read_basis(args.basis), X_new)
+    F_mat, G_mat = evaluate(basis, X_new)
     out = _out_dir(args)
     serialize.dump_json(
         {

@@ -198,5 +198,5 @@ def coeff_gram(polys, term_cap=DEFAULT_TERM_CAP, memo=None):
     if not polys:
         return np.zeros((0, 0))
     rows, _ = _coeff_rows(polys, term_cap, memo)
-    gram = rows @ rows.T
-    return 0.5 * (gram + gram.T)
+    # One syrk on the freshly padded C-contiguous rows: exactly symmetric.
+    return rows @ rows.T

@@ -17,10 +17,11 @@ outputs are the rows of those blocks, and its provenance is one node: a
 ``PLin`` holds the call's weight matrix, a ``PProd`` its two factor lists,
 and each output's ``prov`` is the pair ``(node, column)``.  The outputs come
 back as :class:`Rows`, which holds the blocks, checked and made read-only
-once per call, with the node, the degrees and the point set.  The next
-kernel and the fit's Grams read the blocks, provenance and degrees off a
-``Rows`` without stacking or making rows; the :class:`Poly` rows, views of
-the blocks, are made lazily, only when something reads an element.
+once per call, with the node, the degrees and the point set.  Kernels and
+Grams read any list through the block readers (``_evals``, ``_grads``,
+``_degrees``, ``_provs``, ``_points``), which give a ``Rows``'s own without
+making rows and stack any other list one block at a time; the :class:`Poly`
+rows, views of the blocks, are made lazily, only when something reads one.
 
 In memory, :func:`walk` runs every node under some roots once, children
 first, and its callbacks make all the columns of a node at once, so
@@ -52,7 +53,6 @@ __all__ = [
     "constant_poly",
     "variable_poly",
     "variables",
-    "rows_of",
     "linear_combine",
     "multiply",
     "walk",
@@ -183,8 +183,8 @@ class Rows:
     evaluations and ``grads`` the (r, m, n) block of their gradients: the
     values and layout stacking the rows gives, so BLAS returns the same
     bits.  ``degrees`` lists the r construction degrees, ``points`` is the
-    point set and ``provs`` gives the r provenance pairs: ``(node, j)`` for
-    row j of a kernel call, the members' own for :func:`rows_of` a list.
+    point set and ``provs`` gives the r provenance pairs, ``(node, j)`` for
+    row j.
 
     Kernels and Grams read these without making any :class:`Poly`: a fit's
     candidates and projected candidates never become objects.  The rows are
@@ -209,8 +209,6 @@ class Rows:
     @property
     def provs(self):
         """The provenance pair of each row, without making the rows."""
-        if self._node is None:
-            return [p.prov for p in self._polys]
         node = self._node
         return [(node, j) for j in range(len(self.degrees))]
 
@@ -268,16 +266,6 @@ def _points(polys):
     return first
 
 
-def rows_of(polys):
-    """``polys`` as :class:`Rows`: itself if it is one, else its nonempty
-    list of members stacked, with the members as its rows."""
-    if isinstance(polys, Rows):
-        return polys
-    rows = Rows(_degrees(polys), _evals(polys), _grads(polys), None, _points(polys))
-    rows._polys = list(polys)
-    return rows
-
-
 def constant_poly(value, pointset):
     """The constant polynomial ``value`` on ``pointset``."""
     if value == 0 or not math.isfinite(value):
@@ -318,7 +306,7 @@ def linear_combine(polys, weights, lead=()):
     its lead's and its nonzero-weight children's (0 if there are none).
     Returns :class:`Rows`; a ``Rows`` passed as ``polys`` or ``lead`` gives
     its blocks, degrees and provenance without making its rows, any other
-    list is stacked.
+    list is stacked one block at a time, as every reader of a list does.
     """
     W = np.array(weights, dtype=float)
     if len(polys) < 1 or W.ndim != 2 or W.shape[0] != len(polys):

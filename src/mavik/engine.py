@@ -34,7 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coefficients import DEFAULT_TERM_CAP, coeff_gram
-from .core import Basis, constant_poly, linear_combine, multiply, replay_many, rows_of, variables
+from .core import (Basis, _evals, _grads, constant_poly, linear_combine, multiply, replay_many,
+                   variables)
 from .errors import ContractViolation, InternalInvariantViolation
 from .linalg import gen_eig_sym, numerical_rank, orthogonal_project
 
@@ -164,9 +165,9 @@ def normalization_gram(cands, mode, term_cap=DEFAULT_TERM_CAP, memo=None):
 
     In gradient mode N = R R^T / z^2, where row i of R is candidate i's
     (|X|, n) gradient block flattened: the C-contiguous (k, |X| n) reshape
-    of the stacked gradients, so the product is one BLAS syrk, which writes
-    one triangle and mirrors it, and N is exactly symmetric.  ``memo`` is
-    the coefficient rows' walk memo of coefficient mode (see
+    of the block core's ``_grads`` reads, so the product is one BLAS syrk,
+    which writes one triangle and mirrors it, and N is exactly symmetric.
+    ``memo`` is the coefficient rows' walk memo of coefficient mode (see
     :func:`mavik.coefficients.coeff_gram`); the other modes ignore it.
     """
     k = len(cands)
@@ -174,7 +175,7 @@ def normalization_gram(cands, mode, term_cap=DEFAULT_TERM_CAP, memo=None):
         return np.eye(k)
     if mode.kind == "coefficient":
         return coeff_gram(cands, term_cap=term_cap, memo=memo)
-    R = rows_of(cands).grads.reshape(k, -1)
+    R = _grads(cands).reshape(k, -1)
     return (R @ R.T) / (mode.z**2)
 
 
@@ -285,31 +286,31 @@ def _degree_step(X, config, F, t, coeff_memo):
     ``orthogonal_project`` removes the earlier strata from them, two Grams
     and a generalized eigensolve pick the combinations, and one
     ``linear_combine`` with the eigenvector matrix builds them.  Each
-    kernel's :class:`~mavik.core.Rows` (blocks, degrees, provenance) feeds
-    the next one and the Grams; only the flattened F strata are stacked.
-    No kernel reads a candidate as a :class:`~mavik.core.Poly`, so the
-    only rows ever made are the retained combinations', when the caller
-    splits them into F and G.  Both Grams are single syrk products and
-    come out exactly symmetric.  Nothing here reads epsilon.
-    ``coeff_memo`` is the coefficient rows' walk memo of the fit's tree of
-    steps.
+    kernel's :class:`~mavik.core.Rows` feeds the next one and the Grams
+    through core's block readers, which stack only the plain lists (the
+    variables, the flattened F strata) one block at a time.  No kernel
+    reads a candidate as a :class:`~mavik.core.Poly`, so the only rows ever
+    made are the retained combinations', when the caller splits them into
+    F and G.  Both Grams are single syrk products and come out exactly
+    symmetric.  Nothing here reads epsilon.  ``coeff_memo`` is the
+    coefficient rows' walk memo of the fit's tree of steps.
     """
     if t == 1:
-        cands_pre = rows_of(variables(X))
+        cands_pre = variables(X)
     else:
         cands_pre = _candidate_products(
             F[1], F[t - 1], dedup_pairs=(t == 2 and config.dedup_degree2)
         )
     # Every entry of the evaluation Gram is bounded by the square of this norm.
     with np.errstate(over="ignore"):
-        scale = float(np.linalg.norm(cands_pre.evals))
+        scale = float(np.linalg.norm(_evals(cands_pre)))
     if not math.isfinite(scale * scale):
         raise ContractViolation(f"degree-{t} evaluations overflow float64; rescale the points")
     f_flat = [f for stratum in F for f in stratum]
-    cands = rows_of(orthogonal_project(cands_pre, f_flat))
+    cands = orthogonal_project(cands_pre, f_flat)
 
     # The (|X|, k) C-contiguous layout makes E^T E one syrk.
-    E = np.ascontiguousarray(cands.evals.T)
+    E = np.ascontiguousarray(_evals(cands).T)
     A = E.T @ E
     N = normalization_gram(cands, config.mode, term_cap=config.term_cap, memo=coeff_memo)
     res = gen_eig_sym(A, N)
@@ -471,11 +472,11 @@ def evaluate(basis, X_new):
     """Values of every basis polynomial on new points.
 
     Returns (F_matrix, G_matrix) whose columns follow the degree-stratified
-    order of the basis.  When ``X_new`` is the point set the basis lives on
-    (a basis loaded on those points, or the training set itself), the
-    stored evaluation vectors are returned; any other input is replayed.
-    The new points pass through :class:`PointSet`, so an empty or
-    non-finite array raises ``ContractViolation``.
+    order of the basis: the stored evaluation vectors when ``X_new`` is the
+    basis's point set (a basis loaded on those points, or the training
+    set), else a replay.  An empty or non-finite ``X_new`` (checked by
+    :class:`PointSet`), or points so far beyond the training scale that a
+    value overflows float64, raise ``ContractViolation``.
     """
     f_polys = basis.f_polys()
     polys = f_polys + basis.g_polys()
@@ -485,6 +486,9 @@ def evaluate(basis, X_new):
         pts = X_new.points if hasattr(X_new, "points") else np.asarray(X_new, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != basis.n:
             raise ContractViolation("new points must be m x n with the training n")
-        values = [ev for ev, _ in replay_many(polys, pts)]
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+            values = [ev for ev, _ in replay_many(polys, pts)]
     E = np.column_stack(values)
+    if not np.isfinite(E).all():
+        raise ContractViolation("evaluations overflow float64 on these points; rescale the points")
     return E[:, : len(f_polys)], E[:, len(f_polys) :]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import linear_combine, rows_of
+from .core import _evals, linear_combine
 from .errors import ContractViolation, InternalInvariantViolation
 
 __all__ = ["GenEigResult", "gen_eig_sym", "orthogonal_project", "numerical_rank"]
@@ -162,20 +162,19 @@ def orthogonal_project(cands, f_prev):
     ``-(E^T C) / diag``, and the projected candidates one
     :func:`linear_combine` of ``f_prev`` with the candidates as lead terms,
     so each result is ``c - sum_j w_j f_j`` with provenance ``[c] + f_prev``.
-    Gradients and provenance follow the same linear combination.  A list
-    that is not a kernel's :class:`~mavik.core.Rows` is stacked once.
+    Gradients and provenance follow the same linear combination.  ``E`` and
+    ``C`` are read with core's ``_evals``, which stacks a plain list.
     """
     if not f_prev or not cands:
         return list(cands)
-    f_prev, cands = rows_of(f_prev), rows_of(cands)
     # (|X|, k) in C order, the layout the products below were rounded in.
-    E = np.ascontiguousarray(f_prev.evals.T)
+    E = np.ascontiguousarray(_evals(f_prev).T)
     diag = np.sum(E * E, axis=0)
     if np.any(diag == 0.0):
         raise InternalInvariantViolation(
             "projection basis contains a zero evaluation vector"
         )
-    C = np.ascontiguousarray(cands.evals.T)
+    C = np.ascontiguousarray(_evals(cands).T)
     W = -(E.T @ C) / diag[:, None]
     return linear_combine(f_prev, W, lead=cands)
 

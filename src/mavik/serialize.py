@@ -104,7 +104,10 @@ def basis_from_json(obj, X):
     for key in ("f", "g"):
         if not isinstance(obj[key], list):
             raise ContractViolation(f"basis field {key!r} is not a list")
-    built = replay(obj["nodes"], X)
+    # Points far beyond the training scale overflow the replay;
+    # engine.evaluate reports that instead of numpy's warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        built = replay(obj["nodes"], X)
 
     def pick(rec):
         if not isinstance(rec, dict):

@@ -423,9 +423,6 @@ class TestBlocks:
         records, ids = flatten(provs + [p.prov for p in stacked])
         half = len(carried)
         assert [records[i] for i in ids[:half]] == [records[i] for i in ids[half:]]
-        copied = core.rows_of(list(carried))
-        assert copied.provs == [p.prov for p in carried] and copied.degrees == degrees
-        assert [p is q for p, q in zip(carried, copied)] == [True] * half
 
     def test_rows_are_made_once(self):
         X, H, P, Q, W = self.kernel_inputs()

@@ -359,6 +359,17 @@ class TestEvaluate:
         with pytest.raises(ContractViolation):
             evaluate(basis, PointSet([[1.0, 2.0, 3.0]]))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_points_raise_without_warnings(self):
+        # the high-degree members overflow float64 on points 1e40 times the
+        # training scale, replayed directly or through a loaded basis
+        basis, _ = fit(sample_generic(30, 2, 0), EngineConfig(epsilon=1e-6, mode=GRAD))
+        big = scale(sample_generic(40, 2, 5), 1e40)
+        loaded = serialize.basis_from_json(serialize.basis_to_json(basis), big)
+        for b in (basis, loaded):
+            with pytest.raises(ContractViolation, match="overflow float64 on these points"):
+                evaluate(b, big)
+
 
 class TestDimensionTermination:
     def test_zero_targets_never_fire(self):
@@ -409,6 +420,20 @@ class TestStructuralInvariants:
         gram = E.T @ E
         off = gram - np.diag(np.diag(gram))
         assert np.max(np.abs(off)) < 1e-8 * max(1.0, np.diag(gram).max())
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=InternalInvariantViolation,
+        reason="the one-pass projection loses F-orthogonality on three tight clusters "
+        "(loss 1.8e-5 after degree 6), so degree 7 reports |F| = 31 > |X| = 30; "
+        "a two-pass projection (ROADMAP item 3) keeps the loss at 1e-12",
+    )
+    def test_clustered_points_keep_f_within_the_point_count(self):
+        r = np.random.default_rng(0)
+        centres = r.uniform(-1, 1, (3, 2))
+        X = PointSet(centres[r.integers(0, 3, 30)] + 1e-3 * r.normal(size=(30, 2)))
+        _, report = fit(X, EngineConfig(epsilon=1e-6, mode=GRAD))
+        assert sum(report.f_counts) <= len(X) and report.termination == "f-empty"
 
     def test_extent_bookkeeping(self):
         X = generic_points(30, 3, seed=15)
