@@ -19,17 +19,24 @@ the same content print the same lines whatever whitespace they write.
 mavik is imported from the import path, so compare two trees with
 
     PYTHONPATH=<tree>/src python3 scripts/grid_outputs.py > <tree>.txt
+
+BLAS runs on one thread, as in ``mavik.cli``, whatever the shell sets: the
+bytes of the files depend on the thread count.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
 
-from mavik import cli
-from mavik.datasets import sample_generic, save_points
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+from mavik import cli  # noqa: E402
+from mavik.datasets import sample_generic, save_points  # noqa: E402
 
 SHAPES = [(50, 2), (50, 3), (50, 4), (50, 5), (100, 4), (200, 3)]
 MODES = ["vca", "grad", "coeff"]

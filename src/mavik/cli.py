@@ -11,25 +11,34 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
+# One BLAS thread for the whole process, set before numpy loads.  OpenBLAS
+# splits its products by thread count, so the rounding -- and the bytes of
+# report.json, basis.json and the files read from them -- would depend on
+# it.  An inherited value is overwritten, since any other count moves the
+# bytes again.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-from . import datasets, engine, serialize
-from .coefficients import DEFAULT_TERM_CAP, expand_many
-from .core import Basis, constant_poly
-from .engine import EngineConfig, evaluate
-from .errors import (
+import numpy as np  # noqa: E402
+
+from . import datasets, engine, serialize  # noqa: E402
+from .coefficients import DEFAULT_TERM_CAP, expand_many  # noqa: E402
+from .core import Basis, constant_poly  # noqa: E402
+from .engine import EngineConfig, evaluate  # noqa: E402
+from .errors import (  # noqa: E402
     ContractViolation,
     DegenerateInputError,
     InternalInvariantViolation,
     ResourceLimitError,
 )
-from .postprocess import reduce_basis
-from .retrieval import load_target_profiles, mode_from_kind, run_retrieval
+from .postprocess import reduce_basis  # noqa: E402
+from .retrieval import load_target_profiles, mode_from_kind, run_retrieval  # noqa: E402
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2

@@ -1,13 +1,23 @@
 """Points and polynomials in evaluation representation.
 
 A polynomial is not stored by its terms.  It is stored as the vector of its
-values on a fixed point set, the matrix of its gradient values on the same
-points, and a construction tree (constants, variables, products, linear
-combinations) that can be replayed to evaluate the polynomial -- values and
-gradients -- on any other point set.  All basis construction happens through
-the two operations :func:`linear_combine` and :func:`multiply`; gradients are
-propagated through them with the product/linearity rules and are never
-obtained by symbolic differentiation.
+values on a fixed point set, optionally the matrix of its gradient values on
+the same points, and a construction tree (constants, variables, products,
+linear combinations) that can be replayed to evaluate the polynomial --
+values, and gradients if asked for -- on any other point set.  All basis
+construction happens through the two operations :func:`linear_combine` and
+:func:`multiply`; gradients are propagated through them with the
+product/linearity rules and are never obtained by symbolic differentiation.
+
+Gradients travel with the data.  :func:`constant_poly` and
+:func:`variable_poly` carry them unless called with ``grads=False``, and a
+kernel forms its gradient block only when every input carries one; any other
+output is values-only, with ``grad`` (and ``Rows.grads``) ``None``.  The
+gradient block is n times the size of the value block, so a fit that reads
+no gradient starts from a values-only constant, :func:`replay` forms values
+alone, and :func:`replay_many` does unless called with ``grads=True``.
+Running the same kernel calls with gradients gives the values of the
+values-only calls and the gradients an eager run forms, bit for bit.
 
 Both operations work on whole strata at once: :func:`linear_combine` forms
 r combinations of k polynomials as one matrix product over their stacked
@@ -20,8 +30,9 @@ back as :class:`Rows`, which holds the blocks, checked and made read-only
 once per call, with the node, the degrees and the point set.  Kernels and
 Grams read any list through the block readers (``_evals``, ``_grads``,
 ``_degrees``, ``_provs``, ``_points``), which give a ``Rows``'s own without
-making rows and stack any other list one block at a time; the :class:`Poly`
-rows, views of the blocks, are made lazily, only when something reads one.
+making rows and stack any other list one block at a time; ``_grads`` raises
+``ContractViolation`` on values-only members.  The :class:`Poly` rows, views
+of the blocks, are made lazily, only when something reads one.
 
 In memory, :func:`walk` runs every node under some roots once, children
 first, and its callbacks make all the columns of a node at once, so
@@ -150,22 +161,25 @@ class Poly:
     """A polynomial over a fixed :class:`PointSet`, in evaluation form.
 
     ``eval`` is h(X), ``grad`` is the |X| x n matrix of per-point gradients,
-    ``degree`` is the construction degree and ``prov`` the ``(node, column)``
-    pair of the construction tree.  Instances are immutable; ``eval`` and
-    ``grad`` are read-only.  The constructor checks their shapes; a kernel
-    output is made by its :class:`Rows` instead, as views of one row of the
-    call's blocks, which are checked once for all rows.
+    or None for a values-only polynomial, ``degree`` is the construction
+    degree and ``prov`` the ``(node, column)`` pair of the construction
+    tree.  Instances are immutable; ``eval`` and ``grad`` are read-only.
+    The constructor checks their shapes; a kernel output is made by its
+    :class:`Rows` instead, as views of one row of the call's blocks, which
+    are checked once for all rows.
     """
 
     __slots__ = ("degree", "eval", "grad", "prov", "points")
 
     def __init__(self, degree, eval_vec, grad_mat, prov, points):
         ev = np.asarray(eval_vec, dtype=float)
-        gr = np.asarray(grad_mat, dtype=float)
-        if ev.shape != (len(points),) or gr.shape != (len(points), points.n):
+        gr = None if grad_mat is None else np.asarray(grad_mat, dtype=float)
+        m, n = len(points), points.n
+        if ev.shape != (m,) or (gr is not None and gr.shape != (m, n)):
             raise ContractViolation("eval/grad shapes do not match the point set")
         ev.setflags(write=False)
-        gr.setflags(write=False)
+        if gr is not None:
+            gr.setflags(write=False)
         self.degree = int(degree)
         self.eval = ev
         self.grad = gr
@@ -180,11 +194,11 @@ class Rows:
     """The outputs of one kernel call, held as their stacked blocks.
 
     ``evals`` is the read-only, C-contiguous (r, m) block of the outputs'
-    evaluations and ``grads`` the (r, m, n) block of their gradients: the
-    values and layout stacking the rows gives, so BLAS returns the same
-    bits.  ``degrees`` lists the r construction degrees, ``points`` is the
-    point set and ``provs`` gives the r provenance pairs, ``(node, j)`` for
-    row j.
+    evaluations and ``grads`` the (r, m, n) block of their gradients, or
+    None for values-only outputs: the values and layout stacking the rows
+    gives, so BLAS returns the same bits.  ``degrees`` lists the r
+    construction degrees, ``points`` is the point set and ``provs`` gives
+    the r provenance pairs, ``(node, j)`` for row j.
 
     Kernels and Grams read these without making any :class:`Poly`: a fit's
     candidates and projected candidates never become objects.  The rows are
@@ -199,10 +213,11 @@ class Rows:
 
     def __init__(self, degrees, evals, grads, node, points):
         r, m = len(degrees), len(points)
-        if evals.shape != (r, m) or grads.shape != (r, m, points.n):
+        if evals.shape != (r, m) or (grads is not None and grads.shape != (r, m, points.n)):
             raise ContractViolation("eval/grad blocks do not match the point set")
         evals.setflags(write=False)
-        grads.setflags(write=False)
+        if grads is not None:
+            grads.setflags(write=False)
         self.degrees, self.evals, self.grads, self.points = degrees, evals, grads, points
         self._node, self._polys = node, None
 
@@ -219,7 +234,8 @@ class Rows:
             polys = []
             for j, d in enumerate(self.degrees):
                 p = Poly.__new__(Poly)
-                p.degree, p.eval, p.grad, p.prov, p.points = d, ev[j], gr[j], (node, j), points
+                p.degree, p.eval, p.prov, p.points = d, ev[j], (node, j), points
+                p.grad = None if gr is None else gr[j]
                 polys.append(p)
             self._polys = polys
         return self._polys
@@ -239,9 +255,25 @@ def _evals(polys):
     return polys.evals if isinstance(polys, Rows) else np.array([p.eval for p in polys])
 
 
+def _grad_block(polys):
+    """The (k, m, n) gradient block of ``polys``, a :class:`Rows`'s own or
+    stacked, or None when a member is values-only."""
+    if isinstance(polys, Rows):
+        return polys.grads
+    grads = [p.grad for p in polys]
+    return None if any(g is None for g in grads) else np.array(grads)
+
+
 def _grads(polys):
-    """The (k, m, n) gradient block of ``polys``: a :class:`Rows`'s own, or stacked."""
-    return polys.grads if isinstance(polys, Rows) else np.array([p.grad for p in polys])
+    """The (k, m, n) gradient block of ``polys``: a :class:`Rows`'s own, or stacked.
+
+    Raises ``ContractViolation`` when a member is values-only."""
+    block = _grad_block(polys)
+    if block is None:
+        raise ContractViolation(
+            "these polynomials carry no gradients; build them, or replay_many them, "
+            "with grads=True")
+    return block
 
 
 def _degrees(polys):
@@ -266,27 +298,25 @@ def _points(polys):
     return first
 
 
-def constant_poly(value, pointset):
-    """The constant polynomial ``value`` on ``pointset``."""
+def constant_poly(value, pointset, grads=True):
+    """The constant polynomial ``value`` on ``pointset``; values-only
+    without ``grads``."""
     if value == 0 or not math.isfinite(value):
         raise ContractViolation("constant polynomial must be finite and nonzero")
     m = len(pointset)
-    return Poly(
-        0,
-        np.full(m, float(value)),
-        np.zeros((m, pointset.n)),
-        (PConst(value), 0),
-        pointset,
-    )
+    grad = np.zeros((m, pointset.n)) if grads else None
+    return Poly(0, np.full(m, float(value)), grad, (PConst(value), 0), pointset)
 
 
-def variable_poly(index, pointset):
-    """The coordinate polynomial x_index on ``pointset``."""
+def variable_poly(index, pointset, grads=True):
+    """The coordinate polynomial x_index on ``pointset``; values-only
+    without ``grads``."""
     if not 0 <= index < pointset.n:
         raise ContractViolation(f"variable index {index} out of range")
-    m = len(pointset)
-    grad = np.zeros((m, pointset.n))
-    grad[:, index] = 1.0
+    grad = None
+    if grads:
+        grad = np.zeros((len(pointset), pointset.n))
+        grad[:, index] = 1.0
     return Poly(1, pointset.points[:, index], grad, (PVar(index), 0), pointset)
 
 
@@ -299,14 +329,16 @@ def linear_combine(polys, weights, lead=()):
     """Weighted sums of polynomials: evals, grads and provenance combine linearly.
 
     ``weights`` of shape (k, r) gives a list of r outputs, one per column:
-    the rows of one matrix product over the stacked evaluations and one
-    over the stacked gradients.  ``lead``, if given, holds r polynomials
-    added to the columns with weight 1 after the product.  The call records
-    one ``PLin`` node for all columns.  A column's degree is the largest of
-    its lead's and its nonzero-weight children's (0 if there are none).
-    Returns :class:`Rows`; a ``Rows`` passed as ``polys`` or ``lead`` gives
-    its blocks, degrees and provenance without making its rows, any other
-    list is stacked one block at a time, as every reader of a list does.
+    the rows of one matrix product over the stacked evaluations and, when
+    every input and lead carries gradients, one over the stacked gradients;
+    otherwise the outputs are values-only.  ``lead``, if given, holds r
+    polynomials added to the columns with weight 1 after the product.  The
+    call records one ``PLin`` node for all columns.  A column's degree is
+    the largest of its lead's and its nonzero-weight children's (0 if there
+    are none).  Returns :class:`Rows`; a ``Rows`` passed as ``polys`` or
+    ``lead`` gives its blocks, degrees and provenance without making its
+    rows, any other list is stacked one block at a time, as every reader of
+    a list does.
     """
     W = np.array(weights, dtype=float)
     if len(polys) < 1 or W.ndim != 2 or W.shape[0] != len(polys):
@@ -323,11 +355,14 @@ def linear_combine(polys, weights, lead=()):
     # A list that is not a Rows is stacked for its own product only, so at
     # most one stacked copy is alive at a time.
     ev = W.T @ _evals(polys)
-    gr = (W.T @ _grads(polys).reshape(len(polys), m * n)).reshape(-1, m, n)
+    gr = _grad_block(polys)
+    if gr is not None:
+        gr = (W.T @ gr.reshape(len(polys), m * n)).reshape(-1, m, n)
     degrees = np.where(W != 0.0, np.array(_degrees(polys))[:, None], 0).max(axis=0)
     if lead:
         ev = _evals(lead) + ev
-        gr = _grads(lead) + gr
+        lead_gr = None if gr is None else _grad_block(lead)
+        gr = None if lead_gr is None else lead_gr + gr
         degrees = np.maximum(degrees, _degrees(lead))
     W.setflags(write=False)
     node = PLin(_provs(polys), W, _provs(lead) if lead else [])
@@ -341,8 +376,9 @@ def multiply(ps, qs):
     is the list of the pairwise products ``ps[i] * qs[i]``, the rows of one
     evaluation and one gradient block.  Product-rule gradients, q(x) *
     grad p(x) + p(x) * grad q(x), are formed for all pairs at once by
-    broadcasting.  The call records one ``PProd`` node for all pairs and
-    returns :class:`Rows`.
+    broadcasting, when every factor carries gradients; otherwise the
+    products are values-only.  The call records one ``PProd`` node for all
+    pairs and returns :class:`Rows`.
     """
     if len(ps) != len(qs):
         raise ContractViolation("need as many left factors as right factors")
@@ -355,7 +391,11 @@ def multiply(ps, qs):
         raise ContractViolation("polynomials live on different point sets")
     p_ev, q_ev = _evals(ps), _evals(qs)
     ev = p_ev * q_ev
-    gr = q_ev[:, :, None] * _grads(ps) + p_ev[:, :, None] * _grads(qs)
+    gr = _grad_block(ps)
+    if gr is not None:
+        gr = q_ev[:, :, None] * gr
+        q_gr = _grad_block(qs)
+        gr = None if q_gr is None else gr + p_ev[:, :, None] * q_gr
     node = PProd(_provs(ps), _provs(qs))
     return Rows([1 + d for d in _degrees(qs)], ev, gr, node, pointset)
 
@@ -475,22 +515,23 @@ def _finite(values, i, key):
 
 
 def replay(records, pointset):
-    """Rebuild every record of :func:`flatten` on ``pointset``.
+    """Rebuild every record of :func:`flatten` on ``pointset``, values only.
 
-    Returns one :class:`Poly` per record, formed by the construction
-    kernels, so values, gradients, degrees and provenance follow the fit's
-    rules.  A first pass checks every record before any kernel runs: child
-    indices must point to earlier records, and every field must have its
-    JSON type (numbers for values and weights, an int variable index, lists
-    of children and of as many finite weights).  It builds the constants
-    and variables and groups the other records by level (one above the
-    highest child): the products of a level, and the ``lincomb`` records
-    of a level that share their children.  A ``lincomb`` whose first weight
-    is exactly 1.0 takes its first child as its lead, as :func:`flatten`
-    writes a lead, so the columns of one fitted call fall back into one
-    group.  A second pass makes one kernel call per group, level by level:
-    :func:`multiply` or :func:`linear_combine`.  A ``lincomb`` without
-    children is the zero polynomial of degree 0.
+    Returns one values-only :class:`Poly` per record, formed by the
+    construction kernels, so values, degrees and provenance follow the
+    fit's rules; :func:`replay_many` with ``grads=True`` gives their
+    gradients.  A first pass checks every record before any kernel runs:
+    child indices must point to earlier records, and every field must have
+    its JSON type (numbers for values and weights, an int variable index,
+    lists of children and of as many finite weights).  It builds the
+    constants and variables and groups the other records by level (one
+    above the highest child): the products of a level, and the ``lincomb``
+    records of a level that share their children.  A ``lincomb`` whose
+    first weight is exactly 1.0 takes its first child as its lead, as
+    :func:`flatten` writes a lead, so the columns of one fitted call fall
+    back into one group.  A second pass makes one kernel call per group,
+    level by level: :func:`multiply` or :func:`linear_combine`.  A
+    ``lincomb`` without children is the zero polynomial of degree 0.
     """
     if not isinstance(records, list):
         raise ContractViolation("the node list is not a list")
@@ -502,10 +543,10 @@ def replay(records, pointset):
         if kind == "const":
             value = _field(rec, "value", i, _NUMBER)
             _finite([value], i, "value")
-            built[i] = constant_poly(value, pointset)
+            built[i] = constant_poly(value, pointset, grads=False)
             continue
         if kind == "var":
-            built[i] = variable_poly(_field(rec, "index", i, (int,)), pointset)
+            built[i] = variable_poly(_field(rec, "index", i, (int,)), pointset, grads=False)
             continue
         if kind == "product":
             kids = _earlier([_field(rec, "left", i), _field(rec, "right", i)], i)
@@ -535,24 +576,27 @@ def replay(records, pointset):
             kids = [built[j] for j in key[3]]
             W = np.array([w for _, w in args], dtype=float).T
             if not kids:  # zero polynomials, or leads alone
-                kids, W = [constant_poly(1.0, pointset)], np.zeros((1, len(args)))
+                kids, W = [constant_poly(1.0, pointset, grads=False)], np.zeros((1, len(args)))
             outs = linear_combine(kids, W, lead)
         for i, p in zip(members, outs):
             built[i] = p
     return built
 
 
-def replay_many(polys, points):
-    """Values and gradients of ``polys`` on an (m, n) array of points.
+def replay_many(polys, points, grads=False):
+    """Values, and with ``grads`` gradients, of ``polys`` on an (m, n) array of points.
 
     A :func:`walk` with the construction kernels: every kernel call under
-    ``polys`` runs once, whole, so a polynomial's values do not depend on
-    the others asked for and on the fit's points are the fit's, bitwise.
-    Returns one ``(values, grads)`` pair per polynomial, shaped (m,), (m, n).
+    ``polys`` runs once, whole, so a polynomial's values and gradients do
+    not depend on the others asked for, and on the fit's points are the
+    fit's, bitwise -- also the gradients of a values-only fit, which are
+    those its kernel calls form with gradients.  Returns one ``(values,
+    grads)`` pair per polynomial, shaped (m,), (m, n); ``grads`` is None
+    without ``grads``.
     """
     X = PointSet(points)
-    built = walk([p.prov for p in polys], const=lambda value: [constant_poly(value, X)],
-                 var=lambda index: [variable_poly(index, X)], product=multiply,
+    built = walk([p.prov for p in polys], const=lambda value: [constant_poly(value, X, grads)],
+                 var=lambda index: [variable_poly(index, X, grads)], product=multiply,
                  combine=linear_combine)
     return [(p.eval, p.grad) for p in built]
 

@@ -20,9 +20,19 @@ members.
 
 Each degree is one step that never reads epsilon (candidates, projection,
 Grams, eigensolve, combination), followed by the epsilon-dependent split,
-size guards and termination rules.  :class:`Fitter` keeps every step it
-computes, so fits of one point set at several epsilons share every degree
-whose lower degrees they split alike.
+size guards and termination rules.
+
+Only gradient normalization and the dimension rule read gradients.  A fit
+in either starts from a constant that carries them, so every kernel forms
+them; a vca or coeff fit without a dimension rule starts from a values-only
+constant, so its polynomials are values-only (``Poly.grad`` is None).
+Their gradients, if wanted, come from :func:`replay_many` with
+``grads=True`` on the fit's points, which re-runs the fit's kernel calls
+with gradients and gives, bitwise, what the fit would have formed.
+:func:`evaluate` replays values only.
+
+:class:`Fitter` keeps every step it computes, so fits of one point set at
+several epsilons share every degree whose lower degrees they split alike.
 """
 
 from __future__ import annotations
@@ -193,21 +203,22 @@ def _candidate_products(f1, f_prev, dedup_pairs):
     return multiply(lefts, rights)
 
 
-def dimension_bounds(g_polys, X):
-    """(d_min, d_max) of the variety cut out by ``g_polys`` on ``X``.
+def dimension_bounds(grads, X):
+    """(d_min, d_max) of the variety cut out by polynomials on ``X``.
 
-    Per point, the numerical rank of the stacked gradients is the
-    codimension of the tangent space.  A stack counts as zero when its
-    Frobenius norm is negligible relative to the largest stack over all
-    points, and then has rank 0.  d_min is n minus the largest rank over
+    ``grads`` holds the polynomials' (|X|, n) gradients, as a list or one
+    (k, |X|, n) array.  Per point, the numerical rank of the stacked
+    gradients is the codimension of the tangent space.  A stack counts as
+    zero when its Frobenius norm is negligible relative to the largest
+    stack over all points, and then has rank 0.  d_min is n minus the largest rank over
     all points; d_max is n minus the smallest rank over points with a
     nonzero stack, or n when every stack vanishes.  Hence d_min < n exactly
     when some point has a nonzero stack.  No polynomials give (n, n).
     """
     n = X.n
-    if not g_polys:
+    if not len(grads):
         return n, n
-    stacks = np.stack([g.grad for g in g_polys])  # (|G|, |X|, n)
+    stacks = np.asarray(grads, dtype=float)  # (|G|, |X|, n)
     fro = np.sqrt(np.sum(stacks**2, axis=(0, 2)))
     fmax = float(fro.max())
     nonzero = fro > DIM_RANK_TOL * fmax if fmax > 0 else np.zeros(len(X), dtype=bool)
@@ -215,6 +226,11 @@ def dimension_bounds(g_polys, X):
     d_min = n - int(ranks.max())
     d_max = n - int(ranks[nonzero].min()) if np.any(nonzero) else n
     return d_min, d_max
+
+
+def _dimension_rule(config):
+    """Whether ``config`` sets a dimension rule (a nonzero d_max or d_min)."""
+    return bool(config.d_max) or bool(config.d_min)
 
 
 def check_termination_dimension(g_polys, X, d_max=None, d_min=None):
@@ -231,7 +247,7 @@ def check_termination_dimension(g_polys, X, d_max=None, d_min=None):
     d_min = None if not d_min else int(d_min)
     if (d_max is None and d_min is None) or not g_polys:
         return False
-    lo, hi = dimension_bounds(g_polys, X)
+    lo, hi = dimension_bounds(_grads(g_polys), X)
     if d_max is not None and lo < X.n and hi <= d_max:
         return True
     return d_min is not None and lo <= d_min
@@ -366,8 +382,10 @@ class Fitter:
         if max_degree < 1:
             raise ContractViolation("max_degree must be at least 1")
         # The constant is shared with the kept steps' provenance, so it is
-        # kept with them: a saved basis then lists it once.
-        self._const = constant_poly(m_const, X)
+        # kept with them: a saved basis then lists it once.  Its gradients,
+        # formed only where something reads them, decide every kernel's.
+        grads = config.mode.kind == "gradient" or _dimension_rule(config)
+        self._const = constant_poly(m_const, X, grads)
         self._m_const, self._max_degree = m_const, max_degree
         self._tree = {}  # {(): the degree-1 node}
         self._coeff_memo = {}  # provenance node -> coefficient rows, in coefficient mode
@@ -392,7 +410,7 @@ class Fitter:
             self._key = key
         n, m = X.n, len(X)
         max_degree = self._max_degree
-        dimension_rule = bool(config.d_max) or bool(config.d_min)
+        dimension_rule = _dimension_rule(config)
 
         F = [[self._const]]
         G = [[]]

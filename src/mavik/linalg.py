@@ -2,8 +2,9 @@
 
 * :func:`orthogonal_project` -- remove the span of earlier strata from a
   batch of candidate polynomials, on the evaluation side, updating gradients
-  with the same combination weights; one matrix product for the weights and
-  one stratum-level combination for the results.
+  (where the inputs carry them) with the same combination weights; one
+  matrix product for the weights and one stratum-level combination for the
+  results.
 * :func:`gen_eig_sym` -- symmetric-definite generalized eigenproblem
   ``A V = N V Lambda`` restricted to the numerical range of ``N``, returning
   N-orthonormal eigenvectors.
@@ -162,8 +163,9 @@ def orthogonal_project(cands, f_prev):
     ``-(E^T C) / diag``, and the projected candidates one
     :func:`linear_combine` of ``f_prev`` with the candidates as lead terms,
     so each result is ``c - sum_j w_j f_j`` with provenance ``[c] + f_prev``.
-    Gradients and provenance follow the same linear combination.  ``E`` and
-    ``C`` are read with core's ``_evals``, which stacks a plain list.
+    Gradients, when every input carries them, and provenance follow the
+    same linear combination.  ``E`` and ``C`` are read with core's
+    ``_evals``, which stacks a plain list.
     """
     if not f_prev or not cands:
         return list(cands)

@@ -1,13 +1,23 @@
 """Gradient-based basis post-processing.
 
-Two consumers of the stored per-point gradients, each a stacked kernel over
-a (points x members x n) gradient array: removal of redundant basis
-polynomials (a vanishing polynomial whose gradient lies, at every data
+Two consumers of the per-point gradients of the G members, each a stacked
+kernel over a (points x members x n) gradient array: removal of redundant
+basis polynomials (a vanishing polynomial whose gradient lies, at every data
 point, in the span of the gradients of the kept lower-degree ones behaves
 identically to an ideal member of those up to first order and is dropped),
 and estimation of the dimension of the underlying variety from per-point
 tangent-space codimensions (:func:`mavik.engine.dimension_bounds`, the one
 rank-to-dimension rule, shared with the fit's dimension stopping rule).
+
+Members that carry their gradients (a grad fit's, or any fit's with a
+dimension rule) are read as they are.  Values-only members -- a vca or
+coeff fit's, or any loaded basis's -- get theirs from one replay on their
+points with gradients, through ``engine.replay_many``: it re-runs the
+kernel calls that built them, so the gradients are bitwise those the same
+calls form with gradients.  Gradients formed for a
+:class:`~mavik.core.Basis` are kept until the basis is collected (see
+:func:`_g_grads`), so a reduction and a dimension estimate of one basis
+share one replay.  Both functions return the caller's own polynomials.
 
 The reduction works one degree at a time: one stacked pseudo-inverse of the
 kept lower-degree gradients, one per point, and the residuals of every
@@ -19,11 +29,13 @@ rounding noise and the reduction report writes them as the floor, so
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import dimension_bounds
+from . import engine
+from .core import Basis
 from .errors import ContractViolation
 
 __all__ = ["RESIDUAL_FLOOR", "ReductionReport", "reduce_basis", "estimate_dimension"]
@@ -53,8 +65,35 @@ class ReductionReport:
         return counts
 
 
-def _g_polys(basis):
-    return basis.g_polys() if hasattr(basis, "g_polys") else list(basis)
+# id(basis) -> {values-only G member: its (|X|, n) gradients}; an entry is
+# dropped when its Basis is collected.
+_FORMED = {}
+
+
+def _g_grads(basis):
+    """The G members of ``basis`` (a Basis or a list of polynomials) and
+    their (|X|, n) gradients, formed on demand.
+
+    A member's own ``grad`` is read as it is; the values-only members are
+    replayed together once with gradients.  For a Basis, what the replay
+    formed is kept in ``_FORMED`` under the basis's id until the basis is
+    collected, so a later call on the same basis replays only members added
+    since; a plain list keeps nothing between calls.
+    """
+    if isinstance(basis, Basis):
+        g_polys, key = basis.g_polys(), id(basis)
+        memo = _FORMED.get(key)
+        if memo is None:
+            memo = _FORMED[key] = {}
+            weakref.finalize(basis, _FORMED.pop, key, None)
+    else:
+        g_polys, memo = list(basis), {}
+    missing = [g for g in g_polys if g.grad is None and g not in memo]
+    if missing:
+        # Looked up at call time, so the benchmark's tracer sees the replay.
+        pairs = engine.replay_many(missing, missing[0].points.points, grads=True)
+        memo.update((g, gr) for g, (_, gr) in zip(missing, pairs))
+    return g_polys, [memo[g] if g.grad is None else g.grad for g in g_polys]
 
 
 def reduce_basis(basis, X, threshold=1e-6):
@@ -71,24 +110,25 @@ def reduce_basis(basis, X, threshold=1e-6):
     """
     if not 0 <= threshold < 1:
         raise ContractViolation("threshold must lie in [0, 1)")
-    g_polys = _g_polys(basis)
-    kept, removed = [], []
+    g_polys, grads = _g_grads(basis)
+    kept, pool, removed = [], [], []  # pool: the kept members' gradients
     for degree in sorted({g.degree for g in g_polys}):
-        members = [g for g in g_polys if g.degree == degree]
-        T = np.stack([g.grad for g in members], axis=1)  # (|X|, k, n)
+        members = [(g, gr) for g, gr in zip(g_polys, grads) if g.degree == degree]
+        T = np.stack([gr for _, gr in members], axis=1)  # (|X|, k, n)
         R = T
         if kept:
-            S = np.stack([p.grad for p in kept], axis=1)  # (|X|, |pool|, n)
+            S = np.stack(pool, axis=1)  # (|X|, |pool|, n)
             R = T - (T @ np.linalg.pinv(S, rcond=PINV_RANK_TOL)) @ S
         norms = np.linalg.norm(T, axis=2)
         resid = np.divide(
             np.linalg.norm(R, axis=2), norms, out=np.zeros_like(norms), where=norms > 0
         )
-        for g, r in zip(members, resid.max(axis=0).tolist()):
+        for (g, gr), r in zip(members, resid.max(axis=0).tolist()):
             if r <= threshold:
                 removed.append((g, r))
             else:
                 kept.append(g)
+                pool.append(gr)
     return ReductionReport(kept=kept, removed=removed, threshold=threshold)
 
 
@@ -97,4 +137,4 @@ def estimate_dimension(basis, X):
     of ``basis`` (a Basis or a list of polynomials) from per-point
     tangent-space codimensions, by :func:`mavik.engine.dimension_bounds`.
     An empty basis gives (n, n)."""
-    return dimension_bounds(_g_polys(basis), X)
+    return engine.dimension_bounds(_g_grads(basis)[1], X)

@@ -10,8 +10,11 @@ earlier node, is rejected with its index) and then makes one kernel call
 per group of sibling nodes, about three per fitted degree (products,
 projections, combinations) instead of one per node.  ``n`` and every root
 ``degree`` must be ints and every G ``extent`` a finite nonnegative number.
-Loading and re-saving a basis writes the same node list.  Every file is the
-stdlib's compact ``sort_keys=True`` JSON text, written by :func:`dump_json`.
+Loading and re-saving a basis writes the same node list.  A loaded basis is
+values-only (``Poly.grad`` is None): evaluation reads values alone, and
+:mod:`mavik.postprocess` forms the gradients it reads on demand.  Every file
+is the stdlib's compact ``sort_keys=True`` JSON text, written by
+:func:`dump_json`.
 Fit reports are written without timings, so reruns with identical inputs
 produce byte-identical files.
 """
@@ -94,7 +97,7 @@ def basis_to_json(basis, points=None, meta=None, expansions=None):
 
 
 def basis_from_json(obj, X):
-    """Rebuild a Basis on ``X`` by replaying the stored node list."""
+    """Rebuild a values-only Basis on ``X`` by replaying the stored node list."""
     if not isinstance(obj, dict) or obj.get("schema_version") != SCHEMA_VERSION:
         raise ContractViolation("unsupported basis schema version")
     if not {"n", "nodes", "f", "g"} <= obj.keys():

@@ -6,9 +6,12 @@ dense least-squares oracle uses a QR factorization, and random polynomials
 are built directly from construction-tree primitives.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 
+from mavik import core, engine
 from mavik.core import (
     PointSet,
     Poly,
@@ -29,6 +32,22 @@ def generic_points(count, dim, seed, centered=False):
     if centered:
         pts = pts - pts.mean(axis=0)
     return PointSet(pts)
+
+
+@contextlib.contextmanager
+def eager_gradients():
+    """Within the block, every constant and variable carries gradients.
+
+    Fits, loads and replays then run their own kernel calls with gradients
+    on every polynomial: the eager reference that gradients formed on
+    demand for values-only polynomials must equal bitwise.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        for module, name in ((core, "constant_poly"), (core, "variable_poly"),
+                             (engine, "constant_poly")):
+            build = getattr(core, name)
+            patch.setattr(module, name, lambda *args, _build=build, **_: _build(*args[:2]))
+        yield
 
 
 def fd_gradient(polys, points, h=1e-6):

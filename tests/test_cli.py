@@ -1,13 +1,19 @@
 """Command-line surface: files, determinism, exit codes, harness smoke runs."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mavik import engine, serialize
+from conftest import eager_gradients
+import mavik
+from mavik import engine, postprocess, serialize
+from mavik.core import Basis, constant_poly
 from mavik.cli import main
 from mavik.datasets import sample_generic, sample_variety, save_points, scale
 from mavik.errors import InternalInvariantViolation
@@ -190,6 +196,32 @@ class TestEvaluateAndReduce:
             assert (first / "red" / name).read_bytes() == (copy / "red" / name).read_bytes()
         removed = read_json(first / "red" / "reduction.json")["removed"]
         assert removed and all(r["max_rel_residual"] == RESIDUAL_FLOOR for r in removed)
+
+    def test_reduce_writes_the_bytes_of_an_eagerly_loaded_basis(self, tmp_path):
+        # the reduction reads gradients; loaded values-only and formed on
+        # demand, or loaded with them, they are the same bits, so the files
+        # are those of a load with gradients
+        X = sample_generic(60, 3, seed=0)
+        pts = tmp_path / "pts.csv"
+        save_points(X, pts)
+        fitted, red = tmp_path / "fit", tmp_path / "red"
+        assert main(["fit", "--points", str(pts), "--mode", "grad", "--out", str(fitted)]) == 0
+        assert main(["reduce", "--points", str(pts), "--basis", str(fitted / "basis.json"),
+                     "--out", str(red)]) == 0
+        with eager_gradients():
+            basis = serialize.basis_from_json(read_json(fitted / "basis.json"), X)
+        assert all(g.grad is not None for g in basis.g_polys())
+        report = postprocess.reduce_basis(basis, X)
+        assert report.removed
+        text = json.dumps(serialize.reduction_to_json(report), sort_keys=True) + "\n"
+        assert text.encode() == (red / "reduction.json").read_bytes()
+        stored = dict(zip(basis.g_polys(), basis.g_extents()))
+        kept = Basis.from_flat([constant_poly(1.0, X)], report.kept,
+                               [stored[p] for p in report.kept])
+        text = json.dumps(serialize.basis_to_json(
+            kept, points=X, meta={"reduced_from": str(fitted / "basis.json")}),
+            sort_keys=True) + "\n"
+        assert text.encode() == (red / "reduced_basis.json").read_bytes()
 
     def test_reduce_rejects_mismatched_points(self, circle4_csv, tmp_path):
         out = tmp_path / "out"
@@ -396,6 +428,36 @@ def test_missing_directory_and_malformed_input_files_exit_2(argv, tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+class TestThreadPin:
+    """mavik pins BLAS to one thread before numpy loads, so files do not
+    depend on the thread count of the environment."""
+
+    @staticmethod
+    def run_python(args, **env):
+        src = Path(mavik.__file__).resolve().parent.parent
+        done = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src), **env}, timeout=300)
+        assert done.returncode == 0, done.stderr
+
+    def test_fit_bytes_do_not_depend_on_the_inherited_thread_count(self, tmp_path):
+        # On a 1-core host both runs use one thread anyway, and this passes
+        # trivially; on more cores an unpinned run splits its BLAS products
+        # across 2 threads and writes other bytes.
+        pts = tmp_path / "pts.csv"
+        save_points(sample_generic(200, 3, 0), pts)
+        outs = {threads: tmp_path / f"threads-{threads}" for threads in ("2", "1")}
+        for threads, out in outs.items():
+            self.run_python(["-m", "mavik.cli", "fit", "--points", str(pts), "--mode", "grad",
+                             "--out", str(out)], OPENBLAS_NUM_THREADS=threads,
+                            OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        for name in ("report.json", "basis.json"):
+            assert (outs["2"] / name).read_bytes() == (outs["1"] / name).read_bytes()
+
+    def test_importing_the_package_loads_no_numpy(self):
+        self.run_python(["-c", "import sys, mavik; assert 'numpy' not in sys.modules; "
+                               "mavik.fit; assert 'numpy' in sys.modules"])
 
 
 class TestBench:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fd_gradient, generic_points, random_poly, rng_for
+from conftest import eager_gradients, fd_gradient, generic_points, random_poly, rng_for
 from mavik import coefficients, core, engine
 from mavik.core import (
     PointSet,
@@ -460,7 +460,7 @@ class TestReplay:
         X = generic_points(8, 3, seed=9)
         rng = rng_for(13)
         polys = [random_poly(X, d, rng) for d in (0, 1, 2, 4)]
-        for p, (ev, gr) in zip(polys, replay_many(polys, X.points)):
+        for p, (ev, gr) in zip(polys, replay_many(polys, X.points, grads=True)):
             np.testing.assert_allclose(ev, p.eval, rtol=1e-9, atol=1e-12)
             np.testing.assert_allclose(gr, p.grad, rtol=1e-9, atol=1e-12)
 
@@ -490,7 +490,8 @@ class TestReplay:
         record = {"kind": "lincomb", "children": [], "weights": []}
         (zero,) = replay([record], X)
         assert zero.degree == 0 and flatten([zero.prov]) == ([record], [0])
-        assert not zero.eval.any() and not zero.grad.any()
+        ((_, grad),) = replay_many([zero], X.points, grads=True)
+        assert not zero.eval.any() and not grad.any()
 
     @pytest.mark.parametrize(
         "bad",
@@ -544,9 +545,9 @@ class TestGroupedReplay:
         basis, _ = fit(X, EngineConfig(epsilon=1e-6, mode=NormalizationMode.gradient()))
         polys = basis.f_polys() + basis.g_polys()
         points = generic_points(40, 3, seed=7).points
-        together = replay_many(polys, points)
+        together = replay_many(polys, points, grads=True)
         for p, (ev, gr) in zip(polys, together):
-            ((ev_alone, gr_alone),) = replay_many([p], points)
+            ((ev_alone, gr_alone),) = replay_many([p], points, grads=True)
             assert np.array_equal(ev_alone, ev) and np.array_equal(gr_alone, gr)
 
     def test_records_with_and_without_a_lead_round_trip(self):
@@ -564,10 +565,11 @@ class TestGroupedReplay:
         assert records[ids[3]]["weights"] == [1.0, -0.5, 2.0]
         built = replay(records, X)
         assert flatten([built[i].prov for i in ids]) == (records, ids)
-        for p, i in zip(polys, ids):
+        grads = replay_many([built[i] for i in ids], X.points, grads=True)
+        for p, i, (_, grad) in zip(polys, ids, grads):
             assert built[i].degree == p.degree
             np.testing.assert_allclose(built[i].eval, p.eval, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(built[i].grad, p.grad, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(grad, p.grad, rtol=1e-12, atol=1e-12)
 
 
 class TestWalk:
@@ -580,11 +582,23 @@ class TestWalk:
         ids=["vca", "coeff", "grad"],
     )
     def test_in_memory_replay_is_the_fit_bitwise(self, mode):
+        # a vca or coeff fit is values-only; its replayed gradients are those
+        # of the same fit run with gradients, at every degree
         X = sample_generic(50, 3, 0)
-        basis, _ = fit(X, EngineConfig(epsilon=1e-6, mode=mode))
+        config = EngineConfig(epsilon=1e-6, mode=mode)
+        basis, _ = fit(X, config)
         polys = basis.f_polys() + basis.g_polys()
-        for p, (ev, gr) in zip(polys, replay_many(polys, X.points)):
-            assert np.array_equal(ev, p.eval) and np.array_equal(gr, p.grad)
+        eager = polys
+        if mode.kind != "gradient":
+            assert all(p.grad is None for p in polys)
+            with eager_gradients():
+                eager_basis, _ = fit(X, config)
+            assert eager_basis.f_profile() == basis.f_profile()
+            assert eager_basis.g_profile() == basis.g_profile()
+            eager = eager_basis.f_polys() + eager_basis.g_polys()
+        for p, q, (ev, gr) in zip(polys, eager, replay_many(polys, X.points, grads=True)):
+            assert np.array_equal(ev, p.eval) and np.array_equal(ev, q.eval)
+            assert q.grad is not None and np.array_equal(gr, q.grad)
 
     def test_each_node_runs_once(self):
         X = sample_generic(50, 3, 1)
@@ -660,3 +674,76 @@ def test_constant_poly_must_be_nonzero():
     X = generic_points(3, 2, seed=0)
     with pytest.raises(ContractViolation):
         constant_poly(0.0, X)
+
+
+class TestValuesOnly:
+    """Gradients travel with the data: a kernel forms them only from inputs that carry them."""
+
+    CALLS = {
+        "linear_combine": lambda ps, qs: linear_combine(qs, np.ones((len(qs), 2))),
+        "linear_combine-lead": lambda ps, qs: linear_combine(qs, np.ones((len(qs), 2)), lead=ps),
+        "multiply": lambda ps, qs: multiply(ps, qs),
+    }
+
+    @staticmethod
+    def inputs(grads_p, grads_q):
+        X = generic_points(6, 2, seed=51)
+        ps = [variable_poly(k, X, grads=grads_p) for k in range(X.n)]
+        (c,) = linear_combine([constant_poly(0.5, X, grads=grads_q)], [[1.0]])
+        return X, ps, [variable_poly(1, X, grads=grads_q), c]
+
+    def test_builders_make_values_only_polynomials(self):
+        X = generic_points(4, 3, seed=50)
+        for p in (constant_poly(2.0, X, grads=False), variable_poly(1, X, grads=False)):
+            assert p.grad is None and p.eval.shape == (4,)
+        np.testing.assert_array_equal(variable_poly(2, X, grads=False).eval, X.points[:, 2])
+        np.testing.assert_array_equal(constant_poly(2.0, X, grads=False).eval, 2.0)
+
+    @pytest.mark.parametrize("kernel", CALLS)
+    @pytest.mark.parametrize("grads_p, grads_q", [(True, False), (False, True), (False, False)])
+    def test_a_values_only_input_gives_values_only_rows(self, kernel, grads_p, grads_q):
+        X, ps, qs = self.inputs(grads_p, grads_q)
+        out = self.CALLS[kernel](ps, qs)
+        eager = self.CALLS[kernel](*self.inputs(True, True)[1:])
+        if kernel == "linear_combine" and grads_q:  # reads qs alone
+            assert out.grads is not None
+            return
+        assert out.grads is None and all(p.grad is None for p in out)
+        assert out.evals.tobytes() == eager.evals.tobytes()
+        assert out.degrees == eager.degrees
+
+    def test_grads_reader_rejects_values_only_members(self):
+        X, ps, qs = self.inputs(False, True)
+        rows = multiply(ps, qs)
+        for polys in (rows, list(rows), ps, [qs[0], ps[0]]):
+            with pytest.raises(ContractViolation, match="carry no gradients"):
+                core._grads(polys)
+        assert core._grads(qs).shape == (2, 6, 2)
+
+    def test_replay_is_values_only_and_replay_many_unless_asked(self):
+        X = generic_points(8, 3, seed=52)
+        rng = rng_for(53)
+        polys = [random_poly(X, d, rng) for d in (0, 1, 3)]
+        records, ids = flatten([p.prov for p in polys])
+        probe = generic_points(5, 3, seed=54)
+        plain = replay(records, probe)
+        with eager_gradients():
+            eager = replay(records, probe)
+        assert all(p.grad is None for p in plain)
+        assert all(p.grad.shape == (5, 3) for p in eager)
+        # the gradients of a values-only load are those of its kernel calls
+        # run with gradients, bitwise
+        for a, b, (_, grad) in zip(plain, eager, replay_many(plain, probe.points, grads=True)):
+            assert a.eval.tobytes() == b.eval.tobytes()
+            assert grad.tobytes() == b.grad.tobytes()
+        for (ev, gr), (ev2, gr2) in zip(replay_many(polys, probe.points),
+                                        replay_many(polys, probe.points, grads=True)):
+            assert gr is None and gr2.shape == (5, 3)
+            assert ev.tobytes() == ev2.tobytes()
+
+    def test_public_constructor_takes_no_gradients(self):
+        X = generic_points(4, 2, seed=55)
+        p = core.Poly(1, np.zeros(4), None, None, X)
+        assert p.grad is None
+        with pytest.raises(ContractViolation):
+            core.Poly(1, np.zeros(3), None, None, X)

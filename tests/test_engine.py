@@ -153,6 +153,23 @@ class TestFitSmall:
             np.testing.assert_array_equal(p1.grad, p2.grad)
 
 
+class TestGradientsWhereRead:
+    @pytest.mark.parametrize("mode, rule, eager", [
+        (NormalizationMode.vca_baseline(), {}, False),
+        (NormalizationMode.coefficient(), {}, False),
+        (NormalizationMode.vca_baseline(), {"d_max": 0, "d_min": 0}, False),
+        (GRAD, {}, True),
+        (NormalizationMode.vca_baseline(), {"d_max": 1}, True),
+        (NormalizationMode.coefficient(), {"d_min": 1}, True),
+    ], ids=["vca", "coeff", "vca-rule-off", "grad", "vca-dmax", "coeff-dmin"])
+    def test_a_fit_forms_gradients_only_for_grad_mode_or_a_dimension_rule(self, mode, rule,
+                                                                             eager):
+        X = circle_points(20, seed=21)
+        basis, _ = fit(X, EngineConfig(epsilon=1e-6, mode=mode, **rule))
+        polys = basis.f_polys() + basis.g_polys()
+        assert [p.grad is not None for p in polys] == [eager] * len(polys)
+
+
 class TestNormalizationGram:
     def test_gradient_gram_of_coordinates_is_count_times_identity(self):
         X = generic_points(7, 2, seed=3)
@@ -395,7 +412,7 @@ class TestDimensionTermination:
         # dimension from above and the d_max rule does not fire, even at n
         X = circle_points(10, seed=13)
         assert not check_termination_dimension([constant_poly(1.0, X)], X, d_max=X.n)
-        assert dimension_bounds([constant_poly(1.0, X)], X) == (X.n, X.n)
+        assert dimension_bounds([constant_poly(1.0, X).grad], X) == (X.n, X.n)
 
     def test_negligible_gradient_stack_has_rank_zero(self):
         # the third point's stack has full rank but sits 1e-9 below the
@@ -404,7 +421,7 @@ class TestDimensionTermination:
         grads = np.array([[[1.0, 0.0]] * 3, [[2.0, 0.0]] * 3])
         grads[:, 2] = 1e-9 * np.eye(2)
         g_polys = [Poly(2, np.zeros(3), g, None, X) for g in grads]
-        assert dimension_bounds(g_polys, X) == (1, 1)
+        assert dimension_bounds(grads, X) == (1, 1)
         assert check_termination_dimension(g_polys, X, d_max=1)
 
     def test_rejects_out_of_range_targets(self):

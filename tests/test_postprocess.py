@@ -1,13 +1,17 @@
 """Basis reduction and variety-dimension estimation."""
 
+import gc
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import generic_points, rng_for
+from conftest import eager_gradients, generic_points, rng_for
+from mavik import engine, postprocess, serialize
 from mavik.coefficients import expand
 from mavik.core import Basis, PointSet, Poly, linear_combine, multiply, variable_poly
-from mavik.datasets import scale
+from mavik.datasets import sample_generic, scale
 from mavik.engine import EngineConfig, NormalizationMode, fit
 from mavik.postprocess import estimate_dimension, reduce_basis
 
@@ -232,6 +236,81 @@ class TestReduceBasis:
             return [pos[id(p)] for p in reduce_basis(basis, Xa, threshold=1e-6).kept]
 
         assert kept_positions(10.0**log_alpha) == kept_positions(1.0)
+
+
+class TestGradientsOnDemand:
+    """Values-only G members get their gradients from one replay per basis."""
+
+    @staticmethod
+    def counting_replays(monkeypatch):
+        calls = []
+        replay_many = engine.replay_many
+
+        def counted(polys, points, **kwargs):
+            calls.append(len(polys))
+            return replay_many(polys, points, **kwargs)
+
+        monkeypatch.setattr(engine, "replay_many", counted)
+        return calls
+
+    @pytest.mark.parametrize("mode", [NormalizationMode.vca_baseline(),
+                                      NormalizationMode.coefficient()], ids=["vca", "coeff"])
+    def test_on_demand_gradients_are_the_eager_fits_bitwise(self, mode, monkeypatch):
+        X = sample_generic(50, 3, 0)
+        config = EngineConfig(epsilon=1e-6, mode=mode)
+        basis, _ = fit(X, config)
+        with eager_gradients():
+            eager, _ = fit(X, config)
+        calls = self.counting_replays(monkeypatch)
+        g_polys, grads = postprocess._g_grads(basis)
+        assert calls == [len(g_polys)] and all(g.grad is None for g in g_polys)
+        assert g_polys == basis.g_polys()
+        assert eager.g_profile() == basis.g_profile()
+        eager_g = eager.g_polys()
+        assert len(eager_g) == len(grads) and all(q.grad is not None for q in eager_g)
+        for grad, q in zip(grads, eager_g):
+            assert grad.tobytes() == q.grad.tobytes()
+
+    def test_reduce_and_dimension_share_one_replay(self, monkeypatch):
+        X = circle_points(30, seed=7)
+        basis, _ = fit(X, EngineConfig(epsilon=1e-6, mode=NormalizationMode.vca_baseline(),
+                                       max_degree=4))
+        calls = self.counting_replays(monkeypatch)
+        report = reduce_basis(basis, X)
+        dims = estimate_dimension(basis, X)
+        assert calls == [len(basis.g_polys())]
+        assert report.kept and report.removed and dims == (1, 1)
+        ids = {id(g) for g in basis.g_polys()}
+        assert {id(p) for p in report.kept} | {id(p) for p, _ in report.removed} == ids
+        # a list is not a Basis and keeps nothing between calls
+        reduce_basis(basis.g_polys(), X)
+        assert len(calls) == 2
+        # what a Basis's replay formed goes with the basis
+        key = id(basis)
+        assert key in postprocess._FORMED
+        del basis
+        gc.collect()
+        assert key not in postprocess._FORMED
+
+    def test_loaded_basis_reduces_as_an_eagerly_loaded_one(self, monkeypatch):
+        X = sample_generic(60, 3, 0)
+        basis, _ = fit(X, EngineConfig(epsilon=1e-6, mode=GRAD))
+        obj = serialize.basis_to_json(basis, points=X)
+        plain = serialize.basis_from_json(obj, X)
+        with eager_gradients():
+            eager = serialize.basis_from_json(obj, X)
+        assert all(g.grad is not None for g in eager.g_polys())
+        assert all(g.grad is None for g in plain.g_polys())
+        calls = self.counting_replays(monkeypatch)
+        got, want = reduce_basis(plain, X), reduce_basis(eager, X)
+        assert calls == [len(plain.g_polys())]
+        pos = {id(g): i for i, g in enumerate(plain.g_polys())}
+        pos.update({id(g): i for i, g in enumerate(eager.g_polys())})
+        assert [pos[id(p)] for p in got.kept] == [pos[id(p)] for p in want.kept]
+        assert [(pos[id(p)], r) for p, r in got.removed] == [
+            (pos[id(p)], r) for p, r in want.removed]
+        assert estimate_dimension(plain, X) == estimate_dimension(eager, X)
+        assert len(calls) == 1
 
 
 class TestEstimateDimension:

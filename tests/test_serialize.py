@@ -11,7 +11,7 @@ from conftest import generic_points
 from mavik import core, serialize
 from mavik.cli import main
 from mavik.coefficients import expand_many
-from mavik.core import PointSet
+from mavik.core import PointSet, replay_many
 from mavik.datasets import sample_generic, save_points
 from mavik.engine import EngineConfig, NormalizationMode, evaluate, fit
 from mavik.errors import ContractViolation
@@ -39,9 +39,10 @@ class TestBasisRoundtrip:
         rebuilt = basis_from_json(obj, X)
         assert rebuilt.g_profile() == basis.g_profile()
         assert rebuilt.f_profile() == basis.f_profile()
-        for a, b in zip(basis.g_polys(), rebuilt.g_polys()):
+        grads = replay_many(rebuilt.g_polys(), X.points, grads=True)
+        for a, b, (_, grad) in zip(basis.g_polys(), rebuilt.g_polys(), grads):
             np.testing.assert_allclose(b.eval, a.eval, rtol=1e-9, atol=1e-12)
-            np.testing.assert_allclose(b.grad, a.grad, rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(grad, a.grad, rtol=1e-9, atol=1e-12)
             assert b.degree == a.degree
 
     def test_rebuild_on_new_points_matches_replay(self, fitted):
