@@ -16,19 +16,24 @@ Five families of m points in R^n, each drawn from a fresh
 Shapes are 12x2, 20x3, 30x2 and 25x4, seeds 0-1, scales 1e-6, 1e-3, 1,
 1e3 and 1e6, and every set is fitted in the three modes (z = 1) at
 epsilon 1e-6, times the scale in grad mode, whose extents scale with the
-points: 600 fits.  A ``RuntimeWarning`` counts as an error.  The script
-prints one line per fit that raises, or that returns more F members than
-points, then a summary of the failures by exception, family and mode.
+points: 600 fits.  A ``RuntimeWarning`` counts as an error.  Every basis a
+fit returns is saved as JSON text and loaded on its own points; a load
+whose values differ from the fit's in any bit is a failure of kind
+``load != fit``.  The script prints one line per fit that raises, that
+returns more F members than points, or whose load differs, then a summary
+of the failures by kind, family and mode.
 
 Usage: PYTHONPATH=src python scripts/degenerate_sweep.py
 """
 
 import itertools
+import json
 import warnings
 from collections import Counter
 
 import numpy as np
 
+from mavik import serialize
 from mavik.core import PointSet
 from mavik.engine import EngineConfig, NormalizationMode, fit
 
@@ -85,7 +90,7 @@ def main():
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error", RuntimeWarning)
-                    _, report = fit(X, EngineConfig(epsilon=eps, mode=mode))
+                    basis, report = fit(X, EngineConfig(epsilon=eps, mode=mode))
             except Exception as exc:  # the sweep reports whatever escapes
                 failures[type(exc).__name__, family.__name__, name] += 1
                 print(f"{key}: {type(exc).__name__}: {exc}")
@@ -93,6 +98,12 @@ def main():
             if sum(report.f_counts) > m:
                 failures["|F| > |X|", family.__name__, name] += 1
                 print(f"{key}: |F| = {sum(report.f_counts)} exceeds |X| = {m}")
+            text = json.dumps(serialize.basis_to_json(basis))
+            loaded = serialize.basis_from_json(json.loads(text), X)
+            pairs = zip(basis.f_polys() + basis.g_polys(), loaded.f_polys() + loaded.g_polys())
+            if not all(p.eval.tobytes() == q.eval.tobytes() for p, q in pairs):
+                failures["load != fit", family.__name__, name] += 1
+                print(f"{key}: the loaded basis differs from the fit")
 
     print(f"{fits} fits, {sum(failures.values())} failed")
     for kind in sorted({k for k, _, _ in failures}):

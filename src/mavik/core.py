@@ -34,13 +34,15 @@ making rows and stack any other list one block at a time; ``_grads`` raises
 ``ContractViolation`` on values-only members.  The :class:`Poly` rows, views
 of the blocks, are made lazily, only when something reads one.
 
-In memory, :func:`walk` runs every node under some roots once, children
-first, and its callbacks make all the columns of a node at once, so
+:func:`walk` runs every node under some roots once, children first, and
+its callbacks make all the columns of a node at once.  In memory,
 :func:`replay_many` re-runs every kernel call of the fit whole and gives
-the fit's values bitwise.  For files, :func:`flatten` lists each distinct
-(node, column) once as JSON-ready records (the ``nodes`` of a basis file),
-and :func:`replay` checks the records and rebuilds them on another point
-set with one kernel call per group of sibling records.
+the fit's values bitwise.  For files, :func:`flatten` writes every column
+of every call as JSON-ready records (the ``nodes`` of a basis file), and
+:func:`replay` checks the records and rebuilds them on another point set
+with one kernel call per group of sibling records: the fit's own calls, so
+a loaded basis gives the fit's values bitwise too (see :func:`replay` for
+the one exception).
 """
 
 from __future__ import annotations
@@ -113,8 +115,8 @@ class PointSet:
 # ---------------------------------------------------------------------------
 # Construction trees.  A polynomial's provenance is a pair (node, column):
 # one node per kernel call, the column picking the call's output.  Nodes are
-# shared by reference, so a basis is a DAG; :func:`flatten` lists each
-# shared (node, column) once.
+# shared by reference, so a basis is a DAG; :func:`walk` runs each shared
+# node once.
 # ---------------------------------------------------------------------------
 
 
@@ -169,7 +171,7 @@ class Poly:
     are checked once for all rows.
     """
 
-    __slots__ = ("degree", "eval", "grad", "prov", "points")
+    __slots__ = ("degree", "eval", "grad", "prov", "points", "__weakref__")
 
     def __init__(self, degree, eval_vec, grad_mat, prov, points):
         ev = np.asarray(eval_vec, dtype=float)
@@ -333,14 +335,16 @@ def linear_combine(polys, weights, lead=()):
     every input and lead carries gradients, one over the stacked gradients;
     otherwise the outputs are values-only.  ``lead``, if given, holds r
     polynomials added to the columns with weight 1 after the product.  The
-    call records one ``PLin`` node for all columns.  A column's degree is
-    the largest of its lead's and its nonzero-weight children's (0 if there
-    are none).  Returns :class:`Rows`; a ``Rows`` passed as ``polys`` or
-    ``lead`` gives its blocks, degrees and provenance without making its
-    rows, any other list is stacked one block at a time, as every reader of
-    a list does.
+    call records one ``PLin`` node for all columns.  ``weights`` is copied
+    in C order, the layout of the fit's weights, so a call :func:`replay`
+    rebuilds from its transposed records rounds as the fit's did.  A
+    column's degree is the largest of its lead's and its nonzero-weight
+    children's (0 if there are none).  Returns :class:`Rows`; a ``Rows``
+    passed as ``polys`` or ``lead`` gives its blocks, degrees and provenance
+    without making its rows, any other list is stacked one block at a time,
+    as every reader of a list does.
     """
-    W = np.array(weights, dtype=float)
+    W = np.array(weights, dtype=float, order="C")
     if len(polys) < 1 or W.ndim != 2 or W.shape[0] != len(polys):
         raise ContractViolation("weights must be a (len(polys), r) matrix with len(polys) >= 1")
     if not np.all(np.isfinite(W)):
@@ -441,46 +445,32 @@ def walk(roots, const, var, product, combine, memo=None):
 def flatten(roots):
     """List the construction DAG under ``roots``, children before parents.
 
-    ``roots`` are ``prov`` pairs.  Returns ``(records, root_ids)``: one
-    JSON-ready dict per distinct (node, column), in depth-first order, whose
-    children are indices of earlier records, and the record index of each
-    root.  A ``lincomb`` record lists its column's lead first, with weight
-    1.0, then the children whose weight is not exactly zero, in order.  The
-    records are the node list of a basis file, which :func:`replay` reads.
-    A ``PLin`` node's child is visited once, by the first column that weights
-    it; the node's other columns reuse its record index.
+    ``roots`` are ``prov`` pairs.  Returns ``(records, root_ids)``: JSON-ready
+    dicts whose children are indices of earlier records, and the record
+    index of each root.  A :func:`walk` writes one record per column of
+    every kernel call under the roots, a call's columns together and in
+    order, after its children's records.  A ``lincomb`` record lists its
+    column's lead, if any, with weight 1.0, then every child of the call
+    with its weight, zeros included, so :func:`replay` reads the call's
+    columns as one group.  The records are the node list of a basis file.
     """
     records = []
-    ids = {}
-    child_ids = {}  # id of a PLin node -> {row: record id} of its visited children
 
-    def visit(prov):
-        node, j = prov
-        key = (id(node), j)
-        if key in ids:
-            return ids[key]
-        if isinstance(node, PConst):
-            rec = {"kind": "const", "value": node.value}
-        elif isinstance(node, PVar):
-            rec = {"kind": "var", "index": node.index}
-        elif isinstance(node, PProd):
-            rec = {"kind": "product", "left": visit(node.left[j]), "right": visit(node.right[j])}
-        elif isinstance(node, PLin):
-            lead = [visit(node.lead[j])] if node.lead else []
-            column = node.weights[:, j]
-            rows = np.flatnonzero(column).tolist()
-            kids = child_ids.setdefault(id(node), {})
-            for i in sorted(set(rows).difference(kids)):  # children no column visited yet
-                kids[i] = visit(node.children[i])
-            rec = {"kind": "lincomb", "children": [*lead, *map(kids.__getitem__, rows)],
-                   "weights": [1.0] * len(lead) + column[rows].tolist()}
-        else:
-            raise ContractViolation(f"unknown provenance node {type(node)!r}")
-        ids[key] = len(records)
-        records.append(rec)
-        return ids[key]
+    def write(recs):
+        start = len(records)
+        records.extend(recs)
+        return range(start, len(records))
 
-    root_ids = [visit(r) for r in roots]
+    def combine(children, weights, leads):
+        return write({"kind": "lincomb", "children": [*leads[j:j + 1], *children],
+                      "weights": [1.0] * bool(leads) + column}
+                     for j, column in enumerate(weights.T.tolist()))
+
+    root_ids = walk(roots, const=lambda value: write([{"kind": "const", "value": value}]),
+                    var=lambda index: write([{"kind": "var", "index": index}]),
+                    product=lambda lefts, rights: write(
+                        {"kind": "product", "left": a, "right": b} for a, b in zip(lefts, rights)),
+                    combine=combine)
     return records, root_ids
 
 
@@ -528,10 +518,13 @@ def replay(records, pointset):
     above the highest child): the products of a level, and the ``lincomb``
     records of a level that share their children.  A ``lincomb`` whose
     first weight is exactly 1.0 takes its first child as its lead, as
-    :func:`flatten` writes a lead, so the columns of one fitted call fall
-    back into one group.  A second pass makes one kernel call per group,
-    level by level: :func:`multiply` or :func:`linear_combine`.  A
-    ``lincomb`` without children is the zero polynomial of degree 0.
+    :func:`flatten` writes a lead; since it writes every child of a call in
+    each column, the columns of one fitted call fall back into one group,
+    and the group's call is the fit's -- unless a lead-less column's first
+    weight is exactly 1.0, which splits the call and its rounding.  A
+    second pass makes one kernel call per group, level by level:
+    :func:`multiply` or :func:`linear_combine`.  A ``lincomb`` without
+    children is the zero polynomial of degree 0.
     """
     if not isinstance(records, list):
         raise ContractViolation("the node list is not a list")

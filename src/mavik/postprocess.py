@@ -14,10 +14,10 @@ dimension rule) are read as they are.  Values-only members -- a vca or
 coeff fit's, or any loaded basis's -- get theirs from one replay on their
 points with gradients, through ``engine.replay_many``: it re-runs the
 kernel calls that built them, so the gradients are bitwise those the same
-calls form with gradients.  Gradients formed for a
-:class:`~mavik.core.Basis` are kept until the basis is collected (see
-:func:`_g_grads`), so a reduction and a dimension estimate of one basis
-share one replay.  Both functions return the caller's own polynomials.
+calls form with gradients.  Gradients formed for a member are kept until
+the member is collected (see :func:`_g_grads`), so a reduction and a
+dimension estimate of one basis, or of one list of members, share one
+replay.  Both functions return the caller's own polynomials.
 
 The reduction works one degree at a time: one stacked pseudo-inverse of the
 kept lower-degree gradients, one per point, and the residuals of every
@@ -65,35 +65,27 @@ class ReductionReport:
         return counts
 
 
-# id(basis) -> {values-only G member: its (|X|, n) gradients}; an entry is
-# dropped when its Basis is collected.
-_FORMED = {}
+# values-only G member -> its (|X|, n) gradients; an entry is dropped when
+# its member is collected.
+_FORMED = weakref.WeakKeyDictionary()
 
 
 def _g_grads(basis):
     """The G members of ``basis`` (a Basis or a list of polynomials) and
     their (|X|, n) gradients, formed on demand.
 
-    A member's own ``grad`` is read as it is; the values-only members are
-    replayed together once with gradients.  For a Basis, what the replay
-    formed is kept in ``_FORMED`` under the basis's id until the basis is
-    collected, so a later call on the same basis replays only members added
-    since; a plain list keeps nothing between calls.
+    A member's own ``grad`` is read as it is; the values-only members not
+    in ``_FORMED`` are replayed together once with gradients, and what the
+    replay formed is kept there until the member is collected, so later
+    calls on the same members, as a Basis or a list, replay nothing.
     """
-    if isinstance(basis, Basis):
-        g_polys, key = basis.g_polys(), id(basis)
-        memo = _FORMED.get(key)
-        if memo is None:
-            memo = _FORMED[key] = {}
-            weakref.finalize(basis, _FORMED.pop, key, None)
-    else:
-        g_polys, memo = list(basis), {}
-    missing = [g for g in g_polys if g.grad is None and g not in memo]
+    g_polys = basis.g_polys() if isinstance(basis, Basis) else list(basis)
+    missing = [g for g in g_polys if g.grad is None and g not in _FORMED]
     if missing:
         # Looked up at call time, so the benchmark's tracer sees the replay.
         pairs = engine.replay_many(missing, missing[0].points.points, grads=True)
-        memo.update((g, gr) for g, (_, gr) in zip(missing, pairs))
-    return g_polys, [memo[g] if g.grad is None else g.grad for g in g_polys]
+        _FORMED.update((g, gr) for g, (_, gr) in zip(missing, pairs))
+    return g_polys, [_FORMED[g] if g.grad is None else g.grad for g in g_polys]
 
 
 def reduce_basis(basis, X, threshold=1e-6):

@@ -1,16 +1,20 @@
 """Versioned JSON schemas for bases, fit reports and reduction reports.
 
 A basis file stores the construction DAG as the node list of
-:func:`mavik.core.flatten` (each shared node once, children before parents)
-and references polynomials by node index; :func:`basis_to_json` is the one
+:func:`mavik.core.flatten` (every column of every kernel call under the
+basis once, children before parents, zero weights included) and
+references polynomials by node index; :func:`basis_to_json` is the one
 writer of that list.  Loading is :func:`mavik.core.replay` of the list on
 any compatible point set.  The replay checks every node before it computes
 anything (a malformed node, such as a child index that does not point to an
 earlier node, is rejected with its index) and then makes one kernel call
 per group of sibling nodes, about three per fitted degree (products,
-projections, combinations) instead of one per node.  ``n`` and every root
-``degree`` must be ints and every G ``extent`` a finite nonnegative number.
-Loading and re-saving a basis writes the same node list.  A loaded basis is
+projections, combinations) instead of one per node: the fit's own calls,
+so a basis loaded on its training points has the fit's values bit for bit
+(unless a lead-less column's first weight is exactly 1.0: schema 1 cannot
+tell it from a lead, and replay splits that call).  ``n`` and every root ``degree`` must be ints and every G ``extent`` a
+finite nonnegative number.  Loading and re-saving a basis writes the same
+node list.  A loaded basis is
 values-only (``Poly.grad`` is None): evaluation reads values alone, and
 :mod:`mavik.postprocess` forms the gradients it reads on demand.  Every file
 is the stdlib's compact ``sort_keys=True`` JSON text, written by

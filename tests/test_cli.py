@@ -223,6 +223,17 @@ class TestEvaluateAndReduce:
             sort_keys=True) + "\n"
         assert text.encode() == (red / "reduced_basis.json").read_bytes()
 
+    def test_reduce_of_a_deep_lone_g_member(self, tmp_path):
+        # epsilon 0 on 350 points of a line: one G member, of degree 349,
+        # which the reduced basis stores alone, with a DAG 349 degrees deep
+        pts = tmp_path / "line.csv"
+        save_points(sample_generic(350, 1, 0), pts)
+        out, red = tmp_path / "out", tmp_path / "red"
+        assert main(["fit", "--points", str(pts), "--eps", "0", "--out", str(out)]) == 0
+        assert main(["reduce", "--points", str(pts), "--basis", str(out / "basis.json"),
+                     "--out", str(red)]) == 0
+        assert read_json(red / "reduction.json")["kept_profile"][-1] == 1
+
     def test_reduce_rejects_mismatched_points(self, circle4_csv, tmp_path):
         out = tmp_path / "out"
         main(["fit", "--points", str(circle4_csv), "--eps", "1e-8", "--out", str(out)])

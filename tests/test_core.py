@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import eager_gradients, fd_gradient, generic_points, random_poly, rng_for
-from mavik import coefficients, core, engine
+from mavik import coefficients, core, engine, postprocess
 from mavik.core import (
     PointSet,
     constant_poly,
@@ -114,7 +114,7 @@ class TestLinearCombineMatrix:
     def test_columns_match_one_dimensional_calls(self):
         _, H, rng = self.polys()
         W = rng.normal(size=(len(H), 4))
-        W[1, 0] = 0.0  # exact zeros are dropped from that column only
+        W[1, 0] = 0.0  # an exact zero leaves that column's degree
         W[3, 2] = 0.0
         out = linear_combine(H, W)
         assert isinstance(out, core.Rows) and len(out) == 4
@@ -129,7 +129,8 @@ class TestLinearCombineMatrix:
             np.testing.assert_allclose(p.eval, ev, rtol=1e-12, atol=1e-12 * np.abs(ev).max())
             np.testing.assert_allclose(p.grad, gr, rtol=1e-12, atol=1e-12 * np.abs(gr).max())
         records, ids = flatten([h.prov for h in H] + [out[0].prov])
-        assert records[ids[-1]]["children"] == [ids[i] for i in range(len(H)) if i != 1]
+        assert records[ids[-1]] == {"kind": "lincomb", "children": ids[:-1],
+                                    "weights": W[:, 0].tolist()}
         assert out[2].degree == 2  # the degree-3 child has weight 0
 
     def test_all_zero_column(self):
@@ -139,7 +140,10 @@ class TestLinearCombineMatrix:
         zero = linear_combine(H, W)[1]
         assert np.all(zero.eval == 0.0) and np.all(zero.grad == 0.0)
         assert zero.degree == 0
-        assert flatten([zero.prov])[0] == [{"kind": "lincomb", "children": [], "weights": []}]
+        # the record lists every child of the call, each with weight 0.0
+        records, ids = flatten([h.prov for h in H] + [zero.prov])
+        assert records[ids[-1]] == {"kind": "lincomb", "children": ids[:-1],
+                                    "weights": [0.0] * len(H)}
 
     def test_no_columns(self):
         _, H, _ = self.polys()
@@ -152,9 +156,7 @@ class TestLinearCombineMatrix:
         W[0, 1] = 0.0
         out = linear_combine(H, W, lead=lead)
         for j, p in enumerate(out):
-            keep = np.flatnonzero(W[:, j])
-            (want,) = linear_combine([lead[j]] + [H[i] for i in keep],
-                                     np.concatenate(([1.0], W[keep, j]))[:, None])
+            (want,) = linear_combine([lead[j], *H], np.concatenate(([1.0], W[:, j]))[:, None])
             assert_same_combination(p, want)
             records, (i_lead, i_p) = flatten([lead[j].prov, p.prov])
             assert records[i_p]["children"][0] == i_lead
@@ -265,7 +267,7 @@ class TestProvenance:
             assert [p.prov for p in out] == [(made[0], j) for j in range(4)]
             made.clear()
 
-    def test_flatten_keeps_the_lead_and_the_nonzero_weights(self):
+    def test_flatten_keeps_the_lead_and_every_weight(self):
         X = generic_points(7, 3, seed=4)
         rng = rng_for(23)
         H = [random_poly(X, d, rng) for d in (1, 2, 0, 2)]
@@ -275,53 +277,51 @@ class TestProvenance:
         W[2, 1] = -0.0
         out = linear_combine(H, W, lead=lead)
         records, ids = flatten([lead[1].prov] + [h.prov for h in H] + [out[1].prov])
-        assert records[ids[-1]] == {
-            "kind": "lincomb",
-            "children": [ids[0], ids[2], ids[4]],
-            "weights": [1.0, W[1, 1], W[3, 1]],
-        }
+        weights = [1.0, *W[:, 1].tolist()]
+        assert records[ids[-1]] == {"kind": "lincomb", "children": ids[:-1], "weights": weights}
+        # repr tells -0.0 from 0.0
+        assert repr(records[ids[-1]]["weights"]) == repr(weights)
         assert all(type(w) is float for w in records[ids[-1]]["weights"])
 
 
-def flatten_per_edge(roots):
-    """The per-edge walk that :func:`flatten` replaced: one visit per nonzero weight."""
-    records = []
-    ids = {}
-
-    def visit(prov):
-        node, j = prov
-        key = (id(node), j)
-        if key in ids:
-            return ids[key]
-        if isinstance(node, core.PConst):
-            rec = {"kind": "const", "value": node.value}
-        elif isinstance(node, core.PVar):
-            rec = {"kind": "var", "index": node.index}
-        elif isinstance(node, core.PProd):
-            rec = {"kind": "product", "left": visit(node.left[j]), "right": visit(node.right[j])}
-        else:
-            kids, weights = ([visit(node.lead[j])], [1.0]) if node.lead else ([], [])
-            for child, w in zip(node.children, node.weights[:, j].tolist()):
-                if w != 0.0:
-                    kids.append(visit(child))
-                    weights.append(w)
-            rec = {"kind": "lincomb", "children": kids, "weights": weights}
-        ids[key] = len(records)
-        records.append(rec)
-        return ids[key]
-
-    root_ids = [visit(r) for r in roots]
-    return records, root_ids
+def calls_under(roots):
+    """Every kernel call (node) under ``roots`` and its column count, in walk order."""
+    memo = {}
+    walk(roots, const=lambda value: [None], var=lambda index: [None],
+         product=lambda lefts, rights: [None] * len(lefts),
+         combine=lambda children, weights, leads: [None] * weights.shape[1], memo=memo)
+    return [(node, len(outs)) for node, outs in memo.items()]
 
 
 class TestFlatten:
-    """:func:`flatten` gives the records and order of the per-edge walk."""
+    """:func:`flatten` writes every column of every call under the roots, in walk order."""
 
     @staticmethod
-    def assert_same_as_per_edge(roots):
-        got = flatten(roots)
-        # repr also tells 1 from 1.0 and -0.0 from 0.0
-        assert got == flatten_per_edge(roots) and repr(got) == repr(flatten_per_edge(roots))
+    def assert_whole_calls(roots):
+        records, root_ids = flatten(roots)
+        columns = [(node, j) for node, width in calls_under(roots) for j in range(width)]
+        # the records are the calls' columns, each once: a call's columns
+        # together and in order, after its children's
+        again, ids = flatten(list(roots) + columns)
+        assert again == records and ids[: len(roots)] == root_ids
+        assert ids[len(roots):] == list(range(len(records)))
+        at = dict(zip(columns, ids[len(roots):]))
+        for (node, j), i in at.items():
+            if isinstance(node, core.PConst):
+                want = {"kind": "const", "value": node.value}
+            elif isinstance(node, core.PVar):
+                want = {"kind": "var", "index": node.index}
+            elif isinstance(node, core.PProd):
+                want = {"kind": "product", "left": at[node.left[j]], "right": at[node.right[j]]}
+            else:  # the lead, then every child of the call, zero weights as given
+                lead = [at[node.lead[j]]] if node.lead else []
+                want = {"kind": "lincomb", "children": lead + [at[c] for c in node.children],
+                        "weights": [1.0] * len(lead) + node.weights[:, j].tolist()}
+            # repr also tells 1 from 1.0 and -0.0 from 0.0
+            assert records[i] == want and repr(records[i]) == repr(want)
+            kids = want.get("children") or [want[k] for k in ("left", "right") if k in want]
+            assert all(k < i for k in kids)  # children before parents
+        return records, root_ids
 
     @pytest.mark.parametrize(
         "mode",
@@ -333,13 +333,12 @@ class TestFlatten:
         for count, dim in ((30, 2), (40, 3)):
             basis, _ = fit(sample_generic(count, dim, 5), EngineConfig(epsilon=1e-6, mode=mode))
             polys = basis.f_polys() + basis.g_polys()
-            self.assert_same_as_per_edge([p.prov for p in polys])
-            self.assert_same_as_per_edge([p.prov for p in reversed(polys)])
+            self.assert_whole_calls([p.prov for p in polys])
+            self.assert_whole_calls([p.prov for p in reversed(polys)])
 
     @pytest.mark.parametrize("zero", [0.0, -0.0])
-    def test_a_child_first_weighted_by_a_later_column(self, zero):
-        # column 0 skips H[1]; column 1 is the first to weight it, so H[1]'s
-        # subtree, not visited before, is listed after column 0's record
+    def test_a_child_weighted_by_a_later_column_only(self, zero):
+        # column 0 skips H[1], yet both columns list it, after H[1]'s subtree
         X = generic_points(6, 2, seed=31)
         rng = rng_for(32)
         H = [random_poly(X, d, rng) for d in (1, 3, 2)]
@@ -347,15 +346,24 @@ class TestFlatten:
         W[1, 0] = zero
         out = linear_combine(H, W)
         roots = [out[0].prov, out[1].prov, out[0].prov]
-        self.assert_same_as_per_edge(roots)
-        records, ids = flatten(roots)
+        records, ids = self.assert_whole_calls(roots)
+        assert ids == [len(records) - 2, len(records) - 1, len(records) - 2]
         first, second = records[ids[0]], records[ids[1]]
-        assert len(first["children"]) == 2 and len(second["children"]) == 3
-        h1 = second["children"][1]
-        assert ids[0] < h1 < ids[1] and ids[2] == ids[0]
-        assert second["children"][::2] == first["children"]
+        assert first["children"] == second["children"] and len(first["children"]) == 3
+        assert repr(first["weights"][1]) == repr(zero)
         lead = [random_poly(X, 2, rng) for _ in range(2)]
-        self.assert_same_as_per_edge([p.prov for p in linear_combine(H, W, lead=lead)][::-1])
+        self.assert_whole_calls([p.prov for p in linear_combine(H, W, lead=lead)][::-1])
+
+    def test_a_deep_lone_root(self):
+        # the top F member of an epsilon-0 fit on 350 points of a line is a
+        # combination of degree 348; its DAG is walked without recursing
+        # one frame per degree
+        X = sample_generic(350, 1, 0)
+        basis, _ = fit(X, EngineConfig(epsilon=0.0, mode=NormalizationMode.gradient()))
+        top = basis.f_polys()[-1]
+        assert top.degree > 300
+        records, (root,) = flatten([top.prov])
+        assert records[root]["kind"] == "lincomb" and len(records) > top.degree
 
 
 class TestBlocks:
@@ -474,22 +482,65 @@ class TestReplay:
             scale = max(1.0, np.abs(p.grad).max())
             np.testing.assert_allclose(p.grad, fd, rtol=1e-5, atol=1e-5 * scale)
 
-    def test_rebuilt_records_flatten_to_the_same_records(self):
+    @pytest.mark.parametrize(
+        "mode",
+        [NormalizationMode.vca_baseline(), NormalizationMode.coefficient(),
+         NormalizationMode.gradient()],
+        ids=["vca", "coeff", "grad"],
+    )
+    def test_rebuilt_records_flatten_to_the_same_records(self, mode):
+        # replay rebuilds the fit's kernel calls, so its output writes the
+        # same records, for a fitted basis and for the reduced one
+        X = sample_generic(40, 3, 5)
+        basis, _ = fit(X, EngineConfig(epsilon=1e-6, mode=mode))
+        reduced = postprocess.reduce_basis(basis, X).kept
+        assert 0 < len(reduced) < len(basis.g_polys())
+        for polys in (basis.f_polys() + basis.g_polys(), basis.f_polys()[:1] + reduced):
+            records, root_ids = flatten([p.prov for p in polys])
+            built = replay(records, X)
+            again = flatten([built[i].prov for i in root_ids])
+            assert again == (records, root_ids) and repr(again) == repr((records, root_ids))
+
+    def test_hand_built_records_replay_to_the_same_values(self):
+        # replay may merge sibling calls of a hand-built DAG, so the values
+        # and degrees, not the record order, come back
         X = generic_points(8, 2, seed=10)
         rng = rng_for(14)
         polys = [random_poly(X, d, rng) for d in (1, 3, 5)]
         records, root_ids = flatten([p.prov for p in polys])
         built = replay(records, X)
-        assert flatten([built[i].prov for i in root_ids]) == (records, root_ids)
         for p, i in zip(polys, root_ids):
             assert built[i].degree == p.degree
             np.testing.assert_allclose(built[i].eval, p.eval, rtol=1e-12, atol=1e-12)
+
+    def test_a_node_list_in_the_depth_first_layout_loads(self):
+        # the earlier writer's layout: depth first, a lead before the
+        # children it reached first, zero weights dropped; columns
+        # x0^2 + x0 + 3 (record 6) and x0 x1 + x0 / 2 + 2 x1 (record 3)
+        records = [
+            {"kind": "var", "index": 0}, {"kind": "var", "index": 1},
+            {"kind": "product", "left": 0, "right": 1},
+            {"kind": "lincomb", "children": [2, 0, 1], "weights": [1.0, 0.5, 2.0]},
+            {"kind": "product", "left": 0, "right": 0},
+            {"kind": "const", "value": 1.0},
+            {"kind": "lincomb", "children": [4, 0, 5], "weights": [1.0, 1.0, 3.0]},
+        ]
+        X = PointSet([[0.5, -1.0], [2.0, 0.25], [-1.5, 3.0]])
+        built = replay(records, X)
+        x0, x1 = X.points.T
+        assert built[6].degree == built[3].degree == 2
+        np.testing.assert_allclose(built[6].eval, x0 * x0 + x0 + 3, rtol=1e-15)
+        np.testing.assert_allclose(built[3].eval, x0 * x1 + 0.5 * x0 + 2 * x1, rtol=1e-15)
 
     def test_childless_lincomb_is_the_zero_polynomial(self):
         X = generic_points(3, 2, seed=2)
         record = {"kind": "lincomb", "children": [], "weights": []}
         (zero,) = replay([record], X)
-        assert zero.degree == 0 and flatten([zero.prov]) == ([record], [0])
+        assert zero.degree == 0
+        # rebuilt as the constant 1 with weight 0.0, which replays as zero again
+        records, (i,) = flatten([zero.prov])
+        assert records[i] == {"kind": "lincomb", "children": [0], "weights": [0.0]}
+        assert replay(records, X)[i].degree == 0 and not replay(records, X)[i].eval.any()
         ((_, grad),) = replay_many([zero], X.points, grads=True)
         assert not zero.eval.any() and not grad.any()
 
@@ -563,8 +614,7 @@ class TestGroupedReplay:
                  *linear_combine([low], [[1.0]])]
         records, ids = flatten([p.prov for p in polys])
         assert records[ids[3]]["weights"] == [1.0, -0.5, 2.0]
-        built = replay(records, X)
-        assert flatten([built[i].prov for i in ids]) == (records, ids)
+        built = replay(records, X)  # merges sibling calls: check values, not records
         grads = replay_many([built[i] for i in ids], X.points, grads=True)
         for p, i, (_, grad) in zip(polys, ids, grads):
             assert built[i].degree == p.degree

@@ -1,6 +1,7 @@
 """Basis reduction and variety-dimension estimation."""
 
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -239,7 +240,7 @@ class TestReduceBasis:
 
 
 class TestGradientsOnDemand:
-    """Values-only G members get their gradients from one replay per basis."""
+    """Values-only G members get their gradients from one replay, kept per member."""
 
     @staticmethod
     def counting_replays(monkeypatch):
@@ -282,15 +283,17 @@ class TestGradientsOnDemand:
         assert report.kept and report.removed and dims == (1, 1)
         ids = {id(g) for g in basis.g_polys()}
         assert {id(p) for p in report.kept} | {id(p) for p, _ in report.removed} == ids
-        # a list is not a Basis and keeps nothing between calls
+        # the gradients are kept per member, so a list of them shares the replay
         reduce_basis(basis.g_polys(), X)
-        assert len(calls) == 2
-        # what a Basis's replay formed goes with the basis
-        key = id(basis)
-        assert key in postprocess._FORMED
-        del basis
+        assert len(calls) == 1
+        # and an entry goes when its member is collected
+        members = [weakref.ref(g) for g in basis.g_polys()]
+        assert all(m() in postprocess._FORMED for m in members)
+        held = len(postprocess._FORMED)
+        del basis, report
         gc.collect()
-        assert key not in postprocess._FORMED
+        assert all(m() is None for m in members)
+        assert len(postprocess._FORMED) <= held - len(members)
 
     def test_loaded_basis_reduces_as_an_eagerly_loaded_one(self, monkeypatch):
         X = sample_generic(60, 3, 0)

@@ -15,7 +15,8 @@ from mavik.core import PointSet, replay_many
 from mavik.datasets import sample_generic, save_points
 from mavik.engine import EngineConfig, NormalizationMode, evaluate, fit
 from mavik.errors import ContractViolation
-from mavik.retrieval import load_target_profiles, run_retrieval
+from mavik.postprocess import reduce_basis
+from mavik.retrieval import load_target_profiles, mode_from_kind, run_retrieval
 from mavik.serialize import (
     SCHEMA_VERSION,
     basis_from_json,
@@ -90,8 +91,8 @@ class TestBasisRoundtrip:
 @pytest.mark.parametrize("mode", [NormalizationMode.gradient(), NormalizationMode.vca_baseline()])
 def test_reload_reproduces_node_list_and_expansions(mode):
     # reloading rebuilds every node with the fit's kernels; writing the
-    # reloaded basis again must give the same nodes (zero-weight drop, lead
-    # term first, degrees) and the same symbolic expansions
+    # reloaded basis again must give the same nodes (whole calls, lead term
+    # first, degrees) and the same symbolic expansions
     X = generic_points(20, 2, seed=43)
     basis, _ = fit(X, EngineConfig(epsilon=1e-6, mode=mode))
     obj = basis_to_json(basis, points=X)
@@ -102,6 +103,26 @@ def test_reload_reproduces_node_list_and_expansions(mode):
     original = basis.f_polys() + basis.g_polys()
     rebuilt = reloaded.f_polys() + reloaded.g_polys()
     assert expand_many(rebuilt) == expand_many(original)
+
+
+@pytest.mark.parametrize("count, dim", [(50, 2), (50, 3), (50, 4), (50, 5), (100, 4)])
+@pytest.mark.parametrize("kind", ["vca", "coeff", "grad"])
+def test_a_saved_basis_replays_the_fits_calls_bitwise(kind, count, dim):
+    # the node list holds whole kernel calls, so a load runs the fit's own
+    # calls: its values, evaluations and reduction are the in-memory ones
+    X = sample_generic(count, dim, 0)
+    basis, _ = fit(X, EngineConfig(epsilon=1e-6, mode=mode_from_kind(kind, n_points=len(X))))
+    loaded = basis_from_json(json.loads(json.dumps(basis_to_json(basis, points=X))), X)
+    original = basis.f_polys() + basis.g_polys()
+    rebuilt = loaded.f_polys() + loaded.g_polys()
+    assert [p.eval.tobytes() for p in rebuilt] == [p.eval.tobytes() for p in original]
+    fresh = sample_generic(1000, dim, 1)
+    for got, want in zip(evaluate(loaded, fresh), evaluate(basis, fresh)):
+        assert got.tobytes() == want.tobytes()
+    pos = {id(p): i % len(original) for i, p in enumerate(original + rebuilt)}
+    got, want = reduce_basis(loaded, X), reduce_basis(basis, X)
+    assert [pos[id(p)] for p in got.kept] == [pos[id(p)] for p in want.kept]
+    assert [(pos[id(p)], r) for p, r in got.removed] == [(pos[id(p)], r) for p, r in want.removed]
 
 
 def test_load_and_evaluate_replay_once(fitted, monkeypatch):
