@@ -1,0 +1,84 @@
+#!/usr/bin/env python3
+"""Time the loading of a saved grad basis, step by step.
+
+For the 200x3 and 100x4 grad bases of ``sample_generic`` (seed 0, epsilon
+1e-6) the script prints the median wall time, in milliseconds over
+``REPEATS`` rounds that call every step once, of each step a load takes:
+
+* ``json.loads`` of the compact ``basis.json`` text;
+* ``core.replay`` of its node list on the training points and on
+  ``FRESH`` fresh points (``sample_generic(FRESH, dim, 1)``);
+* ``basis_from_json`` (which calls ``core.replay``) on the same two point
+  sets;
+* the on-demand gradient replay of the loaded G members on the training
+  points, the ``replay_many(..., grads=True)`` that ``mavik reduce``
+  makes.
+
+BLAS runs on one thread, as in ``mavik.cli``, whatever the shell sets.
+mavik is imported from the import path, so time two trees with
+
+    PYTHONPATH=<tree>/src python3 scripts/load_timing.py
+
+Usage: python scripts/load_timing.py
+"""
+
+import json
+import os
+import statistics
+import time
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+from mavik import core, serialize  # noqa: E402
+from mavik.datasets import sample_generic  # noqa: E402
+from mavik.engine import EngineConfig, NormalizationMode, fit  # noqa: E402
+
+CASES = [(200, 3), (100, 4)]
+FRESH = 1000
+REPEATS = 21
+
+
+def median_ms(steps):
+    """Median wall time in milliseconds of each of the callables ``steps``
+    over ``REPEATS`` rounds, each round calling every step once, so that a
+    slow spell of the host slows every step alike."""
+    times = [[] for _ in steps]
+    for _ in range(REPEATS):
+        for fn, spent in zip(steps, times):
+            start = time.perf_counter()
+            fn()
+            spent.append(time.perf_counter() - start)
+    return [1e3 * statistics.median(spent) for spent in times]
+
+
+def main():
+    print(f"median ms of {REPEATS} rounds, one BLAS thread")
+    for count, dim in CASES:
+        X = sample_generic(count, dim, 0)
+        X_new = sample_generic(FRESH, dim, 1)
+        basis, _ = fit(X, EngineConfig(epsilon=1e-6, mode=NormalizationMode.gradient()))
+        text = json.dumps(serialize.basis_to_json(basis, points=X), sort_keys=True)
+        obj = json.loads(text)
+        loaded = serialize.basis_from_json(obj, X)
+        g_polys = loaded.g_polys()
+        print(f"{count}x{dim} grad: {len(obj['nodes'])} nodes, "
+              f"{sum(len(rec.get('weights', ())) for rec in obj['nodes'])} weights, "
+              f"{len(text)} bytes")
+        steps = [
+            ("json.loads", lambda: json.loads(text)),
+            (f"core.replay, {count} training points", lambda: core.replay(obj["nodes"], X)),
+            (f"core.replay, {FRESH} fresh points", lambda: core.replay(obj["nodes"], X_new)),
+            (f"basis_from_json, {count} training points",
+             lambda: serialize.basis_from_json(obj, X)),
+            (f"basis_from_json, {FRESH} fresh points",
+             lambda: serialize.basis_from_json(obj, X_new)),
+            (f"gradient replay of {len(g_polys)} G members",
+             lambda: core.replay_many(g_polys, X.points, grads=True)),
+        ]
+        for (name, _), ms in zip(steps, median_ms([fn for _, fn in steps])):
+            print(f"  {name:42s} {ms:8.2f}")
+
+
+if __name__ == "__main__":
+    main()

@@ -39,14 +39,15 @@ its callbacks make all the columns of a node at once.  In memory,
 :func:`replay_many` re-runs every kernel call of the fit whole and gives
 the fit's values bitwise.  For files, :func:`flatten` writes every column
 of every call as JSON-ready records (the ``nodes`` of a basis file), and
-:func:`replay` checks the records and rebuilds them on another point set
-with one kernel call per group of sibling records: the fit's own calls, so
-a loaded basis gives the fit's values bitwise too (see :func:`replay` for
-the one exception).
+:func:`replay` checks them, a call's columns at once, and rebuilds them
+on another point set with one kernel call per group of sibling records:
+the fit's own calls, so a loaded basis gives the fit's values bitwise too
+(see :func:`replay` for the one exception).
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -495,55 +496,67 @@ def _earlier(js, i):
     return js
 
 
-def _finite(values, i, key):
-    try:
-        finite = all(map(math.isfinite, values))
-    except OverflowError:  # an int beyond the float range
-        finite = False
-    if not finite:
-        raise ContractViolation(f"node {i}: {key} must be finite")
+def _finite(rows, first, key):
+    """The float block of the number lists ``rows``, of the records from ``first`` on."""
+    with contextlib.suppress(OverflowError):  # an int beyond the float range
+        if np.isfinite(block := np.array(rows, dtype=float)).all():
+            return block
+    if len(rows) == 1:
+        raise ContractViolation(f"node {first}: {key} must be finite")
+    for i, row in enumerate(rows, first):  # the first record at fault raises
+        _finite([row], i, key)
 
 
 def replay(records, pointset):
     """Rebuild every record of :func:`flatten` on ``pointset``, values only.
 
     Returns one values-only :class:`Poly` per record, formed by the
-    construction kernels, so values, degrees and provenance follow the
-    fit's rules; :func:`replay_many` with ``grads=True`` gives their
-    gradients.  A first pass checks every record before any kernel runs:
-    child indices must point to earlier records, and every field must have
-    its JSON type (numbers for values and weights, an int variable index,
-    lists of children and of as many finite weights).  It builds the
-    constants and variables and groups the other records by level (one
-    above the highest child): the products of a level, and the ``lincomb``
-    records of a level that share their children.  A ``lincomb`` whose
-    first weight is exactly 1.0 takes its first child as its lead, as
-    :func:`flatten` writes a lead; since it writes every child of a call in
-    each column, the columns of one fitted call fall back into one group,
-    and the group's call is the fit's -- unless a lead-less column's first
-    weight is exactly 1.0, which splits the call and its rounding.  A
-    second pass makes one kernel call per group, level by level:
-    :func:`multiply` or :func:`linear_combine`.  A ``lincomb`` without
-    children is the zero polynomial of degree 0.
+    construction kernels; :func:`replay_many` with ``grads=True`` gives
+    their gradients.  A first pass checks every record before any kernel
+    runs: child indices must point to earlier records, and every field must
+    have its JSON type (numbers for values and weights, an int variable
+    index, lists of children and of as many finite weights).  It groups the
+    products of a level (one above the highest child) and the ``lincomb``
+    records of a level with one lead flag and the same children after it
+    (a first weight of exactly 1.0 marks the first child as the lead, as
+    :func:`flatten` writes it): one fitted call's columns, so the group's
+    call is the fit's, unless a lead-less column's first weight is 1.0.  A
+    *run* of such records, as one call's columns come, has its shared
+    children checked once and its weights as one block; any other record
+    closes the run before its own, full checks, so the first record at
+    fault is named.  A second pass makes one kernel call per group, level
+    by level.  A ``lincomb`` without children is the zero polynomial.
     """
     if not isinstance(records, list):
         raise ContractViolation("the node list is not a list")
     built = [None] * len(records)
     levels = [0] * len(records)
-    groups = {}  # (level, kind[, lead?, shared children]) -> [(record, arguments)]
+    groups = {}  # (level, kind[, lead?, shared children]) -> [(i, left, right)] or runs
+    run = None  # the open run: [first record, lead level, weights]; n, shared, level describe it
     for i, rec in enumerate(records):
+        if run and (type(rec) is dict and rec.get("kind") == "lincomb"
+                    and type(kids := rec.get("children")) is list
+                    and type(weights := rec.get("weights")) is list
+                    and len(weights) == len(kids) and (weights[:1] == [1.0]) == n
+                    and kids[n:] == shared and set(map(type, kids)) <= {int}
+                    and set(map(type, weights)) <= _NUMBER
+                    and (not n or 0 <= kids[0] < i and levels[kids[0]] == run[1])):
+            run[2].append(weights)
+            levels[i] = level
+            continue
+        if run:  # close it: its weights are checked before this record
+            run[2], run = _finite(run[2], run[0], "weights"), None
         kind = _field(rec, "kind", i)
         if kind == "const":
             value = _field(rec, "value", i, _NUMBER)
-            _finite([value], i, "value")
+            _finite([[value]], i, "value")
             built[i] = constant_poly(value, pointset, grads=False)
-            continue
-        if kind == "var":
+        elif kind == "var":
             built[i] = variable_poly(_field(rec, "index", i, (int,)), pointset, grads=False)
-            continue
-        if kind == "product":
-            kids = _earlier([_field(rec, "left", i), _field(rec, "right", i)], i)
-            key, args = (kind,), kids
+        elif kind == "product":
+            a, b = _earlier([_field(rec, "left", i), _field(rec, "right", i)], i)
+            levels[i] = 1 + max(levels[a], levels[b])
+            groups.setdefault((levels[i], kind), []).append((i, a, b))
         elif kind == "lincomb":
             kids = _earlier(_field(rec, "children", i, (list,)), i)
             weights = _field(rec, "weights", i, (list,))
@@ -551,25 +564,27 @@ def replay(records, pointset):
                 raise ContractViolation(f"node {i}: weights must be numbers")
             if len(weights) != len(kids):
                 raise ContractViolation(f"node {i}: {len(kids)} children but {len(weights)} weights")
-            _finite(weights, i, "weights")
-            lead = kids[:1] if weights[:1] == [1.0] else []
-            key = (kind, bool(lead), tuple(kids[len(lead):]))
-            args = (lead, weights[len(lead):])
+            n = int(weights[:1] == [1.0])  # 1 if the first child is a lead
+            shared = kids[n:]
+            level = levels[i] = 1 + max(map(levels.__getitem__, kids), default=0)
+            run = [i, levels[kids[0]] if n else 0, [weights]]
+            groups.setdefault((level, kind, n, tuple(shared)), []).append(run)
         else:
             raise ContractViolation(f"node {i}: unknown kind {kind!r}")
-        levels[i] = 1 + max(map(levels.__getitem__, kids), default=0)
-        groups.setdefault((levels[i], *key), []).append((i, args))
+    if run:
+        run[2] = _finite(run[2], run[0], "weights")
 
     for key in sorted(groups, key=lambda key: key[0]):  # ties keep their first-seen order
-        members, args = zip(*groups[key])
         if key[1] == "product":
-            outs = multiply([built[a] for a, _ in args], [built[b] for _, b in args])
+            members, lefts, rights = zip(*groups[key])
+            outs = multiply([built[a] for a in lefts], [built[b] for b in rights])
         else:
-            lead = [built[j] for head, _ in args for j in head]
+            members = [i for run in groups[key] for i in range(run[0], run[0] + len(run[2]))]
+            lead = [built[records[i]["children"][0]] for i in members] if key[2] else []
             kids = [built[j] for j in key[3]]
-            W = np.array([w for _, w in args], dtype=float).T
+            W = np.concatenate([run[2] for run in groups[key]])[:, key[2]:].T
             if not kids:  # zero polynomials, or leads alone
-                kids, W = [constant_poly(1.0, pointset, grads=False)], np.zeros((1, len(args)))
+                kids, W = [constant_poly(1.0, pointset, grads=False)], np.zeros((1, len(members)))
             outs = linear_combine(kids, W, lead)
         for i, p in zip(members, outs):
             built[i] = p

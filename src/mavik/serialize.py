@@ -5,22 +5,25 @@ A basis file stores the construction DAG as the node list of
 basis once, children before parents, zero weights included) and
 references polynomials by node index; :func:`basis_to_json` is the one
 writer of that list.  Loading is :func:`mavik.core.replay` of the list on
-any compatible point set.  The replay checks every node before it computes
-anything (a malformed node, such as a child index that does not point to an
-earlier node, is rejected with its index) and then makes one kernel call
-per group of sibling nodes, about three per fitted degree (products,
-projections, combinations) instead of one per node: the fit's own calls,
-so a basis loaded on its training points has the fit's values bit for bit
-(unless a lead-less column's first weight is exactly 1.0: schema 1 cannot
-tell it from a lead, and replay splits that call).  ``n`` and every root ``degree`` must be ints and every G ``extent`` a
-finite nonnegative number.  Loading and re-saving a basis writes the same
-node list.  A loaded basis is
-values-only (``Poly.grad`` is None): evaluation reads values alone, and
-:mod:`mavik.postprocess` forms the gradients it reads on demand.  Every file
-is the stdlib's compact ``sort_keys=True`` JSON text, written by
-:func:`dump_json`.
-Fit reports are written without timings, so reruns with identical inputs
-produce byte-identical files.
+any compatible point set.  ``n``, every root (an int index into the node
+list) and its ``degree`` (an int), and every G ``extent`` (a finite
+nonnegative number) are checked first, so a malformed ``f`` or ``g`` fails
+without a replay.  The replay checks every node before it computes
+anything, the columns of one kernel call at once (a malformed node, such
+as a child index that does not point to an earlier node, is rejected with
+its index), and then makes one kernel call per group of sibling nodes,
+about three per fitted degree (products, projections, combinations)
+instead of one per node: the fit's own calls, so a basis loaded on its
+training points has the fit's values bit for bit (unless a lead-less
+column's first weight is exactly 1.0: schema 1 cannot tell it from a lead,
+and replay splits that call).  Whether each root's node has the recorded
+degree is checked after the replay.  Loading and re-saving a basis writes
+the same node list.  A loaded basis is values-only (``Poly.grad`` is None):
+evaluation reads values alone, and :mod:`mavik.postprocess` forms the
+gradients it reads on demand.  Every file is the stdlib's compact
+``sort_keys=True`` JSON text, written by :func:`dump_json`.  Fit reports
+are written without timings, so reruns with identical inputs produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -101,27 +104,40 @@ def basis_to_json(basis, points=None, meta=None, expansions=None):
 
 
 def basis_from_json(obj, X):
-    """Rebuild a values-only Basis on ``X`` by replaying the stored node list."""
+    """Rebuild a values-only Basis on ``X`` by replaying the stored node list.
+
+    The fields that need no replay are checked first, so a malformed ``f``
+    or ``g`` fails before the replay is paid for; whether each root's node
+    has the recorded degree is checked after it."""
     if not isinstance(obj, dict) or obj.get("schema_version") != SCHEMA_VERSION:
         raise ContractViolation("unsupported basis schema version")
     if not {"n", "nodes", "f", "g"} <= obj.keys():
         raise ContractViolation("basis file lacks one of n, nodes, f, g")
     if type(obj["n"]) is not int or obj["n"] != X.n:
         raise ContractViolation(f"basis was built in n={obj['n']!r} but points have n={X.n}")
+    if not isinstance(obj["nodes"], list):
+        raise ContractViolation("the node list is not a list")
     for key in ("f", "g"):
         if not isinstance(obj[key], list):
             raise ContractViolation(f"basis field {key!r} is not a list")
+    for rec in obj["f"] + obj["g"]:
+        if not isinstance(rec, dict):
+            raise ContractViolation(f"basis polynomial {rec!r} is not an object")
+        root, degree = rec.get("root"), rec.get("degree")
+        if type(root) is not int or type(degree) is not int or not 0 <= root < len(obj["nodes"]):
+            raise ContractViolation(f"no degree-{degree!r} node at basis root {root!r}")
+    g_ext = [rec.get("extent") for rec in obj["g"]]
+    for e in g_ext:
+        if type(e) not in (int, float) or not 0 <= e <= sys.float_info.max:
+            raise ContractViolation(f"basis G extent {e!r} is not a finite nonnegative number")
     # Points far beyond the training scale overflow the replay;
     # engine.evaluate reports that instead of numpy's warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         built = replay(obj["nodes"], X)
 
     def pick(rec):
-        if not isinstance(rec, dict):
-            raise ContractViolation(f"basis polynomial {rec!r} is not an object")
-        root, degree = rec.get("root"), rec.get("degree")
-        if (type(root) is not int or type(degree) is not int
-                or not 0 <= root < len(built) or built[root].degree != degree):
+        root, degree = rec["root"], rec["degree"]
+        if built[root].degree != degree:
             raise ContractViolation(f"no degree-{degree!r} node at basis root {root!r}")
         return built[root]
 
@@ -129,10 +145,6 @@ def basis_from_json(obj, X):
     g_polys = [pick(rec) for rec in obj["g"]]
     if not any(p.degree == 0 for p in f_polys):
         raise ContractViolation("basis has no degree-0 F polynomial")
-    g_ext = [rec.get("extent") for rec in obj["g"]]
-    for e in g_ext:
-        if type(e) not in (int, float) or not 0 <= e <= sys.float_info.max:
-            raise ContractViolation(f"basis G extent {e!r} is not a finite nonnegative number")
     return Basis.from_flat(f_polys, g_polys, g_ext)
 
 

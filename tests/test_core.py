@@ -1,5 +1,7 @@
 """Evaluation-representation algebra: combination, product, replay."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -573,23 +575,152 @@ class TestReplay:
             replay_many([p], np.zeros((3, 1)))
 
 
+def _count_kernel_calls(monkeypatch):
+    """A list that every ``PLin`` and ``PProd`` made from now on appends
+    its kind to: one entry per kernel call."""
+    made = []
+    for cls in (core.PLin, core.PProd):
+        class Counting(cls):
+            def __init__(self, *args, _kind=cls.__name__):
+                made.append(_kind)
+                super().__init__(*args)
+
+        monkeypatch.setattr(core, cls.__name__, Counting)
+    return made
+
+
+def _middle_of_a_call(records, lead):
+    """A record in the middle of three consecutive ``lincomb`` columns of
+    one call, with (``lead``) or without a lead."""
+    for i in range(1, len(records) - 1):
+        trio = records[i - 1:i + 2]
+        if all(r["kind"] == "lincomb" and len(r["children"]) > 2 for r in trio):
+            heads = {r["weights"][0] == 1.0 for r in trio}
+            if heads == {lead} and len({tuple(r["children"][lead:]) for r in trio}) == 1:
+                return i
+    raise AssertionError("no multi-column call")
+
+
+def _set(field, position, value):
+    """Set ``records[i][field][position]`` to ``value``, or to
+    ``value(records, i)`` if it is callable."""
+    def tamper(records, i):
+        records[i][field][position] = value(records, i) if callable(value) else value
+    return tamper
+
+
 class TestGroupedReplay:
     """Replay makes one kernel call per group of sibling records."""
 
-    def test_a_fitted_basis_replays_in_few_kernel_calls(self, monkeypatch):
-        X = sample_generic(200, 3, 0)
+    @pytest.fixture(scope="class")
+    def grad_records(self):
+        X = sample_generic(50, 3, 0)
         basis, _ = fit(X, EngineConfig(epsilon=1e-6, mode=NormalizationMode.gradient()))
-        records, _ = flatten([p.prov for p in basis.f_polys() + basis.g_polys()])
-        made = []  # every kernel call records one node
-        for cls in (core.PLin, core.PProd):
-            class Counting(cls):
-                def __init__(self, *args):
-                    made.append(self)
-                    super().__init__(*args)
+        return X, flatten([p.prov for p in basis.f_polys() + basis.g_polys()])[0]
 
-            monkeypatch.setattr(core, cls.__name__, Counting)
+    @pytest.mark.parametrize(
+        "mode",
+        [NormalizationMode.vca_baseline(), NormalizationMode.coefficient(),
+         NormalizationMode.gradient()],
+        ids=["vca", "coeff", "grad"],
+    )
+    def test_a_fitted_basis_replays_in_one_kernel_call_per_fitted_call(self, mode, monkeypatch):
+        X = sample_generic(50, 3, 0)
+        basis, _ = fit(X, EngineConfig(epsilon=1e-6, mode=mode))
+        roots = [p.prov for p in basis.f_polys() + basis.g_polys()]
+        fitted = []  # the kind of every kernel call under the roots
+        walk(roots, const=lambda value: [None], var=lambda index: [None],
+             product=lambda lefts, rights: fitted.append("PProd") or [None] * len(lefts),
+             combine=lambda kids, w, leads: fitted.append("PLin") or [None] * w.shape[1])
+        records, _ = flatten(roots)
+        made = _count_kernel_calls(monkeypatch)
         replay(records, generic_points(20, 3, seed=6))
-        assert len(made) <= 40 < len(records)
+        assert sorted(made) == sorted(fitted) and len(made) < len(records)
+
+    @pytest.mark.parametrize("lead, tamper", [
+        (False, _set("weights", -1, float("nan"))),
+        (False, _set("weights", -1, float("inf"))),
+        (False, _set("weights", -1, 10**400)),
+        (False, _set("weights", -1, True)),
+        (False, _set("weights", -1, "1.0")),
+        (False, lambda records, i: records[i]["weights"].pop()),
+        (False, _set("children", -1, lambda records, i: i)),
+        (False, _set("children", -1, lambda records, i: float(records[i]["children"][-1]))),
+        (True, _set("weights", -1, float("nan"))),
+        (True, _set("weights", -1, 10**400)),
+        (True, _set("children", -1, lambda records, i: i + 1)),
+        (True, _set("children", 0, lambda records, i: i + 1)),
+        # Python would read it as the same lead, of the same level
+        (True, _set("children", 0, lambda records, i: records[i]["children"][0] - len(records))),
+    ], ids=["nan", "inf", "huge-int", "bool", "string", "weight-missing", "child-not-earlier",
+            "child-as-float", "lead-run-nan", "lead-run-huge-int", "lead-run-child-not-earlier",
+            "lead-not-earlier", "lead-negative"])
+    def test_a_malformed_record_inside_a_call_is_named(self, grad_records, lead, tamper):
+        X, records = grad_records
+        i = _middle_of_a_call(records, lead)
+        bad = copy.deepcopy(records)
+        tamper(bad, i)
+        with pytest.raises(ContractViolation, match=f"node {i}:"):
+            replay(bad, X)
+
+    @pytest.mark.parametrize("first, second", [
+        (_set("weights", -1, float("nan")), _set("weights", -1, "1.0")),
+        (_set("weights", -1, "1.0"), _set("weights", -1, float("nan"))),
+        (_set("weights", -1, 10**400), lambda records, i: records[i].pop("kind")),
+    ], ids=["nan-then-string", "string-then-nan", "huge-int-then-no-kind"])
+    def test_of_two_malformed_records_the_first_is_named(self, grad_records, first, second):
+        X, records = grad_records
+        i = _middle_of_a_call(records, False)
+        bad = copy.deepcopy(records)
+        first(bad, i)
+        second(bad, i + 1)
+        with pytest.raises(ContractViolation, match=f"node {i}:"):
+            replay(bad, X)
+
+    @pytest.mark.parametrize("lead, change", [
+        # the column before it as the lead: a record of the call's own
+        # level, so this one goes a level up
+        (True, _set("children", 0, lambda records, i: i - 1)),
+        (True, _set("weights", 0, 0.5)),  # its lead becomes a child
+        (False, _set("weights", 0, 1.0)),  # its first child becomes a lead
+    ], ids=["lead-a-level-up", "lead-weight-0.5", "first-weight-1.0"])
+    def test_a_column_that_leaves_its_call_replays_alone(self, grad_records, lead, change,
+                                                         monkeypatch):
+        X, records = grad_records
+        i = _middle_of_a_call(records, lead)
+        changed = copy.deepcopy(records)
+        change(changed, i)
+        made = _count_kernel_calls(monkeypatch)
+        replay(records, X)
+        calls = len(made)
+        built = replay(changed, X)
+        assert len(made) == 2 * calls + 1
+        kids, weights = changed[i]["children"], changed[i]["weights"]
+        want = sum(w * built[j].eval for w, j in zip(weights, kids))
+        np.testing.assert_allclose(built[i].eval, want, rtol=1e-10, atol=1e-10)
+
+    def test_interleaved_sibling_calls_group_as_the_consecutive_layout(self, monkeypatch):
+        # the columns of a lead call and of a lead-less call over the same
+        # children, written alternately after every child: no run spans two
+        # records, but the groups, the kernel calls and the bits are the same
+        X = generic_points(12, 2, seed=9)
+        rng = rng_for(33)
+        kids = [random_poly(X, d, rng) for d in (1, 2, 3)]
+        leads = [random_poly(X, 3, rng) for _ in range(3)]
+        with_lead = linear_combine(kids, rng.normal(size=(3, 3)), lead=leads)
+        plain = linear_combine(kids, rng.normal(size=(3, 3)))
+        records, ids = flatten([p.prov for p in [*with_lead, *plain]])
+        start = ids[0]
+        assert ids == list(range(start, len(records))) and len(ids) == 6
+        order = [*range(start)] + [start + j for pair in zip((0, 1, 2), (3, 4, 5)) for j in pair]
+        made = _count_kernel_calls(monkeypatch)
+        consecutive = replay(records, X)
+        calls = len(made)
+        interleaved = replay([records[k] for k in order], X)
+        assert len(made) == 2 * calls
+        for new, old in enumerate(order):
+            assert interleaved[new].degree == consecutive[old].degree
+            assert np.array_equal(interleaved[new].eval, consecutive[old].eval)
 
     def test_a_root_replayed_alone_matches_the_full_list_bitwise(self):
         X = sample_generic(60, 3, 0)

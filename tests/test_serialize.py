@@ -147,6 +147,37 @@ def test_load_and_evaluate_replay_once(fitted, monkeypatch):
     np.testing.assert_allclose(G_mat, expected[1], atol=1e-12)
 
 
+@pytest.mark.parametrize("key, field, value, message", [
+    ("f", "root", -1, "no degree-0 node at basis root -1"),
+    ("f", "root", None, "no degree-0 node at basis root None"),
+    ("g", "root", 10**6, "node at basis root 1000000"),
+    ("g", "degree", 2.0, "no degree-2.0 node"),
+    ("g", "extent", float("nan"), "basis G extent nan is not a finite nonnegative number"),
+    ("g", "extent", -1.0, "basis G extent -1.0 is not a finite nonnegative number"),
+], ids=["negative-root", "root-null", "root-past-the-nodes", "float-degree", "nan-extent",
+        "negative-extent"])
+def test_malformed_basis_fields_fail_before_the_replay(fitted, monkeypatch, key, field,
+                                                       value, message):
+    X, basis, _ = fitted
+    obj = basis_to_json(basis, points=X)
+    obj[key][0][field] = value
+
+    def replay(records, pointset):
+        raise AssertionError("replayed a basis with malformed fields")
+
+    monkeypatch.setattr(serialize, "replay", replay)
+    with pytest.raises(ContractViolation, match=message):
+        basis_from_json(obj, X)
+
+
+def test_a_root_of_the_wrong_degree_fails_after_the_replay(fitted):
+    X, basis, _ = fitted
+    obj = basis_to_json(basis, points=X)
+    obj["g"][0]["degree"] += 1
+    with pytest.raises(ContractViolation, match=f"no degree-{obj['g'][0]['degree']} node"):
+        basis_from_json(obj, X)
+
+
 def test_points_digest_is_order_sensitive():
     a = PointSet([[1.0, 2.0], [3.0, 4.0]])
     b = PointSet([[3.0, 4.0], [1.0, 2.0]])
