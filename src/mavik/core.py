@@ -39,10 +39,11 @@ its callbacks make all the columns of a node at once.  In memory,
 :func:`replay_many` re-runs every kernel call of the fit whole and gives
 the fit's values bitwise.  For files, :func:`flatten` writes every column
 of every call as JSON-ready records (the ``nodes`` of a basis file), and
-:func:`replay` checks them, a call's columns at once, and rebuilds them
-on another point set with one kernel call per group of sibling records:
-the fit's own calls, so a loaded basis gives the fit's values bitwise too
-(see :func:`replay` for the one exception).
+:func:`replay` reads them in file order and rebuilds them on another
+point set, checking a stored call's columns at once and running its
+kernel as soon as its run of records ends: the fit's own calls, so a
+loaded basis gives the fit's values bitwise too (see :func:`replay` for
+the one exception).
 """
 
 from __future__ import annotations
@@ -453,7 +454,7 @@ def flatten(roots):
     order, after its children's records.  A ``lincomb`` record lists its
     column's lead, if any, with weight 1.0, then every child of the call
     with its weight, zeros included, so :func:`replay` reads the call's
-    columns as one group.  The records are the node list of a basis file.
+    columns as one call.  The records are the node list of a basis file.
     """
     records = []
 
@@ -512,51 +513,66 @@ def replay(records, pointset):
 
     Returns one values-only :class:`Poly` per record, formed by the
     construction kernels; :func:`replay_many` with ``grads=True`` gives
-    their gradients.  A first pass checks every record before any kernel
-    runs: child indices must point to earlier records, and every field must
-    have its JSON type (numbers for values and weights, an int variable
-    index, lists of children and of as many finite weights).  It groups the
-    products of a level (one above the highest child) and the ``lincomb``
-    records of a level with one lead flag and the same children after it
-    (a first weight of exactly 1.0 marks the first child as the lead, as
-    :func:`flatten` writes it): one fitted call's columns, so the group's
-    call is the fit's, unless a lead-less column's first weight is 1.0.  A
-    *run* of such records, as one call's columns come, has its shared
-    children checked once and its weights as one block; any other record
-    closes the run before its own, full checks, so the first record at
-    fault is named.  A second pass makes one kernel call per group, level
-    by level.  A ``lincomb`` without children is the zero polynomial.
+    their gradients.  One pass checks the records in file order: child
+    indices must point to earlier records, and every field must have its
+    JSON type (numbers for values and weights, an int variable index,
+    lists of children and of as many finite weights).  A *call* is a run of
+    consecutive records of one kind whose inputs come before the run:
+    ``product`` records, or ``lincomb`` records with the same children
+    after the lead.  A first weight of exactly 1.0 opens a lead call (the
+    first child is the lead, as :func:`flatten` writes it), which goes on
+    only with such records; a lead-less call goes on with any record of its
+    children.  A call's shared children are checked once and its weights as
+    one block, and its kernel runs when the run ends: the first record at
+    fault is named, after the calls before it have run.  A fitted call's
+    columns are one run, so the call is the fit's unless a lead-less call's
+    first column starts with 1.0; a call whose records are not consecutive
+    makes one call per run.  A ``lincomb`` without children is zero.
     """
     if not isinstance(records, list):
         raise ContractViolation("the node list is not a list")
     built = [None] * len(records)
-    levels = [0] * len(records)
-    groups = {}  # (level, kind[, lead?, shared children]) -> [(i, left, right)] or runs
-    run = None  # the open run: [first record, lead level, weights]; n, shared, level describe it
-    for i, rec in enumerate(records):
-        if run and (type(rec) is dict and rec.get("kind") == "lincomb"
-                    and type(kids := rec.get("children")) is list
-                    and type(weights := rec.get("weights")) is list
-                    and len(weights) == len(kids) and (weights[:1] == [1.0]) == n
-                    and kids[n:] == shared and set(map(type, kids)) <= {int}
-                    and set(map(type, weights)) <= _NUMBER
-                    and (not n or 0 <= kids[0] < i and levels[kids[0]] == run[1])):
-            run[2].append(weights)
-            levels[i] = level
-            continue
-        if run:  # close it: its weights are checked before this record
-            run[2], run = _finite(run[2], run[0], "weights"), None
-        kind = _field(rec, "kind", i)
+    rows = []  # the open call's (left, right) pairs or weight lists, from record start on
+    for i, rec in enumerate([*records, None]):  # the None closes the last call
+        if rows and type(rec) is dict and rec.get("kind") == kind:  # does it go on?
+            if kind == "product":
+                a, b = rec.get("left"), rec.get("right")
+                if type(a) is type(b) is int and 0 <= a < start and 0 <= b < start:
+                    rows.append((a, b))
+                    continue
+            elif (type(kids := rec.get("children")) is list
+                  and type(weights := rec.get("weights")) is list
+                  and len(weights) == len(kids) and kids[n:] == shared
+                  and set(map(type, kids)) <= {int} and set(map(type, weights)) <= _NUMBER
+                  and (not n or weights[:1] == [1.0] and 0 <= kids[0] < start)):
+                rows.append(weights)
+                continue
+        if rows and kind == "product":
+            lefts, rights = zip(*rows)
+            built[start:i] = multiply([built[a] for a in lefts], [built[b] for b in rights])
+        elif rows:
+            W = _finite(rows, start, "weights")[:, n:].T
+            lead = [built[records[j]["children"][0]] for j in range(start, i)] if n else []
+            kids = [built[j] for j in shared]
+            if not kids:  # zero polynomials, or leads alone
+                kids, W = [constant_poly(1.0, pointset, grads=False)], np.zeros((1, i - start))
+            built[start:i] = linear_combine(kids, W, lead)
+        if i == len(records):
+            return built
+        start, rows, kind = i, [], _field(rec, "kind", i)
         if kind == "const":
             value = _field(rec, "value", i, _NUMBER)
             _finite([[value]], i, "value")
+            if not value:
+                raise ContractViolation(f"node {i}: constant polynomial must be finite and nonzero")
             built[i] = constant_poly(value, pointset, grads=False)
         elif kind == "var":
-            built[i] = variable_poly(_field(rec, "index", i, (int,)), pointset, grads=False)
+            index = _field(rec, "index", i, (int,))
+            if not 0 <= index < pointset.n:
+                raise ContractViolation(f"node {i}: variable index {index} out of range")
+            built[i] = variable_poly(index, pointset, grads=False)
         elif kind == "product":
-            a, b = _earlier([_field(rec, "left", i), _field(rec, "right", i)], i)
-            levels[i] = 1 + max(levels[a], levels[b])
-            groups.setdefault((levels[i], kind), []).append((i, a, b))
+            rows = [_earlier([_field(rec, "left", i), _field(rec, "right", i)], i)]
         elif kind == "lincomb":
             kids = _earlier(_field(rec, "children", i, (list,)), i)
             weights = _field(rec, "weights", i, (list,))
@@ -565,30 +581,9 @@ def replay(records, pointset):
             if len(weights) != len(kids):
                 raise ContractViolation(f"node {i}: {len(kids)} children but {len(weights)} weights")
             n = int(weights[:1] == [1.0])  # 1 if the first child is a lead
-            shared = kids[n:]
-            level = levels[i] = 1 + max(map(levels.__getitem__, kids), default=0)
-            run = [i, levels[kids[0]] if n else 0, [weights]]
-            groups.setdefault((level, kind, n, tuple(shared)), []).append(run)
+            shared, rows = kids[n:], [weights]
         else:
             raise ContractViolation(f"node {i}: unknown kind {kind!r}")
-    if run:
-        run[2] = _finite(run[2], run[0], "weights")
-
-    for key in sorted(groups, key=lambda key: key[0]):  # ties keep their first-seen order
-        if key[1] == "product":
-            members, lefts, rights = zip(*groups[key])
-            outs = multiply([built[a] for a in lefts], [built[b] for b in rights])
-        else:
-            members = [i for run in groups[key] for i in range(run[0], run[0] + len(run[2]))]
-            lead = [built[records[i]["children"][0]] for i in members] if key[2] else []
-            kids = [built[j] for j in key[3]]
-            W = np.concatenate([run[2] for run in groups[key]])[:, key[2]:].T
-            if not kids:  # zero polynomials, or leads alone
-                kids, W = [constant_poly(1.0, pointset, grads=False)], np.zeros((1, len(members)))
-            outs = linear_combine(kids, W, lead)
-        for i, p in zip(members, outs):
-            built[i] = p
-    return built
 
 
 def replay_many(polys, points, grads=False):

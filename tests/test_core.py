@@ -504,8 +504,8 @@ class TestReplay:
             assert again == (records, root_ids) and repr(again) == repr((records, root_ids))
 
     def test_hand_built_records_replay_to_the_same_values(self):
-        # replay may merge sibling calls of a hand-built DAG, so the values
-        # and degrees, not the record order, come back
+        # replay may merge or split sibling calls of a hand-built DAG, so
+        # the values and degrees, not the record order, come back
         X = generic_points(8, 2, seed=10)
         rng = rng_for(14)
         polys = [random_poly(X, d, rng) for d in (1, 3, 5)]
@@ -547,25 +547,29 @@ class TestReplay:
         assert not zero.eval.any() and not grad.any()
 
     @pytest.mark.parametrize(
-        "bad",
+        "bad, match",
         [
-            {"kind": "product", "left": 0, "right": -1},
-            {"kind": "product", "left": 0, "right": 1},
-            {"kind": "lincomb", "children": [0, 2], "weights": [1.0, 2.0]},
-            {"kind": "lincomb", "children": [True], "weights": [1.0]},
-            {"kind": "lincomb", "children": [0], "weights": [1.0, 2.0]},
-            {"kind": "lincomb", "children": [0]},
-            {"kind": "power", "base": 0},
-            {"index": 0},
-            {"kind": "lincomb", "children": [0], "weights": [float("inf")]},
-            {"kind": "lincomb", "children": [0, 0], "weights": [1.0, float("nan")]},
-            {"kind": "lincomb", "children": [0], "weights": [10**400]},
-            {"kind": "const", "value": 10**400},
+            ({"kind": "product", "left": 0, "right": -1}, ": child index -1 is not in"),
+            ({"kind": "product", "left": 0, "right": 1}, ": child index 1 is not in"),
+            ({"kind": "lincomb", "children": [0, 2], "weights": [1.0, 2.0]}, ": child index 2"),
+            ({"kind": "lincomb", "children": [True], "weights": [1.0]}, ": child index True"),
+            ({"kind": "lincomb", "children": [0], "weights": [1.0, 2.0]}, ": 1 children but 2"),
+            ({"kind": "lincomb", "children": [0]}, " has no 'weights' field"),
+            ({"kind": "power", "base": 0}, ": unknown kind 'power'"),
+            ({"index": 0}, " has no 'kind' field"),
+            ({"kind": "lincomb", "children": [0], "weights": [float("inf")]}, ": weights must be"),
+            ({"kind": "lincomb", "children": [0, 0], "weights": [1.0, float("nan")]},
+             ": weights must be finite"),
+            ({"kind": "lincomb", "children": [0], "weights": [10**400]}, ": weights must be"),
+            ({"kind": "const", "value": 10**400}, ": value must be finite"),
+            ({"kind": "const", "value": 0}, ": constant polynomial must be finite and nonzero"),
+            ({"kind": "var", "index": 2}, ": variable index 2 out of range"),
         ],
+        ids=[f"bad{k}" for k in range(14)],
     )
-    def test_malformed_record_rejected(self, bad):
+    def test_malformed_record_rejected(self, bad, match):
         X = generic_points(3, 2, seed=3)
-        with pytest.raises(ContractViolation):
+        with pytest.raises(ContractViolation, match=f"^node 1{match}"):
             replay([{"kind": "var", "index": 0}, bad], X)
 
     def test_variable_index_out_of_range(self):
@@ -610,7 +614,8 @@ def _set(field, position, value):
 
 
 class TestGroupedReplay:
-    """Replay makes one kernel call per group of sibling records."""
+    """Replay makes one kernel call per stored call: a run of consecutive
+    records of one kind whose inputs all come before the run."""
 
     @pytest.fixture(scope="class")
     def grad_records(self):
@@ -625,17 +630,23 @@ class TestGroupedReplay:
         ids=["vca", "coeff", "grad"],
     )
     def test_a_fitted_basis_replays_in_one_kernel_call_per_fitted_call(self, mode, monkeypatch):
+        # the fitted basis and the reduced one, which keeps some of its roots
         X = sample_generic(50, 3, 0)
         basis, _ = fit(X, EngineConfig(epsilon=1e-6, mode=mode))
-        roots = [p.prov for p in basis.f_polys() + basis.g_polys()]
-        fitted = []  # the kind of every kernel call under the roots
-        walk(roots, const=lambda value: [None], var=lambda index: [None],
-             product=lambda lefts, rights: fitted.append("PProd") or [None] * len(lefts),
-             combine=lambda kids, w, leads: fitted.append("PLin") or [None] * w.shape[1])
-        records, _ = flatten(roots)
+        reduced = basis.f_polys()[:1] + postprocess.reduce_basis(basis, X).kept
+        cases = []
+        for polys in (basis.f_polys() + basis.g_polys(), reduced):
+            roots = [p.prov for p in polys]
+            fitted = []  # the kind of every kernel call under the roots
+            walk(roots, const=lambda value: [None], var=lambda index: [None],
+                 product=lambda lefts, rights: fitted.append("PProd") or [None] * len(lefts),
+                 combine=lambda kids, w, leads: fitted.append("PLin") or [None] * w.shape[1])
+            cases.append((fitted, flatten(roots)[0]))
         made = _count_kernel_calls(monkeypatch)
-        replay(records, generic_points(20, 3, seed=6))
-        assert sorted(made) == sorted(fitted) and len(made) < len(records)
+        for fitted, records in cases:
+            made.clear()
+            replay(records, generic_points(20, 3, seed=6))
+            assert sorted(made) == sorted(fitted) and len(made) < len(records)
 
     @pytest.mark.parametrize("lead, tamper", [
         (False, _set("weights", -1, float("nan"))),
@@ -650,16 +661,34 @@ class TestGroupedReplay:
         (True, _set("weights", -1, 10**400)),
         (True, _set("children", -1, lambda records, i: i + 1)),
         (True, _set("children", 0, lambda records, i: i + 1)),
-        # Python would read it as the same lead, of the same level
+        # Python would read it as the same lead, a record before the run
         (True, _set("children", 0, lambda records, i: records[i]["children"][0] - len(records))),
+        (False, lambda records, i: records[i].update(kind="power")),
     ], ids=["nan", "inf", "huge-int", "bool", "string", "weight-missing", "child-not-earlier",
             "child-as-float", "lead-run-nan", "lead-run-huge-int", "lead-run-child-not-earlier",
-            "lead-not-earlier", "lead-negative"])
+            "lead-not-earlier", "lead-negative", "unknown-kind"])
     def test_a_malformed_record_inside_a_call_is_named(self, grad_records, lead, tamper):
         X, records = grad_records
         i = _middle_of_a_call(records, lead)
         bad = copy.deepcopy(records)
         tamper(bad, i)
+        with pytest.raises(ContractViolation, match=f"node {i}:"):
+            replay(bad, X)
+
+    @pytest.mark.parametrize("field, value", [
+        ("left", lambda rec, i: float(rec["left"])),
+        ("right", lambda rec, i: True),
+        ("left", lambda rec, i: -1),
+        ("right", lambda rec, i: i),
+        ("kind", lambda rec, i: "power"),
+    ], ids=["factor-as-float", "factor-bool", "factor-negative", "factor-not-earlier",
+            "unknown-kind"])
+    def test_a_malformed_product_inside_a_call_is_named(self, grad_records, field, value):
+        X, records = grad_records
+        i = next(i for i in range(1, len(records) - 1)
+                 if all(r["kind"] == "product" for r in records[i - 1:i + 2]))
+        bad = copy.deepcopy(records)
+        bad[i][field] = value(bad[i], i)
         with pytest.raises(ContractViolation, match=f"node {i}:"):
             replay(bad, X)
 
@@ -677,15 +706,18 @@ class TestGroupedReplay:
         with pytest.raises(ContractViolation, match=f"node {i}:"):
             replay(bad, X)
 
-    @pytest.mark.parametrize("lead, change", [
-        # the column before it as the lead: a record of the call's own
-        # level, so this one goes a level up
-        (True, _set("children", 0, lambda records, i: i - 1)),
-        (True, _set("weights", 0, 0.5)),  # its lead becomes a child
-        (False, _set("weights", 0, 1.0)),  # its first child becomes a lead
+    @pytest.mark.parametrize("lead, change, extra", [
+        # the column before it as the lead, a record of its own run: the
+        # run splits before it
+        (True, _set("children", 0, lambda records, i: i - 1), 1),
+        # its lead becomes a child, so it makes a lead-less call of its
+        # own, and the columns after it a lead call again
+        (True, _set("weights", 0, 0.5), 2),
+        # a child weighted 1.0 in a lead-less call, which goes on
+        (False, _set("weights", 0, 1.0), 0),
     ], ids=["lead-a-level-up", "lead-weight-0.5", "first-weight-1.0"])
-    def test_a_column_that_leaves_its_call_replays_alone(self, grad_records, lead, change,
-                                                         monkeypatch):
+    def test_a_changed_column_splits_its_call_where_the_run_breaks(
+            self, grad_records, lead, change, extra, monkeypatch):
         X, records = grad_records
         i = _middle_of_a_call(records, lead)
         changed = copy.deepcopy(records)
@@ -694,15 +726,15 @@ class TestGroupedReplay:
         replay(records, X)
         calls = len(made)
         built = replay(changed, X)
-        assert len(made) == 2 * calls + 1
+        assert len(made) == 2 * calls + extra
         kids, weights = changed[i]["children"], changed[i]["weights"]
         want = sum(w * built[j].eval for w, j in zip(weights, kids))
         np.testing.assert_allclose(built[i].eval, want, rtol=1e-10, atol=1e-10)
 
-    def test_interleaved_sibling_calls_group_as_the_consecutive_layout(self, monkeypatch):
+    def test_interleaved_sibling_calls_replay_one_call_per_run(self, monkeypatch):
         # the columns of a lead call and of a lead-less call over the same
         # children, written alternately after every child: no run spans two
-        # records, but the groups, the kernel calls and the bits are the same
+        # records, so each column is a call of its own, with the same values
         X = generic_points(12, 2, seed=9)
         rng = rng_for(33)
         kids = [random_poly(X, d, rng) for d in (1, 2, 3)]
@@ -717,10 +749,23 @@ class TestGroupedReplay:
         consecutive = replay(records, X)
         calls = len(made)
         interleaved = replay([records[k] for k in order], X)
-        assert len(made) == 2 * calls
+        assert len(made) - calls == calls - 2 + 6  # the two calls' six columns alone
         for new, old in enumerate(order):
             assert interleaved[new].degree == consecutive[old].degree
-            assert np.array_equal(interleaved[new].eval, consecutive[old].eval)
+            np.testing.assert_allclose(interleaved[new].eval, consecutive[old].eval,
+                                       rtol=1e-12, atol=1e-12)
+
+    def test_a_product_of_a_record_of_its_own_run_starts_a_call(self, monkeypatch):
+        # x0 x1, then x0 (x0 x1): the second product's factor is the first
+        records = [{"kind": "var", "index": 0}, {"kind": "var", "index": 1},
+                   {"kind": "product", "left": 0, "right": 1},
+                   {"kind": "product", "left": 0, "right": 2}]
+        X = generic_points(5, 2, seed=4)
+        made = _count_kernel_calls(monkeypatch)
+        built = replay(records, X)
+        x0, x1 = X.points.T
+        assert made == ["PProd", "PProd"] and built[3].degree == 3
+        np.testing.assert_allclose(built[3].eval, x0 * x0 * x1, rtol=1e-15)
 
     def test_a_root_replayed_alone_matches_the_full_list_bitwise(self):
         X = sample_generic(60, 3, 0)
@@ -733,9 +778,9 @@ class TestGroupedReplay:
             assert np.array_equal(ev_alone, ev) and np.array_equal(gr_alone, gr)
 
     def test_records_with_and_without_a_lead_round_trip(self):
-        # a lead group and a plain group over the same children at one
-        # level, a first weight of 1.0 on a child that was no lead in the
-        # fit, and a lead alone
+        # a lead call and a plain call over the same children, a first
+        # weight of 1.0 on a child that was no lead in the fit, and a lead
+        # alone
         X = generic_points(6, 2, seed=8)
         rng = rng_for(32)
         low, *H = [random_poly(X, d, rng) for d in (1, 3, 2)]
@@ -745,7 +790,7 @@ class TestGroupedReplay:
                  *linear_combine([low], [[1.0]])]
         records, ids = flatten([p.prov for p in polys])
         assert records[ids[3]]["weights"] == [1.0, -0.5, 2.0]
-        built = replay(records, X)  # merges sibling calls: check values, not records
+        built = replay(records, X)  # reads the 1.0 as a lead: check values, not records
         grads = replay_many([built[i] for i in ids], X.points, grads=True)
         for p, i, (_, grad) in zip(polys, ids, grads):
             assert built[i].degree == p.degree

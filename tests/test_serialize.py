@@ -2,6 +2,7 @@
 
 import dataclasses
 import enum
+import itertools
 import json
 
 import numpy as np
@@ -123,6 +124,18 @@ def test_a_saved_basis_replays_the_fits_calls_bitwise(kind, count, dim):
     got, want = reduce_basis(loaded, X), reduce_basis(basis, X)
     assert [pos[id(p)] for p in got.kept] == [pos[id(p)] for p in want.kept]
     assert [(pos[id(p)], r) for p, r in got.removed] == [(pos[id(p)], r) for p, r in want.removed]
+
+
+@pytest.mark.parametrize("kind", ["vca", "coeff"])
+def test_a_lead_less_column_weighted_one_first_loads_bitwise(kind):
+    # the first 25 points of {0,1,2}^4 give lead-less calls with a middle
+    # column whose first weight is exactly 1.0; it must stay in its call
+    X = PointSet(list(itertools.islice(itertools.product(range(3), repeat=4), 25)))
+    basis, _ = fit(X, EngineConfig(epsilon=1e-6, mode=mode_from_kind(kind, n_points=len(X))))
+    loaded = basis_from_json(json.loads(json.dumps(basis_to_json(basis, points=X))), X)
+    original = basis.f_polys() + basis.g_polys()
+    rebuilt = loaded.f_polys() + loaded.g_polys()
+    assert [p.eval.tobytes() for p in rebuilt] == [p.eval.tobytes() for p in original]
 
 
 def test_load_and_evaluate_replay_once(fitted, monkeypatch):
