@@ -14,6 +14,14 @@ For the 200x3 and 100x4 grad bases of ``sample_generic`` (seed 0, epsilon
   points, the ``replay_many(..., grads=True)`` that ``mavik reduce``
   makes.
 
+After the timed rounds it prints the ``tracemalloc`` heap peak, in MB, of
+one call of each of four steps, the allocations a kernel change can move:
+
+* load (``basis_from_json``) and ``engine.evaluate`` on the fresh points;
+* ``engine.evaluate`` of the fitted, in-memory basis on the same points;
+* load and ``postprocess.reduce_basis`` on the training points;
+* one grad fit of the training points.
+
 BLAS runs on one thread, as in ``mavik.cli``, whatever the shell sets.
 mavik is imported from the import path, so time two trees with
 
@@ -22,17 +30,19 @@ mavik is imported from the import path, so time two trees with
 Usage: python scripts/load_timing.py
 """
 
+import gc
 import json
 import os
 import statistics
 import time
+import tracemalloc
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
-from mavik import core, serialize  # noqa: E402
+from mavik import core, postprocess, serialize  # noqa: E402
 from mavik.datasets import sample_generic  # noqa: E402
-from mavik.engine import EngineConfig, NormalizationMode, fit  # noqa: E402
+from mavik.engine import EngineConfig, NormalizationMode, evaluate, fit  # noqa: E402
 
 CASES = [(200, 3), (100, 4)]
 FRESH = 1000
@@ -52,12 +62,25 @@ def median_ms(steps):
     return [1e3 * statistics.median(spent) for spent in times]
 
 
+def peak_mb(fn):
+    """The ``tracemalloc`` heap peak, in MB, of one call of ``fn``, counted
+    from a collected heap and including what the call returns."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def main():
     print(f"median ms of {REPEATS} rounds, one BLAS thread")
+    config = EngineConfig(epsilon=1e-6, mode=NormalizationMode.gradient())
     for count, dim in CASES:
         X = sample_generic(count, dim, 0)
         X_new = sample_generic(FRESH, dim, 1)
-        basis, _ = fit(X, EngineConfig(epsilon=1e-6, mode=NormalizationMode.gradient()))
+        basis, _ = fit(X, config)
         text = json.dumps(serialize.basis_to_json(basis, points=X), sort_keys=True)
         obj = json.loads(text)
         loaded = serialize.basis_from_json(obj, X)
@@ -78,6 +101,17 @@ def main():
         ]
         for (name, _), ms in zip(steps, median_ms([fn for _, fn in steps])):
             print(f"  {name:42s} {ms:8.2f}")
+        peaks = [
+            (f"load + evaluate, {FRESH} fresh points",
+             lambda: evaluate(serialize.basis_from_json(obj, X_new), X_new)),
+            (f"in-memory evaluate, {FRESH} fresh points", lambda: evaluate(basis, X_new)),
+            (f"load + reduce_basis, {count} training points",
+             lambda: postprocess.reduce_basis(serialize.basis_from_json(obj, X), X)),
+            ("one grad fit", lambda: fit(X, config)),
+        ]
+        print("  heap peak MB (tracemalloc)")
+        for name, fn in peaks:
+            print(f"  {name:42s} {peak_mb(fn):8.2f}")
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .core import _degrees, _points, _provs, walk
+from .core import _blocks, walk
 from .errors import ContractViolation, ResourceLimitError
 
 __all__ = ["CoeffVec", "expand", "expand_many", "coeff_gram"]
@@ -122,8 +122,9 @@ def _padded(rows, width):
 def _coeff_rows(polys, term_cap, memo=None):
     """Dense coefficient rows of ``polys`` and the exponent vector of each column.
 
-    ``polys`` is a list of polynomials or a kernel's :class:`~mavik.core.Rows`,
-    whose degrees and provenance are read without making its rows.
+    ``polys`` is a list of polynomials or a kernel's :class:`~mavik.core.Rows`;
+    its degrees, provenance and point set are read by one ``core._blocks``
+    call, which makes no rows of a ``Rows``.
 
     A :func:`mavik.core.walk` whose outputs are rows.  A product node
     shifts its right factors' rows by their degree-1 left factors in one
@@ -141,7 +142,8 @@ def _coeff_rows(polys, term_cap, memo=None):
     as long as no node under a call's roots has a higher degree than its
     highest root (a fit builds its nodes in degree order).
     """
-    n, top = _points(polys).n, max(_degrees(polys))
+    degrees, provs, points = _blocks(polys)[2:]
+    n, top = points.n, max(degrees)
     if math.comb(n + top, n) > term_cap:
         raise ResourceLimitError(
             f"expansion exceeded the term cap ({term_cap} terms): degree {top} "
@@ -165,7 +167,7 @@ def _coeff_rows(polys, term_cap, memo=None):
             rows[:, : len(child)] += w[:, None] * child
         return _pruned(rows)
 
-    rows = walk(_provs(polys), const=lambda value: _pruned(value * np.eye(1, width)),
+    rows = walk(provs, const=lambda value: _pruned(value * np.eye(1, width)),
                 var=lambda index: np.eye(1, width, shifts[index, 0]),
                 product=product, combine=combine, memo=memo)
     return _padded(rows, width), exps

@@ -27,12 +27,13 @@ outputs are the rows of those blocks, and its provenance is one node: a
 ``PLin`` holds the call's weight matrix, a ``PProd`` its two factor lists,
 and each output's ``prov`` is the pair ``(node, column)``.  The outputs come
 back as :class:`Rows`, which holds the blocks, checked and made read-only
-once per call, with the node, the degrees and the point set.  Kernels and
-Grams read any list through the block readers (``_evals``, ``_grads``,
-``_degrees``, ``_provs``, ``_points``), which give a ``Rows``'s own without
-making rows and stack any other list one block at a time; ``_grads`` raises
-``ContractViolation`` on values-only members.  The :class:`Poly` rows, views
-of the blocks, are made lazily, only when something reads one.
+once per call, with the node, the degrees and the point set.  A kernel
+reads each input once, through ``_blocks``: a ``Rows`` gives its own blocks,
+degrees, provenance and point set without making rows, and any other list
+is stacked for that call only.  ``_evals`` reads evaluations alone, and
+``_grads`` the gradient block, raising ``ContractViolation`` on values-only
+members.  The :class:`Poly` rows, views of the blocks, are made lazily,
+only when something reads one.
 
 :func:`walk` runs every node under some roots once, children first, and
 its callbacks make all the columns of a node at once.  In memory,
@@ -259,47 +260,34 @@ def _evals(polys):
     return polys.evals if isinstance(polys, Rows) else np.array([p.eval for p in polys])
 
 
-def _grad_block(polys):
-    """The (k, m, n) gradient block of ``polys``, a :class:`Rows`'s own or
-    stacked, or None when a member is values-only."""
+def _blocks(polys):
+    """``(evals, grads, degrees, provs, points)`` of the nonempty ``polys``.
+
+    A :class:`Rows` gives its own, without making its rows.  Any other list
+    is stacked once, for the caller's kernel call only: ``grads`` is None
+    when a member is values-only, and every member must live on one point
+    set."""
     if isinstance(polys, Rows):
-        return polys.grads
+        return polys.evals, polys.grads, polys.degrees, polys.provs, polys.points
+    points = polys[0].points
+    if any(p.points is not points for p in polys):
+        raise ContractViolation("polynomials live on different point sets")
     grads = [p.grad for p in polys]
-    return None if any(g is None for g in grads) else np.array(grads)
+    grads = None if any(g is None for g in grads) else np.array(grads)
+    return (np.array([p.eval for p in polys]), grads, [p.degree for p in polys],
+            [p.prov for p in polys], points)
 
 
 def _grads(polys):
     """The (k, m, n) gradient block of ``polys``: a :class:`Rows`'s own, or stacked.
 
     Raises ``ContractViolation`` when a member is values-only."""
-    block = _grad_block(polys)
+    block = _blocks(polys)[1]
     if block is None:
         raise ContractViolation(
             "these polynomials carry no gradients; build them, or replay_many them, "
             "with grads=True")
     return block
-
-
-def _degrees(polys):
-    """The construction degrees of ``polys``: a :class:`Rows`'s own, or read off each."""
-    return polys.degrees if isinstance(polys, Rows) else [p.degree for p in polys]
-
-
-def _provs(polys):
-    """The provenance pairs of ``polys``: a :class:`Rows`'s own, or read off each."""
-    return polys.provs if isinstance(polys, Rows) else [p.prov for p in polys]
-
-
-def _points(polys):
-    """The point set of the nonempty ``polys``: a :class:`Rows`'s own, or the
-    one every member lives on."""
-    if isinstance(polys, Rows):
-        return polys.points
-    first = polys[0].points
-    for p in polys[1:]:
-        if p.points is not first:
-            raise ContractViolation("polynomials live on different point sets")
-    return first
 
 
 def constant_poly(value, pointset, grads=True):
@@ -341,10 +329,10 @@ def linear_combine(polys, weights, lead=()):
     in C order, the layout of the fit's weights, so a call :func:`replay`
     rebuilds from its transposed records rounds as the fit's did.  A
     column's degree is the largest of its lead's and its nonzero-weight
-    children's (0 if there are none).  Returns :class:`Rows`; a ``Rows``
-    passed as ``polys`` or ``lead`` gives its blocks, degrees and provenance
-    without making its rows, any other list is stacked one block at a time,
-    as every reader of a list does.
+    children's (0 if there are none).  Returns :class:`Rows`.  ``polys``
+    and ``lead`` are each read by one ``_blocks`` call; a plain list's
+    stacked blocks are dropped after the product, before the lead's are
+    stacked, so at most one list's copies are alive at a time.
     """
     W = np.array(weights, dtype=float, order="C")
     if len(polys) < 1 or W.ndim != 2 or W.shape[0] != len(polys):
@@ -353,57 +341,50 @@ def linear_combine(polys, weights, lead=()):
         raise ContractViolation("weights must be finite")
     if lead and len(lead) != W.shape[1]:
         raise ContractViolation("need one lead polynomial per weight column")
-    pointset = _points(polys)
-    if lead and _points(lead) is not pointset:
-        raise ContractViolation("polynomials live on different point sets")
+    ev, gr, degrees, provs, pointset = _blocks(polys)
     m, n = len(pointset), pointset.n
-
-    # A list that is not a Rows is stacked for its own product only, so at
-    # most one stacked copy is alive at a time.
-    ev = W.T @ _evals(polys)
-    gr = _grad_block(polys)
+    ev = W.T @ ev
     if gr is not None:
         gr = (W.T @ gr.reshape(len(polys), m * n)).reshape(-1, m, n)
-    degrees = np.where(W != 0.0, np.array(_degrees(polys))[:, None], 0).max(axis=0)
+    degrees = np.where(W != 0.0, np.array(degrees)[:, None], 0).max(axis=0)
+    lead_provs = []
     if lead:
-        ev = _evals(lead) + ev
-        lead_gr = None if gr is None else _grad_block(lead)
-        gr = None if lead_gr is None else lead_gr + gr
-        degrees = np.maximum(degrees, _degrees(lead))
+        lead_ev, lead_gr, lead_degrees, lead_provs, lead_points = _blocks(lead)
+        if lead_points is not pointset:
+            raise ContractViolation("polynomials live on different point sets")
+        ev = lead_ev + ev
+        gr = None if gr is None or lead_gr is None else lead_gr + gr
+        degrees = np.maximum(degrees, lead_degrees)
     W.setflags(write=False)
-    node = PLin(_provs(polys), W, _provs(lead) if lead else [])
-    return Rows(degrees.tolist(), ev, gr, node, pointset)
+    return Rows(degrees.tolist(), ev, gr, PLin(provs, W, lead_provs), pointset)
 
 
 def multiply(ps, qs):
     """Products of degree-1 polynomials with other polynomials.
 
-    ``ps`` and ``qs`` are equally long lists or :class:`Rows`; the result
-    is the list of the pairwise products ``ps[i] * qs[i]``, the rows of one
-    evaluation and one gradient block.  Product-rule gradients, q(x) *
-    grad p(x) + p(x) * grad q(x), are formed for all pairs at once by
-    broadcasting, when every factor carries gradients; otherwise the
-    products are values-only.  The call records one ``PProd`` node for all
-    pairs and returns :class:`Rows`.
+    ``ps`` and ``qs`` are equally long lists or :class:`Rows`, each read by
+    one ``_blocks`` call; the result is the list of the pairwise products
+    ``ps[i] * qs[i]``, the rows of one evaluation and one gradient block.
+    Product-rule gradients, q(x) * grad p(x) + p(x) * grad q(x), are formed
+    for all pairs at once by broadcasting, when every factor carries
+    gradients; otherwise the products are values-only.  The call records
+    one ``PProd`` node for all pairs and returns :class:`Rows`.
     """
     if len(ps) != len(qs):
         raise ContractViolation("need as many left factors as right factors")
     if not ps:
         return []
-    if any(d != 1 for d in _degrees(ps)):
+    p_ev, p_gr, p_degrees, p_provs, pointset = _blocks(ps)
+    if any(d != 1 for d in p_degrees):
         raise ContractViolation("left factor must have degree 1")
-    pointset = _points(ps)
-    if _points(qs) is not pointset:
+    q_ev, q_gr, q_degrees, q_provs, q_points = _blocks(qs)
+    if q_points is not pointset:
         raise ContractViolation("polynomials live on different point sets")
-    p_ev, q_ev = _evals(ps), _evals(qs)
-    ev = p_ev * q_ev
-    gr = _grad_block(ps)
-    if gr is not None:
-        gr = q_ev[:, :, None] * gr
-        q_gr = _grad_block(qs)
-        gr = None if q_gr is None else gr + p_ev[:, :, None] * q_gr
-    node = PProd(_provs(ps), _provs(qs))
-    return Rows([1 + d for d in _degrees(qs)], ev, gr, node, pointset)
+    gr = None
+    if p_gr is not None and q_gr is not None:
+        gr = q_ev[:, :, None] * p_gr
+        gr += p_ev[:, :, None] * q_gr
+    return Rows([1 + d for d in q_degrees], p_ev * q_ev, gr, PProd(p_provs, q_provs), pointset)
 
 
 def walk(roots, const, var, product, combine, memo=None):
@@ -515,19 +496,20 @@ def replay(records, pointset):
     construction kernels; :func:`replay_many` with ``grads=True`` gives
     their gradients.  One pass checks the records in file order: child
     indices must point to earlier records, and every field must have its
-    JSON type (numbers for values and weights, an int variable index,
-    lists of children and of as many finite weights).  A *call* is a run of
-    consecutive records of one kind whose inputs come before the run:
-    ``product`` records, or ``lincomb`` records with the same children
-    after the lead.  A first weight of exactly 1.0 opens a lead call (the
-    first child is the lead, as :func:`flatten` writes it), which goes on
-    only with such records; a lead-less call goes on with any record of its
-    children.  A call's shared children are checked once and its weights as
-    one block, and its kernel runs when the run ends: the first record at
-    fault is named, after the calls before it have run.  A fitted call's
-    columns are one run, so the call is the fit's unless a lead-less call's
-    first column starts with 1.0; a call whose records are not consecutive
-    makes one call per run.  A ``lincomb`` without children is zero.
+    JSON type (numbers for values and weights, an int variable index, lists
+    of children and of as many finite weights), and a product's left factor
+    must have degree 1.  A *call* is a run of consecutive records of one
+    kind whose inputs come before the run: ``product`` records, or
+    ``lincomb`` records with the same children after the lead.  A first
+    weight of exactly 1.0 opens a lead call (the first child is the lead, as
+    :func:`flatten` writes it), which goes on only with such records; a
+    lead-less call goes on with any record of its children.  A call's shared
+    children are checked once and its weights as one block, and its kernel
+    runs when the run ends: the first record at fault is named, after the
+    calls before it have run.  A fitted call's columns are one run, so the
+    call is the fit's unless a lead-less call's first column starts with
+    1.0; a call whose records are not consecutive makes one call per run.  A
+    ``lincomb`` without children is zero.
     """
     if not isinstance(records, list):
         raise ContractViolation("the node list is not a list")
@@ -549,6 +531,8 @@ def replay(records, pointset):
                 continue
         if rows and kind == "product":
             lefts, rights = zip(*rows)
+            if bad := [j for j, a in enumerate(lefts, start) if built[a].degree != 1]:
+                raise ContractViolation(f"node {bad[0]}: left factor must have degree 1")
             built[start:i] = multiply([built[a] for a in lefts], [built[b] for b in rights])
         elif rows:
             W = _finite(rows, start, "weights")[:, n:].T

@@ -168,7 +168,11 @@ def load_points(path):
     if path.suffix.lower() == ".json":
         try:
             payload = json.loads(path.read_text())
-            return PointSet(payload["points"], tuple(payload.get("provenance", ())))
+            points = payload["points"]  # numpy would read "1" and true as numbers
+            bad = [v for row in points if type(row) is list for v in row if type(v) not in (int, float)]
+            if bad:
+                raise ContractViolation(f"points JSON coordinate {bad[0]!r} is not a number")
+            return PointSet(points, tuple(payload.get("provenance", ())))
         except (KeyError, TypeError, ValueError) as exc:
             raise ContractViolation(f"malformed points JSON: {exc}") from exc
     try:

@@ -304,7 +304,7 @@ def _degree_step(X, config, F, t, coeff_memo):
     ``linear_combine`` with the eigenvector matrix builds them.  Each
     kernel's :class:`~mavik.core.Rows` feeds the next one and the Grams
     through core's block readers, which stack only the plain lists (the
-    variables, the flattened F strata) one block at a time.  No kernel
+    variables, the flattened F strata), for one call at a time.  No kernel
     reads a candidate as a :class:`~mavik.core.Poly`, so the only rows ever
     made are the retained combinations', when the caller splits them into
     F and G.  Both Grams are single syrk products and come out exactly

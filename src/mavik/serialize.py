@@ -2,28 +2,22 @@
 
 A basis file stores the construction DAG as the node list of
 :func:`mavik.core.flatten` (every column of every kernel call under the
-basis once, children before parents, zero weights included) and
-references polynomials by node index; :func:`basis_to_json` is the one
-writer of that list.  Loading is :func:`mavik.core.replay` of the list on
-any compatible point set.  ``n``, every root (an int index into the node
-list) and its ``degree`` (an int), and every G ``extent`` (a finite
-nonnegative number) are checked first, so a malformed ``f`` or ``g`` fails
-without a replay.  The replay reads the nodes in file order and checks
-each, the columns of one stored kernel call at once (a malformed node,
-such as a child index that does not point to an earlier node, is rejected
-with its index, after the calls before it have run).  It makes one kernel
-call per stored call instead of one per node: the fit's own calls, so a
-basis loaded on its training points has the fit's values bit for bit
-(unless a lead-less call's first column has a first weight of exactly
-1.0: schema 1 cannot tell it from a lead, and replay splits that call).
-Whether each root's node has the recorded degree is checked after the
-replay.  Loading and re-saving a basis writes
-the same node list.  A loaded basis is values-only (``Poly.grad`` is None):
-evaluation reads values alone, and :mod:`mavik.postprocess` forms the
-gradients it reads on demand.  Every file is the stdlib's compact
-``sort_keys=True`` JSON text, written by :func:`dump_json`.  Fit reports
-are written without timings, so reruns with identical inputs produce
-byte-identical files.
+basis once, children before parents, zero weights included) and references
+polynomials by node index; :func:`basis_to_json` is the one writer of that
+list.  Loading checks the envelope first: the schema version, ``n``, the
+node list being a list, every root (an int index into the node list) and
+its ``degree`` (an int), and every G ``extent`` (a finite nonnegative
+number), so a malformed ``f`` or ``g`` fails without a replay.
+:func:`mavik.core.replay` then rebuilds the node list on the given point
+set and checks every node (see there for how, and for when a loaded basis
+gives the fit's values bit for bit).  Whether each root's node has the
+recorded degree is checked after the replay.  Loading and re-saving a
+basis writes the same node list.  A loaded basis is values-only
+(``Poly.grad`` is None): evaluation reads values alone, and
+:mod:`mavik.postprocess` forms the gradients it reads on demand.  Every
+file is the stdlib's compact ``sort_keys=True`` JSON text, written by
+:func:`dump_json`.  Fit reports are written without timings, so reruns
+with identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations

@@ -398,12 +398,16 @@ def test_mistyped_basis_fields_exit_2(command, tamper, circle4_csv, tmp_path, ca
         ["retrieval-test", "--variety", "V2", "--scales", "1.0", "--runs", "0"],
         ["retrieval-test", "--variety", "V2", "--scales", "1,x", "--runs", "1"],
         ["retrieval-test", "--variety", "V2", "--scales", ",", "--runs", "1"],
+        ["fit", "--points", "numeric_text.json"],
+        ["fit", "--points", "bools.json"],
     ],
 )
 def test_bad_points_seeds_counts_and_lists_exit_2(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "ragged.json").write_text(json.dumps({"points": [[1, 2], [3]]}))
     (tmp_path / "text.json").write_text(json.dumps({"points": [["a", 1], [2, 3]]}))
+    (tmp_path / "numeric_text.json").write_text(json.dumps({"points": [["1", "0"], [0.5, 2], [3, 1]]}))
+    (tmp_path / "bools.json").write_text(json.dumps({"points": [[True, False], [0.5, 2], [3, 1]]}))
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")

@@ -572,6 +572,15 @@ class TestReplay:
         with pytest.raises(ContractViolation, match=f"^node 1{match}"):
             replay([{"kind": "var", "index": 0}, bad], X)
 
+    @pytest.mark.parametrize("tail", [[], [{"kind": "lincomb", "children": [9], "weights": [1.0]}]],
+                             ids=["last", "before-a-malformed-record"])
+    def test_a_product_whose_left_factor_has_degree_2_is_named(self, tail):
+        records = [{"kind": "var", "index": 0}, {"kind": "var", "index": 1},
+                   {"kind": "product", "left": 0, "right": 1},
+                   {"kind": "product", "left": 2, "right": 0}] + tail
+        with pytest.raises(ContractViolation, match="node 3: left factor must have degree 1"):
+            replay(records, generic_points(3, 2, seed=3))
+
     def test_variable_index_out_of_range(self):
         X = generic_points(4, 2, seed=1)
         p = variable_poly(1, X)
@@ -894,6 +903,48 @@ class TestWalk:
         assert len(coefficients.expand_many(polys)) == len(polys)
         F, G = engine.evaluate(basis, sample_generic(20, 2, 1))
         assert F.shape == (20, len(basis.f_polys())) and G.shape == (20, len(basis.g_polys()))
+
+
+class TestBlockReader:
+    """``core._blocks`` reads a kernel input once: a ``Rows``'s own blocks,
+    or a list's members stacked."""
+
+    def test_rows_give_their_own_blocks_and_make_no_rows(self):
+        X = generic_points(6, 2, seed=60)
+        rows = multiply(variables(X), variables(X))
+        ev, gr, degrees, provs, points = core._blocks(rows)
+        assert ev is rows.evals and gr is rows.grads and degrees is rows.degrees
+        assert points is X and provs == rows.provs
+        assert rows._polys is None
+
+    def test_a_list_is_stacked_with_its_degrees_and_provenance(self):
+        X = generic_points(7, 3, seed=61)
+        rng = rng_for(62)
+        polys = [random_poly(X, d, rng) for d in (0, 1, 2, 3)]
+        ev, gr, degrees, provs, points = core._blocks(polys)
+        assert ev.tobytes() == np.array([p.eval for p in polys]).tobytes()
+        assert gr.tobytes() == np.array([p.grad for p in polys]).tobytes()
+        assert ev.shape == (4, 7) and gr.shape == (4, 7, 3)
+        assert degrees == [0, 1, 2, 3] and provs == [p.prov for p in polys]
+        assert points is X
+
+    def test_a_values_only_member_gives_no_gradient_block(self):
+        X = generic_points(5, 2, seed=63)
+        polys = [variable_poly(0, X), variable_poly(1, X, grads=False), constant_poly(1.0, X)]
+        ev, gr, *_ = core._blocks(polys)
+        assert gr is None and ev.tobytes() == np.array([p.eval for p in polys]).tobytes()
+
+    def test_members_on_two_point_sets_are_rejected(self):
+        X, Y = generic_points(4, 2, seed=64), generic_points(4, 2, seed=65)
+        on_x, on_y = variables(X), variables(Y)
+        with pytest.raises(ContractViolation, match="polynomials live on different point sets"):
+            core._blocks([on_x[0], on_y[1]])
+        with pytest.raises(ContractViolation, match="polynomials live on different point sets"):
+            linear_combine(on_x, np.eye(2), lead=on_y)
+        with pytest.raises(ContractViolation, match="polynomials live on different point sets"):
+            multiply(on_x, on_y)
+        with pytest.raises(ContractViolation, match="polynomials live on different point sets"):
+            multiply(on_x, multiply(on_y, on_y))
 
 
 def test_constant_poly_must_be_nonzero():

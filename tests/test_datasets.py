@@ -1,5 +1,8 @@
 """Samplers, preprocessing, noise, and point-set files."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -151,6 +154,19 @@ class TestPointFiles:
         path.write_text("x1,x2\n1.0,nope\n")
         with pytest.raises(ContractViolation):
             load_points(path)
+
+    @pytest.mark.parametrize("bad", ["1", True, False, None], ids=["string", "true", "false", "null"])
+    def test_json_coordinates_must_be_numbers(self, bad, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"points": [[0.5, 2], [bad, 0]]}))
+        message = f"coordinate {re.escape(repr(bad))} is not a number"
+        with pytest.raises(ContractViolation, match=message):
+            load_points(path)
+
+    def test_json_ints_and_floats_are_read(self, tmp_path):
+        path = tmp_path / "ints.json"
+        path.write_text(json.dumps({"points": [[1, 0], [0.5, -2]]}))
+        np.testing.assert_array_equal(load_points(path).points, [[1.0, 0.0], [0.5, -2.0]])
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ContractViolation):
