@@ -22,8 +22,8 @@ on the data.  Run:  python3 scripts/coeff_scaling_demo.py
 import numpy as np
 
 from mavik.core import PointSet
-from mavik.engine import Fitter, NormalizationMode
-from mavik.retrieval import grid_epsilons, scan_g_profiles
+from mavik.engine import EngineConfig, Fitter, NormalizationMode
+from mavik.retrieval import _matches_target, grid_epsilons, scan_g_profiles
 
 MAX_DEGREE = 2
 
@@ -35,26 +35,21 @@ def near_line_points(count=40, jitter=0.02, seed=7):
     return PointSet(pts - pts.mean(axis=0))
 
 
-def g_profiles(X, mode, epsilons):
-    """Vanishing counts of degrees 0..MAX_DEGREE at each epsilon."""
-    return [
-        tuple(counts) + (0,) * (MAX_DEGREE + 1 - len(counts))
-        for counts in scan_g_profiles(Fitter(X), mode, MAX_DEGREE, epsilons)
-    ]
-
-
 def base_configuration(X, mode):
     """The mode's configuration once the near-vanishing line is captured:
     profile at the smallest grid epsilon with one degree-1 vanisher."""
-    grid = grid_epsilons(1.0)
-    for eps, profile in zip(grid, g_profiles(X, mode, grid)):
+    fitter = Fitter(X)
+    for eps in map(float, grid_epsilons(1.0)):
+        _, report = fitter.fit(EngineConfig(epsilon=eps, mode=mode, max_degree=MAX_DEGREE))
+        profile = tuple(report.g_counts) + (0,) * (MAX_DEGREE + 1 - len(report.g_counts))
         if profile[1] == 1:
-            return profile, float(eps)
+            return profile, eps
     raise SystemExit("no epsilon captures the near-vanishing line; adjust jitter")
 
 
 def reachable(X_scaled, mode, target, alpha):
-    return target in g_profiles(X_scaled, mode, grid_epsilons(alpha))
+    profiles = scan_g_profiles(Fitter(X_scaled), mode, target, grid_epsilons(alpha))
+    return any(_matches_target(p, target) for p in profiles)
 
 
 def main():

@@ -52,7 +52,7 @@ def noisy_window_exists(which, target, nu=0.05):
     clean = center_and_unitbox(sample_variety(which, 100, seed=SEED))
     X = perturb(clean, nu, seed=SEED + 1)
     mode = mode_from_kind("grad", n_points=len(X))
-    profiles = scan_g_profiles(Fitter(X), mode, len(target) - 1, grid_epsilons(1.0))
+    profiles = scan_g_profiles(Fitter(X), mode, target, grid_epsilons(1.0))
     return any(_matches_target(p, target) for p in profiles)
 
 

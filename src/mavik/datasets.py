@@ -180,6 +180,10 @@ def load_points(path):
             rows = list(csv.reader(fh))
         if len(rows) < 2:
             raise ContractViolation("points CSV needs a header and at least one row")
+        # float alone would also read digit-group underscores and padding
+        bad = [v for row in rows[1:] for v in row if "_" in v or v != v.strip()]
+        if bad:
+            raise ContractViolation(f"points CSV cell {bad[0]!r} is not a plain number")
         data = [[float(v) for v in row] for row in rows[1:] if row]
         return PointSet(data, ({"kind": "file", "path": str(path)},))
     except ValueError as exc:

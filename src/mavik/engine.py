@@ -20,7 +20,8 @@ members.
 
 Each degree is one step that never reads epsilon (candidates, projection,
 Grams, eigensolve, combination), followed by the epsilon-dependent split,
-size guards and termination rules.
+size guards and termination rules, in the one loop of
+:meth:`Fitter.degrees`.
 
 Only gradient normalization and the dimension rule read gradients.  A fit
 in either starts from a constant that carries them, so every kernel forms
@@ -295,6 +296,24 @@ class _Step:
     zero_floor: float
 
 
+@dataclass
+class _Run:
+    """A fit in progress, as :meth:`Fitter.degrees` leaves it after a degree.
+
+    ``F``, ``G`` and ``extents`` are the basis strata and the G extents of
+    degrees 0 to t; ``spectra`` and ``step_extents`` hold each degree's
+    eigenvalues and retained extents, degree 1 first; ``termination`` is
+    set at the last degree.
+    """
+
+    F: list
+    G: list
+    extents: list
+    spectra: list = field(default_factory=list)
+    step_extents: list = field(default_factory=list)
+    termination: str | None = None
+
+
 def _degree_step(X, config, F, t, coeff_memo):
     """Build degree t from the nonvanishing strata ``F[0..t-1]``.
 
@@ -356,7 +375,10 @@ class Fitter:
     steps hold, so memory is still bounded by the nodes built.  A
     configuration that differs in more than epsilon starts a new tree.
     Every fit returns what a fresh :func:`fit` returns, bitwise: the kept
-    steps are the ones a fresh fit would compute.
+    steps are the ones a fresh fit would compute.  The fit's loop is the
+    generator :meth:`degrees`, which yields after each degree, so a caller
+    that needs only the lower degrees (the retrieval scan) stops it there;
+    :meth:`fit` runs it to the end.
     """
 
     def __init__(self, X):
@@ -390,14 +412,18 @@ class Fitter:
         self._tree = {}  # {(): the degree-1 node}
         self._coeff_memo = {}  # provenance node -> coefficient rows, in coefficient mode
 
-    def fit(self, config):
-        """Run the basis construction at ``config``; returns (Basis, FitReport).
+    def degrees(self, config):
+        """Run the basis construction at ``config`` one degree at a time.
 
-        The loop is deterministic: candidate order is fixed, eigenvalues
-        are sorted descending with stable tie-breaks, and eigenvector signs
-        are pinned, so repeated runs on one platform are bitwise identical.
+        A generator: after each degree it yields one :class:`_Run`, the
+        same object each time, updated in place.  Per degree it looks up or
+        computes the step, splits it into F and G by epsilon, checks the
+        size bounds and tests the termination rules.  Once a rule fires it
+        checks the |G| bound of a finished fit, yields the run with
+        ``termination`` set, and stops.  A caller that stops iterating
+        after degree t has run exactly the checks of degrees 1 to t.
+        :meth:`fit` runs it to the end.
         """
-        t_start = time.perf_counter()
         X = self.X
         eps = float(config.epsilon)
         if not math.isfinite(eps):
@@ -411,17 +437,20 @@ class Fitter:
         n, m = X.n, len(X)
         max_degree = self._max_degree
         dimension_rule = _dimension_rule(config)
+        # The n(|X|-n) output bound holds once the point count reaches the
+        # quadratic saturation threshold C(n+2, n); below it, genuine
+        # vanishing quadrics exist and legitimate bases can exceed the bound
+        # (e.g. 10 generic points in R^4 give |G| = 25 > 24), so the guard
+        # is scoped.
+        scoped = config.mode.kind in ("coefficient", "gradient") and m > n
+        g_bound = n * (m - n) if scoped and m >= math.comb(n + 2, n) else math.inf
 
-        F = [[self._const]]
-        G = [[]]
-        extents = [np.zeros(0)]
-        spectra = []
-        extent_arrays = []
-        termination = None
+        run = _Run(F=[[self._const]], G=[[]], extents=[np.zeros(0)])
+        F, G = run.F, run.G
         t = 0
         f_total = 1
         children, mask = self._tree, ()
-        while termination is None:
+        while run.termination is None:
             t += 1
             if mask not in children:
                 children[mask] = (_degree_step(X, config, F, t, self._coeff_memo), {})
@@ -430,47 +459,50 @@ class Fitter:
             mask = tuple(keep.tolist())
             F.append([p for p, k in zip(step.polys, mask) if k])
             G.append([p for p, k in zip(step.polys, mask) if not k])
-            extents.append(step.extents[~keep])
-            spectra.append(step.values)
-            extent_arrays.append(step.extents)
+            run.extents.append(step.extents[~keep])
+            run.spectra.append(step.values)
+            run.step_extents.append(step.extents)
             f_total += len(F[t])
             _verify_size_bounds(f_total, t, n, m)
 
             if not F[t]:
-                termination = "f-empty"
+                run.termination = "f-empty"
             elif t >= max_degree:
-                termination = "max-degree"
+                run.termination = "max-degree"
             elif dimension_rule and check_termination_dimension(
                 [g for stratum in G for g in stratum], X, config.d_max, config.d_min
             ):
-                termination = "dimension-rule"
+                run.termination = "dimension-rule"
+            if run.termination is not None:
+                g_total = sum(len(s) for s in G)
+                if g_total > g_bound:
+                    raise InternalInvariantViolation(
+                        f"|G| = {g_total} exceeds n(|X|-n) = {n * (m - n)}"
+                    )
+            yield run
 
-        basis = Basis(F=F, G=G, extents=extents)
-        g_total = sum(len(s) for s in G)
-        # The n(|X|-n) output bound holds once the point count reaches the
-        # quadratic saturation threshold C(n+2, n); below it, genuine
-        # vanishing quadrics exist and legitimate bases can exceed the bound
-        # (e.g. 10 generic points in R^4 give |G| = 25 > 24), so the guard
-        # is scoped.
-        if (
-            config.mode.kind in ("coefficient", "gradient")
-            and m > n
-            and m >= math.comb(n + 2, n)
-        ):
-            if g_total > n * (m - n):
-                raise InternalInvariantViolation(
-                    f"|G| = {g_total} exceeds n(|X|-n) = {n * (m - n)}"
-                )
+    def fit(self, config):
+        """Run the basis construction at ``config``; returns (Basis, FitReport).
+
+        The loop is deterministic: candidate order is fixed, eigenvalues
+        are sorted descending with stable tie-breaks, and eigenvector signs
+        are pinned, so repeated runs on one platform are bitwise identical.
+        """
+        t_start = time.perf_counter()
+        for run in self.degrees(config):
+            pass
+        X = self.X
+        basis = Basis(F=run.F, G=run.G, extents=run.extents)
         report = FitReport(
             config=config.echo(),
-            n=n,
-            n_points=m,
+            n=X.n,
+            n_points=len(X),
             m_constant=self._m_const,
-            f_counts=[len(s) for s in F],
-            g_counts=[len(s) for s in G],
-            spectra=spectra,
-            extents=extent_arrays,
-            termination=termination,
+            f_counts=[len(s) for s in run.F],
+            g_counts=[len(s) for s in run.G],
+            spectra=run.spectra,
+            extents=run.step_extents,
+            termination=run.termination,
             wall_time_s=time.perf_counter() - t_start,
         )
         return basis, report
@@ -481,7 +513,7 @@ def fit(X, config):
 
     Each degree runs as a short chain of stratum-level kernels
     (:func:`_degree_step`), then splits its combinations into F and G by
-    epsilon; see :class:`Fitter`, whose loop this is.
+    epsilon; see :meth:`Fitter.degrees`, whose loop this is.
     """
     return Fitter(X).fit(config)
 

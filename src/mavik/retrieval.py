@@ -12,10 +12,21 @@ of vanishing encountered during the run, so consecutive grid points
 between breakpoints reuse the previous fit verbatim.  At a breakpoint the
 scan does not refit from degree 1 either: one :class:`~mavik.engine.Fitter`
 serves the whole trial, final fit included, and computes a degree only for
-a split of the degrees below it that it has not seen.  The classification,
-the size guards and the termination rules are the engine's own, so every
-scanned profile and the final basis are those of a fresh fit at that
-epsilon.
+a split of the degrees below it that it has not seen.
+
+The scan only asks which epsilons reproduce the target.  Once a fit's G
+count at some degree differs from the target's, no higher degree can make
+it match, and it keeps not matching until epsilon crosses an extent of
+that degree or a lower one.  So the scan stops the fit there
+(:meth:`~mavik.engine.Fitter.degrees` yields after each degree), records
+the G counts up to that degree, and takes the next breakpoint from the
+extents of the degrees it ran.  A fit on a matching path runs every
+degree, and the trial's final fit reuses those steps.  The
+classification, the size guards and the termination rules are the
+engine's own, so every matching profile and the final basis are those of
+a fresh fit at that epsilon.  A scan fit stopped below its last degree
+runs neither the size guards of the degrees above nor the |G| bound of a
+finished fit; the trial's final fit runs all of them.
 """
 
 from __future__ import annotations
@@ -77,29 +88,39 @@ def mode_from_kind(kind, n_points=None, z=None):
     raise ContractViolation(f"unknown mode {kind!r}")
 
 
-def _next_breakpoint(report, eps):
-    """The smallest extent of ``report`` above ``eps`` (inf if none)."""
-    extents = np.concatenate(report.extents)
-    above = extents[extents > eps]
-    return float(above.min()) if above.size else math.inf
+def _cut_fit(fitter, config, target):
+    """The fit's G counts up to the first degree that leaves ``target`` (all
+    of them if none does), and the smallest extent above epsilon of degrees
+    1 to that one (inf if none): the counts hold until epsilon reaches it."""
+    for run in fitter.degrees(config):
+        counts = [len(s) for s in run.G]
+        if counts != target[: len(counts)]:
+            counts = counts[: 1 + next(t for t, (c, w) in enumerate(zip(counts, target)) if c != w)]
+            break
+    extents = np.concatenate([np.zeros(0)] + run.step_extents[: len(counts) - 1])
+    return tuple(counts), float(extents[extents > config.epsilon].min(initial=math.inf))
 
 
-def scan_g_profiles(fitter, mode, max_degree, epsilons):
-    """Vanishing-stratum profiles of ``fitter``'s fits at each epsilon of a nondecreasing grid."""
+def scan_g_profiles(fitter, mode, target, epsilons):
+    """Vanishing-stratum profiles of ``fitter``'s fits at each epsilon of a
+    nondecreasing grid, each fit run to degree ``len(target) - 1``.
+
+    A profile is the fit's G counts up to the first degree whose count
+    differs from ``target``'s, or all of them where none does, so it
+    matches ``target`` exactly when the full profile does.  A fit stops at
+    that degree, so it runs neither the steps nor the size guards of the
+    degrees above it, nor the |G| bound of a finished fit.
+    """
     grid = np.asarray(epsilons, dtype=float)
     if not np.all(np.isfinite(grid)) or np.any(np.diff(grid) < 0):
         raise ContractViolation("epsilon grid must be finite and nondecreasing")
+    target = list(target)
     profiles = []
-    current = None
-    next_bp = -math.inf
-    for eps in grid:
-        if current is None or eps >= next_bp:
-            _, report = fitter.fit(
-                EngineConfig(epsilon=float(eps), mode=mode, max_degree=max_degree)
-            )
-            current = tuple(report.g_counts)
-            next_bp = _next_breakpoint(report, eps)
-        profiles.append(current)
+    while len(profiles) < len(grid):
+        eps = float(grid[len(profiles)])
+        config = EngineConfig(epsilon=eps, mode=mode, max_degree=len(target) - 1)
+        profile, next_bp = _cut_fit(fitter, config, target)
+        profiles += [profile] * (int(np.searchsorted(grid, next_bp)) - len(profiles))
     return profiles
 
 
@@ -149,7 +170,7 @@ def _single_trial(which, noise, alpha, run_seed, mode_kind, z, target, n_points)
     max_degree = len(target) - 1
     eps_grid = grid_epsilons(alpha)
     fitter = Fitter(X_run)
-    profiles = scan_g_profiles(fitter, mode, max_degree, eps_grid)
+    profiles = scan_g_profiles(fitter, mode, target, eps_grid)
     matching = {p for p in set(profiles) if _matches_target(p, target)}
     hits = [i for i, p in enumerate(profiles) if p in matching]
     if not hits:

@@ -400,6 +400,8 @@ def test_mistyped_basis_fields_exit_2(command, tamper, circle4_csv, tmp_path, ca
         ["retrieval-test", "--variety", "V2", "--scales", ",", "--runs", "1"],
         ["fit", "--points", "numeric_text.json"],
         ["fit", "--points", "bools.json"],
+        ["fit", "--points", "underscore.csv"],
+        ["fit", "--points", "padded.csv"],
     ],
 )
 def test_bad_points_seeds_counts_and_lists_exit_2(argv, tmp_path, capsys, monkeypatch):
@@ -408,6 +410,8 @@ def test_bad_points_seeds_counts_and_lists_exit_2(argv, tmp_path, capsys, monkey
     (tmp_path / "text.json").write_text(json.dumps({"points": [["a", 1], [2, 3]]}))
     (tmp_path / "numeric_text.json").write_text(json.dumps({"points": [["1", "0"], [0.5, 2], [3, 1]]}))
     (tmp_path / "bools.json").write_text(json.dumps({"points": [[True, False], [0.5, 2], [3, 1]]}))
+    (tmp_path / "underscore.csv").write_text("x1,x2\n1_000,2\n0.5,2\n3,1\n")
+    (tmp_path / "padded.csv").write_text("x1,x2\n 3 ,4\n0.5,2\n3,1\n")
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")

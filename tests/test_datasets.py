@@ -163,6 +163,14 @@ class TestPointFiles:
         with pytest.raises(ContractViolation, match=message):
             load_points(path)
 
+    @pytest.mark.parametrize("cell", ["1_000", " 3", "3 ", " 3 ", "3\t"])
+    def test_csv_cells_must_be_plain_numbers(self, cell, tmp_path):
+        # float() reads all of these; a points file holds plain numbers only
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x1,x2\n0.5,2\n{cell},4\n")
+        with pytest.raises(ContractViolation, match=f"cell {re.escape(repr(cell))} is not"):
+            load_points(path)
+
     def test_json_ints_and_floats_are_read(self, tmp_path):
         path = tmp_path / "ints.json"
         path.write_text(json.dumps({"points": [[1, 0], [0.5, -2]]}))

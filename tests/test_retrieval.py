@@ -22,40 +22,15 @@ from mavik.retrieval import (
 )
 
 
-def test_scan_equals_brute_force_per_epsilon_fits():
-    # the memoized scan reuses a fit until epsilon crosses one of its
-    # classification extents; this must be indistinguishable from fitting
-    # at every grid point
-    clean = center_and_unitbox(sample_variety("V1", 60, seed=4))
-    X = perturb(clean, 0.05, seed=11)
-    mode = mode_from_kind("grad", n_points=len(X))
-    eps_grid = np.linspace(1e-4, 0.6, 97)
-    scanned = scan_g_profiles(engine.Fitter(X), mode, 6, eps_grid)
-    brute = []
-    for eps in eps_grid:
-        _, report = fit(X, EngineConfig(epsilon=float(eps), mode=mode, max_degree=6))
-        brute.append(tuple(report.g_counts))
-    assert scanned == brute
+V1_TARGET = (0, 0, 0, 0, 0, 0, 1)
 
 
-def test_scan_handles_threshold_exactly_at_extent():
-    # classification sends an extent exactly equal to epsilon into the
-    # vanishing side; feed the scan a grid point sitting on a breakpoint
-    rng = rng_for(6)
-    X = PointSet(rng.uniform(-1, 1, size=(12, 2)))
-    mode = mode_from_kind("grad", n_points=len(X))
-    _, report = fit(X, EngineConfig(epsilon=1e-9, mode=mode, max_degree=2))
-    breakpoint_value = float(report.extents[1].max())
-    eps_grid = np.array([breakpoint_value / 2, breakpoint_value, breakpoint_value * 1.5])
-    scanned = scan_g_profiles(engine.Fitter(X), mode, 2, eps_grid)
-    for eps, profile in zip(eps_grid, scanned):
-        _, rep = fit(X, EngineConfig(epsilon=float(eps), mode=mode, max_degree=2))
-        assert profile == tuple(rep.g_counts)
-
-
-def _oracle_case():
-    clean = center_and_unitbox(sample_variety("V1", 60, seed=4))
-    return perturb(clean, 0.05, seed=11)
+def _cut(g_counts, target):
+    """G counts up to the first degree whose count differs from ``target``'s."""
+    for t, (count, wanted) in enumerate(zip(g_counts, target)):
+        if count != wanted:
+            return tuple(g_counts[: t + 1])
+    return tuple(g_counts)
 
 
 def _brute_force_reports(X, mode, max_degree, eps_grid):
@@ -63,6 +38,56 @@ def _brute_force_reports(X, mode, max_degree, eps_grid):
         fit(X, EngineConfig(epsilon=float(eps), mode=mode, max_degree=max_degree))[1]
         for eps in eps_grid
     ]
+
+
+def _brute_force_cuts(X, mode, target, eps_grid):
+    reports = _brute_force_reports(X, mode, len(target) - 1, eps_grid)
+    return [_cut(r.g_counts, target) for r in reports]
+
+
+def test_scan_equals_brute_force_per_epsilon_fits():
+    # the scan reuses a fit until epsilon crosses an extent of the degrees
+    # it ran, and stops a fit at the first degree that leaves the target;
+    # this must be indistinguishable from a full fit at every grid point,
+    # cut at that degree
+    clean = center_and_unitbox(sample_variety("V1", 60, seed=4))
+    X = perturb(clean, 0.05, seed=11)
+    mode = mode_from_kind("grad", n_points=len(X))
+    eps_grid = np.linspace(1e-4, 0.6, 97)
+    scanned = scan_g_profiles(engine.Fitter(X), mode, V1_TARGET, eps_grid)
+    brute = _brute_force_cuts(X, mode, V1_TARGET, eps_grid)
+    assert scanned == brute
+    assert V1_TARGET in brute and min(len(p) for p in brute) < len(V1_TARGET)
+
+
+def test_scan_handles_threshold_exactly_at_extent():
+    # classification sends an extent exactly equal to epsilon into the
+    # vanishing side; feed the scan grid points sitting on both degree-1
+    # extents, the lower of which is the breakpoint of the first fit
+    rng = rng_for(6)
+    X = PointSet(rng.uniform(-1, 1, size=(12, 2)))
+    mode = mode_from_kind("grad", n_points=len(X))
+    _, report = fit(X, EngineConfig(epsilon=1e-9, mode=mode, max_degree=2))
+    lower, upper = np.sort(report.extents[0])
+    eps_grid = np.array([upper / 2, lower, upper, upper * 1.5])
+    for target in ((0, 0, 2), (0, 1, 0)):
+        scanned = scan_g_profiles(engine.Fitter(X), mode, target, eps_grid)
+        assert scanned == _brute_force_cuts(X, mode, target, eps_grid)
+
+
+def test_scan_cuts_at_degree_0_for_a_target_with_a_constant():
+    # no fit has a vanishing constant, so every profile leaves such a
+    # target at degree 0
+    X = _oracle_case()
+    mode = mode_from_kind("grad", n_points=len(X))
+    eps_grid = np.linspace(1e-4, 0.6, 9)
+    scanned = scan_g_profiles(engine.Fitter(X), mode, (1, 0, 0), eps_grid)
+    assert scanned == _brute_force_cuts(X, mode, (1, 0, 0), eps_grid) == [(0,)] * 9
+
+
+def _oracle_case():
+    clean = center_and_unitbox(sample_variety("V1", 60, seed=4))
+    return perturb(clean, 0.05, seed=11)
 
 
 @pytest.mark.parametrize("kind", ["vca", "coeff", "grad"])
@@ -73,11 +98,48 @@ def test_scan_equals_brute_force_in_every_mode_through_f_empty(kind):
     mode = mode_from_kind(kind, n_points=len(X))
     eps_grid = np.geomspace(1e-4, 5.0, 97)
     reports = _brute_force_reports(X, mode, 6, eps_grid)
-    assert scan_g_profiles(engine.Fitter(X), mode, 6, eps_grid) == [
-        tuple(r.g_counts) for r in reports
+    assert scan_g_profiles(engine.Fitter(X), mode, V1_TARGET, eps_grid) == [
+        _cut(r.g_counts, V1_TARGET) for r in reports
     ]
     early = {len(r.g_counts) - 1 for r in reports if r.termination == "f-empty"}
     assert {1, 2, 3} <= early and min(early) < 6
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("alpha", [0.01, 1.0, 100.0])
+@pytest.mark.parametrize("which", ["V1", "V2", "V3"])
+@pytest.mark.parametrize("kind", ["vca", "coeff", "grad"])
+def test_scan_finds_the_grid_points_a_full_fit_matches(kind, which, alpha, seed):
+    # the grid spans the extents of a fit at epsilon 0, and the target is
+    # the full profile at its middle point, so the grid holds epsilons that
+    # match it and epsilons whose fits leave it at some degree
+    X = scale(perturb(center_and_unitbox(sample_variety(which, 40, seed=seed)), 0.05,
+                      seed=seed + 100), alpha)
+    mode = mode_from_kind(kind, n_points=len(X))
+    max_degree = len(load_target_profiles()[which]) - 1
+    extents = np.concatenate(_brute_force_reports(X, mode, max_degree, [0.0])[0].extents)
+    eps_grid = np.geomspace(extents[extents > 0].min(), extents.max(), 61)
+    fitter = engine.Fitter(X)  # full fits at every grid point, sharing their steps
+    full = [fitter.fit(EngineConfig(epsilon=float(eps), mode=mode, max_degree=max_degree))[1]
+            for eps in eps_grid]
+    middle = full[len(full) // 2].g_counts
+    target = tuple(middle) + (0,) * (max_degree + 1 - len(middle))
+    brute = [i for i, r in enumerate(full) if _matches_target(r.g_counts, target)]
+    assert brute and len(brute) < len(eps_grid)
+    scanned = scan_g_profiles(engine.Fitter(X), mode, target, eps_grid)
+    assert [i for i, p in enumerate(scanned) if _matches_target(p, target)] == brute
+
+
+def _eig_counter(monkeypatch):
+    eig_calls = []
+    counted_eig = engine.gen_eig_sym
+
+    def eig(*args, **kwargs):
+        eig_calls.append(1)
+        return counted_eig(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "gen_eig_sym", eig)
+    return eig_calls
 
 
 def test_scan_makes_at_most_a_third_of_the_refitting_eigensolves(monkeypatch):
@@ -87,20 +149,16 @@ def test_scan_makes_at_most_a_third_of_the_refitting_eigensolves(monkeypatch):
     X = _oracle_case()
     mode = mode_from_kind("grad", n_points=len(X))
     eps_grid = np.linspace(1e-4, 0.6, 97)
-    eig_calls, fit_eps = [], []
-    counted_eig, counted_fit = engine.gen_eig_sym, engine.Fitter.fit
+    fit_eps = []
+    counted_degrees = engine.Fitter.degrees
 
-    def eig(*args, **kwargs):
-        eig_calls.append(1)
-        return counted_eig(*args, **kwargs)
-
-    def refit(self, config):
+    def degrees(self, config):
         fit_eps.append(config.epsilon)
-        return counted_fit(self, config)
+        yield from counted_degrees(self, config)
 
-    monkeypatch.setattr(engine, "gen_eig_sym", eig)
-    monkeypatch.setattr(engine.Fitter, "fit", refit)
-    scan_g_profiles(engine.Fitter(X), mode, 6, eps_grid)
+    eig_calls = _eig_counter(monkeypatch)
+    monkeypatch.setattr(engine.Fitter, "degrees", degrees)
+    scan_g_profiles(engine.Fitter(X), mode, V1_TARGET, eps_grid)
     scanned, reclassified_at = len(eig_calls), list(fit_eps)
     eig_calls.clear()
     _brute_force_reports(X, mode, 6, eps_grid)
@@ -108,6 +166,25 @@ def test_scan_makes_at_most_a_third_of_the_refitting_eigensolves(monkeypatch):
     eig_calls.clear()
     _brute_force_reports(X, mode, 6, reclassified_at)
     assert 0 < 3 * scanned <= min(every_point, len(eig_calls))
+
+
+def test_pruned_scan_makes_at_most_half_the_eigensolves_of_full_fits(monkeypatch):
+    # the same scan with every breakpoint fit run to max_degree, so that
+    # its breakpoints come from all the fit's extents
+    X = _oracle_case()
+    mode = mode_from_kind("grad", n_points=len(X))
+    eps_grid = grid_epsilons(1.0)
+    eig_calls = _eig_counter(monkeypatch)
+    scan_g_profiles(engine.Fitter(X), mode, V1_TARGET, eps_grid)
+    pruned = len(eig_calls)
+    eig_calls.clear()
+    fitter, next_bp = engine.Fitter(X), -np.inf
+    for eps in eps_grid:
+        if eps >= next_bp:
+            config = EngineConfig(epsilon=float(eps), mode=mode, max_degree=6)
+            extents = np.concatenate(fitter.fit(config)[1].extents)
+            next_bp = extents[extents > eps].min(initial=np.inf)
+    assert 0 < 2 * pruned <= len(eig_calls)
 
 
 @pytest.mark.parametrize("which, alpha", [("V1", 0.01), ("V3", 1.0), ("V1", 100.0)])
@@ -154,7 +231,7 @@ def test_scan_rejects_descending_or_nonfinite_grid(grid):
     # silently repeat stale profiles
     X = _oracle_case()
     with pytest.raises(ContractViolation):
-        scan_g_profiles(engine.Fitter(X), mode_from_kind("grad", n_points=len(X)), 6, grid)
+        scan_g_profiles(engine.Fitter(X), mode_from_kind("grad", n_points=len(X)), V1_TARGET, grid)
 
 
 def test_matches_target_compares_up_to_target_degree():
