@@ -20,15 +20,25 @@ mavik is imported from the import path, so compare two trees with
 
     PYTHONPATH=<tree>/src python3 scripts/grid_outputs.py > <tree>.txt
 
+or check a tree against lines printed earlier in one command:
+
+    PYTHONPATH=<tree>/src python3 scripts/grid_outputs.py --against OLD.txt > new.txt
+
+which, after the lines, writes to standard error how many hashes moved for
+each mode and each file, and every fit whose F/G profile differs or that
+only one side lists; any such fit makes the exit status 1.
+
 BLAS runs on one thread, as in ``mavik.cli``, whatever the shell sets: the
 bytes of the files depend on the thread count.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
 import os
+import sys
 import tempfile
 from pathlib import Path
 
@@ -78,7 +88,49 @@ def fingerprint(work, count, dim, seed, mode):
     return f"{mode} {count}x{dim} seed {seed} F {report['f_counts']} G {report['g_counts']} {hashes}"
 
 
-def main():
+def parse(lines):
+    """Map each printed line's key to its profiles text and its hashes."""
+    fits = {}
+    for line in lines:
+        words = line.split()
+        if words[0] == "retrieval-test":
+            fits[" ".join(words[:-1])] = ("", words[-1:])
+        else:
+            fits[" ".join(words[:4])] = (" ".join(words[4:-len(FILES)]), words[-len(FILES):])
+    return fits
+
+
+def compare(old_lines, new_lines):
+    """``(summary, problems)`` of two runs' printed lines.
+
+    ``summary`` has one line per mode (and one for the retrieval run) that
+    counts, for each file, the fits whose hash moved; ``problems`` names
+    every fit whose F/G profile differs or that only one run lists."""
+    old, new = parse(old_lines), parse(new_lines)
+    problems = [f"only in {side}: {key}"
+                for side, ours, theirs in (("old", old, new), ("new", new, old))
+                for key in ours if key not in theirs]
+    moved = {}  # mode -> file -> [moved, fits]
+    for key in (key for key in new if key in old):
+        (old_profiles, old_hashes), (new_profiles, new_hashes) = old[key], new[key]
+        if old_profiles != new_profiles:
+            problems.append(f"profile differs: {key}: {old_profiles} -> {new_profiles}")
+        mode = key.split()[0]
+        names = ["retrieval.json"] if mode == "retrieval-test" else FILES
+        for name, a, b in zip(names, old_hashes, new_hashes):
+            tally = moved.setdefault(mode, {}).setdefault(name, [0, 0])
+            tally[0] += a != b
+            tally[1] += 1
+    summary = [mode + " " + " ".join(f"{name} {m}/{n}" for name, (m, n) in files.items())
+               for mode, files in moved.items()]
+    return summary, problems
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", type=Path, help="lines printed by an earlier run")
+    args = parser.parse_args(argv)
+    lines = []
     with tempfile.TemporaryDirectory() as tmp:
         for count, dim in SHAPES:
             for seed in (0, 1):
@@ -87,11 +139,19 @@ def main():
                         continue
                     work = Path(tmp) / f"{mode}-{count}x{dim}-{seed}"
                     work.mkdir()
-                    print(fingerprint(work, count, dim, seed, mode), flush=True)
+                    lines.append(fingerprint(work, count, dim, seed, mode))
+                    print(lines[-1], flush=True)
         out = Path(tmp) / "retrieval"
         run(["retrieval-test", *RETRIEVAL, "--out", str(out)])
-        print(f"retrieval-test {' '.join(RETRIEVAL)} {digest(out / 'retrieval.json')}")
+        lines.append(f"retrieval-test {' '.join(RETRIEVAL)} {digest(out / 'retrieval.json')}")
+        print(lines[-1], flush=True)
+    if args.against is None:
+        return 0
+    summary, problems = compare(args.against.read_text().splitlines(), lines)
+    print("moved hashes (fits whose file hash differs / fits):", *summary, *problems,
+          sep="\n", file=sys.stderr)
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -10,7 +10,9 @@ column of higher degree under the roots is reached only through zero
 weights, so its cut-off row adds nothing.  A product's left factor has
 degree 1, so the product is the right factor's row times the left factor's
 constant plus its shifts by each variable, weighted by that variable's
-coefficient.
+coefficient.  A combination call is one matrix product of its weights with
+its children's rows, plus its leads' rows, so its sums round in BLAS's
+order, not term by term in stored order.
 
 A :class:`~mavik.engine.Fitter` in coefficient mode hands :func:`coeff_gram`
 one walk memo, which keeps every node's rows for the fitter's lifetime
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, groupby
 
 import numpy as np
 
@@ -112,10 +114,14 @@ def _pruned(rows):
 
 
 def _padded(rows, width):
-    """Stack ``rows`` into a (len(rows), ``width``) block, each zero-padded or cut to ``width``."""
+    """Stack ``rows`` into a (len(rows), ``width``) block, each zero-padded or cut to
+    ``width``, with one copy per run of rows of one length."""
     block = np.zeros((len(rows), width))
-    for i, row in enumerate(rows):
-        block[i, : len(row)] = row[:width]
+    start = 0
+    for length, run in groupby(rows, len):
+        run = np.array(list(run))
+        block[start : start + len(run), :length] = run[:, :width]
+        start += len(run)
     return block
 
 
@@ -128,19 +134,20 @@ def _coeff_rows(polys, term_cap, memo=None):
 
     A :func:`mavik.core.walk` whose outputs are rows.  A product node
     shifts its right factors' rows by their degree-1 left factors in one
-    vectorized step; a combination node starts every column from its lead
-    (or zero) and adds the children one at a time in stored order, as a
-    record-by-record sum over the children with nonzero weight would.
+    vectorized step; a combination node is one BLAS product of its (k, r)
+    weights' transpose with its children's rows, plus its leads' rows.
     Entries below ``PRUNE_TOL`` are zeroed in every node's rows.
 
     ``memo`` is the walk's memo; a caller that keeps it across calls (a
     fit does) computes each node's rows once.  Rows kept from a call with a
-    lower ``top`` are narrower and are read zero-padded; a combination adds
-    a child into its leading columns.  The columns are a prefix-stable
-    grlex list and pruned zeros are +0.0, so each column is the same
-    arithmetic at any width and the rows are the memo-less rows bitwise,
-    as long as no node under a call's roots has a higher degree than its
-    highest root (a fit builds its nodes in degree order).
+    lower ``top`` are narrower and are read zero-padded, each run of
+    children of one width as one block.  The columns are a prefix-stable
+    grlex list and pruned zeros are +0.0, so a padded column is zero in
+    every child.  The rows are then the memo-less rows bitwise, as long as
+    BLAS sums each column over the children in an order that does not
+    depend on the block's width (the tests check this) and no node under a
+    call's roots has a higher degree than its highest root (a fit builds
+    its nodes in degree order).
     """
     degrees, provs, points = _blocks(polys)[2:]
     n, top = points.n, max(degrees)
@@ -161,10 +168,9 @@ def _coeff_rows(polys, term_cap, memo=None):
         return _pruned(rows)
 
     def combine(children, weights, leads):
-        rows = _padded(leads, width) if leads else np.zeros((weights.shape[1], width))
-        for w, child in zip(weights, children):
-            child = child[:width]
-            rows[:, : len(child)] += w[:, None] * child
+        rows = weights.T @ _padded(children, width)
+        if leads:
+            rows += _padded(leads, width)
         return _pruned(rows)
 
     rows = walk(provs, const=lambda value: _pruned(value * np.eye(1, width)),

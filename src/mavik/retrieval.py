@@ -35,6 +35,7 @@ import json
 import math
 from dataclasses import dataclass
 from importlib import resources
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -129,13 +130,18 @@ def _matches_target(profile, target):
     return padded[: len(target)] == list(target)
 
 
-def _contiguous_runs(indices):
-    runs = []
-    for i in indices:
-        if runs and i == runs[-1][1] + 1:
-            runs[-1][1] = i
-        else:
-            runs.append([i, i])
+def _matching_runs(profiles, target):
+    """The [first, last] index blocks of ``profiles`` that match ``target``,
+    testing each run of equal profiles (a scan fit's grid points) once."""
+    runs, start = [], 0
+    for profile, group in groupby(profiles):
+        stop = start + len(list(group))
+        if _matches_target(profile, target):
+            if runs and runs[-1][1] == start - 1:
+                runs[-1][1] = stop - 1
+            else:
+                runs.append([start, stop - 1])
+        start = stop
     return runs
 
 
@@ -171,11 +177,9 @@ def _single_trial(which, noise, alpha, run_seed, mode_kind, z, target, n_points)
     eps_grid = grid_epsilons(alpha)
     fitter = Fitter(X_run)
     profiles = scan_g_profiles(fitter, mode, target, eps_grid)
-    matching = {p for p in set(profiles) if _matches_target(p, target)}
-    hits = [i for i, p in enumerate(profiles) if p in matching]
-    if not hits:
+    runs = _matching_runs(profiles, target)
+    if not runs:
         return RetrievalOutcome(False, None, None, len(eps_grid))
-    runs = _contiguous_runs(hits)
     widest = max(runs, key=lambda r: r[1] - r[0])
     lo, hi = float(eps_grid[widest[0]]), float(eps_grid[widest[1]])
 

@@ -20,20 +20,23 @@ from mavik.engine import EngineConfig, NormalizationMode, fit
 from mavik.errors import ResourceLimitError
 
 
-def reference_expand(polys):
+def reference_expand(polys, absolute=False):
     """Sparse dict expansion of the flattened records, children first.
 
     A product adds the products of every pair of its factors' terms, in the
     left factor's term order; a combination adds its children's scaled terms
     in stored order.  Terms below ``PRUNE_TOL`` are dropped after each record.
+    With ``absolute``, every constant and weight enters by its magnitude, so
+    a term is the sum of the magnitudes its rounding is relative to.
     """
+    scalar = abs if absolute else float
     n = polys[0].points.n
     records, root_ids = flatten([p.prov for p in polys])
     expanded = []
     for rec in records:
         terms = {}
         if rec["kind"] == "const":
-            terms = {(0,) * n: rec["value"]}
+            terms = {(0,) * n: scalar(rec["value"])}
         elif rec["kind"] == "var":
             terms = {tuple(int(k == rec["index"]) for k in range(n)): 1.0}
         elif rec["kind"] == "product":
@@ -44,7 +47,7 @@ def reference_expand(polys):
         else:
             for j, w in zip(rec["children"], rec["weights"]):
                 for e, c in expanded[j].items():
-                    terms[e] = terms.get(e, 0.0) + w * c
+                    terms[e] = terms.get(e, 0.0) + scalar(w) * c
         expanded.append({e: c for e, c in terms.items() if abs(c) >= PRUNE_TOL})
     return [expanded[i] for i in root_ids]
 
@@ -128,37 +131,89 @@ class TestExpand:
             expand(p, term_cap=2)
 
 
+def assert_terms_close(got, ref, magnitudes=None):
+    """Each term within 1e-12 relative, or 1e-12 of the row's largest
+    coefficient (of its largest ``magnitudes`` term, if given)."""
+    scale = max(map(abs, (magnitudes or ref).values()), default=0.0)
+    for key in set(got) | set(ref):
+        assert got.get(key, 0.0) == pytest.approx(ref.get(key, 0.0), rel=1e-12, abs=1e-12 * scale)
+
+
 class TestAgainstReference:
     def test_random_trees(self):
         X = generic_points(6, 3, seed=18)
         rng = rng_for(19)
         polys = [random_poly(X, int(rng.integers(0, 5)), rng) for _ in range(8)]
-        ref = reference_expand(polys)
-        for cv, terms in zip(expand_many(polys), ref):
-            scale = max(abs(c) for c in terms.values())
-            for key in set(cv.terms) | set(terms):
-                assert cv.terms.get(key, 0.0) == pytest.approx(
-                    terms.get(key, 0.0), rel=1e-12, abs=1e-12 * scale
-                )
+        for cv, terms in zip(expand_many(polys), reference_expand(polys)):
+            assert_terms_close(cv.terms, terms)
         np.testing.assert_allclose(coeff_gram(polys), reference_gram(polys), rtol=1e-12)
 
     @pytest.mark.parametrize(
         "mode, count, dim",
-        [(NormalizationMode.coefficient(), 20, 3), (NormalizationMode.gradient(), 25, 2)],
+        [(NormalizationMode.vca_baseline(), 20, 3), (NormalizationMode.coefficient(), 20, 3),
+         (NormalizationMode.gradient(), 25, 2)],
     )
-    def test_fitted_bases_match_exactly(self, mode, count, dim):
-        # a fit's degree-1 left factors list x_0 before the constant, so the
-        # dense product adds each monomial's terms in the reference's order
-        # up to swapping the first two, which is exact
+    def test_fitted_bases_match_the_reference(self, mode, count, dim):
+        # a combination call is one matrix product, which sums its children
+        # in BLAS's order rather than the reference's record order: the
+        # terms agree up to rounding, relative to the summed magnitudes, and
+        # no term appears or vanishes.  vca's degree-3 G members here are
+        # symbolically zero: their coefficients, below 1.2e-13, are rounding
+        # residue, whose terms may cross PRUNE_TOL either way
         X = generic_points(count, dim, seed=20)
         basis, _ = fit(X, EngineConfig(epsilon=1e-6, mode=mode))
         polys = basis.f_polys() + basis.g_polys()
-        assert [cv.terms for cv in expand_many(polys)] == reference_expand(polys)
+        rows = zip(expand_many(polys), reference_expand(polys), reference_expand(polys, True))
+        residue = 0
+        for cv, terms, magnitudes in rows:
+            assert_terms_close(cv.terms, terms, magnitudes)
+            if max(map(abs, terms.values()), default=0.0) < 1e-12 * max(magnitudes.values()):
+                residue += 1
+            else:
+                assert cv.terms.keys() == terms.keys()
+        assert residue == (8 if mode.kind == "vca" else 0)
         for stratum in basis.F[1:]:
             if stratum:
                 np.testing.assert_allclose(
                     coeff_gram(stratum), reference_gram(stratum), rtol=1e-12, atol=1e-15
                 )
+
+    def test_multiply_chains_match_bitwise(self):
+        # each affine factor's call has one nonzero term per column, so its
+        # product is exact; the product kernel adds a monomial's terms in
+        # the left factor's term order, as the reference does
+        X = generic_points(8, 3, seed=23)
+        lefts = linear_combine([constant_poly(0.7, X), *variables(X)],
+                               rng_for(24).normal(size=(4, 4)))
+        chain = [lefts[0]]
+        for left in lefts[1:]:
+            chain += multiply([left], chain[-1:])
+        assert [cv.terms for cv in expand_many(chain)] == reference_expand(chain)
+
+    def test_one_combination_of_mixed_width_children(self):
+        # 70 children whose kept rows have 4, 10 and 20 columns, and a lead
+        # per column, in one call: the product agrees with the record-order
+        # sum up to rounding, and the Gram stays exactly symmetric
+        X = generic_points(10, 3, seed=25)
+        rng = rng_for(26)
+        lin = linear_combine([constant_poly(0.7, X), *variables(X)], rng.normal(size=(4, 8)))
+        quad = linear_combine([*multiply(lin, lin[::-1]), *lin], rng.normal(size=(16, 12)))
+        cubic = multiply([*lin, *lin][:12], quad)
+        children = [*lin, *quad, *cubic, *lin, *quad, *cubic]
+        assert len(children) == 64
+        (lead,) = multiply(lin[:1], quad[:1])
+        combo = linear_combine([*children, *lin[:6]], rng.normal(size=(70, 5)),
+                               lead=[lead, *cubic[:4]])
+        memo = {}
+        coeff_gram(lin, memo=memo)
+        coeff_gram(quad, memo=memo)
+        gram = coeff_gram(combo, memo=memo)
+        assert {rows.shape[1] for rows in memo.values()} == {4, 10, 20}
+        assert np.array_equal(gram, gram.T)
+        np.testing.assert_allclose(gram, reference_gram(combo), rtol=1e-12)
+        for cv, terms in zip(expand_many(combo), reference_expand(combo)):
+            assert cv.terms.keys() == terms.keys()
+            assert_terms_close(cv.terms, terms)
 
     def test_tiny_coefficients_are_pruned_at_every_record(self):
         # the 1e-15 y term is dropped from p, so scaling p up cannot revive it

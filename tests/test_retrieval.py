@@ -14,6 +14,7 @@ from mavik.errors import ContractViolation
 from mavik.retrieval import (
     RetrievalOutcome,
     _matches_target,
+    _matching_runs,
     grid_epsilons,
     load_target_profiles,
     mode_from_kind,
@@ -239,6 +240,28 @@ def test_matches_target_compares_up_to_target_degree():
     assert _matches_target((0, 1, 2), (0, 1))  # counts beyond T are ignored
     assert _matches_target((0, 1, 2, 9), (0, 1, 2))
     assert not _matches_target((0, 2), (0, 1, 0))
+
+
+def test_matching_runs_are_the_blocks_of_matching_grid_points():
+    # a scan repeats each fit's profile object over the points it covers;
+    # distinct neighbouring profiles that both match join into one block
+    target = (0, 1, 0)
+    rng = rng_for(31)
+    pool = [(0, 1), (0, 1, 0), (0, 2), (1,), (0, 1, 0, 5)]
+    profiles = []
+    for _ in range(60):
+        profiles += [pool[rng.integers(len(pool))]] * int(rng.integers(1, 6))
+    blocks = []
+    for i, p in enumerate(profiles):
+        if _matches_target(p, target):
+            if blocks and blocks[-1][1] == i - 1:
+                blocks[-1][1] = i
+            else:
+                blocks.append([i, i])
+    assert len(blocks) > 1
+    assert _matching_runs(profiles, target) == blocks
+    assert _matching_runs([(0, 2)] * 4, target) == []
+    assert _matching_runs([], target) == []
 
 
 def test_grid_rejects_nonpositive_alpha():

@@ -1,0 +1,63 @@
+"""The comparison logic of ``scripts/grid_outputs.py --against``, on hand-written lines."""
+
+import importlib.util
+import os
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "grid_outputs.py"
+
+OLD = """\
+vca 50x2 seed 0 F [1, 2, 1] G [0, 1, 3] a1 b1 c1 d1 e1
+coeff 50x2 seed 0 F [1, 2, 1] G [0, 1, 3] a2 b2 c2 d2 e2
+coeff 50x3 seed 1 F [1, 3, 0] G [0, 3, 6] a3 b3 c3 d3 e3
+retrieval-test --variety V1 --runs 2 --scales 0.01,1,100 r1
+"""
+
+
+@pytest.fixture(scope="module")
+def grid_outputs():
+    saved = dict(os.environ)  # the script pins BLAS threads on import
+    spec = importlib.util.spec_from_file_location("grid_outputs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    os.environ.clear()
+    os.environ.update(saved)
+    return module
+
+
+def _compare(module, tmp_path, new):
+    (tmp_path / "old.txt").write_text(OLD)
+    (tmp_path / "new.txt").write_text(new)
+    return module.compare((tmp_path / "old.txt").read_text().splitlines(),
+                          (tmp_path / "new.txt").read_text().splitlines())
+
+
+def test_counts_moved_hashes_per_mode_and_file(grid_outputs, tmp_path):
+    new = OLD.replace(" b2 ", " B2 ").replace(" e2\n", " E2\n").replace(" b3 ", " B3 ")
+    summary, problems = _compare(grid_outputs, tmp_path, new)
+    assert summary == [
+        "vca report.json 0/1 basis.json 0/1 evaluation.json 0/1 reduction.json 0/1 "
+        "reduced_basis.json 0/1",
+        "coeff report.json 0/2 basis.json 2/2 evaluation.json 0/2 reduction.json 0/2 "
+        "reduced_basis.json 1/2",
+        "retrieval-test retrieval.json 0/1",
+    ]
+    assert problems == []
+
+
+def test_names_profile_differences_and_unpaired_fits(grid_outputs, tmp_path):
+    lines = OLD.splitlines()
+    lines[0] = lines[0].replace("G [0, 1, 3]", "G [0, 2, 3]")
+    lines[3] = lines[3].replace(" r1", " r2")
+    new = "\n".join([lines[0], lines[1], "grad 50x2 seed 0 F [1] G [0] a b c d e", lines[3]])
+    summary, problems = _compare(grid_outputs, tmp_path, new)
+    assert problems == [
+        "only in old: coeff 50x3 seed 1",
+        "only in new: grad 50x2 seed 0",
+        "profile differs: vca 50x2 seed 0: F [1, 2, 1] G [0, 1, 3] -> F [1, 2, 1] G [0, 2, 3]",
+    ]
+    assert summary[-1] == "retrieval-test retrieval.json 1/1"
+    # a fit only one side lists counts in no mode's tally
+    assert [line.split()[0] for line in summary] == ["vca", "coeff", "retrieval-test"]
