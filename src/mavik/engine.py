@@ -21,7 +21,9 @@ members.
 Each degree is one step that never reads epsilon (candidates, projection,
 Grams, eigensolve, combination), followed by the epsilon-dependent split,
 size guards and termination rules, in the one loop of
-:meth:`Fitter.degrees`.
+:meth:`Fitter.degrees`.  That loop fills one :class:`~mavik.core.Basis`
+and one :class:`FitReport` in place and yields the pair after each degree;
+:func:`fit` returns the pair of the last degree, with the wall time set.
 
 Only gradient normalization and the dimension rule read gradients.  A fit
 in either starts from a constant that carries them, so every kernel forms
@@ -296,24 +298,6 @@ class _Step:
     zero_floor: float
 
 
-@dataclass
-class _Run:
-    """A fit in progress, as :meth:`Fitter.degrees` leaves it after a degree.
-
-    ``F``, ``G`` and ``extents`` are the basis strata and the G extents of
-    degrees 0 to t; ``spectra`` and ``step_extents`` hold each degree's
-    eigenvalues and retained extents, degree 1 first; ``termination`` is
-    set at the last degree.
-    """
-
-    F: list
-    G: list
-    extents: list
-    spectra: list = field(default_factory=list)
-    step_extents: list = field(default_factory=list)
-    termination: str | None = None
-
-
 def _degree_step(X, config, F, t, coeff_memo):
     """Build degree t from the nonvanishing strata ``F[0..t-1]``.
 
@@ -376,9 +360,10 @@ class Fitter:
     configuration that differs in more than epsilon starts a new tree.
     Every fit returns what a fresh :func:`fit` returns, bitwise: the kept
     steps are the ones a fresh fit would compute.  The fit's loop is the
-    generator :meth:`degrees`, which yields after each degree, so a caller
-    that needs only the lower degrees (the retrieval scan) stops it there;
-    :meth:`fit` runs it to the end.
+    generator :meth:`degrees`, which yields the fit's ``(Basis,
+    FitReport)`` after each degree, so a caller that needs only the lower
+    degrees (the retrieval scan) stops it there; :meth:`fit` runs it to the
+    end.
     """
 
     def __init__(self, X):
@@ -393,13 +378,21 @@ class Fitter:
         for name, d in (("d_max", config.d_max), ("d_min", config.d_min)):
             if d is not None and not 0 <= d <= X.n:
                 raise ContractViolation(f"{name} must lie in [0, n]")
+        if config.term_cap < 1:
+            raise ContractViolation(f"term_cap must be at least 1, got {config.term_cap!r}")
         m_const = (
             float(config.m_constant)
             if config.m_constant is not None
             else default_m_constant(X, config.mode)
         )
-        if m_const == 0:
-            raise ContractViolation("m_constant must be nonzero")
+        # m²|X|, the constant's evaluation Gram entry, divides its projection.
+        # The default's is at most the points' squared norm, whose overflow
+        # the degree-1 step reports, so only a given constant's can overflow.
+        norm2 = m_const * m_const * len(X)
+        if norm2 < np.finfo(float).tiny or (config.m_constant is not None and not norm2 < math.inf):
+            hint = "; rescale the points" if config.m_constant is None else ""
+            raise ContractViolation(f"m_constant {m_const!r} gives m^2 |X| = {norm2!r}, "
+                                    f"outside the normal float64 range{hint}")
         max_degree = config.max_degree if config.max_degree is not None else len(X)
         if max_degree < 1:
             raise ContractViolation("max_degree must be at least 1")
@@ -415,14 +408,16 @@ class Fitter:
     def degrees(self, config):
         """Run the basis construction at ``config`` one degree at a time.
 
-        A generator: after each degree it yields one :class:`_Run`, the
-        same object each time, updated in place.  Per degree it looks up or
+        A generator: after each degree t it yields ``(basis, report)``, the
+        same :class:`~mavik.core.Basis` and :class:`FitReport` each time,
+        updated in place to hold degrees 0 to t; ``report.wall_time_s``
+        stays 0 until :meth:`fit` sets it.  Per degree it looks up or
         computes the step, splits it into F and G by epsilon, checks the
         size bounds and tests the termination rules.  Once a rule fires it
-        checks the |G| bound of a finished fit, yields the run with
-        ``termination`` set, and stops.  A caller that stops iterating
-        after degree t has run exactly the checks of degrees 1 to t.
-        :meth:`fit` runs it to the end.
+        sets ``report.termination``, checks the |G| bound of a finished
+        fit, yields, and stops.  A caller that stops iterating after degree
+        t has run exactly the checks of degrees 1 to t, and holds the lists
+        of a ``max_degree=t`` fit.
         """
         X = self.X
         eps = float(config.epsilon)
@@ -435,7 +430,6 @@ class Fitter:
             self._start(config)
             self._key = key
         n, m = X.n, len(X)
-        max_degree = self._max_degree
         dimension_rule = _dimension_rule(config)
         # The n(|X|-n) output bound holds once the point count reaches the
         # quadratic saturation threshold C(n+2, n); below it, genuine
@@ -445,13 +439,13 @@ class Fitter:
         scoped = config.mode.kind in ("coefficient", "gradient") and m > n
         g_bound = n * (m - n) if scoped and m >= math.comb(n + 2, n) else math.inf
 
-        run = _Run(F=[[self._const]], G=[[]], extents=[np.zeros(0)])
-        F, G = run.F, run.G
-        t = 0
-        f_total = 1
+        basis = Basis(F=[[self._const]], G=[[]], extents=[np.zeros(0)])
+        report = FitReport(config=config.echo(), n=n, n_points=m, m_constant=self._m_const,
+                           f_counts=[1], g_counts=[0])
+        F, G = basis.F, basis.G
         children, mask = self._tree, ()
-        while run.termination is None:
-            t += 1
+        while not report.termination:
+            t = len(F)
             if mask not in children:
                 children[mask] = (_degree_step(X, config, F, t, self._coeff_memo), {})
             step, children = children[mask]
@@ -459,52 +453,40 @@ class Fitter:
             mask = tuple(keep.tolist())
             F.append([p for p, k in zip(step.polys, mask) if k])
             G.append([p for p, k in zip(step.polys, mask) if not k])
-            run.extents.append(step.extents[~keep])
-            run.spectra.append(step.values)
-            run.step_extents.append(step.extents)
-            f_total += len(F[t])
-            _verify_size_bounds(f_total, t, n, m)
+            basis.extents.append(step.extents[~keep])
+            report.f_counts.append(len(F[t]))
+            report.g_counts.append(len(G[t]))
+            report.spectra.append(step.values)
+            report.extents.append(step.extents)
+            _verify_size_bounds(report.f_total, t, n, m)
 
             if not F[t]:
-                run.termination = "f-empty"
-            elif t >= max_degree:
-                run.termination = "max-degree"
+                report.termination = "f-empty"
+            elif t >= self._max_degree:
+                report.termination = "max-degree"
             elif dimension_rule and check_termination_dimension(
-                [g for stratum in G for g in stratum], X, config.d_max, config.d_min
+                basis.g_polys(), X, config.d_max, config.d_min
             ):
-                run.termination = "dimension-rule"
-            if run.termination is not None:
-                g_total = sum(len(s) for s in G)
-                if g_total > g_bound:
-                    raise InternalInvariantViolation(
-                        f"|G| = {g_total} exceeds n(|X|-n) = {n * (m - n)}"
-                    )
-            yield run
+                report.termination = "dimension-rule"
+            if report.termination and report.g_total > g_bound:
+                raise InternalInvariantViolation(
+                    f"|G| = {report.g_total} exceeds n(|X|-n) = {n * (m - n)}"
+                )
+            yield basis, report
 
     def fit(self, config):
         """Run the basis construction at ``config``; returns (Basis, FitReport).
 
-        The loop is deterministic: candidate order is fixed, eigenvalues
-        are sorted descending with stable tie-breaks, and eigenvector signs
-        are pinned, so repeated runs on one platform are bitwise identical.
+        The pair :meth:`degrees` yields last, with ``report.wall_time_s``
+        set.  The loop is deterministic: candidate order is fixed,
+        eigenvalues are sorted descending with stable tie-breaks, and
+        eigenvector signs are pinned, so repeated runs on one platform are
+        bitwise identical.
         """
         t_start = time.perf_counter()
-        for run in self.degrees(config):
+        for basis, report in self.degrees(config):
             pass
-        X = self.X
-        basis = Basis(F=run.F, G=run.G, extents=run.extents)
-        report = FitReport(
-            config=config.echo(),
-            n=X.n,
-            n_points=len(X),
-            m_constant=self._m_const,
-            f_counts=[len(s) for s in run.F],
-            g_counts=[len(s) for s in run.G],
-            spectra=run.spectra,
-            extents=run.step_extents,
-            termination=run.termination,
-            wall_time_s=time.perf_counter() - t_start,
-        )
+        report.wall_time_s = time.perf_counter() - t_start
         return basis, report
 
 
@@ -513,7 +495,8 @@ def fit(X, config):
 
     Each degree runs as a short chain of stratum-level kernels
     (:func:`_degree_step`), then splits its combinations into F and G by
-    epsilon; see :meth:`Fitter.degrees`, whose loop this is.
+    epsilon; see :meth:`Fitter.degrees`, whose loop this is and whose last
+    yielded pair this returns, with ``report.wall_time_s`` set.
     """
     return Fitter(X).fit(config)
 

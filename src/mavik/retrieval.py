@@ -18,13 +18,13 @@ The scan only asks which epsilons reproduce the target.  Once a fit's G
 count at some degree differs from the target's, no higher degree can make
 it match, and it keeps not matching until epsilon crosses an extent of
 that degree or a lower one.  So the scan stops the fit there
-(:meth:`~mavik.engine.Fitter.degrees` yields after each degree), records
-the G counts up to that degree, and takes the next breakpoint from the
-extents of the degrees it ran.  A fit on a matching path runs every
-degree, and the trial's final fit reuses those steps.  The
-classification, the size guards and the termination rules are the
-engine's own, so every matching profile and the final basis are those of
-a fresh fit at that epsilon.  A scan fit stopped below its last degree
+(:meth:`~mavik.engine.Fitter.degrees` yields the fit's basis and report
+after each degree), records the report's G counts up to that degree, and
+takes the next breakpoint from the report's extents of the degrees it
+ran.  A fit on a matching path runs every degree, and the trial's final
+fit reuses those steps.  The classification, the size guards and the
+termination rules are the engine's own, so every matching profile and
+the final basis are those of a fresh fit at that epsilon.  A scan fit stopped below its last degree
 runs neither the size guards of the degrees above nor the |G| bound of a
 finished fit; the trial's final fit runs all of them.
 """
@@ -92,13 +92,14 @@ def mode_from_kind(kind, n_points=None, z=None):
 def _cut_fit(fitter, config, target):
     """The fit's G counts up to the first degree that leaves ``target`` (all
     of them if none does), and the smallest extent above epsilon of degrees
-    1 to that one (inf if none): the counts hold until epsilon reaches it."""
-    for run in fitter.degrees(config):
-        counts = [len(s) for s in run.G]
+    1 to that one (inf if none): the counts hold until epsilon reaches it.
+    Both are read from the report the fit yields after each degree."""
+    for _, report in fitter.degrees(config):
+        counts = report.g_counts
         if counts != target[: len(counts)]:
             counts = counts[: 1 + next(t for t, (c, w) in enumerate(zip(counts, target)) if c != w)]
             break
-    extents = np.concatenate([np.zeros(0)] + run.step_extents[: len(counts) - 1])
+    extents = np.concatenate([np.zeros(0)] + report.extents[: len(counts) - 1])
     return tuple(counts), float(extents[extents > config.epsilon].min(initial=math.inf))
 
 

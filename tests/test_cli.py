@@ -402,6 +402,10 @@ def test_mistyped_basis_fields_exit_2(command, tamper, circle4_csv, tmp_path, ca
         ["fit", "--points", "bools.json"],
         ["fit", "--points", "underscore.csv"],
         ["fit", "--points", "padded.csv"],
+        ["fit", "--points", "generic.csv", "--mode", "vca", "--term-cap", "0"],
+        ["fit", "--points", "generic.csv", "--mode", "coeff", "--term-cap", "-5"],
+        ["fit", "--points", "generic.csv", "--m-const", "1e154"],
+        ["fit", "--points", "generic.csv", "--m-const", "1e-160"],
     ],
 )
 def test_bad_points_seeds_counts_and_lists_exit_2(argv, tmp_path, capsys, monkeypatch):
@@ -412,10 +416,22 @@ def test_bad_points_seeds_counts_and_lists_exit_2(argv, tmp_path, capsys, monkey
     (tmp_path / "bools.json").write_text(json.dumps({"points": [[True, False], [0.5, 2], [3, 1]]}))
     (tmp_path / "underscore.csv").write_text("x1,x2\n1_000,2\n0.5,2\n3,1\n")
     (tmp_path / "padded.csv").write_text("x1,x2\n 3 ,4\n0.5,2\n3,1\n")
+    save_points(sample_generic(20, 2, 0), tmp_path / "generic.csv")
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_m_const_range_ends_where_the_squared_norm_overflows(tmp_path, capsys):
+    points = tmp_path / "generic.csv"
+    save_points(sample_generic(20, 2, 0), points)
+    fit = ["fit", "--points", str(points), "--m-const"]
+    assert main(fit + ["1e153", "--out", str(tmp_path / "ok")]) == 0
+    assert (tmp_path / "ok" / "report.json").exists()
+    assert main(fit + ["1e154", "--out", str(tmp_path / "bad")]) == 2
+    assert not (tmp_path / "bad").exists()
 
 
 RETRIEVAL_V2 = ["retrieval-test", "--variety", "V2", "--scales", "1.0", "--runs", "1"]

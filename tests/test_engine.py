@@ -1,6 +1,7 @@
 """The degree-incremental fit: classification, normalization modes,
 termination rules, replay, and the consistency/robustness guarantees."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -143,6 +144,28 @@ class TestFitSmall:
         with pytest.raises(ResourceLimitError):
             fit(X, cfg)
 
+    @pytest.mark.parametrize("mode", [NormalizationMode.vca_baseline(),
+                                      NormalizationMode.coefficient()], ids=["vca", "coeff"])
+    @pytest.mark.parametrize("term_cap", [0, -5])
+    def test_term_cap_below_one_is_rejected(self, mode, term_cap):
+        with pytest.raises(ContractViolation, match="term_cap"):
+            fit(sample_generic(20, 2, 0), EngineConfig(epsilon=1e-6, mode=mode, term_cap=term_cap))
+
+    @pytest.mark.parametrize("fits, rejected", [(1e153, 1e154), (1e-154, 1e-155),
+                                                (1e-154, 1e-162), (1e-154, float("nan"))])
+    def test_constant_needs_a_normal_squared_norm(self, fits, rejected):
+        # m^2 |X| on 20 points: inf from 1e154 up, subnormal from 1e-155 down
+        X = sample_generic(20, 2, 0)
+        assert fit(X, EngineConfig(epsilon=1e-6, mode=GRAD, m_constant=fits))[1].termination
+        with pytest.raises(ContractViolation, match="m_constant") as info:
+            fit(X, EngineConfig(epsilon=1e-6, mode=GRAD, m_constant=rejected))
+        assert "rescale" not in str(info.value)
+
+    def test_default_grad_constant_of_tiny_points_asks_for_a_rescale(self):
+        X = scale(sample_generic(20, 2, 0), 1e-160)
+        with pytest.raises(ContractViolation, match="rescale the points"):
+            fit(X, EngineConfig(epsilon=1e-166, mode=GRAD))
+
     def test_deterministic_rerun(self):
         X = generic_points(25, 3, seed=2)
         b1, r1 = fit(X, EngineConfig(epsilon=1e-7, mode=GRAD))
@@ -151,6 +174,52 @@ class TestFitSmall:
         for p1, p2 in zip(b1.g_polys(), b2.g_polys()):
             np.testing.assert_array_equal(p1.eval, p2.eval)
             np.testing.assert_array_equal(p1.grad, p2.grad)
+
+
+# Three modes on generic points, and a fit that the dimension rule stops.
+RECORD_FITS = {
+    kind: (sample_generic(20, 2, 0), EngineConfig(epsilon=1e-6, mode=mode_from_kind(kind)))
+    for kind in ("vca", "coeff", "grad")
+} | {"grad-dmax": (circle_points(30, seed=12), EngineConfig(epsilon=1e-6, mode=GRAD, d_max=1))}
+
+
+def _per_degree_bytes(basis, report):
+    """The per-degree lists of a fit, as bytes where they hold arrays."""
+    return (report.f_counts, report.g_counts, [a.tobytes() for a in report.spectra],
+            [a.tobytes() for a in report.extents], [a.tobytes() for a in basis.extents])
+
+
+class TestYieldedRecord:
+    """``Fitter.degrees`` yields the Basis and FitReport it fills in place."""
+
+    @pytest.mark.parametrize("case", list(RECORD_FITS))
+    def test_every_yield_is_the_fits_own_basis_and_report(self, case):
+        X, config = RECORD_FITS[case]
+        pairs = []
+        for t, (basis, report) in enumerate(engine.Fitter(X).degrees(config), start=1):
+            assert report.f_counts == basis.f_profile()
+            assert report.g_counts == basis.g_profile()
+            assert len(report.spectra) == len(report.extents) == t
+            assert report.wall_time_s == 0
+            pairs.append((basis, report))
+        assert all(b is basis and r is report for b, r in pairs)
+        want_basis, want_report = fit(X, config)
+        assert want_report.wall_time_s > 0
+        assert json.dumps(serialize.report_to_json(report), sort_keys=True) == json.dumps(
+            serialize.report_to_json(want_report), sort_keys=True)
+        assert json.dumps(serialize.basis_to_json(basis, points=X), sort_keys=True) == json.dumps(
+            serialize.basis_to_json(want_basis, points=X), sort_keys=True)
+
+    @pytest.mark.parametrize("case", list(RECORD_FITS))
+    def test_a_generator_stopped_at_degree_t_holds_a_max_degree_t_fit(self, case):
+        X, config = RECORD_FITS[case]
+        top = len(fit(X, config)[1].spectra)
+        for t in range(1, top + 1):
+            for basis, report in engine.Fitter(X).degrees(config):
+                if len(report.spectra) == t:
+                    break
+            want = fit(X, dataclasses.replace(config, max_degree=t))
+            assert _per_degree_bytes(basis, report) == _per_degree_bytes(*want)
 
 
 class TestGradientsWhereRead:

@@ -1,4 +1,5 @@
-"""The comparison logic of ``scripts/grid_outputs.py --against``, on hand-written lines."""
+"""The comparison logic of ``scripts/grid_outputs.py --against`` and
+``scripts/src_lines.py --against``, on hand-written lines."""
 
 import importlib.util
 import os
@@ -61,3 +62,21 @@ def test_names_profile_differences_and_unpaired_fits(grid_outputs, tmp_path):
     assert summary[-1] == "retrieval-test retrieval.json 1/1"
     # a fit only one side lists counts in no mode's tally
     assert [line.split()[0] for line in summary] == ["vca", "coeff", "retrieval-test"]
+
+
+SRC_LINES = Path(__file__).resolve().parent.parent / "scripts" / "src_lines.py"
+
+
+def test_src_lines_compares_each_module_and_the_total():
+    spec = importlib.util.spec_from_file_location("src_lines", SRC_LINES)
+    src_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(src_lines)
+    old = ["   436  engine.py", "   223  retrieval.py", "    12  gone.py", "   671  total"]
+    new = ["   409  engine.py", "   224  retrieval.py", "     5  added.py", "   638  total"]
+    assert src_lines.compare(old, new) == [
+        "     0 ->      5     +5  added.py",
+        "   436 ->    409    -27  engine.py",
+        "    12 ->      0    -12  gone.py",
+        "   223 ->    224     +1  retrieval.py",
+        "   671 ->    638    -33  total",
+    ]
