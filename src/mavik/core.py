@@ -22,10 +22,11 @@ values-only calls and the gradients an eager run forms, bit for bit.
 Both operations work on whole strata at once: :func:`linear_combine` forms
 r combinations of k polynomials as one matrix product over their stacked
 evaluations and one over their stacked gradients, and :func:`multiply`
-forms every product of a list of factor pairs by one broadcast.  A call's
-outputs are the rows of those blocks, and its provenance is one node: a
-``PLin`` holds the call's weight matrix, a ``PProd`` its two factor lists,
-and each output's ``prov`` is the pair ``(node, column)``.  The outputs come
+forms every product of a list of factor pairs, or of every left factor
+with every right one, by one broadcast.  A call's outputs are the rows of
+those blocks, and its provenance is one node: a ``PLin`` holds the call's
+weight matrix, a ``PProd`` its two factor lists, and each output's
+``prov`` is the pair ``(node, column)``.  The outputs come
 back as :class:`Rows`, which holds the blocks, checked and made read-only
 once per call, with the node, the degrees and the point set.  A kernel
 reads each input once, through ``_blocks``: a ``Rows`` gives its own blocks,
@@ -359,20 +360,42 @@ def linear_combine(polys, weights, lead=()):
     return Rows(degrees.tolist(), ev, gr, PLin(provs, W, lead_provs), pointset)
 
 
-def multiply(ps, qs):
+def _product_rule(p_ev, p_gr, q_ev, q_gr):
+    """Values and gradients of the products p * q of broadcastable factor blocks.
+
+    Values are (..., m) blocks and gradients (..., m, n) blocks or None; the
+    products come back as an (r, m) and an (r, m, n) block.  The gradients,
+    q(x) * grad p(x) + p(x) * grad q(x), are formed when both factors carry
+    them, over (..., m n) blocks: each value repeated n times lets every
+    operand run contiguously over the points and coordinates.
+    """
+    m, gr = p_ev.shape[-1], None
+    if p_gr is not None and q_gr is not None:
+        n = p_gr.shape[-1]
+        gr = np.repeat(q_ev, n, axis=-1) * p_gr.reshape(p_gr.shape[:-2] + (-1,))
+        gr += np.repeat(p_ev, n, axis=-1) * q_gr.reshape(q_gr.shape[:-2] + (-1,))
+        gr = gr.reshape(-1, m, n)
+    return (p_ev * q_ev).reshape(-1, m), gr
+
+
+def multiply(ps, qs, outer=False, upper=False):
     """Products of degree-1 polynomials with other polynomials.
 
-    ``ps`` and ``qs`` are equally long lists or :class:`Rows`, each read by
-    one ``_blocks`` call; the result is the list of the pairwise products
-    ``ps[i] * qs[i]``, the rows of one evaluation and one gradient block.
-    Product-rule gradients, q(x) * grad p(x) + p(x) * grad q(x), are formed
-    for all pairs at once by broadcasting, when every factor carries
+    ``ps`` and ``qs`` are lists or :class:`Rows`, each read by one
+    ``_blocks`` call.  By default they are equally long and the result is
+    the list of the pairwise products ``ps[i] * qs[i]``.  With ``outer`` it
+    is every product ``ps[i] * qs[j]``, i major, by one broadcast of the two
+    blocks; with ``upper`` as well, only those with j >= i.  The products
+    are the rows of one evaluation and one gradient block: product-rule
+    gradients are formed for all pairs at once, when every factor carries
     gradients; otherwise the products are values-only.  The call records
-    one ``PProd`` node for all pairs and returns :class:`Rows`.
+    one ``PProd`` node with the pairs' factors, so an outer call replays as
+    the pairwise call of the same pairs, with the same bits.  Returns
+    :class:`Rows`.
     """
-    if len(ps) != len(qs):
+    if not outer and len(ps) != len(qs):
         raise ContractViolation("need as many left factors as right factors")
-    if not ps:
+    if not ps or not qs:
         return []
     p_ev, p_gr, p_degrees, p_provs, pointset = _blocks(ps)
     if any(d != 1 for d in p_degrees):
@@ -380,11 +403,18 @@ def multiply(ps, qs):
     q_ev, q_gr, q_degrees, q_provs, q_points = _blocks(qs)
     if q_points is not pointset:
         raise ContractViolation("polynomials live on different point sets")
-    gr = None
-    if p_gr is not None and q_gr is not None:
-        gr = q_ev[:, :, None] * p_gr
-        gr += p_ev[:, :, None] * q_gr
-    return Rows([1 + d for d in q_degrees], p_ev * q_ev, gr, PProd(p_provs, q_provs), pointset)
+    if not outer:
+        ev, gr = _product_rule(p_ev, p_gr, q_ev, q_gr)
+        return Rows([1 + d for d in q_degrees], ev, gr, PProd(p_provs, q_provs), pointset)
+    ev, gr = _product_rule(p_ev[:, None], None if p_gr is None else p_gr[:, None],
+                           q_ev[None], None if q_gr is None else q_gr[None])
+    k = len(qs)
+    pairs = [(i, j) for i in range(len(ps)) for j in range(i if upper else 0, k)]
+    if upper:
+        rows = [i * k + j for i, j in pairs]
+        ev, gr = ev[rows], None if gr is None else gr[rows]
+    return Rows([1 + q_degrees[j] for _, j in pairs], ev, gr,
+                PProd([p_provs[i] for i, _ in pairs], [q_provs[j] for _, j in pairs]), pointset)
 
 
 def walk(roots, const, var, product, combine, memo=None):

@@ -18,6 +18,13 @@ are exactly the combinations with no polynomial content (or none visible
 at the data), which is what keeps the basis free of spuriously vanishing
 members.
 
+Once the F strata below degree t hold |X| members they span R^|X|, and
+every candidate of degree t vanishes whatever epsilon is.  Such a
+*saturated* degree solves no eigenproblem: its G members are the projected
+candidates themselves (identity N) or the candidates combined by N's
+whitening, N-orthonormal either way, and its spectrum is their squared
+extents.
+
 Each degree is one step that never reads epsilon (candidates, projection,
 Grams, eigensolve, combination), followed by the epsilon-dependent split,
 size guards and termination rules, in the one loop of
@@ -50,7 +57,7 @@ from .coefficients import DEFAULT_TERM_CAP, coeff_gram
 from .core import (Basis, _evals, _grads, constant_poly, linear_combine, multiply, replay_many,
                    variables)
 from .errors import ContractViolation, InternalInvariantViolation
-from .linalg import gen_eig_sym, numerical_rank, orthogonal_project
+from .linalg import gen_eig_sym, numerical_rank, orthogonal_project, whitening
 
 __all__ = [
     "NormalizationMode",
@@ -137,7 +144,10 @@ class FitReport:
     holds the per-degree evaluation norms of the retained polynomials (the
     values actually compared against epsilon -- they agree with
     sqrt(eigenvalue) up to the Gram matrix's numerical resolution but stay
-    accurate far below it).
+    accurate far below it).  A saturated degree (see :func:`_degree_step`)
+    solves no eigenproblem: its G members are the candidates, or their
+    combinations by N's whitening, and its ``spectra`` entry holds the
+    squared extents, whose square roots are its ``extents`` bit for bit.
     """
 
     config: dict
@@ -190,20 +200,6 @@ def normalization_gram(cands, mode, term_cap=DEFAULT_TERM_CAP, memo=None):
         return coeff_gram(cands, term_cap=term_cap, memo=memo)
     R = _grads(cands).reshape(k, -1)
     return (R @ R.T) / (mode.z**2)
-
-
-def _candidate_products(f1, f_prev, dedup_pairs):
-    """All degree-t candidates x f, built by one stratum-level ``multiply``.
-
-    Pairs run over ``f1`` in order, each with every member of ``f_prev``
-    (or, with ``dedup_pairs``, only members from the same position on).
-    """
-    lefts, rights = [], []
-    for i, p in enumerate(f1):
-        for q in f_prev[i:] if dedup_pairs else f_prev:
-            lefts.append(p)
-            rights.append(q)
-    return multiply(lefts, rights)
 
 
 def dimension_bounds(grads, X):
@@ -282,14 +278,24 @@ def _verify_gradient_norms(grads, z):
         )
 
 
+def _squared_norms(ev):
+    """v . v of every row v of the (r, m) block ``ev``, by one batched product.
+
+    Each row's product is the dot product ``v.dot(v)`` forms, bit for bit.
+    """
+    return (ev[:, None, :] @ ev[:, :, None]).ravel()
+
+
 @dataclass(frozen=True)
 class _Step:
     """One degree of the construction before its F/G split.
 
     ``polys`` are the combinations the normalization retains, in eigenvalue
-    order; ``extents`` their evaluation norms, ``values`` the generalized
-    eigenvalues and ``zero_floor`` the extent below which a combination is
-    a floating-point zero.
+    order (at a saturated degree, in candidate or whitening order);
+    ``extents`` their evaluation norms, ``values`` the generalized
+    eigenvalues (at a saturated degree, the squared extents) and
+    ``zero_floor`` the extent below which a combination is a floating-point
+    zero.
     """
 
     polys: list
@@ -313,13 +319,23 @@ def _degree_step(X, config, F, t, coeff_memo):
     F and G.  Both Grams are single syrk products and come out exactly
     symmetric.  Nothing here reads epsilon.  ``coeff_memo`` is the
     coefficient rows' walk memo of the fit's tree of steps.
+
+    A *saturated* degree is one whose lower F strata hold |X| members.
+    They then span R^|X|, every projected candidate is rounding residue,
+    and every combination vanishes whatever epsilon is, so there is nothing
+    for an eigensolve of A to choose: the step forms no A.  Its
+    combinations are the candidates themselves when N is exactly the
+    identity (vca), with no combination call, and otherwise the candidates
+    combined by N's whitening (:func:`~mavik.linalg.whitening`), which are
+    N-orthonormal as the eigenvectors are.  Its ``values`` are the squared
+    extents.
     """
     if t == 1:
         cands_pre = variables(X)
     else:
-        cands_pre = _candidate_products(
-            F[1], F[t - 1], dedup_pairs=(t == 2 and config.dedup_degree2)
-        )
+        # Every x f pair: f_prev in order for each member of F[1] (with the
+        # degree-2 dedup, only the members from the same position on).
+        cands_pre = multiply(F[1], F[t - 1], outer=True, upper=(t == 2 and config.dedup_degree2))
     # Every entry of the evaluation Gram is bounded by the square of this norm.
     with np.errstate(over="ignore"):
         scale = float(np.linalg.norm(_evals(cands_pre)))
@@ -327,22 +343,26 @@ def _degree_step(X, config, F, t, coeff_memo):
         raise ContractViolation(f"degree-{t} evaluations overflow float64; rescale the points")
     f_flat = [f for stratum in F for f in stratum]
     cands = orthogonal_project(cands_pre, f_flat)
-
-    # The (|X|, k) C-contiguous layout makes E^T E one syrk.
-    E = np.ascontiguousarray(_evals(cands).T)
-    A = E.T @ E
     N = normalization_gram(cands, config.mode, term_cap=config.term_cap, memo=coeff_memo)
-    res = gen_eig_sym(A, N)
-
-    new_polys = linear_combine(cands, res.vectors)
+    saturated = len(f_flat) == len(X)
+    if saturated:
+        V = whitening(N)
+        new_polys = cands if V is None else linear_combine(cands, V)
+    else:
+        # The (|X|, k) C-contiguous layout makes E^T E one syrk.
+        E = np.ascontiguousarray(_evals(cands).T)
+        res = gen_eig_sym(E.T @ E, N)
+        new_polys = linear_combine(cands, res.vectors)
     if config.mode.kind == "gradient":
         _verify_gradient_norms(new_polys.grads, config.mode.z)
 
     # Extents taken directly from the assembled evaluation vectors: the
     # Gram eigenvalues can only resolve extents down to sqrt(eps)*scale.
-    norms = np.array([math.sqrt(v.dot(v)) for v in new_polys.evals])
-    zero_floor = math.inf if len(f_flat) == len(X) else ZERO_EXTENT_REL * scale
-    return _Step(new_polys, norms, res.values, zero_floor)
+    squares = _squared_norms(new_polys.evals)
+    norms = np.sqrt(squares)
+    if saturated:
+        return _Step(new_polys, norms, squares, math.inf)
+    return _Step(new_polys, norms, res.values, ZERO_EXTENT_REL * scale)
 
 
 class Fitter:

@@ -8,6 +8,8 @@
 * :func:`gen_eig_sym` -- symmetric-definite generalized eigenproblem
   ``A V = N V Lambda`` restricted to the numerical range of ``N``, returning
   N-orthonormal eigenvectors.
+* :func:`whitening` -- an N-orthonormal basis of N's numerical range, the
+  combinations of a step whose every direction is kept (no A to solve).
 * :func:`numerical_rank` -- SVD rank with a relative cutoff, of one matrix
   or of a whole stack at once.
 """
@@ -22,7 +24,7 @@ import numpy as np
 from .core import _evals, linear_combine
 from .errors import ContractViolation, InternalInvariantViolation
 
-__all__ = ["GenEigResult", "gen_eig_sym", "orthogonal_project", "numerical_rank"]
+__all__ = ["GenEigResult", "gen_eig_sym", "whitening", "orthogonal_project", "numerical_rank"]
 
 SYMMETRY_TOL = 1e-10
 # Normalization-matrix eigenvalues at or below this fraction of the largest
@@ -32,6 +34,7 @@ RANK_TOL = 1e-12
 # problem scale) indicate a broken Gram computation rather than rounding.
 NEGATIVE_EIG_TOL = 1e-10
 ORTHONORMALITY_TOL = 1e-8
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -63,13 +66,55 @@ def _check_symmetric(M, name):
 
 def _fix_column_signs(V):
     # First component of nonnegligible magnitude made positive, per column
-    # (a zero column has no such component and stays as it is).
+    # (a zero column has no such component and stays as it is), by one
+    # multiply with +-1, in place.
     mag = np.abs(V)
     lead = (mag > 1e-12 * mag.max(axis=0)).argmax(axis=0)
-    flip = V[lead, np.arange(V.shape[1])] < 0
-    if flip.any():
-        V[:, flip] = -V[:, flip]
+    V *= np.where(V[lead, np.arange(V.shape[1])] < 0, -1.0, 1.0)
     return V
+
+
+def _is_identity(N):
+    # The first entry rules out most N that are not the identity cheaply.
+    d = N.shape[0]
+    return bool(d) and N[0, 0] == 1.0 and np.array_equal(N, np.eye(d))
+
+
+def _whiten(N):
+    """``(W, smax, s_min)``: N's whitening over its numerical range.
+
+    W = Q / sqrt(s) over the eigenpairs of N above ``RANK_TOL * smax``, in
+    eigh's ascending order, and s_min the smallest kept eigenvalue; W is
+    None when N has no positive eigenvalue.  The masked copy of Q is the
+    layout the callers' products were rounded in.
+    """
+    s, Q = np.linalg.eigh(N)
+    smax = float(s[-1]) if s.size else 0.0
+    if smax <= 0.0:
+        return None, smax, 0.0
+    # eigh's eigenvalues ascend, so the r kept ones are the last r, and smax
+    # itself is always kept.
+    keep = s > RANK_TOL * smax
+    s_min = float(s[len(s) - int(np.count_nonzero(keep))])
+    return Q[:, keep] / np.sqrt(s[keep]), smax, s_min
+
+
+def _n_normalize(V, N, smax, s_min):
+    """Check V^T N V = I, then rescale V's columns to unit N-norm and pin signs.
+
+    ``N`` None stands for the identity, whose gram is V^T V.  Verification
+    is itself limited to eps * smax / s_min, so the tolerance widens with
+    the retained condition number.  The diagonal is rescaled to exactly 1
+    so downstream norm bookkeeping (extents, gradient-norm guards) stays
+    sharp.  Returns the new V and the gram's diagonal.
+    """
+    gram = np.ascontiguousarray(V.T) @ V if N is None else V.T @ N @ V
+    diag = gram.diagonal().copy()
+    gram.flat[:: len(diag) + 1] -= 1.0
+    cond_floor = 100.0 * _EPS * smax / s_min
+    if np.abs(gram, out=gram).max() > max(ORTHONORMALITY_TOL, cond_floor):
+        raise InternalInvariantViolation("eigenvectors lost N-orthonormality")
+    return _fix_column_signs(V / np.sqrt(diag)), diag
 
 
 def gen_eig_sym(A, N):
@@ -94,23 +139,14 @@ def gen_eig_sym(A, N):
     A = _check_symmetric(A, "A")
     N = _check_symmetric(N, "N")
 
-    # The first entry rules out most N that are not the identity cheaply.
-    if d and N[0, 0] == 1.0 and np.array_equal(N, np.eye(d)):
-        W, M, r, smax, s_min = None, A, d, 1.0, 1.0
+    if _is_identity(N):
+        W, M, smax, s_min = None, A, 1.0, 1.0
     else:
-        s, Q = np.linalg.eigh(N)
-        smax = float(s[-1]) if s.size else 0.0
-        if smax <= 0.0:
+        W, smax, s_min = _whiten(N)
+        if W is None:
             # Nothing survives normalization; the caller treats this stratum
             # as contributing no polynomials.
             return GenEigResult(np.zeros((d, 0)), np.zeros(0), 0)
-        # eigh's eigenvalues ascend, so the r kept ones are the last r, and
-        # smax itself is always kept.  The masked copy of Q is the layout
-        # the products below were rounded in.
-        keep = s > RANK_TOL * smax
-        r = int(np.count_nonzero(keep))
-        s_min = float(s[d - r])
-        W = Q[:, keep] / np.sqrt(s[keep])
         M = W.T @ A @ W
         M = 0.5 * (M + M.T)
     lam, U = np.linalg.eigh(M)
@@ -138,19 +174,30 @@ def gen_eig_sym(A, N):
     # does adding 0.0 in C order: the checks below and the caller's
     # products see the same bits in the same layout.
     V = np.add(U[:, order], 0.0, order="C") if W is None else W @ U[:, order]
+    V, diag = _n_normalize(V, None if W is None else N, smax, s_min)
+    return GenEigResult(V, lam / diag, len(lam))
 
-    # Verification of V^T N V = I is itself limited to eps * smax / s_min,
-    # so the tolerance widens with the retained condition number.  The
-    # diagonal is rescaled to exactly 1 so downstream norm bookkeeping
-    # (extents, gradient-norm guards) stays sharp.
-    gram = V.T @ N @ V
-    diag = gram.diagonal()
-    cond_floor = 100.0 * np.finfo(float).eps * smax / s_min
-    if np.abs(gram - np.eye(r)).max() > max(ORTHONORMALITY_TOL, cond_floor):
-        raise InternalInvariantViolation("eigenvectors lost N-orthonormality")
-    V = _fix_column_signs(V / np.sqrt(diag))
-    lam = lam / diag
-    return GenEigResult(V, lam, r)
+
+def whitening(N):
+    """An N-orthonormal basis of N's numerical range, for a step with no A.
+
+    Where every direction is kept whatever its A-eigenvalue, the
+    generalized eigensolve of :func:`gen_eig_sym` has nothing to choose:
+    this returns the d x r matrix V of its whitening, W = Q / sqrt(s) over
+    the eigenpairs of N above ``RANK_TOL`` times the largest, in descending
+    eigenvalue order, with the same N-orthonormality check, diagonal
+    rescale and sign rule, so V^T N V = I.  An N with no positive
+    eigenvalue gives a d x 0 matrix.  An N exactly equal to the identity
+    is its own whitening, and gives None, so that the caller can skip the
+    combination.  A non-finite or asymmetric N raises ContractViolation.
+    """
+    N = _check_symmetric(np.atleast_2d(np.asarray(N, dtype=float)), "N")
+    if _is_identity(N):
+        return None
+    W, smax, s_min = _whiten(N)
+    if W is None:
+        return np.zeros((N.shape[0], 0))
+    return _n_normalize(W[:, ::-1], N, smax, s_min)[0]
 
 
 def orthogonal_project(cands, f_prev):

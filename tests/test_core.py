@@ -231,6 +231,37 @@ class TestMultiply:
             records, (i_a, i_b, i_p) = flatten([a.prov, b.prov, p.prov])
             assert records[i_p] == {"kind": "product", "left": i_a, "right": i_b}
 
+    @pytest.mark.parametrize("upper", [False, True], ids=["all", "upper"])
+    @pytest.mark.parametrize("kind", ["grad", "vca"])
+    def test_outer_products_are_the_pairwise_call_bitwise(self, upper, kind):
+        # one broadcast over the two stacked factor lists gives the values,
+        # gradients, degrees and provenance pairs of the pairwise call over
+        # the same pairs, i major; with upper only j >= i (degree 2's dedup)
+        X = sample_generic(30, 3, 0)
+        mode = NormalizationMode(kind if kind == "vca" else "gradient")
+        basis, _ = fit(X, EngineConfig(epsilon=1e-6, mode=mode))
+        lefts = basis.F[1]
+        for rights in [basis.F[1]] + ([] if upper else [basis.F[2], basis.F[3]]):
+            out = multiply(lefts, rights, outer=True, upper=upper)
+            pairs = [(i, j) for i in range(len(lefts)) for j in range(len(rights))
+                     if j >= i or not upper]
+            want = multiply([lefts[i] for i, _ in pairs], [rights[j] for _, j in pairs])
+            assert out.evals.tobytes() == want.evals.tobytes()
+            assert (out.grads is None) == (want.grads is None) == (kind == "vca")
+            if kind == "grad":
+                assert out.grads.tobytes() == want.grads.tobytes()
+            assert out.degrees == want.degrees
+            assert flatten([p.prov for p in out]) == flatten([p.prov for p in want])
+
+    def test_outer_products_of_unequal_lists(self):
+        X = generic_points(5, 2, seed=3)
+        x, y = variables(X)
+        (q,) = multiply([x], [y])
+        out = multiply([x, y], [x, y, q], outer=True, upper=True)
+        want = multiply([x, x, x, y, y], [x, y, q, y, q])
+        assert out.evals.tobytes() == want.evals.tobytes() and out.degrees == [2, 2, 3, 2, 3]
+        assert multiply([], [x], outer=True) == multiply([x], [], outer=True) == []
+
     def test_sequences_must_pair_up(self):
         X = generic_points(4, 2, seed=1)
         x, y = variables(X)

@@ -3,12 +3,13 @@ termination rules, replay, and the consistency/robustness guarantees."""
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
 from conftest import fd_gradient, generic_points, rng_for
-from mavik import core, engine, serialize
+from mavik import core, engine, linalg, serialize
 from mavik.core import PointSet, Poly, Rows, constant_poly, variables
 from mavik.datasets import sample_generic, scale, translate
 from mavik.engine import (
@@ -222,6 +223,127 @@ class TestYieldedRecord:
             assert _per_degree_bytes(basis, report) == _per_degree_bytes(*want)
 
 
+class TestSquaredNorms:
+    """The extents' batched row product is the per-row dot product, bitwise."""
+
+    @pytest.mark.parametrize("magnitude", [1e-8, 1.0, 1e8])
+    def test_random_rows(self, magnitude):
+        rng = rng_for(31)
+        for m in (1, 2, 3, 7, 50, 100, 200, 333, 1000):
+            ev = rng.normal(size=(9, m)) * magnitude * np.exp(rng.normal(size=(9, 1)))
+            want = np.array([math.sqrt(v.dot(v)) for v in ev])
+            assert np.sqrt(engine._squared_norms(ev)).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("count, dim", [(50, 3), (100, 4), (200, 3)])
+    def test_grid_rows(self, count, dim):
+        for kind in ("vca", "grad"):
+            X = sample_generic(count, dim, 0)
+            basis, _ = fit(X, EngineConfig(epsilon=1e-6, mode=mode_from_kind(kind)))
+            for stratum in basis.F[1:] + basis.G[1:]:
+                if stratum:
+                    ev = np.array([p.eval for p in stratum])
+                    want = np.array([math.sqrt(v.dot(v)) for v in ev])
+                    assert np.sqrt(engine._squared_norms(ev)).tobytes() == want.tobytes()
+
+
+# (count, dim) of generic point sets whose last degree is saturated: their F
+# strata fill R^|X| through degree 5 (20 x 2) and degree 4 (50 x 4).
+SATURATED_SHAPES = [(20, 2), (50, 4)]
+
+
+class TestSaturatedDegree:
+    """A degree whose lower F strata hold |X| members solves no eigenproblem of A."""
+
+    @staticmethod
+    def run(monkeypatch, kind, count, dim):
+        """Fit, recording what the last degree's step runs.
+
+        Returns the fit's basis and report, the shapes of the ``eigh`` calls,
+        the ``(candidates, N)`` of the normalization Grams and the weights
+        of the engine's combination calls, all of the last degree only."""
+        X = sample_generic(count, dim, 0)
+        config = EngineConfig(epsilon=1e-6, mode=mode_from_kind(kind, n_points=len(X)))
+        eighs, grams, weights = [], [], []
+        eigh, gram, combine = np.linalg.eigh, engine.normalization_gram, engine.linear_combine
+
+        def counting_eigh(M):
+            eighs.append(M.shape)
+            return eigh(M)
+
+        def capturing_gram(cands, *args, **kwargs):
+            N = gram(cands, *args, **kwargs)
+            grams.append((cands, N))
+            return N
+
+        def capturing_combine(polys, W, *args):
+            weights.append(W)
+            return combine(polys, W, *args)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(engine, "normalization_gram", capturing_gram)
+        monkeypatch.setattr(engine, "linear_combine", capturing_combine)
+        for basis, report in engine.Fitter(X).degrees(config):
+            for record in (eighs, grams, weights):
+                if report.termination != "f-empty":
+                    record.clear()
+        monkeypatch.undo()
+        assert sum(report.f_counts[:-1]) == len(X) and report.f_counts[-1] == 0
+        return X, config, basis, report, eighs, grams, weights
+
+    @pytest.mark.parametrize("count, dim", SATURATED_SHAPES)
+    @pytest.mark.parametrize("kind", ["vca", "coeff", "grad"])
+    def test_the_step_runs_no_eigensolve_of_a(self, monkeypatch, kind, count, dim):
+        # vca: none at all; coeff and grad: the eigendecomposition of N alone
+        *_, eighs, grams, _ = self.run(monkeypatch, kind, count, dim)
+        k = len(grams[0][0])
+        assert eighs == ([] if kind == "vca" else [(k, k)])
+
+    @pytest.mark.parametrize("count, dim", SATURATED_SHAPES)
+    @pytest.mark.parametrize("kind", ["vca", "coeff", "grad"])
+    def test_g_is_the_candidates_combined_by_the_whitening_of_n(self, monkeypatch, kind, count,
+                                                               dim):
+        X, config, basis, _, _, grams, weights = self.run(monkeypatch, kind, count, dim)
+        ((cands, N),) = grams
+        G = basis.G[-1]
+        if kind == "vca":
+            # no combination call: the members are the projected candidates
+            assert weights == [] and len(G) == len(cands)
+            assert [p.prov for p in G] == cands.provs
+            assert all(p.eval.tobytes() == q.tobytes() for p, q in zip(G, cands.evals))
+            return
+        (W,) = weights
+        assert W.tobytes() == linalg.whitening(N).tobytes() and W.shape == (len(cands), len(G))
+        # N-orthonormal, as the generalized eigenvectors are
+        got = normalization_gram(G, config.mode, term_cap=config.term_cap)
+        assert np.abs(got - np.eye(len(G))).max() <= 1e-8
+
+    @pytest.mark.parametrize("count, dim", SATURATED_SHAPES)
+    @pytest.mark.parametrize("kind", ["vca", "coeff", "grad"])
+    def test_spectra_are_the_squared_extents(self, monkeypatch, kind, count, dim):
+        *_, basis, report, _, _, _ = self.run(monkeypatch, kind, count, dim)
+        squares = np.array([p.eval.dot(p.eval) for p in basis.G[-1]])
+        assert report.spectra[-1].tobytes() == squares.tobytes()
+        assert np.sqrt(report.spectra[-1]).tobytes() == report.extents[-1].tobytes()
+        assert basis.extents[-1].tobytes() == report.extents[-1].tobytes()
+
+    @pytest.mark.parametrize("count, dim", SATURATED_SHAPES)
+    @pytest.mark.parametrize("kind", ["vca", "coeff", "grad"])
+    def test_a_saved_basis_replays_g_bitwise(self, monkeypatch, kind, count, dim):
+        X, _, basis, _, _, grams, _ = self.run(monkeypatch, kind, count, dim)
+        obj = json.loads(json.dumps(serialize.basis_to_json(basis, points=X)))
+        loaded = serialize.basis_from_json(obj, X)
+        G = basis.G[-1]
+        assert [p.eval.tobytes() for p in loaded.G[-1]] == [p.eval.tobytes() for p in G]
+        records = [obj["nodes"][g["root"]] for g in obj["g"][-len(G):]]
+        if kind == "vca":
+            # the projection call's columns: a lead product, weight 1.0
+            assert all(rec["weights"][0] == 1.0 for rec in records)
+            assert all(obj["nodes"][rec["children"][0]]["kind"] == "product" for rec in records)
+        else:
+            W = linalg.whitening(grams[0][1])
+            assert [rec["weights"] for rec in records] == W.T.tolist()
+
+
 class TestGradientsWhereRead:
     @pytest.mark.parametrize("mode, rule, eager", [
         (NormalizationMode.vca_baseline(), {}, False),
@@ -307,7 +429,8 @@ class TestNormalizationGram:
         for count, dim in ((50, 3), (100, 4)):
             X = sample_generic(count, dim, 1)
             fit(X, EngineConfig(epsilon=1e-6, mode=mode_from_kind(kind, n_points=len(X))))
-        assert len(pairs) == 12
+        # six degrees per fit; the last, saturated one forms no A
+        assert len(pairs) == 10
         for A, N in pairs:
             assert (A == A.T).all() and (N == N.T).all()
 

@@ -136,6 +136,49 @@ class TestIdentityNormalization:
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
             assert a.flags.c_contiguous == b.flags.c_contiguous
 
+    @pytest.mark.parametrize("d", [1, 4, 30])
+    @pytest.mark.parametrize("case", ["diagonal", "tied", "wide-range"])
+    def test_bitwise_equal_on_exact_zeros_ties_and_wide_magnitudes(self, d, case):
+        # the in-place orthonormality check and the sign multiply see
+        # eigenvectors with exact zeros, tied eigenvalues and entries from
+        # 1e-8 to 1e8 relative to each other
+        rng = rng_for(130 + d)
+        if case == "diagonal":
+            A = np.diag(rng.uniform(0.0, 1.0, d))
+        elif case == "tied":
+            A = np.diag(np.resize([2.0, 1.0, 1.0], d))
+        else:
+            D = np.diag(10.0 ** rng.uniform(-8.0, 8.0, d))
+            A = D @ random_psd(d, 140 + d) @ D
+            A = 0.5 * (A + A.T)
+        got = gen_eig_sym(A, np.eye(d))
+        want = gen_eig_whitened(A, np.eye(d))
+        for a, b in ((got.vectors, want.vectors), (got.values, want.values)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("r", [1, 5, 40])
+    @pytest.mark.parametrize("identity", [True, False], ids=["identity", "whitened"])
+    def test_in_place_check_matches_the_out_of_place_test(self, r, identity):
+        # the diagonal is copied before the check subtracts 1 from it in
+        # place, and the check accepts and rejects as |V^T N V - I| does
+        rng = rng_for(150 + r)
+        Q = np.linalg.qr(rng.normal(size=(r, r)))[0]
+        N = None if identity else random_psd(r, 160 + r) + r * np.eye(r)
+        s, P = np.linalg.eigh(np.eye(r) if identity else N)
+        base = Q if identity else (P / np.sqrt(s)) @ Q
+        for size in (1e-12, 0.3e-8, 3e-8):
+            V = base * (1.0 + size * rng.uniform(-1.0, 1.0, r))
+            gram = np.ascontiguousarray(V.T) @ V if identity else V.T @ N @ V
+            tol = max(linalg.ORTHONORMALITY_TOL, 100.0 * np.finfo(float).eps * s[-1] / s[0])
+            if np.abs(gram - np.eye(r)).max() > tol:
+                with pytest.raises(InternalInvariantViolation):
+                    linalg._n_normalize(V.copy(), N, s[-1], s[0])
+                continue
+            diag = gram.diagonal().copy()
+            got, got_diag = linalg._n_normalize(V.copy(), N, s[-1], s[0])
+            assert got_diag.tobytes() == diag.tobytes()
+            assert got.tobytes() == linalg._fix_column_signs(V / np.sqrt(diag)).tobytes()
+
     def test_skips_the_eigendecomposition_of_n(self, monkeypatch):
         calls = []
         eigh = np.linalg.eigh
@@ -157,6 +200,45 @@ class TestIdentityNormalization:
             warnings.simplefilter("error", RuntimeWarning)
             res = gen_eig_sym(A, np.eye(3))
         assert res.values[0] == pytest.approx(3e300)
+
+
+class TestWhitening:
+    """N's whitening: the combinations of a step that keeps every direction."""
+
+    @pytest.mark.parametrize("d", [1, 5, 30])
+    @pytest.mark.parametrize("n_rank", ["full", "deficient"])
+    def test_n_orthonormal_in_descending_eigenvalue_order(self, d, n_rank):
+        rank = d if n_rank == "full" else max(1, d // 2)
+        N = random_psd(d, 170 + d, rank=rank)
+        V = linalg.whitening(N)
+        assert V.shape == (d, rank)
+        assert np.abs(V.T @ N @ V - np.eye(rank)).max() <= 1e-10
+        # N V = V diag(s), with N's kept eigenvalues s descending
+        s = np.sort(np.linalg.eigvalsh(N))[::-1][:rank]
+        np.testing.assert_allclose(N @ V, V * s, atol=1e-10 * s[0] * np.abs(V).max())
+        mag = np.abs(V)
+        lead = np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0)
+        assert (V[lead, np.arange(rank)] > 0).all()
+
+    def test_is_the_eigenvectors_of_a_zero_a_in_reverse(self):
+        # gen_eig_sym of A = 0 keeps its whitening in eigh's ascending order
+        N = random_psd(6, 180)
+        np.testing.assert_allclose(linalg.whitening(N),
+                                   gen_eig_sym(np.zeros((6, 6)), N).vectors[:, ::-1],
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_identity_is_its_own_whitening(self):
+        assert linalg.whitening(np.eye(4)) is None
+        assert linalg.whitening(2.0 * np.eye(4)).shape == (4, 4)
+
+    def test_zero_n_keeps_nothing(self):
+        assert linalg.whitening(np.zeros((3, 3))).shape == (3, 0)
+
+    def test_bad_n_raises(self):
+        with pytest.raises(ContractViolation):
+            linalg.whitening(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+        with pytest.raises(ContractViolation):
+            linalg.whitening(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
 def gen_eig_reference(A, N):
