@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Fit vca, coeff and grad bases on degenerate point families and report what escapes.
 
-Five families of m points in R^n, each drawn from a fresh
+Five synthetic families of m points in R^n, each drawn from a fresh
 ``np.random.default_rng(seed)``:
 
 * generic: U(-1, 1)^(m x n);
@@ -13,10 +13,13 @@ Five families of m points in R^n, each drawn from a fresh
 * integer grid: the first m points of {0..k-1}^n in lexicographic order,
   k the smallest integer with k^n >= m (the same for every seed).
 
-Shapes are 12x2, 20x3, 30x2 and 25x4, seeds 0-1, scales 1e-6, 1e-3, 1,
-1e3 and 1e6, and every set is fitted in the three modes (z = 1) at
-epsilon 1e-6, times the scale in grad mode, whose extents scale with the
-points: 600 fits.  A ``RuntimeWarning`` counts as an error.  Every basis a
+Shapes are 12x2, 20x3, 30x2 and 25x4, seeds 0-1 and scales 1e-6, 1e-3,
+1, 1e3 and 1e6.  A sixth family holds the points of the varieties V1-V3
+as sampled, with no rescale: ``sample_variety(v, m, seed)`` for m = 30,
+50 and 100 and seeds 0-4 (V2 reaches |x| = 15.8).  Every set is fitted
+in the three modes (z = 1) at epsilon 1e-6, times the scale in grad mode,
+whose extents scale with the points: 735 fits.  A ``RuntimeWarning``
+counts as an error.  Every basis a
 fit returns is saved as JSON text and loaded on its own points; a load
 whose values differ from the fit's in any bit is a failure of kind
 ``load != fit``.  The script prints one line per fit that raises, that
@@ -37,11 +40,14 @@ import numpy as np
 
 from mavik import serialize
 from mavik.core import PointSet
+from mavik.datasets import VARIETIES, sample_variety
 from mavik.engine import EngineConfig, NormalizationMode, fit
 
 SHAPES = [(12, 2), (20, 3), (30, 2), (25, 4)]
 SEEDS = [0, 1]
 SCALES = [1e-6, 1e-3, 1.0, 1e3, 1e6]
+VARIETY_COUNTS = [30, 50, 100]
+VARIETY_SEEDS = range(5)
 MODES = {
     "vca": NormalizationMode.vca_baseline(),
     "coeff": NormalizationMode.coefficient(),
@@ -80,31 +86,41 @@ def integer_grid(r, m, n):
 FAMILIES = [generic, collinear, clustered, duplicate, integer_grid]
 
 
+def point_sets():
+    """``(family, key, X, scale)`` of every point set, in sweep order."""
+    for family, (m, n), seed, alpha in itertools.product(FAMILIES, SHAPES, SEEDS, SCALES):
+        X = PointSet(family(np.random.default_rng(seed), m, n) * alpha)
+        yield family.__name__, f"{family.__name__} {m}x{n} seed {seed} x{alpha:g}", X, alpha
+    for v, m, seed in itertools.product(VARIETIES, VARIETY_COUNTS, VARIETY_SEEDS):
+        X = sample_variety(v, m, seed)
+        yield v, f"{v} {m}x{X.n} seed {seed}", X, 1.0
+
+
 def main():
     failures = Counter()
     fits = 0
-    for family, (m, n), seed, alpha in itertools.product(FAMILIES, SHAPES, SEEDS, SCALES):
-        X = PointSet(family(np.random.default_rng(seed), m, n) * alpha)
+    for family, prefix, X, alpha in point_sets():
+        m = len(X)
         for name, mode in MODES.items():
             eps = EPSILON * alpha if name == "grad" else EPSILON
-            key = f"{family.__name__} {m}x{n} seed {seed} x{alpha:g} {name}"
+            key = f"{prefix} {name}"
             fits += 1
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error", RuntimeWarning)
                     basis, report = fit(X, EngineConfig(epsilon=eps, mode=mode))
             except Exception as exc:  # the sweep reports whatever escapes
-                failures[type(exc).__name__, family.__name__, name] += 1
+                failures[type(exc).__name__, family, name] += 1
                 print(f"{key}: {type(exc).__name__}: {exc}")
                 continue
             if sum(report.f_counts) > m:
-                failures["|F| > |X|", family.__name__, name] += 1
+                failures["|F| > |X|", family, name] += 1
                 print(f"{key}: |F| = {sum(report.f_counts)} exceeds |X| = {m}")
             text = json.dumps(serialize.basis_to_json(basis))
             loaded = serialize.basis_from_json(json.loads(text), X)
             pairs = zip(basis.f_polys() + basis.g_polys(), loaded.f_polys() + loaded.g_polys())
             if not all(p.eval.tobytes() == q.eval.tobytes() for p, q in pairs):
-                failures["load != fit", family.__name__, name] += 1
+                failures["load != fit", family, name] += 1
                 print(f"{key}: the loaded basis differs from the fit")
 
     print(f"{fits} fits, {sum(failures.values())} failed")

@@ -1,14 +1,19 @@
 #!/usr/bin/env python3
-"""Fingerprint the CLI outputs of the 34 fits of the benchmark grid.
+"""Fingerprint the CLI outputs of the 36 grid fits and the 18 variety fits.
 
 The grid is 50 points in dimensions 2-5, 100x4 and 200x3, seeds 0-1, in
-vca, grad and coeff mode (no coeff 200x3), at epsilon 1e-6.  Each fit runs
-``mavik fit --expand``, ``mavik evaluate`` on 1000 fresh points and
-``mavik reduce`` in a temporary directory, and prints one line: the key,
-the F and G profiles, and the sha256 of report.json, basis.json,
-evaluation.json, reduction.json and reduced_basis.json.  A last line holds
-the sha256 of the retrieval.json of ``mavik retrieval-test --variety V1
---runs 2 --scales 0.01,1,100``, the output that holds tuples.
+vca, grad and coeff mode, at epsilon 1e-6: it decides no G member by
+epsilon.  The variety fits do: V1-V3, seeds s = 0-1, in the three modes at
+epsilon 1e-2, each on the 50 points
+``center_and_unitbox(perturb(sample_variety(v, 50, s), 0.01, 100 + s))``.
+Each fit runs ``mavik fit --expand``, ``mavik evaluate`` on 1000 fresh
+points (``sample_generic(1000, n, 100 + s)``) and ``mavik reduce`` in a
+temporary directory, and prints one line: the key (its first four words,
+such as ``vca 50x4 seed 0`` or ``vca V2x50 seed 0``), the F and G
+profiles, and the sha256 of report.json, basis.json, evaluation.json,
+reduction.json and reduced_basis.json.  A last line holds the sha256 of
+the retrieval.json of ``mavik retrieval-test --variety V1 --runs 2
+--scales 0.01,1,100``, the output that holds tuples.
 
 Every file must be, byte for byte, the stdlib's ``json.dumps(obj,
 sort_keys=True)`` text of what it holds plus a newline; the script stops
@@ -46,10 +51,12 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 from mavik import cli  # noqa: E402
-from mavik.datasets import sample_generic, save_points  # noqa: E402
+from mavik.datasets import (VARIETIES, center_and_unitbox, perturb, sample_generic,  # noqa: E402
+                            sample_variety, save_points)
 
 SHAPES = [(50, 2), (50, 3), (50, 4), (50, 5), (100, 4), (200, 3)]
 MODES = ["vca", "grad", "coeff"]
+VARIETY_COUNT = 50
 FILES = ["report.json", "basis.json", "evaluation.json", "reduction.json", "reduced_basis.json"]
 FRESH = 1000
 RETRIEVAL = ["--variety", "V1", "--runs", "2", "--scales", "0.01,1,100"]
@@ -74,18 +81,33 @@ def run(argv):
         raise SystemExit(f"mavik {' '.join(argv)} exited {code}")
 
 
-def fingerprint(work, count, dim, seed, mode):
+def cases():
+    """``(key, X, seed, mode, eps)`` of every fit, in print order."""
+    for count, dim in SHAPES:
+        for seed in (0, 1):
+            X = sample_generic(count, dim, seed)
+            for mode in MODES:
+                yield f"{mode} {count}x{dim} seed {seed}", X, seed, mode, "1e-6"
+    for variety in VARIETIES:
+        for seed in (0, 1):
+            X = sample_variety(variety, VARIETY_COUNT, seed)
+            X = center_and_unitbox(perturb(X, 0.01, 100 + seed))
+            for mode in MODES:
+                yield f"{mode} {variety}x{VARIETY_COUNT} seed {seed}", X, seed, mode, "1e-2"
+
+
+def fingerprint(work, key, X, seed, mode, eps):
     points, fresh, out = work / "points.csv", work / "fresh.csv", work / "out"
-    save_points(sample_generic(count, dim, seed), points)
-    save_points(sample_generic(FRESH, dim, 100 + seed), fresh)
+    save_points(X, points)
+    save_points(sample_generic(FRESH, X.n, 100 + seed), fresh)
     basis = str(out / "basis.json")
-    run(["fit", "--points", str(points), "--mode", mode, "--eps", "1e-6", "--expand",
+    run(["fit", "--points", str(points), "--mode", mode, "--eps", eps, "--expand",
          "--out", str(out)])
     run(["evaluate", "--points", str(fresh), "--basis", basis, "--out", str(out)])
     run(["reduce", "--points", str(points), "--basis", basis, "--out", str(out)])
     report = json.loads((out / "report.json").read_text())
     hashes = " ".join(digest(out / name) for name in FILES)
-    return f"{mode} {count}x{dim} seed {seed} F {report['f_counts']} G {report['g_counts']} {hashes}"
+    return f"{key} F {report['f_counts']} G {report['g_counts']} {hashes}"
 
 
 def parse(lines):
@@ -132,15 +154,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
-        for count, dim in SHAPES:
-            for seed in (0, 1):
-                for mode in MODES:
-                    if mode == "coeff" and (count, dim) == (200, 3):
-                        continue
-                    work = Path(tmp) / f"{mode}-{count}x{dim}-{seed}"
-                    work.mkdir()
-                    lines.append(fingerprint(work, count, dim, seed, mode))
-                    print(lines[-1], flush=True)
+        for i, case in enumerate(cases()):
+            work = Path(tmp) / str(i)
+            work.mkdir()
+            lines.append(fingerprint(work, *case))
+            print(lines[-1], flush=True)
         out = Path(tmp) / "retrieval"
         run(["retrieval-test", *RETRIEVAL, "--out", str(out)])
         lines.append(f"retrieval-test {' '.join(RETRIEVAL)} {digest(out / 'retrieval.json')}")

@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 2 malformed or mismatched input, 3 resource cap hit,
 4 internal invariant violated (a numerical kernel broke; see the message).
-All commands are deterministic given their flags and seeds; reports embed a
-full configuration echo.  Table output is printed with three significant
+All commands are deterministic given their flags and seeds, except for the
+wall-clock times they record: ``timings.json`` of fit and retrieval-test,
+and the ``runtime_s`` column of bench-generic's table and ``bench.json``.
+Reports embed a full configuration echo.  Table output is printed with three significant
 digits; the JSON files keep full precision.
 """
 

@@ -8,11 +8,11 @@ of evaluation vectors), and solves a generalized symmetric eigenproblem
     C_t(X)^T C_t(X) V = N(C_t) V Lambda
 
 whose normalization matrix N depends on the chosen mode: the identity
-(plain VCA), the Gram of coefficient vectors, or the Gram of stacked
-per-point gradients.  Each surviving combination g = C_t v has extent of
-vanishing ||g(X)|| (equal to sqrt(lambda), and computed directly from the
-assembled evaluation vector for precision) and is classified as vanishing
-iff the extent is <= epsilon.  Directions in the numerical nullspace of N
+(plain VCA, passed as None), the Gram of coefficient vectors, or the Gram
+of stacked per-point gradients.  Each surviving combination g = C_t v has
+extent of vanishing ||g(X)|| (equal to sqrt(lambda), and computed directly
+from the assembled evaluation vector for precision) and is classified as
+vanishing iff the extent is <= epsilon.  Directions in the numerical nullspace of N
 are dropped entirely: with the coefficient or gradient normalization these
 are exactly the combinations with no polynomial content (or none visible
 at the data), which is what keeps the basis free of spuriously vanishing
@@ -21,9 +21,8 @@ members.
 Once the F strata below degree t hold |X| members they span R^|X|, and
 every candidate of degree t vanishes whatever epsilon is.  Such a
 *saturated* degree solves no eigenproblem: its G members are the projected
-candidates themselves (identity N) or the candidates combined by N's
-whitening, N-orthonormal either way, and its spectrum is their squared
-extents.
+candidates themselves (vca) or the candidates combined by N's whitening,
+N-orthonormal either way, and its spectrum is their squared extents.
 
 Each degree is one step that never reads epsilon (candidates, projection,
 Grams, eigensolve, combination), followed by the epsilon-dependent split,
@@ -186,19 +185,19 @@ def default_m_constant(pointset, mode):
 def normalization_gram(cands, mode, term_cap=DEFAULT_TERM_CAP, memo=None):
     """Normalization matrix N for a candidate stratum under ``mode``.
 
-    In gradient mode N = R R^T / z^2, where row i of R is candidate i's
+    vca has no N to form and gives None, which stands for the identity.  In
+    gradient mode N = R R^T / z^2, where row i of R is candidate i's
     (|X|, n) gradient block flattened: the C-contiguous (k, |X| n) reshape
     of the block core's ``_grads`` reads, so the product is one BLAS syrk,
     which writes one triangle and mirrors it, and N is exactly symmetric.
     ``memo`` is the coefficient rows' walk memo of coefficient mode (see
     :func:`mavik.coefficients.coeff_gram`); the other modes ignore it.
     """
-    k = len(cands)
     if mode.kind == "vca":
-        return np.eye(k)
+        return None
     if mode.kind == "coefficient":
         return coeff_gram(cands, term_cap=term_cap, memo=memo)
-    R = _grads(cands).reshape(k, -1)
+    R = _grads(cands).reshape(len(cands), -1)
     return (R @ R.T) / (mode.z**2)
 
 
@@ -316,19 +315,18 @@ def _degree_step(X, config, F, t, coeff_memo):
     variables, the flattened F strata), for one call at a time.  No kernel
     reads a candidate as a :class:`~mavik.core.Poly`, so the only rows ever
     made are the retained combinations', when the caller splits them into
-    F and G.  Both Grams are single syrk products and come out exactly
-    symmetric.  Nothing here reads epsilon.  ``coeff_memo`` is the
-    coefficient rows' walk memo of the fit's tree of steps.
+    F and G.  Both Grams (vca has no N) are single syrk products and come
+    out exactly symmetric.  Nothing here reads epsilon.  ``coeff_memo`` is
+    the coefficient rows' walk memo of the fit's tree of steps.
 
     A *saturated* degree is one whose lower F strata hold |X| members.
     They then span R^|X|, every projected candidate is rounding residue,
     and every combination vanishes whatever epsilon is, so there is nothing
     for an eigensolve of A to choose: the step forms no A.  Its
-    combinations are the candidates themselves when N is exactly the
-    identity (vca), with no combination call, and otherwise the candidates
-    combined by N's whitening (:func:`~mavik.linalg.whitening`), which are
-    N-orthonormal as the eigenvectors are.  Its ``values`` are the squared
-    extents.
+    combinations are the candidates themselves in vca, which has no N,
+    with no combination call, and otherwise the candidates combined by N's
+    whitening (:func:`~mavik.linalg.whitening`), which are N-orthonormal
+    as the eigenvectors are.  Its ``values`` are the squared extents.
     """
     if t == 1:
         cands_pre = variables(X)
@@ -346,8 +344,7 @@ def _degree_step(X, config, F, t, coeff_memo):
     N = normalization_gram(cands, config.mode, term_cap=config.term_cap, memo=coeff_memo)
     saturated = len(f_flat) == len(X)
     if saturated:
-        V = whitening(N)
-        new_polys = cands if V is None else linear_combine(cands, V)
+        new_polys = cands if N is None else linear_combine(cands, whitening(N))
     else:
         # The (|X|, k) C-contiguous layout makes E^T E one syrk.
         E = np.ascontiguousarray(_evals(cands).T)

@@ -7,7 +7,8 @@
   results.
 * :func:`gen_eig_sym` -- symmetric-definite generalized eigenproblem
   ``A V = N V Lambda`` restricted to the numerical range of ``N``, returning
-  N-orthonormal eigenvectors.
+  N-orthonormal eigenvectors; ``N`` None is the identity, with nothing to
+  whiten.
 * :func:`whitening` -- an N-orthonormal basis of N's numerical range, the
   combinations of a step whose every direction is kept (no A to solve).
 * :func:`numerical_rank` -- SVD rank with a relative cutoff, of one matrix
@@ -74,12 +75,6 @@ def _fix_column_signs(V):
     return V
 
 
-def _is_identity(N):
-    # The first entry rules out most N that are not the identity cheaply.
-    d = N.shape[0]
-    return bool(d) and N[0, 0] == 1.0 and np.array_equal(N, np.eye(d))
-
-
 def _whiten(N):
     """``(W, smax, s_min)``: N's whitening over its numerical range.
 
@@ -126,22 +121,22 @@ def gen_eig_sym(A, N):
     vectors satisfy V^T N V = I and V^T A V = diag(values).  A non-finite
     or asymmetric (beyond SYMMETRY_TOL) A or N raises ContractViolation.
 
-    An N exactly equal to the identity (plain VCA) has eigenvectors I and
-    eigenvalues 1, so whitening would change nothing: its eigendecomposition
-    and the whitening products are skipped, with the same bits in the
-    result.  The N-orthonormality check runs either way.
+    ``N`` None stands for the identity (plain VCA): nothing is whitened,
+    and V holds the eigenvectors of A itself, checked for orthonormality.
+    An N matrix is always whitened, an exact identity included, which
+    gives the same bits.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    N = np.atleast_2d(np.asarray(N, dtype=float))
-    if A.shape != N.shape or A.shape[0] != A.shape[1]:
-        raise ContractViolation("A and N must be square matrices of equal size")
     d = A.shape[0]
+    N = None if N is None else np.atleast_2d(np.asarray(N, dtype=float))
+    if A.shape != (d, d) or (N is not None and N.shape != A.shape):
+        raise ContractViolation("A and N must be square matrices of equal size")
     A = _check_symmetric(A, "A")
-    N = _check_symmetric(N, "N")
 
-    if _is_identity(N):
+    if N is None:
         W, M, smax, s_min = None, A, 1.0, 1.0
     else:
+        N = _check_symmetric(N, "N")
         W, smax, s_min = _whiten(N)
         if W is None:
             # Nothing survives normalization; the caller treats this stratum
@@ -174,7 +169,7 @@ def gen_eig_sym(A, N):
     # does adding 0.0 in C order: the checks below and the caller's
     # products see the same bits in the same layout.
     V = np.add(U[:, order], 0.0, order="C") if W is None else W @ U[:, order]
-    V, diag = _n_normalize(V, None if W is None else N, smax, s_min)
+    V, diag = _n_normalize(V, N, smax, s_min)
     return GenEigResult(V, lam / diag, len(lam))
 
 
@@ -187,13 +182,10 @@ def whitening(N):
     the eigenpairs of N above ``RANK_TOL`` times the largest, in descending
     eigenvalue order, with the same N-orthonormality check, diagonal
     rescale and sign rule, so V^T N V = I.  An N with no positive
-    eigenvalue gives a d x 0 matrix.  An N exactly equal to the identity
-    is its own whitening, and gives None, so that the caller can skip the
-    combination.  A non-finite or asymmetric N raises ContractViolation.
+    eigenvalue gives a d x 0 matrix.  A non-finite or asymmetric N raises
+    ContractViolation.
     """
     N = _check_symmetric(np.atleast_2d(np.asarray(N, dtype=float)), "N")
-    if _is_identity(N):
-        return None
     W, smax, s_min = _whiten(N)
     if W is None:
         return np.zeros((N.shape[0], 0))

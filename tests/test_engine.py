@@ -11,7 +11,8 @@ import pytest
 from conftest import fd_gradient, generic_points, rng_for
 from mavik import core, engine, linalg, serialize
 from mavik.core import PointSet, Poly, Rows, constant_poly, variables
-from mavik.datasets import sample_generic, scale, translate
+from mavik.datasets import (center_and_unitbox, perturb, sample_generic, sample_variety, scale,
+                            translate)
 from mavik.engine import (
     EngineConfig,
     NormalizationMode,
@@ -387,10 +388,31 @@ class TestNormalizationGram:
         with pytest.raises(ContractViolation, match="z must be positive"):
             NormalizationMode.gradient(z=z)
 
-    def test_vca_is_identity(self):
+    def test_vca_has_no_n(self):
         X = generic_points(4, 2, seed=6)
-        N = normalization_gram(variables(X), NormalizationMode.vca_baseline())
-        np.testing.assert_array_equal(N, np.eye(2))
+        assert normalization_gram(variables(X), NormalizationMode.vca_baseline()) is None
+
+    def test_a_vca_fit_forms_and_whitens_no_n(self, monkeypatch):
+        # every degree solves with N None; the eigh calls are those of A
+        # alone, and the saturated last degree makes none
+        Ns, eighs, whitened = [], [], []
+        eig, eigh, whitening = engine.gen_eig_sym, np.linalg.eigh, engine.whitening
+
+        def capture(A, N):
+            Ns.append(N)
+            return eig(A, N)
+
+        def counting_eigh(M):
+            eighs.append(M.shape)
+            return eigh(M)
+
+        monkeypatch.setattr(engine, "gen_eig_sym", capture)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(engine, "whitening", lambda N: whitened.append(N) or whitening(N))
+        config = EngineConfig(epsilon=1e-6, mode=NormalizationMode.vca_baseline())
+        _, report = fit(sample_generic(50, 4, 0), config)
+        assert len(Ns) == len(report.f_counts) - 2 and all(N is None for N in Ns)
+        assert len(eighs) == len(Ns) and whitened == []
 
     @pytest.mark.parametrize("as_list", [False, True], ids=["rows", "list"])
     def test_gradient_gram_matches_einsum_and_is_exactly_symmetric(self, monkeypatch, as_list):
@@ -432,7 +454,7 @@ class TestNormalizationGram:
         # six degrees per fit; the last, saturated one forms no A
         assert len(pairs) == 10
         for A, N in pairs:
-            assert (A == A.T).all() and (N == N.T).all()
+            assert (A == A.T).all() and (N is None if kind == "vca" else (N == N.T).all())
 
     def test_gradient_gram_matches_finite_difference_stacks(self):
         X = generic_points(8, 2, seed=7)
@@ -510,14 +532,52 @@ GRID_PROFILES = {
         "coeff": [0, 0, 0, 0, 0, 26, 110]}),
     (200, 3): ([1, 3, 6, 10, 15, 21, 28, 36, 45, 35, 0], {
         "vca": [0, 0, 0, 8, 15, 24, 35, 48, 63, 100, 105],
-        "grad": [0, 0, 0, 0, 0, 0, 0, 0, 0, 20, 86]}),
+        "grad": [0, 0, 0, 0, 0, 0, 0, 0, 0, 20, 86],
+        "coeff": [0, 0, 0, 0, 0, 0, 0, 0, 0, 20, 86]}),
+}
+
+# F and G profiles of the 18 variety fits of ``scripts/grid_outputs.py`` at
+# epsilon 1e-2, per mode; they decide G members by epsilon.
+VARIETY_PROFILES = {
+    ("V1", 0): {
+        "vca": ([1, 2, 3, 4, 5, 4, 5, 1, 0], [0, 0, 0, 2, 3, 6, 3, 9, 2]),
+        "grad": ([1, 2, 3, 4, 5, 6, 7, 8, 5, 2, 0], [0, 0, 0, 0, 0, 0, 0, 0, 4, 8, 4]),
+        "coeff": ([1, 2, 3, 4, 5, 3, 1, 0], [0, 0, 0, 0, 0, 3, 5, 2]),
+    },
+    ("V1", 1): {
+        "vca": ([1, 2, 3, 4, 5, 4, 3, 2, 0], [0, 0, 0, 2, 3, 6, 5, 4, 4]),
+        "grad": ([1, 2, 3, 4, 5, 6, 6, 7, 5, 5, 2, 1, 0], [0, 0, 0, 0, 0, 0, 1, 2, 6, 5, 8, 3, 2]),
+        "coeff": ([1, 2, 3, 4, 5, 1, 1, 0], [0, 0, 0, 0, 0, 5, 1, 2]),
+    },
+    ("V2", 0): {
+        "vca": ([1, 2, 3, 3, 2, 2, 1, 1, 0], [0, 1, 0, 3, 4, 2, 3, 1, 2]),
+        "grad": ([1, 2, 3, 3, 3, 3, 3, 3, 2, 1, 1, 1, 1, 0],
+                 [0, 1, 0, 1, 3, 3, 3, 3, 4, 3, 1, 1, 1, 2]),
+        "coeff": ([1, 2, 3, 3, 1, 0], [0, 1, 0, 1, 5, 2]),
+    },
+    ("V2", 1): {
+        "vca": ([1, 2, 3, 3, 2, 2, 0], [0, 1, 0, 3, 4, 2, 4]),
+        "grad": ([1, 2, 3, 3, 3, 3, 3, 3, 2, 2, 1, 1, 0], [0, 1, 0, 1, 3, 3, 3, 3, 4, 2, 3, 1, 2]),
+        "coeff": ([1, 2, 3, 3, 1, 0], [0, 1, 0, 1, 5, 2]),
+    },
+    ("V3", 0): {
+        "vca": ([1, 3, 6, 10, 13, 7, 2, 0], [0, 0, 0, 8, 17, 32, 19, 6]),
+        "grad": ([1, 3, 6, 10, 15, 11, 4, 0], [0, 0, 0, 0, 0, 10, 29, 12]),
+        "coeff": ([1, 3, 6, 10, 10, 3, 1, 0], [0, 0, 0, 0, 5, 23, 8, 3]),
+    },
+    ("V3", 1): {
+        "vca": ([1, 3, 6, 10, 11, 7, 1, 0], [0, 0, 0, 8, 19, 26, 20, 3]),
+        "grad": ([1, 3, 6, 10, 15, 11, 3, 0], [0, 0, 0, 0, 0, 10, 30, 9]),
+        "coeff": ([1, 3, 6, 10, 8, 3, 0], [0, 0, 0, 0, 7, 21, 9]),
+    },
 }
 
 
 class TestGridProfiles:
-    """The 34 fits of the benchmark grid (``scripts/grid_outputs.py``) at
-    epsilon 1e-6, with the CLI's mode settings: a rounding change that moves
-    a profile fails here, not only in the benchmark."""
+    """The 36 fits of the benchmark grid (``scripts/grid_outputs.py``) at
+    epsilon 1e-6, and its 18 variety fits at epsilon 1e-2, with the CLI's
+    mode settings: a rounding change that moves a profile, or a change to
+    the epsilon split, fails here, not only in the benchmark."""
 
     @pytest.mark.parametrize("count, dim", list(GRID_PROFILES))
     def test_profiles_and_termination(self, count, dim):
@@ -529,6 +589,15 @@ class TestGridProfiles:
                 _, report = fit(X, EngineConfig(epsilon=1e-6, mode=mode))
                 assert (report.f_counts, report.g_counts, report.termination) == (
                     f_profile, g_profile, "f-empty"), (kind, seed)
+
+    @pytest.mark.parametrize("variety, seed", list(VARIETY_PROFILES))
+    def test_variety_profiles_and_termination(self, variety, seed):
+        X = center_and_unitbox(perturb(sample_variety(variety, 50, seed), 0.01, 100 + seed))
+        for kind, (f_profile, g_profile) in VARIETY_PROFILES[variety, seed].items():
+            mode = mode_from_kind(kind, n_points=len(X))
+            _, report = fit(X, EngineConfig(epsilon=1e-2, mode=mode))
+            assert (report.f_counts, report.g_counts, report.termination) == (
+                f_profile, g_profile, "f-empty"), kind
 
 
 class TestEvaluate:
@@ -642,6 +711,18 @@ class TestStructuralInvariants:
         centres = r.uniform(-1, 1, (3, 2))
         X = PointSet(centres[r.integers(0, 3, 30)] + 1e-3 * r.normal(size=(30, 2)))
         _, report = fit(X, EngineConfig(epsilon=1e-6, mode=GRAD))
+        assert sum(report.f_counts) <= len(X) and report.termination == "f-empty"
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=InternalInvariantViolation,
+        reason="on raw V2 (|x| up to 15.8) a rounding residue of extent 5.65e-6 clears the "
+        "zero floor 1.94e-6 at degree 9 and enters F, so degree 10 reports |F| = 33 > "
+        "|X| = 30; a zero floor that tells rounding from data is ROADMAP item 5",
+    )
+    def test_raw_v2_keeps_f_within_the_point_count_in_vca(self):
+        X = sample_variety("V2", 30, 0)
+        _, report = fit(X, EngineConfig(epsilon=1e-6, mode=NormalizationMode.vca_baseline()))
         assert sum(report.f_counts) <= len(X) and report.termination == "f-empty"
 
     def test_extent_bookkeeping(self):

@@ -84,8 +84,8 @@ class TestGenEigSym:
 def gen_eig_whitened(A, N):
     """Reference: ``gen_eig_sym`` through the whitening, whatever N is.
 
-    This is the solver as it was before the identity shortcut: N is always
-    eigendecomposed and A whitened by W = Q / sqrt(s).
+    N is always eigendecomposed and A whitened by W = Q / sqrt(s), the
+    path ``gen_eig_sym`` takes for every N matrix.
     """
     A = linalg._check_symmetric(np.atleast_2d(np.asarray(A, dtype=float)), "A")
     N = linalg._check_symmetric(np.atleast_2d(np.asarray(N, dtype=float)), "N")
@@ -118,7 +118,7 @@ def gen_eig_whitened(A, N):
 
 
 class TestIdentityNormalization:
-    """An identity N skips the whitening and gives the whitened path's bits."""
+    """N None (the identity) is not whitened, and gives the whitened identity's bits."""
 
     @pytest.mark.parametrize("d", [1, 2, 3, 20, 45, 135])
     @pytest.mark.parametrize("case", ["psd", "rank-deficient", "zero"])
@@ -129,7 +129,7 @@ class TestIdentityNormalization:
             A = random_psd(d, 60 + d, rank=max(1, d // 3))
         else:
             A = np.zeros((d, d))
-        got = gen_eig_sym(A, np.eye(d))
+        got = gen_eig_sym(A, None)
         want = gen_eig_whitened(A, np.eye(d))
         assert got.retained_rank == want.retained_rank == d
         for a, b in ((got.vectors, want.vectors), (got.values, want.values)):
@@ -151,7 +151,7 @@ class TestIdentityNormalization:
             D = np.diag(10.0 ** rng.uniform(-8.0, 8.0, d))
             A = D @ random_psd(d, 140 + d) @ D
             A = 0.5 * (A + A.T)
-        got = gen_eig_sym(A, np.eye(d))
+        got = gen_eig_sym(A, None)
         want = gen_eig_whitened(A, np.eye(d))
         for a, b in ((got.vectors, want.vectors), (got.values, want.values)):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -179,7 +179,8 @@ class TestIdentityNormalization:
             assert got_diag.tobytes() == diag.tobytes()
             assert got.tobytes() == linalg._fix_column_signs(V / np.sqrt(diag)).tobytes()
 
-    def test_skips_the_eigendecomposition_of_n(self, monkeypatch):
+    def test_only_n_none_skips_the_eigendecomposition_of_n(self, monkeypatch):
+        # an N matrix is whitened even when it is exactly the identity
         calls = []
         eigh = np.linalg.eigh
 
@@ -188,11 +189,10 @@ class TestIdentityNormalization:
             return eigh(M)
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
-        gen_eig_sym(random_psd(5, 70), np.eye(5))
-        assert calls == [(5, 5)]
-        calls.clear()
-        gen_eig_sym(random_psd(5, 70), 2.0 * np.eye(5))
-        assert calls == [(5, 5), (5, 5)]
+        for N, eighs in ((None, 1), (np.eye(5), 2), (2.0 * np.eye(5), 2)):
+            calls.clear()
+            gen_eig_sym(random_psd(5, 70), N)
+            assert calls == [(5, 5)] * eighs
 
     def test_overflowing_norm_of_a_raises_no_warning(self):
         A = np.full((3, 3), 1e300)
@@ -227,8 +227,9 @@ class TestWhitening:
                                    gen_eig_sym(np.zeros((6, 6)), N).vectors[:, ::-1],
                                    rtol=1e-12, atol=1e-12)
 
-    def test_identity_is_its_own_whitening(self):
-        assert linalg.whitening(np.eye(4)) is None
+    def test_identity_is_whitened_as_any_n(self):
+        # eigh's ascending order, reversed: the identity's columns in reverse
+        assert linalg.whitening(np.eye(4)).tobytes() == np.eye(4)[:, ::-1].tobytes()
         assert linalg.whitening(2.0 * np.eye(4)).shape == (4, 4)
 
     def test_zero_n_keeps_nothing(self):
