@@ -19,26 +19,28 @@ as sampled, with no rescale: ``sample_variety(v, m, seed)`` for m = 30,
 50 and 100 and seeds 0-4 (V2 reaches |x| = 15.8).  Every set is fitted
 in the three modes (z = 1) at epsilon 1e-6, times the scale in grad mode,
 whose extents scale with the points: 735 fits.  A ``RuntimeWarning``
-counts as an error.  Every basis a
-fit returns is saved as JSON text and loaded on its own points; a load
-whose values differ from the fit's in any bit is a failure of kind
-``load != fit``.  The script prints one line per fit that raises, that
-returns more F members than points, or whose load differs, then a summary
-of the failures by kind, family and mode.  It exits 1 if any load differs,
+counts as an error.  Every basis a fit returns is saved as the CLI saves
+it (``serialize.dump_json``), read back with the CLI's basis reader and
+loaded on its own points; a load whose values differ from the fit's in
+any bit is a failure of kind ``load != fit``.  The script prints one
+line per fit that raises, that returns more F members than points, or
+whose load differs, then a summary of the failures by kind, family and
+mode.  It exits 1 if any load differs,
 else 0: fit failures are reported but do not change the exit status.
 
 Usage: PYTHONPATH=src python scripts/degenerate_sweep.py
 """
 
 import itertools
-import json
 import sys
+import tempfile
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
-from mavik import serialize
+from mavik import cli, serialize
 from mavik.core import PointSet
 from mavik.datasets import VARIETIES, sample_variety
 from mavik.engine import EngineConfig, NormalizationMode, fit
@@ -97,6 +99,12 @@ def point_sets():
 
 
 def main():
+    with tempfile.TemporaryDirectory() as tmp:
+        return sweep(Path(tmp) / "basis.json")
+
+
+def sweep(path):
+    """Run the sweep, saving each basis to ``path``; return the exit status."""
     failures = Counter()
     fits = 0
     for family, prefix, X, alpha in point_sets():
@@ -116,8 +124,8 @@ def main():
             if sum(report.f_counts) > m:
                 failures["|F| > |X|", family, name] += 1
                 print(f"{key}: |F| = {sum(report.f_counts)} exceeds |X| = {m}")
-            text = json.dumps(serialize.basis_to_json(basis))
-            loaded = serialize.basis_from_json(json.loads(text), X)
+            serialize.dump_json(serialize.basis_to_json(basis), path)
+            loaded = serialize.basis_from_json(cli._read_basis(path), X)
             pairs = zip(basis.f_polys() + basis.g_polys(), loaded.f_polys() + loaded.g_polys())
             if not all(p.eval.tobytes() == q.eval.tobytes() for p, q in pairs):
                 failures["load != fit", family, name] += 1

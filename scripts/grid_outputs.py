@@ -15,12 +15,13 @@ reduction.json and reduced_basis.json.  A last line holds the sha256 of
 the retrieval.json of ``mavik retrieval-test --variety V1 --runs 2
 --scales 0.01,1,100``, the output that holds tuples.
 
-Every file must be, byte for byte, the stdlib's ``json.dumps(obj,
-sort_keys=True)`` text of what it holds plus a newline; the script stops
-at the first file that is not.  The hash is taken of the ``json.dumps(obj,
-indent=1, sort_keys=True)`` text of what the file holds, once the input
-paths recorded under ``meta`` are removed, so two source trees that write
-the same content print the same lines whatever whitespace they write.
+Every file must be, byte for byte, ``serialize.json_bytes`` of what the
+stdlib's ``json.loads`` reads from it (mavik's canonical text); the script
+stops at the first file that is not.  The hash is taken of the
+``json.dumps(obj, indent=1, sort_keys=True)`` text of what the file holds,
+once the input paths recorded under ``meta`` are removed, so two source
+trees that write the same content print the same lines whatever
+whitespace and float spelling they write.
 mavik is imported from the import path, so compare two trees with
 
     PYTHONPATH=<tree>/src python3 scripts/grid_outputs.py > <tree>.txt
@@ -50,7 +51,7 @@ from pathlib import Path
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
-from mavik import cli  # noqa: E402
+from mavik import cli, serialize  # noqa: E402
 from mavik.datasets import (VARIETIES, center_and_unitbox, perturb, sample_generic,  # noqa: E402
                             sample_variety, save_points)
 
@@ -66,7 +67,7 @@ def digest(path):
     """sha256 of a JSON output with the paths in its ``meta`` removed."""
     raw = path.read_bytes()
     obj = json.loads(raw)
-    if raw != (json.dumps(obj, sort_keys=True) + "\n").encode():
+    if raw != serialize.json_bytes(obj):
         raise SystemExit(f"{path.name} is not the canonical JSON text of what it holds")
     for key in ("points_file", "reduced_from"):
         obj.get("meta", {}).pop(key, None)

@@ -1,11 +1,15 @@
 #!/usr/bin/env python3
-"""Time the loading of a saved grad basis, step by step.
+"""Time the saving and loading of a grad basis, step by step.
 
 For the 200x3 and 100x4 grad bases of ``sample_generic`` (seed 0, epsilon
 1e-6) the script prints the median wall time, in milliseconds over
-``REPEATS`` rounds that call every step once, of each step a load takes:
+``REPEATS`` rounds that call every step once, of the save and of each step
+a load takes:
 
-* ``json.loads`` of the compact ``basis.json`` text;
+* ``serialize.dump_json`` of the basis object to a temporary file, the
+  save of ``mavik fit``;
+* the CLI's basis reader (``cli._read_basis``) and the stdlib's
+  ``json.loads`` of the bytes that save wrote;
 * ``core.replay`` of its node list on the training points and on
   ``FRESH`` fresh points (``sample_generic(FRESH, dim, 1)``);
 * ``basis_from_json`` (which calls ``core.replay``) on the same two point
@@ -34,13 +38,15 @@ import gc
 import json
 import os
 import statistics
+import tempfile
 import time
 import tracemalloc
+from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
-from mavik import core, postprocess, serialize  # noqa: E402
+from mavik import cli, core, postprocess, serialize  # noqa: E402
 from mavik.datasets import sample_generic  # noqa: E402
 from mavik.engine import EngineConfig, NormalizationMode, evaluate, fit  # noqa: E402
 
@@ -76,20 +82,30 @@ def peak_mb(fn):
 
 def main():
     print(f"median ms of {REPEATS} rounds, one BLAS thread")
+    with tempfile.TemporaryDirectory() as tmp:
+        report(Path(tmp) / "basis.json")
+
+
+def report(path):
+    """Print the timings and heap peaks, saving each basis to ``path``."""
     config = EngineConfig(epsilon=1e-6, mode=NormalizationMode.gradient())
     for count, dim in CASES:
         X = sample_generic(count, dim, 0)
         X_new = sample_generic(FRESH, dim, 1)
         basis, _ = fit(X, config)
-        text = json.dumps(serialize.basis_to_json(basis, points=X), sort_keys=True)
-        obj = json.loads(text)
+        saved = serialize.basis_to_json(basis, points=X)
+        serialize.dump_json(saved, path)
+        data = path.read_bytes()
+        obj = cli._read_basis(path)
         loaded = serialize.basis_from_json(obj, X)
         g_polys = loaded.g_polys()
         print(f"{count}x{dim} grad: {len(obj['nodes'])} nodes, "
               f"{sum(len(rec.get('weights', ())) for rec in obj['nodes'])} weights, "
-              f"{len(text)} bytes")
+              f"{len(data)} bytes")
         steps = [
-            ("json.loads", lambda: json.loads(text)),
+            ("serialize.dump_json", lambda: serialize.dump_json(saved, path)),
+            ("cli._read_basis", lambda: cli._read_basis(path)),
+            ("json.loads", lambda: json.loads(data)),
             (f"core.replay, {count} training points", lambda: core.replay(obj["nodes"], X)),
             (f"core.replay, {FRESH} fresh points", lambda: core.replay(obj["nodes"], X_new)),
             (f"basis_from_json, {count} training points",

@@ -12,7 +12,6 @@ digits; the JSON files keep full precision.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -28,6 +27,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import numpy as np  # noqa: E402
+import orjson  # noqa: E402
 
 from . import datasets, engine, serialize  # noqa: E402
 from .coefficients import DEFAULT_TERM_CAP, expand_many  # noqa: E402
@@ -56,6 +56,14 @@ def _out_dir(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _path_text(path):
+    """``path`` as text for a file's ``meta``: its bytes on disk read as UTF-8,
+    the encoding of the files mavik writes, with any other byte escaped.
+    Under a locale that is not UTF-8, Python keeps the bytes it cannot
+    decode in an argument as lone surrogates, which UTF-8 cannot hold."""
+    return os.fsencode(path).decode("utf-8", "backslashreplace")
 
 
 def _number_list(text, kind, flag):
@@ -92,7 +100,7 @@ def cmd_fit(args):
     out = _out_dir(args)
     meta = {
         "config": config.echo(),
-        "points_file": str(args.points),
+        "points_file": _path_text(args.points),
         "input_scale": args.scale if args.scale is not None else 1.0,
     }
     serialize.dump_json(
@@ -111,8 +119,11 @@ def cmd_fit(args):
 
 
 def _read_basis(path):
+    # The bytes, not the text: orjson decodes them as the UTF-8 dump_json
+    # writes, under any locale.  It reads no NaN or infinity literal, and an
+    # int beyond 64 bits as a float, which the int fields then refuse.
     try:
-        obj = json.loads(Path(path).read_text())
+        obj = orjson.loads(Path(path).read_bytes())
     except (OSError, ValueError) as exc:
         raise ContractViolation(f"cannot read basis file: {exc}") from exc
     if not isinstance(obj, dict):
@@ -157,7 +168,7 @@ def cmd_reduce(args):
         [constant_poly(1.0, X)], report.kept, [stored[p] for p in report.kept]
     )
     kept_basis_obj = serialize.basis_to_json(
-        kept_basis, points=X, meta={"reduced_from": str(args.basis)}
+        kept_basis, points=X, meta={"reduced_from": _path_text(args.basis)}
     )
     serialize.dump_json(kept_basis_obj, out / "reduced_basis.json")
     serialize.dump_json(serialize.reduction_to_json(report), out / "reduction.json")

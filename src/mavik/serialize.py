@@ -15,21 +15,24 @@ recorded degree is checked after the replay.  Loading and re-saving a
 basis writes the same node list.  A loaded basis is values-only
 (``Poly.grad`` is None): evaluation reads values alone, and
 :mod:`mavik.postprocess` forms the gradients it reads on demand.  Every
-file is the stdlib's compact ``sort_keys=True`` JSON text, written by
-:func:`dump_json`.  Fit reports are written without timings, so reruns
-with identical inputs produce byte-identical files.
+file is written by :func:`dump_json` as the canonical text of
+:func:`json_bytes`: compact UTF-8 JSON with sorted keys and a final
+newline, each float in the shortest form that reads back to the same
+bits.  Fit reports are written without timings, so reruns with identical
+inputs produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
+import math
 import sys
 
 import numpy as np
+import orjson
 
 from .core import Basis, flatten, replay
-from .errors import ContractViolation
+from .errors import ContractViolation, InternalInvariantViolation
 from .postprocess import RESIDUAL_FLOOR
 
 __all__ = [
@@ -39,6 +42,7 @@ __all__ = [
     "basis_from_json",
     "report_to_json",
     "reduction_to_json",
+    "json_bytes",
     "dump_json",
 ]
 
@@ -53,14 +57,47 @@ def points_digest(X):
     return h.hexdigest()
 
 
+def json_bytes(obj):
+    """The canonical text of ``obj``: orjson's compact UTF-8 JSON with sorted
+    keys and a newline.  Floats are written in the shortest form that reads
+    back to the same bits (``1e-05`` as ``0.00001``, ``1e+16`` as ``1e16``).
+    Keys must be ``str``, ints must fit in 64 bits, and numpy scalars are
+    refused: each raises ``TypeError``.  orjson writes NaN and infinities
+    as ``null``; :func:`dump_json` refuses them instead."""
+    return orjson.dumps(obj, option=orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE)
+
+
+def _finite(obj):
+    """Whether every float in the dicts, lists and tuples of ``obj`` is finite.
+
+    ``obj`` is one that :func:`json_bytes` has written, so its numbers are
+    ints of at most 64 bits and exact floats: ``math.isfinite`` takes each
+    of them and raises ``TypeError`` on anything else, which sends a list
+    that holds more than numbers to the element-wise walk."""
+    if type(obj) is float:
+        return math.isfinite(obj)
+    if isinstance(obj, dict):
+        return all(map(_finite, obj.values()))
+    if isinstance(obj, (list, tuple)):
+        try:
+            return all(map(math.isfinite, obj))
+        except TypeError:
+            return all(map(_finite, obj))
+    return True
+
+
 def dump_json(obj, path):
-    """Write ``obj`` to ``path`` as ``json.dumps(obj, sort_keys=True)`` and a
-    newline, the stdlib's compact text from its C encoder.  The text is built
-    before the file is opened, so what the stdlib cannot write raises
-    ``TypeError`` and leaves no file behind."""
-    text = json.dumps(obj, sort_keys=True)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+    """Write ``json_bytes(obj)`` to ``path``.  The bytes are built and checked
+    before the file is opened, so an object :func:`json_bytes` cannot write
+    raises ``TypeError``, and one that holds a NaN or an infinity, which
+    JSON cannot represent, raises ``InternalInvariantViolation``; neither
+    leaves a file behind."""
+    data = json_bytes(obj)
+    if not _finite(obj):
+        raise InternalInvariantViolation(f"{path} would hold a NaN or an infinity, "
+                                         "which JSON cannot represent")
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def basis_to_json(basis, points=None, meta=None, expansions=None):

@@ -7,11 +7,14 @@ are built directly from construction-tree primitives.
 """
 
 import contextlib
+import json
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mavik import core, engine
+from mavik import core, engine, serialize
 from mavik.core import (
     PointSet,
     Poly,
@@ -48,6 +51,35 @@ def eager_gradients():
             build = getattr(core, name)
             patch.setattr(module, name, lambda *args, _build=build, **_: _build(*args[:2]))
         yield
+
+
+def assert_same_json(got, want):
+    """``got``, as the stdlib's ``json.loads`` read it, is ``want``: the same
+    JSON types, keys and values, with every float bit-identical (``-0.0`` is
+    not ``0.0``).  Tuples read back as lists and int subclasses as ints."""
+    if isinstance(want, float):
+        assert type(got) is float and struct.pack("<d", got) == struct.pack("<d", want), \
+            (got, want)
+    elif isinstance(want, (bool, str)) or want is None:
+        assert type(got) is type(want) and got == want, (got, want)
+    elif isinstance(want, int):
+        assert type(got) is int and got == want, (got, want)
+    elif isinstance(want, dict):
+        assert type(got) is dict and got.keys() == want.keys(), (got, want)
+        for key, value in want.items():
+            assert_same_json(got[key], value)
+    else:
+        assert type(got) is list and len(got) == len(want), (got, want)
+        for a, b in zip(got, want):
+            assert_same_json(a, b)
+
+
+def assert_canonical_json(path, obj):
+    """The file at ``path`` holds ``serialize.json_bytes(obj)``, text that the
+    stdlib reads back as ``obj`` bit for bit."""
+    raw = Path(path).read_bytes()
+    assert raw == serialize.json_bytes(obj), path
+    assert_same_json(json.loads(raw), obj)
 
 
 def fd_gradient(polys, points, h=1e-6):

@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import eager_gradients
+from conftest import assert_canonical_json, eager_gradients
 import mavik
-from mavik import engine, postprocess, serialize
+from mavik import cli, engine, postprocess, serialize
 from mavik.core import Basis, constant_poly
 from mavik.cli import main
 from mavik.datasets import sample_generic, sample_variety, save_points, scale
@@ -213,15 +213,12 @@ class TestEvaluateAndReduce:
         assert all(g.grad is not None for g in basis.g_polys())
         report = postprocess.reduce_basis(basis, X)
         assert report.removed
-        text = json.dumps(serialize.reduction_to_json(report), sort_keys=True) + "\n"
-        assert text.encode() == (red / "reduction.json").read_bytes()
+        assert_canonical_json(red / "reduction.json", serialize.reduction_to_json(report))
         stored = dict(zip(basis.g_polys(), basis.g_extents()))
         kept = Basis.from_flat([constant_poly(1.0, X)], report.kept,
                                [stored[p] for p in report.kept])
-        text = json.dumps(serialize.basis_to_json(
-            kept, points=X, meta={"reduced_from": str(fitted / "basis.json")}),
-            sort_keys=True) + "\n"
-        assert text.encode() == (red / "reduced_basis.json").read_bytes()
+        assert_canonical_json(red / "reduced_basis.json", serialize.basis_to_json(
+            kept, points=X, meta={"reduced_from": str(fitted / "basis.json")}))
 
     def test_reduce_of_a_deep_lone_g_member(self, tmp_path):
         # epsilon 0 on 350 points of a line: one G member, of degree 349,
@@ -387,6 +384,56 @@ def test_mistyped_basis_fields_exit_2(command, tamper, circle4_csv, tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["evaluate", "reduce"])
+@pytest.mark.parametrize("tamper, literal", [
+    (lambda obj: obj.update(n=2**64), "18446744073709551616"),
+    (lambda obj: obj["f"][0].update(root=2**64), "18446744073709551616"),
+    (lambda obj: _lincomb(obj)["children"].__setitem__(0, 2**64), "18446744073709551616"),
+    (_set_extent(float("nan")), "NaN"),
+    (lambda obj: _lincomb(obj)["weights"].__setitem__(0, float("inf")), "Infinity"),
+], ids=["n-beyond-64-bits", "root-beyond-64-bits", "child-beyond-64-bits", "nan-literal",
+        "infinity-literal"])
+def test_basis_text_beyond_json_numbers_exits_2(command, tamper, literal, circle4_csv,
+                                                tmp_path, capsys):
+    # the reader takes an int beyond 64 bits for a float, which no int field
+    # accepts, and refuses the stdlib's NaN and Infinity literals
+    fitted = tmp_path / "fitted"
+    main(["fit", "--points", str(circle4_csv), "--eps", "1e-8", "--out", str(fitted)])
+    obj = read_json(fitted / "basis.json")
+    tamper(obj)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    assert literal in bad.read_text()
+    capsys.readouterr()
+    out = tmp_path / "out"
+    code = main([command, "--points", str(circle4_csv), "--basis", str(bad), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_a_non_finite_output_exits_4_and_writes_no_file(circle4_csv, tmp_path, monkeypatch,
+                                                        capsys):
+    fitted, ev = tmp_path / "fitted", tmp_path / "ev"
+    assert main(["fit", "--points", str(circle4_csv), "--eps", "1e-8", "--out", str(fitted)]) == 0
+
+    def nan_evaluate(basis, X):
+        F_mat, G_mat = engine.evaluate(basis, X)
+        G_mat[0, 0] = np.nan
+        return F_mat, G_mat
+
+    monkeypatch.setattr(cli, "evaluate", nan_evaluate)
+    capsys.readouterr()
+    code = main(["evaluate", "--points", str(circle4_csv), "--basis", str(fitted / "basis.json"),
+                 "--out", str(ev)])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("internal error: ") and err.count("\n") == 1
+    assert str(ev / "evaluation.json") in err
+    assert not (ev / "evaluation.json").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -465,16 +512,37 @@ def test_missing_directory_and_malformed_input_files_exit_2(argv, tmp_path, caps
     assert not out.exists()
 
 
+def run_python(args, **env):
+    """Run ``python args`` with this checkout's mavik and ``env`` added; it
+    must exit 0."""
+    src = Path(mavik.__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src), **env}, timeout=300)
+    assert done.returncode == 0, done.stderr
+
+
+def test_non_ascii_paths_under_an_ascii_locale(tmp_path):
+    # the argument's bytes are recorded as the UTF-8 name they are, and the
+    # reader decodes basis.json's bytes as UTF-8, where text read in the
+    # locale's encoding would fail
+    pts, ascii_pts = tmp_path / "pünkte☃.csv", tmp_path / "points.csv"
+    save_points(sample_generic(20, 2, 0), pts)
+    save_points(sample_generic(20, 2, 0), ascii_pts)
+    out = tmp_path / "out"
+    ascii_locale = {"LC_ALL": "C", "LANG": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    run_python(["-m", "mavik.cli", "fit", "--points", str(pts), "--out", str(out)],
+               **ascii_locale)
+    meta = json.loads((out / "basis.json").read_bytes())["meta"]
+    assert meta["points_file"] == str(pts)
+    run_python(["-m", "mavik.cli", "reduce", "--points", str(ascii_pts),
+                "--basis", str(out / "basis.json"), "--out", str(tmp_path / "red")],
+               **ascii_locale)
+    assert read_json(tmp_path / "red" / "reduction.json")["kept_count"] > 0
+
+
 class TestThreadPin:
     """mavik pins BLAS to one thread before numpy loads, so files do not
     depend on the thread count of the environment."""
-
-    @staticmethod
-    def run_python(args, **env):
-        src = Path(mavik.__file__).resolve().parent.parent
-        done = subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": str(src), **env}, timeout=300)
-        assert done.returncode == 0, done.stderr
 
     def test_fit_bytes_do_not_depend_on_the_inherited_thread_count(self, tmp_path):
         # On a 1-core host both runs use one thread anyway, and this passes
@@ -484,15 +552,15 @@ class TestThreadPin:
         save_points(sample_generic(200, 3, 0), pts)
         outs = {threads: tmp_path / f"threads-{threads}" for threads in ("2", "1")}
         for threads, out in outs.items():
-            self.run_python(["-m", "mavik.cli", "fit", "--points", str(pts), "--mode", "grad",
-                             "--out", str(out)], OPENBLAS_NUM_THREADS=threads,
-                            OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            run_python(["-m", "mavik.cli", "fit", "--points", str(pts), "--mode", "grad",
+                        "--out", str(out)], OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
         for name in ("report.json", "basis.json"):
             assert (outs["2"] / name).read_bytes() == (outs["1"] / name).read_bytes()
 
     def test_importing_the_package_loads_no_numpy(self):
-        self.run_python(["-c", "import sys, mavik; assert 'numpy' not in sys.modules; "
-                               "mavik.fit; assert 'numpy' in sys.modules"])
+        run_python(["-c", "import sys, mavik; assert 'numpy' not in sys.modules; "
+                          "mavik.fit; assert 'numpy' in sys.modules"])
 
 
 class TestBench:

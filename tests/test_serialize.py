@@ -4,18 +4,22 @@ import dataclasses
 import enum
 import itertools
 import json
+import re
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from conftest import generic_points
+from conftest import assert_canonical_json, generic_points
 from mavik import core, serialize
 from mavik.cli import main
 from mavik.coefficients import expand_many
 from mavik.core import PointSet, replay_many
 from mavik.datasets import sample_generic, save_points
 from mavik.engine import EngineConfig, NormalizationMode, evaluate, fit
-from mavik.errors import ContractViolation
+from mavik.errors import ContractViolation, InternalInvariantViolation
 from mavik.postprocess import reduce_basis
 from mavik.retrieval import load_target_profiles, mode_from_kind, run_retrieval
 from mavik.serialize import (
@@ -198,17 +202,27 @@ def test_points_digest_is_order_sensitive():
     assert points_digest(a) == points_digest(PointSet([[1.0, 2.0], [3.0, 4.0]]))
 
 
-def stdlib_text(obj):
-    return json.dumps(obj, sort_keys=True) + "\n"
-
-
-def assert_written_as_stdlib(obj, path):
-    serialize.dump_json(obj, path)
-    assert path.read_bytes() == stdlib_text(obj).encode()
+JSON_TEXT = st.text(st.one_of(st.characters(codec="utf-8"),
+                              st.sampled_from("\x00\x1f\x7f\u2028\"\\é☃𝄞")))
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**63), 2**63 - 1),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, sys.float_info.max,
+                     -sys.float_info.max, 1e-05, 1e16, 0.1]),
+    JSON_TEXT,
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=6) | st.dictionaries(JSON_TEXT, inner, max_size=6),
+    max_leaves=40,
+)
 
 
 class TestDumpJson:
-    """``dump_json`` writes the stdlib's ``sort_keys=True`` text byte for byte."""
+    """``dump_json`` writes ``json_bytes``' canonical text, which the stdlib
+    reads back bit for bit, and refuses what that text cannot hold."""
 
     def test_every_cli_output(self, tmp_path, monkeypatch):
         # every object a command hands to dump_json, as the command built it
@@ -245,9 +259,11 @@ class TestDumpJson:
                   if path.name == "retrieval.json" for row in obj["rows"]]
         assert any(type(r) is tuple for r in ranges)
         for obj, path in written:
-            assert path.read_bytes() == stdlib_text(obj).encode(), path
+            assert_canonical_json(path, obj)
 
     def test_retrieval_table_with_float_keys_and_tuples(self, tmp_path):
+        # run_retrieval's table is keyed by the float scales; JSON keys are
+        # strings, so it is refused (the CLI writes its rows as a list)
         table = run_retrieval("V1", 0.05, [0.01, 1.0, 100.0], 2, "grad",
                               load_target_profiles()["V1"], n_points=60)
         obj = {
@@ -256,7 +272,19 @@ class TestDumpJson:
                      for alpha, outs in table["runs"].items()},
         }
         assert any(type(agg["valid_eps_range"]) is tuple for agg in obj["per_scale"].values())
-        assert_written_as_stdlib(obj, tmp_path / "table.json")
+        with pytest.raises(TypeError):
+            serialize.dump_json(obj, tmp_path / "table.json")
+        assert not (tmp_path / "table.json").exists()
+
+    def test_canonical_text(self):
+        # compact, keys sorted, UTF-8, floats in their shortest round-trip
+        # form, tuples as arrays, and a final newline
+        obj = {"b": [1e-05, 1e16, -0.0, 1.0, 2**63, -(2**63)], "a": {"é": "\x00☃"},
+               "c": (True, None), "A": 0.1}
+        assert serialize.json_bytes(obj) == (
+            '{"A":0.1,"a":{"é":"\\u0000☃"},'
+            '"b":[0.00001,1e16,-0.0,1.0,9223372036854775808,-9223372036854775808],'
+            '"c":[true,null]}\n').encode()
 
     @pytest.mark.parametrize("obj", [
         {"a": {}, "b": [], "c": [{}, [], [[]], [{}]], "d": {"e": {"f": []}}},
@@ -265,16 +293,7 @@ class TestDumpJson:
         [],
         (),
         {"t": True, "f": False, "n": None, "l": [True, False, None, 0, 1, 2.5]},
-        {True: [True, 1], False: None},
-        {None: 1},
         {"ünïcödé": "çødé ☃ 𝄞", "k": ["é", "\u2028", "\x00", "\"q\\", "\t\n"]},
-        {"big": 2**100, "l": [2**64 + 1, -(2**70), 3]},
-        {"x": float("nan"), "l": [float("nan"), float("inf"), -float("inf"), 1.5, -0.0]},
-        {float("inf"): 1, -float("inf"): 2, 1.5: 3},
-        {0.01: "a", 100.0: "b", 1.0: "c", 2.0: "d"},
-        {10: "a", 2: "b", -1: "c"},
-        [np.float64(0.1), 1.0, 2],
-        {"v": np.float64(np.inf), "w": [np.float64(-np.inf), np.float64(np.nan)]},
         {"r": (0.25, 1e-300), "s": ((1, 2), "a", (None,)), "t": [(3,), ()]},
         [[1, 2.5], [[3.0e-7]], [1e16, 123456789.125]],
         [enum.IntEnum("Level", "LOW HIGH").HIGH, 1.0],
@@ -282,9 +301,33 @@ class TestDumpJson:
         1.5,
         None,
         2**63,
+        [2**64 - 1, -(2**63), -0.0, 5e-324, sys.float_info.max, -sys.float_info.max],
     ])
     def test_edge_objects(self, tmp_path, obj):
-        assert_written_as_stdlib(obj, tmp_path / "edge.json")
+        serialize.dump_json(obj, tmp_path / "edge.json")
+        assert_canonical_json(tmp_path / "edge.json", obj)
+
+    @settings(derandomize=True, max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(JSON_VALUES)
+    def test_json_shaped_objects_round_trip_bit_for_bit(self, tmp_path, obj):
+        path = tmp_path / "value.json"
+        serialize.dump_json(obj, path)
+        assert_canonical_json(path, obj)
+        assert serialize.json_bytes(json.loads(path.read_bytes())) == path.read_bytes()
+
+    @pytest.mark.parametrize("obj", [
+        {"x": float("nan"), "l": [float("nan"), float("inf"), -float("inf"), 1.5, -0.0]},
+        float("nan"),
+        [1.0, 2, -float("inf")],
+        {"a": [{"b": (1, float("inf"))}]},
+        {"a": {"b": {"c": [[0.5], ["s", float("nan")]]}}},
+    ])
+    def test_non_finite_numbers_raise_and_leave_no_file(self, tmp_path, obj):
+        path = tmp_path / "bad.json"
+        with pytest.raises(InternalInvariantViolation, match=re.escape(str(path))):
+            serialize.dump_json(obj, path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("obj", [
         {(1, 2): "x"},
@@ -293,10 +336,18 @@ class TestDumpJson:
         [1, np.int64(3)],
         [np.bool_(True)],
         {"s": {1, 2}},
+        {True: [True, 1], False: None},
+        {None: 1},
+        {float("inf"): 1, -float("inf"): 2, 1.5: 3},
+        {0.01: "a", 100.0: "b", 1.0: "c", 2.0: "d"},
+        {10: "a", 2: "b", -1: "c"},
+        {"big": 2**100, "l": [2**64 + 1, -(2**70), 3]},
+        [2**64],
+        [-(2**63) - 1],
+        [np.float64(0.1), 1.0, 2],
+        {"v": np.float64(np.inf), "w": [np.float64(-np.inf), np.float64(np.nan)]},
     ])
     def test_unsupported_types_raise_type_error(self, tmp_path, obj):
-        with pytest.raises(TypeError):
-            json.dumps(obj, sort_keys=True)
         with pytest.raises(TypeError):
             serialize.dump_json(obj, tmp_path / "bad.json")
         assert not (tmp_path / "bad.json").exists()
