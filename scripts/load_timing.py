@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the saving and loading of a grad basis, step by step.
+"""Time the saving, loading and evaluation of a grad basis, step by step.
 
 For the 200x3 and 100x4 grad bases of ``sample_generic`` (seed 0, epsilon
 1e-6) the script prints the median wall time, in milliseconds over
@@ -14,6 +14,8 @@ a load takes:
   ``FRESH`` fresh points (``sample_generic(FRESH, dim, 1)``);
 * ``basis_from_json`` (which calls ``core.replay``) on the same two point
   sets;
+* ``engine.evaluate`` of the fitted, in-memory basis on the fresh points,
+  which runs the fit's per-degree matrices (``basis.chain``);
 * the on-demand gradient replay of the loaded G members on the training
   points, the ``replay_many(..., grads=True)`` that ``mavik reduce``
   makes.
@@ -58,10 +60,13 @@ REPEATS = 21
 def median_ms(steps):
     """Median wall time in milliseconds of each of the callables ``steps``
     over ``REPEATS`` rounds, each round calling every step once, so that a
-    slow spell of the host slows every step alike."""
+    slow spell of the host slows every step alike.  An untimed
+    ``gc.collect()`` before each call keeps the garbage one step leaves
+    from being collected in the next one's timing."""
     times = [[] for _ in steps]
     for _ in range(REPEATS):
         for fn, spent in zip(steps, times):
+            gc.collect()
             start = time.perf_counter()
             fn()
             spent.append(time.perf_counter() - start)
@@ -112,6 +117,7 @@ def report(path):
              lambda: serialize.basis_from_json(obj, X)),
             (f"basis_from_json, {FRESH} fresh points",
              lambda: serialize.basis_from_json(obj, X_new)),
+            (f"in-memory evaluate, {FRESH} fresh points", lambda: evaluate(basis, X_new)),
             (f"gradient replay of {len(g_polys)} G members",
              lambda: core.replay_many(g_polys, X.points, grads=True)),
         ]

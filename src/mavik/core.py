@@ -46,6 +46,14 @@ point set, checking a stored call's columns at once and running its
 kernel as soon as its run of records ends: the fit's own calls, so a
 loaded basis gives the fit's values bitwise too (see :func:`replay` for
 the one exception).
+
+Who reads the DAG: :func:`flatten` for the save, the coefficient
+expansion (:mod:`mavik.coefficients`), :func:`replay_many` for the
+gradients that the post-processing reads, and ``engine.evaluate`` of a
+basis without its fit's chain (a loaded or hand-built one, or one whose
+lists were edited to other counts).  A fitted basis evaluates new points
+through its ``chain``, the fit's per-degree matrices (``engine.Chain``),
+with the same bits.
 """
 
 from __future__ import annotations
@@ -203,8 +211,9 @@ class Rows:
     evaluations and ``grads`` the (r, m, n) block of their gradients, or
     None for values-only outputs: the values and layout stacking the rows
     gives, so BLAS returns the same bits.  ``degrees`` lists the r
-    construction degrees, ``points`` is the point set and ``provs`` gives
-    the r provenance pairs, ``(node, j)`` for row j.
+    construction degrees, ``points`` is the point set, ``node`` the call's
+    provenance node and ``provs`` the r provenance pairs, ``(node, j)``
+    for row j.
 
     Kernels and Grams read these without making any :class:`Poly`: a fit's
     candidates and projected candidates never become objects.  The rows are
@@ -215,7 +224,7 @@ class Rows:
     (no provenance node does), so a kernel's blocks do not outlive them.
     """
 
-    __slots__ = ("evals", "grads", "degrees", "points", "_node", "_polys")
+    __slots__ = ("evals", "grads", "degrees", "points", "node", "_polys")
 
     def __init__(self, degrees, evals, grads, node, points):
         r, m = len(degrees), len(points)
@@ -225,18 +234,18 @@ class Rows:
         if grads is not None:
             grads.setflags(write=False)
         self.degrees, self.evals, self.grads, self.points = degrees, evals, grads, points
-        self._node, self._polys = node, None
+        self.node, self._polys = node, None
 
     @property
     def provs(self):
         """The provenance pair of each row, without making the rows."""
-        node = self._node
+        node = self.node
         return [(node, j) for j in range(len(self.degrees))]
 
     def _members(self):
         """The :class:`Poly` rows, made on the first call and kept."""
         if self._polys is None:
-            ev, gr, node, points = self.evals, self.grads, self._node, self.points
+            ev, gr, node, points = self.evals, self.grads, self.node, self.points
             polys = []
             for j, d in enumerate(self.degrees):
                 p = Poly.__new__(Poly)
@@ -624,12 +633,16 @@ class Basis:
 
     ``F[t]`` / ``G[t]`` hold the nonvanishing / vanishing polynomials of
     degree t; ``extents[t]`` holds the recorded ||g(X)|| for each member of
-    ``G[t]`` in order.
+    ``G[t]`` in order.  ``chain`` is the fit's record of its per-degree
+    matrices (:class:`mavik.engine.Chain`), which ``engine.evaluate`` runs
+    on new points instead of walking the provenance DAG; a basis that no
+    fit built (:meth:`from_flat`, a loaded or a hand-built one) has None.
     """
 
     F: list = field(default_factory=list)
     G: list = field(default_factory=list)
     extents: list = field(default_factory=list)
+    chain: object = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_flat(cls, f_polys, g_polys, g_extents):

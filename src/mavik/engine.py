@@ -38,7 +38,10 @@ constant, so its polynomials are values-only (``Poly.grad`` is None).
 Their gradients, if wanted, come from :func:`replay_many` with
 ``grads=True`` on the fit's points, which re-runs the fit's kernel calls
 with gradients and gives, bitwise, what the fit would have formed.
-:func:`evaluate` replays values only.
+:func:`evaluate` forms values only: a fitted basis runs its
+:class:`Chain`, the projection and combination matrices its steps made,
+one block per degree, and any other basis replays its provenance DAG;
+both give the fit's kernel calls' values, bit for bit.
 
 :class:`Fitter` keeps every step it computes, so fits of one point set at
 several epsilons share every degree whose lower degrees they split alike.
@@ -53,8 +56,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coefficients import DEFAULT_TERM_CAP, coeff_gram
-from .core import (Basis, _evals, _grads, constant_poly, linear_combine, multiply, replay_many,
-                   variables)
+from .core import (Basis, PointSet, Rows, _evals, _grads, constant_poly, linear_combine, multiply,
+                   replay_many, variables)
 from .errors import ContractViolation, InternalInvariantViolation
 from .linalg import gen_eig_sym, numerical_rank, orthogonal_project, whitening
 
@@ -294,13 +297,75 @@ class _Step:
     ``extents`` their evaluation norms, ``values`` the generalized
     eigenvalues (at a saturated degree, the squared extents) and
     ``zero_floor`` the extent below which a combination is a floating-point
-    zero.
+    zero.  ``weights`` is the projection's weight matrix W_t (|F_<t| x k_t)
+    and ``vectors`` the combination's V_t (k_t x r_t), None at a saturated
+    vca degree, whose members are the projected candidates themselves: the
+    read-only arrays of the two calls' provenance nodes.  ``weights`` is
+    None when the projection made no call (a plain list came back).
     """
 
     polys: list
     extents: np.ndarray
     values: np.ndarray
     zero_floor: float
+    weights: np.ndarray | None
+    vectors: np.ndarray | None
+
+
+@dataclass
+class Chain:
+    """A fit's per-degree matrices, which :func:`evaluate` runs on new points.
+
+    ``const`` is the constant's value and ``dedup`` the degree-2 dedup
+    flag.  ``degrees[t - 1]`` is degree t's ``(W, V, keep)``: the
+    projection weights W_t and the combination V_t of its :class:`_Step`
+    (the provenance nodes' own arrays, so the chain copies nothing) and
+    its F mask.  Degree t's candidates follow from the F counts and
+    ``dedup``: every product of an F_1 member with an F_(t-1) member, F_1
+    major, at degree 2 under dedup only those from the same position on --
+    the products ``multiply`` forms.
+    """
+
+    const: float
+    dedup: bool
+    degrees: list = field(default_factory=list)
+
+    def profiles(self):
+        """The F and G counts per degree, as ``Basis.f_profile``/``g_profile`` give them."""
+        f_counts = [int(np.count_nonzero(keep)) for _, _, keep in self.degrees]
+        return [1, *f_counts], [0, *(len(keep) - f for (_, _, keep), f in zip(self.degrees, f_counts))]
+
+    def values(self, pts):
+        """The (r, m) block of the basis's values on the finite (m, n) ``pts``.
+
+        Its rows are the F strata, then the G strata, each in stratum order.
+        Per degree: the candidates by one broadcast of F_1's block against
+        F_(t-1)'s, the projection ``C_t + W_t^T F_<t``, the combination
+        ``V_t^T P_t`` and the split by the mask.  Every block has the values
+        and the C layout that :func:`~mavik.core.replay_many` stacks for the
+        same kernel call, so BLAS returns its bits; F_<t is a leading slice
+        of the block.
+        """
+        m = len(pts)
+        f_counts, g_counts = self.profiles()
+        f_ends = np.cumsum(f_counts).tolist()  # F_t is out[f_ends[t - 1]:f_ends[t]] for t >= 1
+        g_ends = (f_ends[-1] + np.cumsum(g_counts)).tolist()
+        out = np.empty((g_ends[-1], m))
+        out[0] = self.const
+        for t, (W, V, keep) in enumerate(self.degrees, 1):
+            if t == 1:
+                C = np.ascontiguousarray(pts.T)
+            else:
+                F1, Fp = out[1:f_ends[1]], out[f_ends[t - 2]:f_ends[t - 1]]
+                C = (F1[:, None] * Fp[None]).reshape(-1, m)
+                if t == 2 and self.dedup:
+                    k = len(F1)
+                    C = C[[i * k + j for i in range(k) for j in range(i, k)]]
+            P = C + W.T @ out[:f_ends[t - 1]]
+            members = P if V is None else V.T @ P
+            out[f_ends[t - 1]:f_ends[t]] = members[keep]
+            out[g_ends[t - 1]:g_ends[t]] = members[~keep]
+        return out
 
 
 def _degree_step(X, config, F, t, coeff_memo):
@@ -327,6 +392,10 @@ def _degree_step(X, config, F, t, coeff_memo):
     with no combination call, and otherwise the candidates combined by N's
     whitening (:func:`~mavik.linalg.whitening`), which are N-orthonormal
     as the eigenvectors are.  Its ``values`` are the squared extents.
+
+    The step keeps the weight matrices of its projection and combination
+    calls, the arrays their provenance nodes hold, for the basis's
+    :class:`Chain`.
     """
     if t == 1:
         cands_pre = variables(X)
@@ -357,9 +426,11 @@ def _degree_step(X, config, F, t, coeff_memo):
     # Gram eigenvalues can only resolve extents down to sqrt(eps)*scale.
     squares = _squared_norms(new_polys.evals)
     norms = np.sqrt(squares)
+    weights = cands.node.weights if isinstance(cands, Rows) else None
+    vectors = None if new_polys is cands else new_polys.node.weights
     if saturated:
-        return _Step(new_polys, norms, squares, math.inf)
-    return _Step(new_polys, norms, res.values, ZERO_EXTENT_REL * scale)
+        return _Step(new_polys, norms, squares, math.inf, weights, vectors)
+    return _Step(new_polys, norms, res.values, ZERO_EXTENT_REL * scale, weights, vectors)
 
 
 class Fitter:
@@ -456,7 +527,8 @@ class Fitter:
         scoped = config.mode.kind in ("coefficient", "gradient") and m > n
         g_bound = n * (m - n) if scoped and m >= math.comb(n + 2, n) else math.inf
 
-        basis = Basis(F=[[self._const]], G=[[]], extents=[np.zeros(0)])
+        basis = Basis(F=[[self._const]], G=[[]], extents=[np.zeros(0)],
+                      chain=Chain(self._m_const, config.dedup_degree2))
         report = FitReport(config=config.echo(), n=n, n_points=m, m_constant=self._m_const,
                            f_counts=[1], g_counts=[0])
         F, G = basis.F, basis.G
@@ -471,6 +543,10 @@ class Fitter:
             F.append([p for p, k in zip(step.polys, mask) if k])
             G.append([p for p, k in zip(step.polys, mask) if not k])
             basis.extents.append(step.extents[~keep])
+            if step.weights is None:
+                basis.chain = None
+            elif basis.chain is not None:
+                basis.chain.degrees.append((step.weights, step.vectors, keep))
             report.f_counts.append(len(F[t]))
             report.g_counts.append(len(G[t]))
             report.spectra.append(step.values)
@@ -524,21 +600,30 @@ def evaluate(basis, X_new):
     Returns (F_matrix, G_matrix) whose columns follow the degree-stratified
     order of the basis: the stored evaluation vectors when ``X_new`` is the
     basis's point set (a basis loaded on those points, or the training
-    set), else a replay.  An empty or non-finite ``X_new`` (checked by
-    :class:`PointSet`), or points so far beyond the training scale that a
+    set).  On other points a fitted basis runs its :class:`Chain`, one
+    block per degree, when the chain's per-degree counts are the basis's
+    F/G profile; any other basis (a loaded or hand-built one, or one whose
+    lists were edited to other counts) is replayed through its provenance
+    DAG (:func:`replay_many`).  Both give the fit's kernel calls' values,
+    bit for bit.  ``X_new`` is checked as :class:`PointSet` checks points,
+    whichever way it goes: points that are empty, non-finite, not 2-d or
+    not in the training n, or so far beyond the training scale that a
     value overflows float64, raise ``ContractViolation``.
     """
     f_polys = basis.f_polys()
     polys = f_polys + basis.g_polys()
     if X_new is basis.pointset:
-        values = [p.eval for p in polys]
+        E = np.column_stack([p.eval for p in polys])
     else:
-        pts = X_new.points if hasattr(X_new, "points") else np.asarray(X_new, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != basis.n:
+        pts = (X_new if isinstance(X_new, PointSet) else PointSet(X_new)).points
+        if pts.shape[1] != basis.n:
             raise ContractViolation("new points must be m x n with the training n")
+        chain = basis.chain
         with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
-            values = [ev for ev, _ in replay_many(polys, pts)]
-    E = np.column_stack(values)
+            if chain is not None and chain.profiles() == (basis.f_profile(), basis.g_profile()):
+                E = np.ascontiguousarray(chain.values(pts).T)
+            else:
+                E = np.column_stack([ev for ev, _ in replay_many(polys, pts)])
     if not np.isfinite(E).all():
         raise ContractViolation("evaluations overflow float64 on these points; rescale the points")
     return E[:, : len(f_polys)], E[:, len(f_polys) :]

@@ -573,31 +573,53 @@ VARIETY_PROFILES = {
 }
 
 
+def _no_replay(*args, **kwargs):
+    raise AssertionError("evaluate replayed a basis that holds its chain")
+
+
+def assert_chain_is_replay(basis, X_new):
+    """``evaluate`` of ``basis`` on ``X_new`` runs the chain, not the DAG
+    walk, and gives ``core.replay_many``'s values bit for bit."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "replay_many", _no_replay)
+        F_mat, G_mat = evaluate(basis, X_new)
+    polys = basis.f_polys() + basis.g_polys()
+    replayed = np.column_stack([ev for ev, _ in core.replay_many(polys, X_new.points)])
+    assert (F_mat.shape[1], G_mat.shape[1]) == (sum(basis.f_profile()), sum(basis.g_profile()))
+    assert np.column_stack([F_mat, G_mat]).tobytes() == replayed.tobytes()
+
+
 class TestGridProfiles:
     """The 36 fits of the benchmark grid (``scripts/grid_outputs.py``) at
     epsilon 1e-6, and its 18 variety fits at epsilon 1e-2, with the CLI's
     mode settings: a rounding change that moves a profile, or a change to
-    the epsilon split, fails here, not only in the benchmark."""
+    the epsilon split, fails here, not only in the benchmark.  Each fitted
+    basis runs its chain on 300 fresh points, bit for bit as the DAG
+    replay."""
 
     @pytest.mark.parametrize("count, dim", list(GRID_PROFILES))
     def test_profiles_and_termination(self, count, dim):
         f_profile, g_profiles = GRID_PROFILES[(count, dim)]
         for seed in (0, 1):
             X = sample_generic(count, dim, seed)
+            fresh = sample_generic(300, dim, 100 + seed)
             for kind, g_profile in g_profiles.items():
                 mode = mode_from_kind(kind, n_points=len(X))
-                _, report = fit(X, EngineConfig(epsilon=1e-6, mode=mode))
+                basis, report = fit(X, EngineConfig(epsilon=1e-6, mode=mode))
                 assert (report.f_counts, report.g_counts, report.termination) == (
                     f_profile, g_profile, "f-empty"), (kind, seed)
+                assert_chain_is_replay(basis, fresh)
 
     @pytest.mark.parametrize("variety, seed", list(VARIETY_PROFILES))
     def test_variety_profiles_and_termination(self, variety, seed):
         X = center_and_unitbox(perturb(sample_variety(variety, 50, seed), 0.01, 100 + seed))
+        fresh = sample_generic(300, X.n, 100 + seed)
         for kind, (f_profile, g_profile) in VARIETY_PROFILES[variety, seed].items():
             mode = mode_from_kind(kind, n_points=len(X))
-            _, report = fit(X, EngineConfig(epsilon=1e-2, mode=mode))
+            basis, report = fit(X, EngineConfig(epsilon=1e-2, mode=mode))
             assert (report.f_counts, report.g_counts, report.termination) == (
                 f_profile, g_profile, "f-empty"), kind
+            assert_chain_is_replay(basis, fresh)
 
 
 class TestEvaluate:
@@ -637,6 +659,35 @@ class TestEvaluate:
         with pytest.raises(ContractViolation):
             evaluate(basis, PointSet([[1.0, 2.0, 3.0]]))
 
+    @pytest.mark.parametrize("points, message", [
+        ([[0.1, np.nan], [0.2, 0.3]], "points must be finite"),
+        ([[0.1, np.inf], [0.2, 0.3]], "points must be finite"),
+        (np.zeros((0, 2)), "need at least one point and one coordinate"),
+        (np.array([0.1, 0.2]), "points must be a 2-d array"),
+        ([[0.1, 0.2, 0.3]], "new points must be m x n with the training n"),
+        ([[[0.1, 0.2]], [[0.3, 0.4]]], "points must be a 2-d array"),
+    ], ids=["nan", "inf", "empty", "1-d", "wrong-n", "nested-3-d"])
+    def test_bad_points_raise_alike_on_both_paths(self, points, message):
+        # checked before the fitted basis runs its chain and before the
+        # loaded one replays its DAG
+        X = sample_generic(30, 2, 0)
+        basis, _ = fit(X, EngineConfig(epsilon=1e-6, mode=GRAD))
+        loaded = serialize.basis_from_json(serialize.basis_to_json(basis), X)
+        assert basis.chain is not None and loaded.chain is None
+        for b in (basis, loaded):
+            with pytest.raises(ContractViolation, match=message):
+                evaluate(b, points)
+
+    def test_a_nested_list_is_its_array(self):
+        X = sample_generic(30, 2, 0)
+        basis, _ = fit(X, EngineConfig(epsilon=1e-6, mode=GRAD))
+        loaded = serialize.basis_from_json(serialize.basis_to_json(basis), X)
+        fresh = sample_generic(20, 2, 1).points
+        want = np.column_stack(evaluate(basis, PointSet(fresh)))
+        for b in (basis, loaded):
+            got = np.column_stack(evaluate(b, fresh.tolist()))
+            assert got.tobytes() == want.tobytes()
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_points_raise_without_warnings(self):
         # the high-degree members overflow float64 on points 1e40 times the
@@ -647,6 +698,107 @@ class TestEvaluate:
         for b in (basis, loaded):
             with pytest.raises(ContractViolation, match="overflow float64 on these points"):
                 evaluate(b, big)
+
+
+class TestChain:
+    """A fitted basis evaluates new points through its chain of per-degree
+    matrices, bit for bit as the DAG replay; any other basis replays."""
+
+    FRESH = sample_generic(300, 3, 7)
+
+    @pytest.mark.parametrize("kind", ["vca", "grad", "coeff"])
+    def test_without_the_degree_2_dedup(self, kind):
+        X = sample_generic(50, 3, 0)
+        mode = mode_from_kind(kind, n_points=len(X))
+        basis, _ = fit(X, EngineConfig(epsilon=1e-6, mode=mode, dedup_degree2=False))
+        assert not basis.chain.dedup
+        assert_chain_is_replay(basis, self.FRESH)
+
+    @pytest.mark.parametrize("kind", ["vca", "grad", "coeff"])
+    def test_a_max_degree_cap(self, kind):
+        X = sample_generic(50, 3, 1)
+        mode = mode_from_kind(kind, n_points=len(X))
+        basis, report = fit(X, EngineConfig(epsilon=1e-6, mode=mode, max_degree=3))
+        assert report.termination == "max-degree" and len(basis.chain.degrees) == 3
+        assert_chain_is_replay(basis, self.FRESH)
+
+    def test_a_fit_stopped_after_degree_2(self):
+        X = sample_generic(50, 3, 2)
+        for basis, _ in engine.Fitter(X).degrees(EngineConfig(epsilon=1e-6, mode=GRAD)):
+            if len(basis.F) == 3:
+                break
+        assert len(basis.chain.degrees) == 2
+        assert_chain_is_replay(basis, self.FRESH)
+
+    def test_a_saturated_vca_degree(self):
+        # 50 generic points in the plane: F reaches |X| at degree 9, so
+        # degree 10's members are the projected candidates, with no V
+        X = sample_generic(50, 2, 0)
+        basis, _ = fit(X, EngineConfig(epsilon=1e-6, mode=NormalizationMode.vca_baseline()))
+        assert [V is None for _, V, _ in basis.chain.degrees][-1]
+        assert_chain_is_replay(basis, sample_generic(300, 2, 7))
+
+    def test_the_split_follows_the_mask(self):
+        # a fitted mask is a prefix, F first in eigenvalue order, so reverse
+        # the top degree's mask and its F and G lists together: the lists
+        # still hold the chain's members, split by the new mask
+        basis, _ = fit(sample_generic(50, 3, 0), EngineConfig(epsilon=1e-6, mode=GRAD, max_degree=5))
+        W, V, keep = basis.chain.degrees[-1]
+        members = [*basis.F[5], *basis.G[5]]
+        assert keep[:len(basis.F[5])].all() and 0 < len(basis.F[5]) < len(members)
+        flipped = keep[::-1].copy()
+        basis.chain.degrees[-1] = (W, V, flipped)
+        basis.F[5] = [p for p, k in zip(members, flipped) if k]
+        basis.G[5] = [p for p, k in zip(members, flipped) if not k]
+        assert_chain_is_replay(basis, self.FRESH)
+
+    def count_replays(self, monkeypatch):
+        calls = []
+        real = engine.replay_many
+
+        def counted(polys, points, grads=False):
+            calls.append(len(polys))
+            return real(polys, points, grads)
+
+        monkeypatch.setattr(engine, "replay_many", counted)
+        return calls
+
+    def test_edited_lists_and_flat_copies_replay(self, monkeypatch):
+        X = sample_generic(50, 3, 0)
+        basis, _ = fit(X, EngineConfig(epsilon=1e-6, mode=GRAD))
+        flat = core.Basis.from_flat(basis.f_polys(), basis.g_polys(), basis.g_extents())
+        edited, _ = fit(X, EngineConfig(epsilon=1e-6, mode=GRAD))
+        edited.G[-1] = edited.G[-1][1:]
+        edited.extents[-1] = edited.extents[-1][1:]
+        calls = self.count_replays(monkeypatch)
+        for b in (flat, edited):
+            assert b.chain is None or b.chain.profiles() != (b.f_profile(), b.g_profile())
+            F_mat, G_mat = evaluate(b, self.FRESH)
+            polys = b.f_polys() + b.g_polys()
+            assert calls[-1] == len(polys) == F_mat.shape[1] + G_mat.shape[1]
+        assert len(calls) == 2
+
+    def test_a_projection_that_makes_no_call_leaves_no_chain(self, monkeypatch):
+        # a projection returning a plain list has no weights to record, so
+        # the basis keeps no chain and evaluate replays it
+        real = engine.orthogonal_project
+        monkeypatch.setattr(engine, "orthogonal_project", lambda c, f: list(real(c, f)))
+        basis, _ = fit(sample_generic(50, 3, 0), EngineConfig(epsilon=1e-6, mode=GRAD))
+        assert basis.chain is None
+        calls = self.count_replays(monkeypatch)
+        evaluate(basis, self.FRESH)
+        assert calls == [sum(basis.f_profile()) + sum(basis.g_profile())]
+
+    def test_the_chain_holds_the_provenance_nodes_arrays(self):
+        basis, _ = fit(sample_generic(50, 3, 0), EngineConfig(epsilon=1e-6, mode=GRAD))
+        for t, (W, V, keep) in enumerate(basis.chain.degrees, 1):
+            members = [*basis.F[t], *basis.G[t]]
+            combination = members[0].prov[0] if members else None
+            if combination is not None:
+                assert V is combination.weights
+                assert W is combination.children[0][0].weights
+            assert not W.flags.writeable and (V is None or not V.flags.writeable)
+            assert keep.sum() == len(basis.F[t])
 
 
 class TestDimensionTermination:
