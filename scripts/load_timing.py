@@ -3,8 +3,9 @@
 
 For the 200x3 and 100x4 grad bases of ``sample_generic`` (seed 0, epsilon
 1e-6) the script prints the median wall time, in milliseconds over
-``REPEATS`` rounds that call every step once, of the save and of each step
-a load takes:
+``REPEATS`` rounds that call every step once, each round starting one
+step later than the one before, of the save and of each step a load
+takes:
 
 * ``serialize.dump_json`` of the basis object to a temporary file, the
   save of ``mavik fit``;
@@ -60,16 +61,19 @@ REPEATS = 21
 def median_ms(steps):
     """Median wall time in milliseconds of each of the callables ``steps``
     over ``REPEATS`` rounds, each round calling every step once, so that a
-    slow spell of the host slows every step alike.  An untimed
+    slow spell of the host slows every step alike.  Round r starts at step
+    r mod the step count and goes round in order, so every step runs first,
+    and after every other step, in some rounds.  An untimed
     ``gc.collect()`` before each call keeps the garbage one step leaves
     from being collected in the next one's timing."""
     times = [[] for _ in steps]
-    for _ in range(REPEATS):
-        for fn, spent in zip(steps, times):
+    for r in range(REPEATS):
+        for i in range(len(steps)):
+            j = (r + i) % len(steps)
             gc.collect()
             start = time.perf_counter()
-            fn()
-            spent.append(time.perf_counter() - start)
+            steps[j]()
+            times[j].append(time.perf_counter() - start)
     return [1e3 * statistics.median(spent) for spent in times]
 
 

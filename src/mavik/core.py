@@ -50,8 +50,8 @@ the one exception).
 Who reads the DAG: :func:`flatten` for the save, the coefficient
 expansion (:mod:`mavik.coefficients`), :func:`replay_many` for the
 gradients that the post-processing reads, and ``engine.evaluate`` of a
-basis without its fit's chain (a loaded or hand-built one, or one whose
-lists were edited to other counts).  A fitted basis evaluates new points
+basis whose lists are not its fit's chain's (a loaded, hand-built,
+``from_flat`` or edited one).  A fitted basis evaluates new points
 through its ``chain``, the fit's per-degree matrices (``engine.Chain``),
 with the same bits.
 """
@@ -633,10 +633,10 @@ class Basis:
 
     ``F[t]`` / ``G[t]`` hold the nonvanishing / vanishing polynomials of
     degree t; ``extents[t]`` holds the recorded ||g(X)|| for each member of
-    ``G[t]`` in order.  ``chain`` is the fit's record of its per-degree
-    matrices (:class:`mavik.engine.Chain`), which ``engine.evaluate`` runs
-    on new points instead of walking the provenance DAG; a basis that no
-    fit built (:meth:`from_flat`, a loaded or a hand-built one) has None.
+    ``G[t]`` in order.  ``chain`` is the fit's per-degree matrices and
+    split lists (:class:`mavik.engine.Chain`), which ``engine.evaluate``
+    runs on new points while ``F`` and ``G`` are those lists; a basis that
+    no fit built (:meth:`from_flat`, a loaded or hand-built one) has None.
     """
 
     F: list = field(default_factory=list)

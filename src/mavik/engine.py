@@ -38,10 +38,10 @@ constant, so its polynomials are values-only (``Poly.grad`` is None).
 Their gradients, if wanted, come from :func:`replay_many` with
 ``grads=True`` on the fit's points, which re-runs the fit's kernel calls
 with gradients and gives, bitwise, what the fit would have formed.
-:func:`evaluate` forms values only: a fitted basis runs its
-:class:`Chain`, the projection and combination matrices its steps made,
-one block per degree, and any other basis replays its provenance DAG;
-both give the fit's kernel calls' values, bit for bit.
+:func:`evaluate` forms values only: a fitted basis whose lists are the
+ones its fit split runs its :class:`Chain`, the fit's matrices, one block
+per degree, and any other basis replays its provenance DAG; both give the
+fit's kernel calls' values, bit for bit.
 
 :class:`Fitter` keeps every step it computes, so fits of one point set at
 several epsilons share every degree whose lower degrees they split alike.
@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coefficients import DEFAULT_TERM_CAP, coeff_gram
-from .core import (Basis, PointSet, Rows, _evals, _grads, constant_poly, linear_combine, multiply,
+from .core import (Basis, PointSet, _evals, _grads, constant_poly, linear_combine, multiply,
                    replay_many, variables)
 from .errors import ContractViolation, InternalInvariantViolation
 from .linalg import gen_eig_sym, numerical_rank, orthogonal_project, whitening
@@ -300,15 +300,14 @@ class _Step:
     zero.  ``weights`` is the projection's weight matrix W_t (|F_<t| x k_t)
     and ``vectors`` the combination's V_t (k_t x r_t), None at a saturated
     vca degree, whose members are the projected candidates themselves: the
-    read-only arrays of the two calls' provenance nodes.  ``weights`` is
-    None when the projection made no call (a plain list came back).
+    read-only arrays of the two calls' provenance nodes.
     """
 
     polys: list
     extents: np.ndarray
     values: np.ndarray
     zero_floor: float
-    weights: np.ndarray | None
+    weights: np.ndarray
     vectors: np.ndarray | None
 
 
@@ -320,20 +319,19 @@ class Chain:
     flag.  ``degrees[t - 1]`` is degree t's ``(W, V, keep)``: the
     projection weights W_t and the combination V_t of its :class:`_Step`
     (the provenance nodes' own arrays, so the chain copies nothing) and
-    its F mask.  Degree t's candidates follow from the F counts and
-    ``dedup``: every product of an F_1 member with an F_(t-1) member, F_1
-    major, at degree 2 under dedup only those from the same position on --
-    the products ``multiply`` forms.
+    its F mask.  ``F`` and ``G`` copy the lists the fit split, constant
+    included: the chain computes these members and no others.  Degree t's
+    candidates follow from the F counts and ``dedup``: every product of an
+    F_1 member with an F_(t-1) member, F_1 major, at degree 2 under dedup
+    only those from the same position on -- the products ``multiply``
+    forms.
     """
 
     const: float
     dedup: bool
+    F: list
+    G: list
     degrees: list = field(default_factory=list)
-
-    def profiles(self):
-        """The F and G counts per degree, as ``Basis.f_profile``/``g_profile`` give them."""
-        f_counts = [int(np.count_nonzero(keep)) for _, _, keep in self.degrees]
-        return [1, *f_counts], [0, *(len(keep) - f for (_, _, keep), f in zip(self.degrees, f_counts))]
 
     def values(self, pts):
         """The (r, m) block of the basis's values on the finite (m, n) ``pts``.
@@ -347,9 +345,8 @@ class Chain:
         of the block.
         """
         m = len(pts)
-        f_counts, g_counts = self.profiles()
-        f_ends = np.cumsum(f_counts).tolist()  # F_t is out[f_ends[t - 1]:f_ends[t]] for t >= 1
-        g_ends = (f_ends[-1] + np.cumsum(g_counts)).tolist()
+        f_ends = np.cumsum([len(s) for s in self.F]).tolist()  # F_t is out[f_ends[t - 1]:f_ends[t]]
+        g_ends = (f_ends[-1] + np.cumsum([len(s) for s in self.G])).tolist()
         out = np.empty((g_ends[-1], m))
         out[0] = self.const
         for t, (W, V, keep) in enumerate(self.degrees, 1):
@@ -426,11 +423,10 @@ def _degree_step(X, config, F, t, coeff_memo):
     # Gram eigenvalues can only resolve extents down to sqrt(eps)*scale.
     squares = _squared_norms(new_polys.evals)
     norms = np.sqrt(squares)
-    weights = cands.node.weights if isinstance(cands, Rows) else None
     vectors = None if new_polys is cands else new_polys.node.weights
     if saturated:
-        return _Step(new_polys, norms, squares, math.inf, weights, vectors)
-    return _Step(new_polys, norms, res.values, ZERO_EXTENT_REL * scale, weights, vectors)
+        return _Step(new_polys, norms, squares, math.inf, cands.node.weights, vectors)
+    return _Step(new_polys, norms, res.values, ZERO_EXTENT_REL * scale, cands.node.weights, vectors)
 
 
 class Fitter:
@@ -500,9 +496,10 @@ class Fitter:
         same :class:`~mavik.core.Basis` and :class:`FitReport` each time,
         updated in place to hold degrees 0 to t; ``report.wall_time_s``
         stays 0 until :meth:`fit` sets it.  Per degree it looks up or
-        computes the step, splits it into F and G by epsilon, checks the
-        size bounds and tests the termination rules.  Once a rule fires it
-        sets ``report.termination``, checks the |G| bound of a finished
+        computes the step, splits it into F and G by epsilon, records the
+        degree in ``basis.chain`` (every yielded basis holds its chain),
+        checks the size bounds and tests the termination rules.  Once a
+        rule fires it sets ``report.termination``, checks the |G| bound of a finished
         fit, yields, and stops.  A caller that stops iterating after degree
         t has run exactly the checks of degrees 1 to t, and holds the lists
         of a ``max_degree=t`` fit.
@@ -527,8 +524,8 @@ class Fitter:
         scoped = config.mode.kind in ("coefficient", "gradient") and m > n
         g_bound = n * (m - n) if scoped and m >= math.comb(n + 2, n) else math.inf
 
-        basis = Basis(F=[[self._const]], G=[[]], extents=[np.zeros(0)],
-                      chain=Chain(self._m_const, config.dedup_degree2))
+        chain = Chain(self._m_const, config.dedup_degree2, F=[[self._const]], G=[[]])
+        basis = Basis(F=[[self._const]], G=[[]], extents=[np.zeros(0)], chain=chain)
         report = FitReport(config=config.echo(), n=n, n_points=m, m_constant=self._m_const,
                            f_counts=[1], g_counts=[0])
         F, G = basis.F, basis.G
@@ -540,13 +537,12 @@ class Fitter:
             step, children = children[mask]
             keep = step.extents > max(eps, step.zero_floor)
             mask = tuple(keep.tolist())
-            F.append([p for p, k in zip(step.polys, mask) if k])
-            G.append([p for p, k in zip(step.polys, mask) if not k])
+            chain.F.append([p for p, k in zip(step.polys, mask) if k])
+            chain.G.append([p for p, k in zip(step.polys, mask) if not k])
+            chain.degrees.append((step.weights, step.vectors, keep))
+            F.append(chain.F[t][:])
+            G.append(chain.G[t][:])
             basis.extents.append(step.extents[~keep])
-            if step.weights is None:
-                basis.chain = None
-            elif basis.chain is not None:
-                basis.chain.degrees.append((step.weights, step.vectors, keep))
             report.f_counts.append(len(F[t]))
             report.g_counts.append(len(G[t]))
             report.spectra.append(step.values)
@@ -601,14 +597,15 @@ def evaluate(basis, X_new):
     order of the basis: the stored evaluation vectors when ``X_new`` is the
     basis's point set (a basis loaded on those points, or the training
     set).  On other points a fitted basis runs its :class:`Chain`, one
-    block per degree, when the chain's per-degree counts are the basis's
-    F/G profile; any other basis (a loaded or hand-built one, or one whose
-    lists were edited to other counts) is replayed through its provenance
-    DAG (:func:`replay_many`).  Both give the fit's kernel calls' values,
-    bit for bit.  ``X_new`` is checked as :class:`PointSet` checks points,
-    whichever way it goes: points that are empty, non-finite, not 2-d or
-    not in the training n, or so far beyond the training scale that a
-    value overflows float64, raise ``ContractViolation``.
+    block per degree, when its F and G lists are the chain's, member for
+    member (by identity: ``Poly`` has no ``==``); any other basis (a
+    loaded, hand-built, ``from_flat`` or edited one) is replayed through
+    its provenance DAG (:func:`replay_many`).  Both give the fit's kernel
+    calls' values, bit for bit.  ``X_new`` is checked as :class:`PointSet`
+    checks points, whichever way it goes: points that are empty,
+    non-finite, not 2-d or not in the training n, or so far beyond the
+    training scale that a value overflows float64, raise
+    ``ContractViolation``.
     """
     f_polys = basis.f_polys()
     polys = f_polys + basis.g_polys()
@@ -620,7 +617,7 @@ def evaluate(basis, X_new):
             raise ContractViolation("new points must be m x n with the training n")
         chain = basis.chain
         with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
-            if chain is not None and chain.profiles() == (basis.f_profile(), basis.g_profile()):
+            if chain is not None and basis.F == chain.F and basis.G == chain.G:
                 E = np.ascontiguousarray(chain.values(pts).T)
             else:
                 E = np.column_stack([ev for ev, _ in replay_many(polys, pts)])

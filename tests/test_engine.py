@@ -118,7 +118,7 @@ class TestFitSmall:
             )
         assert computed[0] == 6
 
-    @pytest.mark.parametrize("count, dim", [(50, 2), (50, 3), (50, 4), (50, 5), (100, 4)])
+    @pytest.mark.parametrize("count, dim", [(50, 2), (50, 3), (50, 4), (50, 5), (100, 4), (200, 3)])
     def test_coefficient_grams_from_kept_rows_match_fresh_grams_bitwise(
         self, monkeypatch, count, dim
     ):
@@ -580,6 +580,7 @@ def _no_replay(*args, **kwargs):
 def assert_chain_is_replay(basis, X_new):
     """``evaluate`` of ``basis`` on ``X_new`` runs the chain, not the DAG
     walk, and gives ``core.replay_many``'s values bit for bit."""
+    assert basis.F == basis.chain.F and basis.G == basis.chain.G
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "replay_many", _no_replay)
         F_mat, G_mat = evaluate(basis, X_new)
@@ -740,16 +741,19 @@ class TestChain:
 
     def test_the_split_follows_the_mask(self):
         # a fitted mask is a prefix, F first in eigenvalue order, so reverse
-        # the top degree's mask and its F and G lists together: the lists
-        # still hold the chain's members, split by the new mask
+        # the top degree's mask and its split lists together, in the chain
+        # and in the basis: the lists still hold the chain's members, split
+        # by the new mask
         basis, _ = fit(sample_generic(50, 3, 0), EngineConfig(epsilon=1e-6, mode=GRAD, max_degree=5))
-        W, V, keep = basis.chain.degrees[-1]
-        members = [*basis.F[5], *basis.G[5]]
-        assert keep[:len(basis.F[5])].all() and 0 < len(basis.F[5]) < len(members)
+        chain = basis.chain
+        W, V, keep = chain.degrees[-1]
+        members = [*chain.F[5], *chain.G[5]]
+        assert keep[:len(chain.F[5])].all() and 0 < len(chain.F[5]) < len(members)
         flipped = keep[::-1].copy()
-        basis.chain.degrees[-1] = (W, V, flipped)
-        basis.F[5] = [p for p, k in zip(members, flipped) if k]
-        basis.G[5] = [p for p, k in zip(members, flipped) if not k]
+        chain.degrees[-1] = (W, V, flipped)
+        chain.F[5] = [p for p, k in zip(members, flipped) if k]
+        chain.G[5] = [p for p, k in zip(members, flipped) if not k]
+        basis.F[5], basis.G[5] = chain.F[5][:], chain.G[5][:]
         assert_chain_is_replay(basis, self.FRESH)
 
     def count_replays(self, monkeypatch):
@@ -772,22 +776,29 @@ class TestChain:
         edited.extents[-1] = edited.extents[-1][1:]
         calls = self.count_replays(monkeypatch)
         for b in (flat, edited):
-            assert b.chain is None or b.chain.profiles() != (b.f_profile(), b.g_profile())
+            assert b.chain is None or (b.chain.F, b.chain.G) != (b.F, b.G)
             F_mat, G_mat = evaluate(b, self.FRESH)
             polys = b.f_polys() + b.g_polys()
             assert calls[-1] == len(polys) == F_mat.shape[1] + G_mat.shape[1]
         assert len(calls) == 2
 
-    def test_a_projection_that_makes_no_call_leaves_no_chain(self, monkeypatch):
-        # a projection returning a plain list has no weights to record, so
-        # the basis keeps no chain and evaluate replays it
-        real = engine.orthogonal_project
-        monkeypatch.setattr(engine, "orthogonal_project", lambda c, f: list(real(c, f)))
+    @pytest.mark.parametrize("edit", ["swap", "f-to-g", "flat"])
+    def test_an_edited_or_flat_basis_replays_as_core(self, monkeypatch, edit):
+        # the swap keeps every per-degree count, so only the lists
+        # themselves tell the edited basis from the fitted one
         basis, _ = fit(sample_generic(50, 3, 0), EngineConfig(epsilon=1e-6, mode=GRAD))
-        assert basis.chain is None
+        if edit == "swap":
+            basis.G[6][0], basis.G[6][1] = basis.G[6][1], basis.G[6][0]
+        elif edit == "f-to-g":
+            basis.G[5].insert(0, basis.F[5].pop())
+        else:
+            basis = core.Basis.from_flat(basis.f_polys(), basis.g_polys(), basis.g_extents())
+        polys = basis.f_polys() + basis.g_polys()
+        replayed = np.column_stack([ev for ev, _ in core.replay_many(polys, self.FRESH.points)])
         calls = self.count_replays(monkeypatch)
-        evaluate(basis, self.FRESH)
-        assert calls == [sum(basis.f_profile()) + sum(basis.g_profile())]
+        F_mat, G_mat = evaluate(basis, self.FRESH)
+        assert calls == [len(polys)]
+        assert np.column_stack([F_mat, G_mat]).tobytes() == replayed.tobytes()
 
     def test_the_chain_holds_the_provenance_nodes_arrays(self):
         basis, _ = fit(sample_generic(50, 3, 0), EngineConfig(epsilon=1e-6, mode=GRAD))
@@ -936,10 +947,11 @@ class TestStructuralInvariants:
                 assert sum(report.f_counts[: t + 1]) <= comb(dim + t, dim)
 
     def test_more_f_than_points_is_an_invariant_violation(self, monkeypatch):
-        # a projection that drops the earlier strata lets vca keep 36
-        # nonorthogonal F members on 30 points by degree 7; orthogonal
-        # nonzero vectors in R^30 cannot
-        monkeypatch.setattr(engine, "orthogonal_project", lambda cands, f_prev: list(cands))
+        # a projection that drops the earlier strata (a zero-weight call)
+        # lets vca keep 36 nonorthogonal F members on 30 points by degree
+        # 7; orthogonal nonzero vectors in R^30 cannot
+        monkeypatch.setattr(engine, "orthogonal_project", lambda cands, f_prev: core.linear_combine(
+            f_prev, np.zeros((len(f_prev), len(cands))), lead=cands))
         X = scale(sample_generic(30, 2, 0), 100.0)
         config = EngineConfig(epsilon=1e-4, mode=NormalizationMode.vca_baseline(), max_degree=8)
         with pytest.raises(InternalInvariantViolation, match="exceeds \\|X\\| = 30"):
@@ -1027,6 +1039,21 @@ class TestConsistency:
         for alpha in (1e-6, 1e-3, 1e3, 1e6):
             _, r1 = fit(scale(X, alpha), EngineConfig(epsilon=1e-6 * alpha, mode=GRAD))
             assert (r1.f_counts, r1.g_counts) == (r0.f_counts, r0.g_counts), alpha
+
+    @pytest.mark.parametrize("count, dim", [(50, 2), (50, 3), (30, 2)])
+    @pytest.mark.parametrize("k", [-120, -100, -60, -30, -1, 1, 30, *(
+        pytest.param(k, marks=pytest.mark.xfail(strict=True, reason=(
+            "ROADMAP item 2: the zero floor grows like the scale squared, extents like the "
+            "scale, so large scales send members across it"))) for k in (40, 100, 200))])
+    def test_power_of_two_scaling_scales_grad_extents_exactly(self, count, dim, k):
+        # scaling by 2^k is exact, and so is every step of a grad fit whose
+        # epsilon, constant and gradient norms scale with it
+        X = sample_generic(count, dim, 0)
+        alpha = 2.0**k
+        _, r0 = fit(X, EngineConfig(epsilon=1e-6, mode=GRAD))
+        _, r1 = fit(scale(X, alpha), EngineConfig(epsilon=1e-6 * alpha, mode=GRAD))
+        assert (r1.f_counts, r1.g_counts) == (r0.f_counts, r0.g_counts)
+        assert all(np.array_equal(e1, alpha * e0) for e0, e1 in zip(r0.extents, r1.extents))
 
     def test_perturbation_bound_spot_check(self):
         rng = rng_for(20)
