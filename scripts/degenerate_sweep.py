@@ -20,8 +20,8 @@ as sampled, with no rescale: ``sample_variety(v, m, seed)`` for m = 30,
 in the three modes (z = 1) at epsilon 1e-6, times the scale in grad mode,
 whose extents scale with the points: 735 fits.  A ``RuntimeWarning``
 counts as an error.  Every basis a fit returns is saved as the CLI saves
-it (``serialize.dump_json``), read back with the CLI's basis reader and
-loaded on its own points; a load whose values differ from the fit's in
+it (``serialize.dump_json``), read back with the CLI's reader
+(``serialize.load_json``) and loaded on its own points; a load whose values differ from the fit's in
 any bit is a failure of kind ``load != fit``.  The script prints one
 line per fit that raises, that returns more F members than points, or
 whose load differs, then a summary of the failures by kind, family and
@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from mavik import cli, serialize
+from mavik import serialize
 from mavik.core import PointSet
 from mavik.datasets import VARIETIES, sample_variety
 from mavik.engine import EngineConfig, NormalizationMode, fit
@@ -125,7 +125,7 @@ def sweep(path):
                 failures["|F| > |X|", family, name] += 1
                 print(f"{key}: |F| = {sum(report.f_counts)} exceeds |X| = {m}")
             serialize.dump_json(serialize.basis_to_json(basis), path)
-            loaded = serialize.basis_from_json(cli._read_basis(path), X)
+            loaded = serialize.basis_from_json(serialize.load_json(path, "basis"), X)
             pairs = zip(basis.f_polys() + basis.g_polys(), loaded.f_polys() + loaded.g_polys())
             if not all(p.eval.tobytes() == q.eval.tobytes() for p, q in pairs):
                 failures["load != fit", family, name] += 1

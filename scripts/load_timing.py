@@ -9,7 +9,7 @@ takes:
 
 * ``serialize.dump_json`` of the basis object to a temporary file, the
   save of ``mavik fit``;
-* the CLI's basis reader (``cli._read_basis``) and the stdlib's
+* the CLI's basis reader (``serialize.load_json``) and the stdlib's
   ``json.loads`` of the bytes that save wrote;
 * ``core.replay`` of its node list on the training points and on
   ``FRESH`` fresh points (``sample_generic(FRESH, dim, 1)``);
@@ -49,7 +49,7 @@ from pathlib import Path
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
-from mavik import cli, core, postprocess, serialize  # noqa: E402
+from mavik import core, postprocess, serialize  # noqa: E402
 from mavik.datasets import sample_generic  # noqa: E402
 from mavik.engine import EngineConfig, NormalizationMode, evaluate, fit  # noqa: E402
 
@@ -105,7 +105,7 @@ def report(path):
         saved = serialize.basis_to_json(basis, points=X)
         serialize.dump_json(saved, path)
         data = path.read_bytes()
-        obj = cli._read_basis(path)
+        obj = serialize.load_json(path, "basis")
         loaded = serialize.basis_from_json(obj, X)
         g_polys = loaded.g_polys()
         print(f"{count}x{dim} grad: {len(obj['nodes'])} nodes, "
@@ -113,7 +113,7 @@ def report(path):
               f"{len(data)} bytes")
         steps = [
             ("serialize.dump_json", lambda: serialize.dump_json(saved, path)),
-            ("cli._read_basis", lambda: cli._read_basis(path)),
+            ("serialize.load_json", lambda: serialize.load_json(path, "basis")),
             ("json.loads", lambda: json.loads(data)),
             (f"core.replay, {count} training points", lambda: core.replay(obj["nodes"], X)),
             (f"core.replay, {FRESH} fresh points", lambda: core.replay(obj["nodes"], X_new)),

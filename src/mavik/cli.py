@@ -27,7 +27,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import numpy as np  # noqa: E402
-import orjson  # noqa: E402
 
 from . import datasets, engine, serialize  # noqa: E402
 from .coefficients import DEFAULT_TERM_CAP, expand_many  # noqa: E402
@@ -71,6 +70,15 @@ def _number_list(text, kind, flag):
         return [kind(s) for s in text.split(",")]
     except ValueError:
         raise ContractViolation(f"{flag} needs comma-separated numbers, got {text!r}") from None
+
+
+def int64(text):
+    """An integer flag's value.  Each one goes into an output file, so it must
+    be an int that ``serialize.json_bytes`` writes, one of 64 bits."""
+    value = int(text)
+    if not -2**63 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"{text} is beyond the 64-bit integers of a JSON file")
+    return value
 
 
 def _engine_config(args, X):
@@ -118,22 +126,9 @@ def cmd_fit(args):
     return EXIT_OK
 
 
-def _read_basis(path):
-    # The bytes, not the text: orjson decodes them as the UTF-8 dump_json
-    # writes, under any locale.  It reads no NaN or infinity literal, and an
-    # int beyond 64 bits as a float, which the int fields then refuse.
-    try:
-        obj = orjson.loads(Path(path).read_bytes())
-    except (OSError, ValueError) as exc:
-        raise ContractViolation(f"cannot read basis file: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ContractViolation("basis file does not hold a JSON object")
-    return obj
-
-
 def cmd_evaluate(args):
     X_new = datasets.load_points(args.points)
-    basis = serialize.basis_from_json(_read_basis(args.basis), X_new)
+    basis = serialize.basis_from_json(serialize.load_json(args.basis, "basis"), X_new)
     F_mat, G_mat = evaluate(basis, X_new)
     out = _out_dir(args)
     serialize.dump_json(
@@ -154,8 +149,9 @@ def cmd_evaluate(args):
 
 def cmd_reduce(args):
     X = datasets.load_points(args.points)
-    obj = _read_basis(args.basis)
-    recorded = obj.get("points_sha256")
+    obj = serialize.load_json(args.basis, "basis")
+    # basis_from_json refuses a file that does not hold a JSON object
+    recorded = obj.get("points_sha256") if isinstance(obj, dict) else None
     if recorded is not None and recorded != serialize.points_digest(X):
         raise ContractViolation(
             "basis was fitted on a different point set than the one supplied"
@@ -278,12 +274,12 @@ def _add_fit_flags(p):
                         "per-point gradient normalized; library default 1)")
     p.add_argument("--m-const", type=float, default=None,
                    help="constant polynomial value (default mode-dependent)")
-    p.add_argument("--max-degree", type=int, default=None)
-    p.add_argument("--dmax", type=int, default=None, help="dimension rule upper target")
-    p.add_argument("--dmin", type=int, default=None, help="dimension rule lower target")
+    p.add_argument("--max-degree", type=int64, default=None)
+    p.add_argument("--dmax", type=int64, default=None, help="dimension rule upper target")
+    p.add_argument("--dmin", type=int64, default=None, help="dimension rule lower target")
     p.add_argument("--no-dedup2", action="store_true",
                    help="keep symmetric duplicate products at degree 2")
-    p.add_argument("--term-cap", type=int, default=DEFAULT_TERM_CAP,
+    p.add_argument("--term-cap", type=int64, default=DEFAULT_TERM_CAP,
                    help="monomial cap of coefficient expansions in coeff mode "
                         "and --expand (resource guard)")
     p.add_argument("--scale", type=float, default=None,
@@ -319,10 +315,10 @@ def build_parser():
     p = sub.add_parser("bench-generic", help="basis-size benchmark on uniform points")
     _add_common(p, points=False)
     p.add_argument("--dims", default="2,3,4,5")
-    p.add_argument("--count", type=int, default=50)
+    p.add_argument("--count", type=int64, default=50)
     p.add_argument("--eps", type=float, default=1e-6)
     p.add_argument("--modes", default="vca,coeff,grad")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int64, default=0)
     p.set_defaults(func=cmd_bench_generic)
 
     p = sub.add_parser("retrieval-test", help="configuration retrieval with epsilon search")
@@ -330,10 +326,10 @@ def build_parser():
     p.add_argument("--variety", required=True, choices=list(datasets.VARIETIES))
     p.add_argument("--noise", type=float, default=0.05)
     p.add_argument("--scales", default="0.01,0.1,1.0,10,100")
-    p.add_argument("--runs", type=int, default=20)
+    p.add_argument("--runs", type=int64, default=20)
     p.add_argument("--mode", default="grad", choices=["vca", "coeff", "grad"])
     p.add_argument("--z", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int64, default=0)
     p.add_argument("--target", default=None, help="target profile JSON (default bundled)")
     p.set_defaults(func=cmd_retrieval_test)
 

@@ -10,12 +10,13 @@ unit-box data is "5% noise") and then re-subtracts the mean.
 from __future__ import annotations
 
 import csv
-import json
+import io
 import math
 from pathlib import Path
 
 import numpy as np
 
+from . import serialize
 from .core import PointSet
 from .errors import ContractViolation, DegenerateInputError
 
@@ -58,9 +59,9 @@ def sample_generic(count, dim, seed):
     pts = _rng(seed).uniform(-1.0, 1.0, size=(count, dim))
     note = {
         "kind": "generic-uniform",
-        "count": count,
-        "dim": dim,
-        "seed": seed,
+        "count": int(count),
+        "dim": int(dim),
+        "seed": int(seed),
         "rng": RNG_ALGORITHM,
     }
     return PointSet(pts, (note,))
@@ -101,8 +102,8 @@ def sample_variety(which, count, seed):
     note = {
         "kind": "variety",
         "which": which,
-        "count": count,
-        "seed": seed,
+        "count": int(count),
+        "seed": int(seed),
         "rng": RNG_ALGORITHM,
     }
     return PointSet(pts, (note,))
@@ -114,7 +115,8 @@ def perturb(X, nu, seed):
         raise ContractViolation("nu must be finite and nonnegative")
     noisy = X.points + _rng(seed).normal(0.0, nu, size=X.points.shape) if nu > 0 else X.points
     noisy = noisy - noisy.mean(axis=0)
-    return X.derive(noisy, {"kind": "perturb", "nu": nu, "seed": seed, "rng": RNG_ALGORITHM})
+    note = {"kind": "perturb", "nu": float(nu), "seed": int(seed), "rng": RNG_ALGORITHM}
+    return X.derive(noisy, note)
 
 
 def center_and_unitbox(X):
@@ -143,19 +145,17 @@ def translate(X, beta):
 
 # ---------------------------------------------------------------------------
 # Point-set files: CSV with an x1..xn header, or JSON with points+provenance.
+# Both are UTF-8 and read as such under any locale; JSON is written by
+# serialize.dump_json and read by serialize.load_json.
 # ---------------------------------------------------------------------------
 
 
 def save_points(X, path):
     path = Path(path)
     if path.suffix.lower() == ".json":
-        payload = {
-            "points": X.points.tolist(),
-            "provenance": list(X.provenance),
-        }
-        path.write_text(json.dumps(payload, indent=2) + "\n")
+        serialize.dump_json({"points": X.points.tolist(), "provenance": list(X.provenance)}, path)
         return
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"x{i + 1}" for i in range(X.n)])
         writer.writerows(X.points.tolist())
@@ -166,8 +166,8 @@ def load_points(path):
     if not path.is_file():
         raise ContractViolation(f"points file not found: {path}")
     if path.suffix.lower() == ".json":
+        payload = serialize.load_json(path, "points")
         try:
-            payload = json.loads(path.read_text())
             points = payload["points"]  # numpy would read "1" and true as numbers
             bad = [v for row in points if type(row) is list for v in row if type(v) not in (int, float)]
             if bad:
@@ -176,8 +176,7 @@ def load_points(path):
         except (KeyError, TypeError, ValueError) as exc:
             raise ContractViolation(f"malformed points JSON: {exc}") from exc
     try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+        rows = list(csv.reader(io.StringIO(path.read_bytes().decode("utf-8"), newline="")))
         if len(rows) < 2:
             raise ContractViolation("points CSV needs a header and at least one row")
         # float alone would also read digit-group underscores and padding

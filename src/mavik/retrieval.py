@@ -31,16 +31,14 @@ finished fit; the trial's final fit runs all of them.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from importlib import resources
 from itertools import groupby
-from pathlib import Path
 
 import numpy as np
 
-from . import datasets
+from . import datasets, serialize
 from .engine import EngineConfig, Fitter, NormalizationMode, evaluate
 from .engine import fit  # unused here, but the benchmark tracer wraps retrieval.fit
 from .errors import ContractViolation
@@ -241,16 +239,12 @@ def load_target_profiles(path=None):
 
     Each profile must be a nonempty list of nonnegative integer counts.
     """
+    if path is None:
+        path = resources.files("mavik").joinpath("data/target_profiles.json").read_bytes()
+    obj = serialize.load_json(path, "target profile")
     try:
-        if path is not None:
-            text = Path(path).read_text()
-        else:
-            text = resources.files("mavik").joinpath("data/target_profiles.json").read_text()
-    except (OSError, ValueError) as exc:
-        raise ContractViolation(f"cannot read target profile file: {exc}") from exc
-    try:
-        profiles = json.loads(text)["profiles"].items()
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        profiles = obj["profiles"].items()
+    except (KeyError, TypeError, AttributeError) as exc:
         raise ContractViolation(f"malformed target profile file: {exc}") from exc
     for name, counts in profiles:
         if type(counts) is not list or not counts or not all(type(c) is int and c >= 0 for c in counts):

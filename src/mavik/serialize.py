@@ -15,11 +15,11 @@ recorded degree is checked after the replay.  Loading and re-saving a
 basis writes the same node list.  A loaded basis is values-only
 (``Poly.grad`` is None): evaluation reads values alone, and
 :mod:`mavik.postprocess` forms the gradients it reads on demand.  Every
-file is written by :func:`dump_json` as the canonical text of
-:func:`json_bytes`: compact UTF-8 JSON with sorted keys and a final
-newline, each float in the shortest form that reads back to the same
-bits.  Fit reports are written without timings, so reruns with identical
-inputs produce byte-identical files.
+JSON file is read by :func:`load_json` and written by :func:`dump_json` as
+the canonical text of :func:`json_bytes`: compact UTF-8 JSON with sorted
+keys and a final newline, each float in the shortest form that reads back
+to the same bits.  Fit reports are written without timings, so reruns
+with identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import orjson
@@ -44,6 +45,7 @@ __all__ = [
     "reduction_to_json",
     "json_bytes",
     "dump_json",
+    "load_json",
 ]
 
 SCHEMA_VERSION = 1
@@ -98,6 +100,16 @@ def dump_json(obj, path):
                                          "which JSON cannot represent")
     with open(path, "wb") as fh:
         fh.write(data)
+
+
+def load_json(source, kind):
+    """The JSON value in ``source`` (a file's path or bytes), read as UTF-8 under
+    any locale; an int beyond 64 bits reads as a float.  An unreadable file, or
+    a NaN, infinity or float overflow, raises ``ContractViolation`` naming ``kind``."""
+    try:
+        return orjson.loads(source if isinstance(source, bytes) else Path(source).read_bytes())
+    except (OSError, ValueError) as exc:
+        raise ContractViolation(f"cannot read {kind} file: {exc}") from exc
 
 
 def basis_to_json(basis, points=None, meta=None, expansions=None):

@@ -453,10 +453,13 @@ def test_a_non_finite_output_exits_4_and_writes_no_file(circle4_csv, tmp_path, m
         ["fit", "--points", "generic.csv", "--mode", "coeff", "--term-cap", "-5"],
         ["fit", "--points", "generic.csv", "--m-const", "1e154"],
         ["fit", "--points", "generic.csv", "--m-const", "1e-160"],
+        ["fit", "--points", "huge.json"],
     ],
 )
 def test_bad_points_seeds_counts_and_lists_exit_2(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
+    # an int of 401 digits overflows a float
+    (tmp_path / "huge.json").write_text('{"points": [[%s, 0], [0.5, 2], [3, 1]]}' % ("1" * 401))
     (tmp_path / "ragged.json").write_text(json.dumps({"points": [[1, 2], [3]]}))
     (tmp_path / "text.json").write_text(json.dumps({"points": [["a", 1], [2, 3]]}))
     (tmp_path / "numeric_text.json").write_text(json.dumps({"points": [["1", "0"], [0.5, 2], [3, 1]]}))
@@ -494,6 +497,7 @@ RETRIEVAL_V2 = ["retrieval-test", "--variety", "V2", "--scales", "1.0", "--runs"
         RETRIEVAL_V2 + ["--target", "somedir.json"],
         RETRIEVAL_V2 + ["--target", "text_count.json"],
         RETRIEVAL_V2 + ["--target", "negative_count.json"],
+        RETRIEVAL_V2 + ["--target", "huge_count.json"],
         ["reduce", "--points", "points.csv", "--basis", "list.json"],
     ],
 )
@@ -503,6 +507,8 @@ def test_missing_directory_and_malformed_input_files_exit_2(argv, tmp_path, caps
     (tmp_path / "somedir.json").mkdir()
     (tmp_path / "text_count.json").write_text(json.dumps({"profiles": {"V2": [0, "a"]}}))
     (tmp_path / "negative_count.json").write_text(json.dumps({"profiles": {"V2": [0, -1]}}))
+    # an int beyond 64 bits reads as a float, which no count is
+    (tmp_path / "huge_count.json").write_text(json.dumps({"profiles": {"V2": [0, 10**30]}}))
     (tmp_path / "list.json").write_text(json.dumps([{"schema_version": 1}]))
     save_points(sample_generic(10, 2, 0), tmp_path / "points.csv")
     out = tmp_path / "out"
@@ -510,6 +516,41 @@ def test_missing_directory_and_malformed_input_files_exit_2(argv, tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+BEYOND_64_BITS = "99999999999999999999"
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--points", "generic.csv", "--max-degree", BEYOND_64_BITS],
+    ["fit", "--points", "generic.csv", "--term-cap", BEYOND_64_BITS],
+    ["bench-generic", "--dims", "2", "--count", "20", "--seed", BEYOND_64_BITS],
+], ids=["max-degree", "term-cap", "seed"])
+def test_integer_flags_beyond_64_bits_exit_2_before_any_fit(argv, tmp_path, capsys,
+                                                            monkeypatch):
+    # each goes into an output file, which holds ints of 64 bits
+    monkeypatch.chdir(tmp_path)
+    save_points(sample_generic(20, 2, 0), tmp_path / "generic.csv")
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit ran")
+
+    monkeypatch.setattr(engine, "fit", no_fit)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and f"error: argument {argv[-2]}: {BEYOND_64_BITS}" in err
+    assert not out.exists()
+
+
+def test_the_largest_64_bit_flag_value_is_echoed(tmp_path):
+    points, out = tmp_path / "generic.csv", tmp_path / "out"
+    save_points(sample_generic(20, 2, 0), points)
+    assert main(["fit", "--points", str(points), "--max-degree", str(2**64 - 1),
+                 "--out", str(out)]) == 0
+    assert read_json(out / "report.json")["config"]["max_degree"] == 2**64 - 1
 
 
 def run_python(args, **env):
@@ -521,6 +562,9 @@ def run_python(args, **env):
     assert done.returncode == 0, done.stderr
 
 
+ASCII_LOCALE = {"LC_ALL": "C", "LANG": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+
 def test_non_ascii_paths_under_an_ascii_locale(tmp_path):
     # the argument's bytes are recorded as the UTF-8 name they are, and the
     # reader decodes basis.json's bytes as UTF-8, where text read in the
@@ -529,15 +573,41 @@ def test_non_ascii_paths_under_an_ascii_locale(tmp_path):
     save_points(sample_generic(20, 2, 0), pts)
     save_points(sample_generic(20, 2, 0), ascii_pts)
     out = tmp_path / "out"
-    ascii_locale = {"LC_ALL": "C", "LANG": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
     run_python(["-m", "mavik.cli", "fit", "--points", str(pts), "--out", str(out)],
-               **ascii_locale)
+               **ASCII_LOCALE)
     meta = json.loads((out / "basis.json").read_bytes())["meta"]
     assert meta["points_file"] == str(pts)
     run_python(["-m", "mavik.cli", "reduce", "--points", str(ascii_pts),
                 "--basis", str(out / "basis.json"), "--out", str(tmp_path / "red")],
-               **ascii_locale)
+               **ASCII_LOCALE)
     assert read_json(tmp_path / "red" / "reduction.json")["kept_count"] > 0
+
+
+def test_non_ascii_text_in_input_files_under_an_ascii_locale(tmp_path):
+    # points and target files are read as the UTF-8 they hold, where text
+    # read in the locale's encoding would fail
+    X = sample_generic(20, 2, 0)
+    csv_pts, json_pts = tmp_path / "points.csv", tmp_path / "points.json"
+    save_points(X, csv_pts)
+    text = csv_pts.read_text(encoding="utf-8").replace("x1,x2", "x₁,x₂", 1)
+    csv_pts.write_text(text, encoding="utf-8")
+    json_pts.write_text(json.dumps({"points": X.points.tolist(),
+                                    "provenance": [{"kind": "file", "path": "pünkte.csv"}]},
+                                   ensure_ascii=False), encoding="utf-8")
+    for pts in (csv_pts, json_pts):
+        run_python(["-m", "mavik.cli", "fit", "--points", str(pts),
+                    "--out", str(tmp_path / pts.suffix[1:])], **ASCII_LOCALE)
+    assert (tmp_path / "csv" / "report.json").read_bytes() == \
+        (tmp_path / "json" / "report.json").read_bytes()
+
+    profiles = {**load_target_profiles(), "Vü": [1]}
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps({"profiles": profiles}, ensure_ascii=False), encoding="utf-8")
+    run_python(["-m", "mavik.cli", "retrieval-test", "--variety", "V1", "--runs", "1",
+                "--scales", "1", "--target", str(target), "--out", str(tmp_path / "ret")],
+               **ASCII_LOCALE)
+    config = read_json(tmp_path / "ret" / "retrieval.json")["config"]
+    assert config["target_profile"] == profiles["V1"]
 
 
 class TestThreadPin:

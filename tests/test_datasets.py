@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import generic_points
+from conftest import assert_canonical_json, generic_points
 from mavik.core import PointSet
 from mavik.datasets import (
     center_and_unitbox,
@@ -148,6 +148,20 @@ class TestPointFiles:
         again = load_points(path)
         np.testing.assert_array_equal(again.points, X.points)
         assert again.provenance[0]["kind"] == "generic-uniform"
+
+    @pytest.mark.parametrize("sample", [
+        lambda: sample_generic(np.int64(5), np.int64(2), np.int64(26)),
+        lambda: sample_variety("V2", np.int64(5), np.int64(26)),
+    ], ids=["generic", "variety"])
+    def test_json_file_is_canonical_for_numpy_scalar_arguments(self, sample, tmp_path):
+        # the notes hold plain numbers, which the canonical writer takes
+        X = perturb(sample(), np.float64(0.05), np.int64(3))
+        path = tmp_path / "points.json"
+        save_points(X, path)
+        assert_canonical_json(path, {"points": X.points.tolist(), "provenance": list(X.provenance)})
+        again = load_points(path)
+        np.testing.assert_array_equal(again.points, X.points)
+        assert again.provenance == X.provenance
 
     def test_malformed_csv(self, tmp_path):
         path = tmp_path / "bad.csv"
