@@ -86,7 +86,25 @@ DIM_RANK_TOL = 1e-6
 # the projected ones would shrink with them.  Once the F strata hold |X|
 # members they span R^|X|, every projected candidate is rounding residue, and
 # the floor is infinite: all of them vanish.
+#
+# In gradient mode the floor is ZERO_EXTENT_REL * ||C_pre|| * max_j ||v_j||_1
+# over the step's eigenvectors v_j.  Each projected candidate c_i carries a
+# rounding error of a few ulps of ||C_pre|| (the projection only shrinks
+# it), so g = C v = sum_i v_i c_i is off by at most about
+# eps * ||C_pre|| * ||v||_1, which the factor 1e-12 ~ 4500 eps bounds with
+# room.  Under points scaled by alpha, the candidates' values grow like
+# alpha^2 and the N-normalized v like 1/alpha, so this floor grows like
+# alpha, as the extents do; ||C_pre|| alone grows like alpha^2 and, from
+# about x1e10, sent members of nonzero extent into G.  The other modes
+# keep ||C_pre||, whose v are unit vectors or coefficient-normalized.
 ZERO_EXTENT_REL = 1e-12
+
+# A grad step's eigenproblem is solved on E and N scaled by powers of two
+# when the candidates' gradient norm lies outside [2^-64, 2^64], where
+# E^T E, which grows like the fourth power of the points' scale, would
+# underflow or overflow; nearer 1 it is solved as it is (see
+# :func:`_gradient_scale`).
+_SCALE_FREE_EXPONENT = 64
 
 
 @dataclass(frozen=True)
@@ -315,20 +333,20 @@ class _Step:
 class Chain:
     """A fit's per-degree matrices, which :func:`evaluate` runs on new points.
 
-    ``const`` is the constant's value and ``dedup`` the degree-2 dedup
-    flag.  ``degrees[t - 1]`` is degree t's ``(W, V, keep)``: the
-    projection weights W_t and the combination V_t of its :class:`_Step`
-    (the provenance nodes' own arrays, so the chain copies nothing) and
-    its F mask.  ``F`` and ``G`` copy the lists the fit split, constant
-    included: the chain computes these members and no others.  Degree t's
-    candidates follow from the F counts and ``dedup``: every product of an
-    F_1 member with an F_(t-1) member, F_1 major, at degree 2 under dedup
-    only those from the same position on -- the products ``multiply``
-    forms.
+    ``const`` is the constant's value.  ``degrees[t - 1]`` is degree t's
+    ``(W, V, keep)``: the projection weights W_t and the combination V_t of
+    its :class:`_Step` (the provenance nodes' own arrays, so the chain
+    copies nothing) and its F mask.  These alone fix the values: the masks
+    give every stratum's size, and degree t's candidates are every product
+    of an F_1 member with an F_(t-1) member, F_1 major -- at degree 2 with
+    the dedup only those from the same position on, which W_2's width tells
+    apart: k(k+1)/2 columns for k = |F_1| against k² without it (the two
+    agree at k = 1).  ``F`` and ``G`` copy the lists the fit split, constant
+    included, and serve only :func:`evaluate`'s check that a basis still
+    holds the members the chain computes.
     """
 
     const: float
-    dedup: bool
     F: list
     G: list
     degrees: list = field(default_factory=list)
@@ -345,8 +363,10 @@ class Chain:
         of the block.
         """
         m = len(pts)
-        f_ends = np.cumsum([len(s) for s in self.F]).tolist()  # F_t is out[f_ends[t - 1]:f_ends[t]]
-        g_ends = (f_ends[-1] + np.cumsum([len(s) for s in self.G])).tolist()
+        masks = [keep for _, _, keep in self.degrees]
+        # F_t is out[f_ends[t - 1]:f_ends[t]], G_t out[g_ends[t - 1]:g_ends[t]]
+        f_ends = np.cumsum([1] + [k.sum() for k in masks]).tolist()
+        g_ends = (f_ends[-1] + np.cumsum([0] + [(~k).sum() for k in masks])).tolist()
         out = np.empty((g_ends[-1], m))
         out[0] = self.const
         for t, (W, V, keep) in enumerate(self.degrees, 1):
@@ -355,7 +375,7 @@ class Chain:
             else:
                 F1, Fp = out[1:f_ends[1]], out[f_ends[t - 2]:f_ends[t - 1]]
                 C = (F1[:, None] * Fp[None]).reshape(-1, m)
-                if t == 2 and self.dedup:
+                if W.shape[1] < len(C):  # degree 2 with the dedup
                     k = len(F1)
                     C = C[[i * k + j for i in range(k) for j in range(i, k)]]
             P = C + W.T @ out[:f_ends[t - 1]]
@@ -363,6 +383,22 @@ class Chain:
             out[f_ends[t - 1]:f_ends[t]] = members[keep]
             out[g_ends[t - 1]:g_ends[t]] = members[~keep]
         return out
+
+
+def _gradient_scale(N, z):
+    """The power of two c by which a grad step scales its evaluations.
+
+    c = 2^-e for e the binary exponent of the candidates' gradient norm
+    z sqrt(trace N), so that E c, N c² and the eigenvectors' V c are exact
+    and E^T E c² stays in range; 1.0 while |e| <= ``_SCALE_FREE_EXPONENT``,
+    and also when trace N is zero, subnormal or infinite or c² would not be
+    a normal float, where nothing exact can be gained.
+    """
+    trace = float(np.trace(N))
+    if not np.finfo(float).tiny <= trace < math.inf:
+        return 1.0
+    e = math.frexp(z * math.sqrt(trace))[1]
+    return math.ldexp(1.0, -e) if _SCALE_FREE_EXPONENT < abs(e) <= 511 else 1.0
 
 
 def _degree_step(X, config, F, t, coeff_memo):
@@ -409,14 +445,18 @@ def _degree_step(X, config, F, t, coeff_memo):
     cands = orthogonal_project(cands_pre, f_flat)
     N = normalization_gram(cands, config.mode, term_cap=config.term_cap, memo=coeff_memo)
     saturated = len(f_flat) == len(X)
+    grad = config.mode.kind == "gradient"
     if saturated:
         new_polys = cands if N is None else linear_combine(cands, whitening(N))
     else:
         # The (|X|, k) C-contiguous layout makes E^T E one syrk.
         E = np.ascontiguousarray(_evals(cands).T)
+        c = _gradient_scale(N, config.mode.z) if grad else 1.0
+        if c != 1.0:  # A V = N V Lambda for V = V' c, where A c² V' = N c² V' Lambda
+            E, N = E * c, N * (c * c)
         res = gen_eig_sym(E.T @ E, N)
-        new_polys = linear_combine(cands, res.vectors)
-    if config.mode.kind == "gradient":
+        new_polys = linear_combine(cands, res.vectors if c == 1.0 else res.vectors * c)
+    if grad:
         _verify_gradient_norms(new_polys.grads, config.mode.z)
 
     # Extents taken directly from the assembled evaluation vectors: the
@@ -426,7 +466,10 @@ def _degree_step(X, config, F, t, coeff_memo):
     vectors = None if new_polys is cands else new_polys.node.weights
     if saturated:
         return _Step(new_polys, norms, squares, math.inf, cands.node.weights, vectors)
-    return _Step(new_polys, norms, res.values, ZERO_EXTENT_REL * scale, cands.node.weights, vectors)
+    floor = ZERO_EXTENT_REL * scale
+    if grad:  # in the units of the extents (see ZERO_EXTENT_REL)
+        floor *= float(np.abs(vectors).sum(axis=0).max(initial=0.0))
+    return _Step(new_polys, norms, res.values, floor, cands.node.weights, vectors)
 
 
 class Fitter:
@@ -524,7 +567,7 @@ class Fitter:
         scoped = config.mode.kind in ("coefficient", "gradient") and m > n
         g_bound = n * (m - n) if scoped and m >= math.comb(n + 2, n) else math.inf
 
-        chain = Chain(self._m_const, config.dedup_degree2, F=[[self._const]], G=[[]])
+        chain = Chain(self._m_const, F=[[self._const]], G=[[]])
         basis = Basis(F=[[self._const]], G=[[]], extents=[np.zeros(0)], chain=chain)
         report = FitReport(config=config.echo(), n=n, n_points=m, m_constant=self._m_const,
                            f_counts=[1], g_counts=[0])

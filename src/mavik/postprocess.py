@@ -22,9 +22,9 @@ replay.  Both functions return the caller's own polynomials.
 The reduction works one degree at a time: one stacked pseudo-inverse of the
 kept lower-degree gradients, one per point, and the residuals of every
 member of the degree against it at once.  Removed members carry their
-worst relative residual; residuals below :data:`RESIDUAL_FLOOR` are
-rounding noise and the reduction report writes them as the floor, so
-``reduction.json`` does not change with the summation order of a replay.
+worst relative residual, as computed; the reduction report
+(:func:`mavik.serialize.reduction_to_json`) writes those below
+:data:`mavik.serialize.RESIDUAL_FLOOR`, rounding noise, as the floor.
 """
 
 from __future__ import annotations
@@ -38,14 +38,9 @@ from . import engine
 from .core import Basis
 from .errors import ContractViolation
 
-__all__ = ["RESIDUAL_FLOOR", "ReductionReport", "reduce_basis", "estimate_dimension"]
+__all__ = ["ReductionReport", "reduce_basis", "estimate_dimension"]
 
 PINV_RANK_TOL = 1e-12
-
-# Relative gradient residuals this small are the rounding noise of the
-# least-squares fit (at most about 1e-13 on the generic benchmark grid); the
-# reduction report writes any smaller residual as this value.
-RESIDUAL_FLOOR = 1e-12
 
 
 @dataclass

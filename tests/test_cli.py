@@ -17,8 +17,8 @@ from mavik.core import Basis, constant_poly
 from mavik.cli import main
 from mavik.datasets import sample_generic, sample_variety, save_points, scale
 from mavik.errors import InternalInvariantViolation
-from mavik.postprocess import RESIDUAL_FLOOR
 from mavik.retrieval import grid_epsilons, load_target_profiles
+from mavik.serialize import RESIDUAL_FLOOR
 
 
 @pytest.fixture
@@ -631,6 +631,12 @@ class TestThreadPin:
     def test_importing_the_package_loads_no_numpy(self):
         run_python(["-c", "import sys, mavik; assert 'numpy' not in sys.modules; "
                           "mavik.fit; assert 'numpy' in sys.modules"])
+
+    def test_reading_points_loads_no_fitting_module(self):
+        # datasets reads points through serialize, which needs only core
+        run_python(["-c", "import sys, mavik.datasets; fitting = {'mavik.engine', "
+                          "'mavik.postprocess', 'mavik.linalg', 'mavik.coefficients'}; "
+                          "assert not fitting & set(sys.modules), fitting & set(sys.modules)"])
 
 
 class TestBench:

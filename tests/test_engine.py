@@ -590,13 +590,25 @@ def assert_chain_is_replay(basis, X_new):
     assert np.column_stack([F_mat, G_mat]).tobytes() == replayed.tobytes()
 
 
+def assert_matrices_are_replay(basis, X_new):
+    """A chain built from copies of ``basis.chain``'s constant and per-degree
+    ``(W, V, keep)`` alone, with no member lists, gives ``core.replay_many``'s
+    values on ``X_new`` bit for bit: those matrices are all it reads."""
+    copies = [(W.copy(), None if V is None else V.copy(), keep.copy())
+              for W, V, keep in basis.chain.degrees]
+    bare = engine.Chain(basis.chain.const, F=[], G=[], degrees=copies)
+    polys = basis.f_polys() + basis.g_polys()
+    replayed = np.column_stack([ev for ev, _ in core.replay_many(polys, X_new.points)])
+    assert np.ascontiguousarray(bare.values(X_new.points).T).tobytes() == replayed.tobytes()
+
+
 class TestGridProfiles:
     """The 36 fits of the benchmark grid (``scripts/grid_outputs.py``) at
     epsilon 1e-6, and its 18 variety fits at epsilon 1e-2, with the CLI's
     mode settings: a rounding change that moves a profile, or a change to
     the epsilon split, fails here, not only in the benchmark.  Each fitted
     basis runs its chain on 300 fresh points, bit for bit as the DAG
-    replay."""
+    replay, and so does a chain of copies of its matrices alone."""
 
     @pytest.mark.parametrize("count, dim", list(GRID_PROFILES))
     def test_profiles_and_termination(self, count, dim):
@@ -610,6 +622,7 @@ class TestGridProfiles:
                 assert (report.f_counts, report.g_counts, report.termination) == (
                     f_profile, g_profile, "f-empty"), (kind, seed)
                 assert_chain_is_replay(basis, fresh)
+                assert_matrices_are_replay(basis, fresh)
 
     @pytest.mark.parametrize("variety, seed", list(VARIETY_PROFILES))
     def test_variety_profiles_and_termination(self, variety, seed):
@@ -621,6 +634,7 @@ class TestGridProfiles:
             assert (report.f_counts, report.g_counts, report.termination) == (
                 f_profile, g_profile, "f-empty"), kind
             assert_chain_is_replay(basis, fresh)
+            assert_matrices_are_replay(basis, fresh)
 
 
 class TestEvaluate:
@@ -712,8 +726,10 @@ class TestChain:
         X = sample_generic(50, 3, 0)
         mode = mode_from_kind(kind, n_points=len(X))
         basis, _ = fit(X, EngineConfig(epsilon=1e-6, mode=mode, dedup_degree2=False))
-        assert not basis.chain.dedup
+        W2 = basis.chain.degrees[1][0]
+        assert W2.shape[1] == len(basis.F[1]) ** 2 == 9
         assert_chain_is_replay(basis, self.FRESH)
+        assert_matrices_are_replay(basis, self.FRESH)
 
     @pytest.mark.parametrize("kind", ["vca", "grad", "coeff"])
     def test_a_max_degree_cap(self, kind):
@@ -1041,10 +1057,7 @@ class TestConsistency:
             assert (r1.f_counts, r1.g_counts) == (r0.f_counts, r0.g_counts), alpha
 
     @pytest.mark.parametrize("count, dim", [(50, 2), (50, 3), (30, 2)])
-    @pytest.mark.parametrize("k", [-120, -100, -60, -30, -1, 1, 30, *(
-        pytest.param(k, marks=pytest.mark.xfail(strict=True, reason=(
-            "ROADMAP item 2: the zero floor grows like the scale squared, extents like the "
-            "scale, so large scales send members across it"))) for k in (40, 100, 200))])
+    @pytest.mark.parametrize("k", [-120, -100, -60, -30, -1, 1, 30, 40, 100, 200])
     def test_power_of_two_scaling_scales_grad_extents_exactly(self, count, dim, k):
         # scaling by 2^k is exact, and so is every step of a grad fit whose
         # epsilon, constant and gradient norms scale with it
@@ -1054,6 +1067,31 @@ class TestConsistency:
         _, r1 = fit(scale(X, alpha), EngineConfig(epsilon=1e-6 * alpha, mode=GRAD))
         assert (r1.f_counts, r1.g_counts) == (r0.f_counts, r0.g_counts)
         assert all(np.array_equal(e1, alpha * e0) for e0, e1 in zip(r0.extents, r1.extents))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("count, dim", [(50, 2), (50, 3), (50, 4), (30, 2)])
+    @pytest.mark.parametrize("z", ["1", "sqrt|X|"])
+    def test_grad_profiles_hold_from_1e_minus_100_to_1e70(self, count, dim, z):
+        # the zero floor grows like the extents, and the eigenproblem is
+        # solved on power-of-two scaled E and N, so E^T E neither
+        # underflows nor overflows
+        X = sample_generic(count, dim, 0)
+        mode = NormalizationMode.gradient(1.0 if z == "1" else math.sqrt(count))
+        _, r0 = fit(X, EngineConfig(epsilon=1e-6, mode=mode))
+        for alpha in (1e-100, 1e-80, 1e-30, 1e-12, 1e12, 1e30, 1e60, 1e70):
+            _, r1 = fit(scale(X, alpha), EngineConfig(epsilon=1e-6 * alpha, mode=mode))
+            assert (r1.f_counts, r1.g_counts) == (r0.f_counts, r0.g_counts), alpha
+
+    @pytest.mark.parametrize("N, z, c", [
+        (np.zeros((2, 2)), 1.0, 1.0),  # zero trace
+        (np.diag([1e-320, 0.0]), 1.0, 1.0),  # subnormal trace
+        (np.diag([2.0**200, 0.0]), 1.0, 2.0**-101),  # gradient norm 2^100
+        (np.diag([2.0**-200, 0.0]), 1.0, 2.0**99),
+        (np.diag([2.0**120, 0.0]), 1.0, 1.0),  # |e| = 61: solved as it is
+        (np.diag([2.0**-200, 0.0]), 2.0**-900, 1.0),  # c² would overflow
+    ])
+    def test_gradient_scale(self, N, z, c):
+        assert engine._gradient_scale(N, z) == c
 
     def test_perturbation_bound_spot_check(self):
         rng = rng_for(20)
