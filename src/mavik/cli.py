@@ -1,7 +1,8 @@
 """Command-line surface: fit / evaluate / reduce / bench-generic / retrieval-test.
 
-Exit codes: 0 success, 2 malformed or mismatched input, 3 resource cap hit,
-4 internal invariant violated (a numerical kernel broke; see the message).
+Exit codes: 0 success, 2 malformed or mismatched input, 3 resource cap hit
+or an allocation that failed, 4 internal invariant violated (a numerical
+kernel broke; see the message).
 All commands are deterministic given their flags and seeds, except for the
 wall-clock times they record: ``timings.json`` of fit and retrieval-test,
 and the ``runtime_s`` column of bench-generic's table and ``bench.json``.
@@ -174,13 +175,17 @@ def cmd_reduce(args):
 
 
 def cmd_bench_generic(args):
+    # Every size and mode is checked before the first sample and fit.
+    dims = _number_list(args.dims, int, "--dims")
+    for dim in dims:
+        datasets.check_sample_size(args.count, dim)
+    # z = 1: the harness z convention only matters for retrieval.
+    modes = [(kind, mode_from_kind(kind, z=1.0)) for kind in args.modes.split(",")]
     rows = []
-    for dim in _number_list(args.dims, int, "--dims"):
+    for dim in dims:
         X = datasets.sample_generic(args.count, dim, args.seed)
-        for kind in args.modes.split(","):
-            # z = 1: the harness z convention only matters for retrieval.
-            config = EngineConfig(epsilon=args.eps, mode=mode_from_kind(kind, z=1.0))
-            _, report = engine.fit(X, config)
+        for kind, mode in modes:
+            _, report = engine.fit(X, EngineConfig(epsilon=args.eps, mode=mode))
             rows.append({"count": args.count, "dim": dim, "mode": kind, "seed": args.seed,
                          "epsilon": args.eps, "g_total": report.g_total,
                          "g_profile": report.g_counts, "max_degree": len(report.g_counts) - 1,
@@ -343,6 +348,9 @@ def main(argv=None):
         return args.func(args)
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
     except (ContractViolation, DegenerateInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)

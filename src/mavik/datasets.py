@@ -23,6 +23,7 @@ from .errors import ContractViolation, DegenerateInputError
 __all__ = [
     "RNG_ALGORITHM",
     "VARIETIES",
+    "check_sample_size",
     "sample_generic",
     "variety_points",
     "sample_variety",
@@ -52,10 +53,19 @@ def _rng(seed):
     return np.random.Generator(np.random.Philox(seed))
 
 
-def sample_generic(count, dim, seed):
-    """``count`` i.i.d. points uniform on [-1, 1]^dim."""
+def check_sample_size(count, dim):
+    """Raise ``ContractViolation`` unless ``count`` and ``dim`` are at least 1
+    and a float64 array of ``count`` x ``dim`` is one numpy can index.  Whether
+    the memory for it can be had is only known once it is allocated."""
     if count < 1 or dim < 1:
         raise ContractViolation("count and dim must be at least 1")
+    if int(count) * int(dim) > np.iinfo(np.intp).max // 8:
+        raise ContractViolation(f"{count} x {dim} coordinates exceed the largest array numpy can hold")
+
+
+def sample_generic(count, dim, seed):
+    """``count`` i.i.d. points uniform on [-1, 1]^dim."""
+    check_sample_size(count, dim)
     pts = _rng(seed).uniform(-1.0, 1.0, size=(count, dim))
     note = {
         "kind": "generic-uniform",

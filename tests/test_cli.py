@@ -12,7 +12,7 @@ import pytest
 
 from conftest import assert_canonical_json, eager_gradients
 import mavik
-from mavik import cli, engine, postprocess, serialize
+from mavik import cli, datasets, engine, postprocess, serialize
 from mavik.core import Basis, constant_poly
 from mavik.cli import main
 from mavik.datasets import sample_generic, sample_variety, save_points, scale
@@ -653,6 +653,53 @@ class TestBench:
             "g_total": 15, "g_profile": [0, 0, 0, 0, 0, 0, 0, 0, 0, 5, 10], "max_degree": 10,
         }]
         assert runtime > 0
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--dims", "99999999999999999999"], "50 x 99999999999999999999 coordinates exceed"),
+        (["--dims", "9223372036854775807"], "50 x 9223372036854775807 coordinates exceed"),
+        (["--count", "9223372036854775807", "--dims", "2"],
+         "9223372036854775807 x 2 coordinates exceed"),
+        (["--dims", "2,3,99999999999999999999"], "coordinates exceed"),
+        (["--modes", "vca,gard", "--dims", "2"], "unknown mode 'gard'"),
+    ], ids=["dims-beyond-64-bits", "dims-int64-max", "count-int64-max", "last-dims", "mode"])
+    def test_sizes_and_modes_are_checked_before_any_fit(self, tmp_path, capsys, monkeypatch,
+                                                         argv, message):
+        # a size numpy cannot index or an unknown mode exits 2 before the
+        # first sample and fit
+        def no_fit(*args):
+            raise AssertionError("bench-generic fitted before checking its flags")
+
+        monkeypatch.setattr(engine, "fit", no_fit)
+        out = tmp_path / "bench"
+        assert main(["bench-generic", *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["bench-generic", "fit"])
+def test_a_failed_allocation_exits_3(tmp_path, capsys, monkeypatch, command):
+    # numpy raises a MemoryError when it cannot have the memory; here the
+    # 1.46 TiB of --count 100000000000 --dims 2 is refused without asking
+    # the host for it
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.46 TiB for an array with shape "
+                          "(100000000000, 2) and data type float64")
+
+    out = tmp_path / "out"
+    if command == "fit":
+        points = tmp_path / "pts.csv"
+        save_points(sample_generic(20, 2, 0), points)
+        monkeypatch.setattr(engine, "fit", refuse)
+        argv = ["fit", "--points", str(points)]
+    else:
+        monkeypatch.setattr(datasets, "sample_generic", refuse)
+        argv = ["bench-generic", "--count", "100000000000", "--dims", "2"]
+    assert main([*argv, "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: Unable to allocate 1.46 TiB for an array with shape "
+                   "(100000000000, 2) and data type float64"]
+    assert not out.exists()
 
 
 class TestRetrieval:
