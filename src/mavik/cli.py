@@ -346,10 +346,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except MemoryError as exc:
+    except (ResourceLimitError, MemoryError) as exc:  # a bare MemoryError has no message
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
     except (ContractViolation, DegenerateInputError) as exc:

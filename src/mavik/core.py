@@ -53,7 +53,9 @@ gradients that the post-processing reads, and ``engine.evaluate`` of a
 basis whose lists are not its fit's chain's (a loaded, hand-built,
 ``from_flat`` or edited one).  A fitted basis evaluates new points
 through its ``chain``, the fit's per-degree matrices (``engine.Chain``),
-with the same bits.
+with the same bits: the constant and each degree's projection weights,
+eigenvectors and F mask, from which every candidate row follows (degree
+2's by the width of its weights).
 """
 
 from __future__ import annotations

@@ -41,7 +41,15 @@ with gradients and gives, bitwise, what the fit would have formed.
 :func:`evaluate` forms values only: a fitted basis whose lists are the
 ones its fit split runs its :class:`Chain`, the fit's matrices, one block
 per degree, and any other basis replays its provenance DAG; both give the
-fit's kernel calls' values, bit for bit.
+fit's kernel calls' values, bit for bit.  The chain's values read the
+constant and each degree's W_t, V_t and F mask alone: the masks give the
+strata sizes and W_2's width the degree-2 dedup, and its member lists only
+tell :func:`evaluate` whether a basis still holds them.
+
+In gradient mode the step is covariant under scaling of the points: its
+zero floor grows like the extents, and its eigenproblem is solved on E and
+N scaled by a power of two when E^T E would leave the float range (see
+``ZERO_EXTENT_REL`` and :func:`_gradient_scale`).
 
 :class:`Fitter` keeps every step it computes, so fits of one point set at
 several epsilons share every degree whose lower degrees they split alike.
@@ -94,8 +102,8 @@ DIM_RANK_TOL = 1e-6
 # eps * ||C_pre|| * ||v||_1, which the factor 1e-12 ~ 4500 eps bounds with
 # room.  Under points scaled by alpha, the candidates' values grow like
 # alpha^2 and the N-normalized v like 1/alpha, so this floor grows like
-# alpha, as the extents do; ||C_pre|| alone grows like alpha^2 and, from
-# about x1e10, sent members of nonzero extent into G.  The other modes
+# alpha, as the extents do; ||C_pre|| alone grows like alpha^2, and from
+# about x1e10 it sends members of nonzero extent into G.  The other modes
 # keep ||C_pre||, whose v are unit vectors or coefficient-normalized.
 ZERO_EXTENT_REL = 1e-12
 
@@ -333,17 +341,16 @@ class _Step:
 class Chain:
     """A fit's per-degree matrices, which :func:`evaluate` runs on new points.
 
-    ``const`` is the constant's value.  ``degrees[t - 1]`` is degree t's
+    ``const`` is the constant's value and ``degrees[t - 1]`` degree t's
     ``(W, V, keep)``: the projection weights W_t and the combination V_t of
     its :class:`_Step` (the provenance nodes' own arrays, so the chain
-    copies nothing) and its F mask.  These alone fix the values: the masks
-    give every stratum's size, and degree t's candidates are every product
-    of an F_1 member with an F_(t-1) member, F_1 major -- at degree 2 with
-    the dedup only those from the same position on, which W_2's width tells
-    apart: k(k+1)/2 columns for k = |F_1| against k² without it (the two
-    agree at k = 1).  ``F`` and ``G`` copy the lists the fit split, constant
-    included, and serve only :func:`evaluate`'s check that a basis still
-    holds the members the chain computes.
+    copies nothing) and its F mask.  These fix the values: the masks give
+    the strata sizes, and degree t's candidates are every product of an
+    F_1 member with an F_(t-1) member, F_1 major, at degree 2 under the
+    dedup only those from the same position on, as W_2's width tells:
+    k(k+1)/2 columns for k = |F_1| against k² (one either way at k = 1).
+    ``F`` and ``G`` copy the lists the fit split, constant included, and
+    serve only :func:`evaluate`'s check that a basis still holds them.
     """
 
     const: float
@@ -363,10 +370,9 @@ class Chain:
         of the block.
         """
         m = len(pts)
-        masks = [keep for _, _, keep in self.degrees]
         # F_t is out[f_ends[t - 1]:f_ends[t]], G_t out[g_ends[t - 1]:g_ends[t]]
-        f_ends = np.cumsum([1] + [k.sum() for k in masks]).tolist()
-        g_ends = (f_ends[-1] + np.cumsum([0] + [(~k).sum() for k in masks])).tolist()
+        f_ends = np.cumsum([1] + [k.sum() for *_, k in self.degrees]).tolist()
+        g_ends = (f_ends[-1] + np.cumsum([0] + [(~k).sum() for *_, k in self.degrees])).tolist()
         out = np.empty((g_ends[-1], m))
         out[0] = self.const
         for t, (W, V, keep) in enumerate(self.degrees, 1):
@@ -455,7 +461,7 @@ def _degree_step(X, config, F, t, coeff_memo):
         if c != 1.0:  # A V = N V Lambda for V = V' c, where A c² V' = N c² V' Lambda
             E, N = E * c, N * (c * c)
         res = gen_eig_sym(E.T @ E, N)
-        new_polys = linear_combine(cands, res.vectors if c == 1.0 else res.vectors * c)
+        new_polys = linear_combine(cands, res.vectors * c)
     if grad:
         _verify_gradient_norms(new_polys.grads, config.mode.z)
 

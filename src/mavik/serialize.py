@@ -19,7 +19,9 @@ JSON file is read by :func:`load_json` and written by :func:`dump_json` as
 the canonical text of :func:`json_bytes`: compact UTF-8 JSON with sorted
 keys and a final newline, each float in the shortest form that reads back
 to the same bits.  Fit reports are written without timings, so reruns
-with identical inputs produce byte-identical files.
+with identical inputs produce byte-identical files, and reduction reports
+write a residual below :data:`RESIDUAL_FLOOR` as the floor.  The module
+needs only :mod:`mavik.core`, so reading points loads no fitting code.
 """
 
 from __future__ import annotations
