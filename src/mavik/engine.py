@@ -60,6 +60,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -371,8 +372,9 @@ class Chain:
         """
         m = len(pts)
         # F_t is out[f_ends[t - 1]:f_ends[t]], G_t out[g_ends[t - 1]:g_ends[t]]
-        f_ends = np.cumsum([1] + [k.sum() for *_, k in self.degrees]).tolist()
-        g_ends = (f_ends[-1] + np.cumsum([0] + [(~k).sum() for *_, k in self.degrees])).tolist()
+        f_ends = list(accumulate((np.count_nonzero(k) for *_, k in self.degrees), initial=1))
+        g_sizes = (len(k) - np.count_nonzero(k) for *_, k in self.degrees)
+        g_ends = list(accumulate(g_sizes, initial=f_ends[-1]))
         out = np.empty((g_ends[-1], m))
         out[0] = self.const
         for t, (W, V, keep) in enumerate(self.degrees, 1):
@@ -400,7 +402,7 @@ def _gradient_scale(N, z):
     and also when trace N is zero, subnormal or infinite or c² would not be
     a normal float, where nothing exact can be gained.
     """
-    trace = float(np.trace(N))
+    trace = float(N.trace())
     if not np.finfo(float).tiny <= trace < math.inf:
         return 1.0
     e = math.frexp(z * math.sqrt(trace))[1]

@@ -39,7 +39,6 @@ from .errors import ContractViolation, InternalInvariantViolation
 
 __all__ = [
     "SCHEMA_VERSION",
-    "RESIDUAL_FLOOR",
     "points_digest",
     "basis_to_json",
     "basis_from_json",
