@@ -4,10 +4,11 @@ A polynomial is not stored by its terms.  It is stored as the vector of its
 values on a fixed point set, optionally the matrix of its gradient values on
 the same points, and a construction tree (constants, variables, products,
 linear combinations) that can be replayed to evaluate the polynomial --
-values, and gradients if asked for -- on any other point set.  All basis
-construction happens through the two operations :func:`linear_combine` and
-:func:`multiply`; gradients are propagated through them with the
-product/linearity rules and are never obtained by symbolic differentiation.
+values, and gradients if asked for -- on any other point set.  Every node
+of a tree is a call of one of the two operations :func:`linear_combine`
+and :func:`multiply` (the fit forms their arithmetic itself, see below);
+gradients are propagated through them with the product/linearity rules
+and are never obtained by symbolic differentiation.
 
 Gradients travel with the data.  :func:`constant_poly` and
 :func:`variable_poly` carry them unless called with ``grads=False``, and a
@@ -22,28 +23,33 @@ values-only calls and the gradients an eager run forms, bit for bit.
 Both operations work on whole strata at once: :func:`linear_combine` forms
 r combinations of k polynomials as one matrix product over their stacked
 evaluations and one over their stacked gradients, and :func:`multiply`
-forms every product of a list of factor pairs, or of every left factor
-with every right one, by one broadcast.  A call's outputs are the rows of
-those blocks, and its provenance is one node: a ``PLin`` holds the call's
-weight matrix, a ``PProd`` its two factor lists, and each output's
-``prov`` is the pair ``(node, column)``.  The outputs come
-back as :class:`Rows`, which holds the blocks, checked and made read-only
-once per call, with the node, the degrees and the point set.  A kernel
-reads each input once, through ``_blocks``: a ``Rows`` gives its own blocks,
-degrees, provenance and point set without making rows, and any other list
-is stacked for that call only.  ``_evals`` reads evaluations alone, and
-``_grads`` the gradient block, raising ``ContractViolation`` on values-only
-members.  The :class:`Poly` rows, views of the blocks, are made lazily,
-only when something reads one.
+forms the products of a list of factor pairs by one elementwise product.
+A call's outputs are the rows of those blocks, and its provenance is one
+node: a ``PLin`` holds the call's weight matrix, a ``PProd`` its two
+factor lists, and each output's ``prov`` is the pair ``(node, column)``.
+The outputs come back as :class:`Rows`, which holds the blocks, checked and
+made read-only once per call, with the node, the degrees and the point
+set.  A kernel reads each input once, through ``_blocks``: a ``Rows``
+gives its own blocks, degrees, provenance and point set without making
+rows, and any other list is stacked for that call only.  ``_evals`` reads
+evaluations alone, and ``_grads`` the gradient block, raising
+``ContractViolation`` on values-only members.  The :class:`Poly` rows,
+views of the blocks, are made lazily, only when something reads one.
+
+The fit (``engine._degree_step``) does not call these kernels.  It forms
+its blocks with the same arithmetic (``_product_rule`` for the products,
+``_combined_grads`` for the gradients of a combination) and records the
+nodes a kernel call would, so the kernels run only the DAG's replays: a
+replay of a fit's nodes gives the fit's values and gradients bit for bit.
 
 :func:`walk` runs every node under some roots once, children first, and
 its callbacks make all the columns of a node at once.  In memory,
-:func:`replay_many` re-runs every kernel call of the fit whole and gives
+:func:`replay_many` re-runs every kernel call of the DAG whole and gives
 the fit's values bitwise.  For files, :func:`flatten` writes every column
 of every call as JSON-ready records (the ``nodes`` of a basis file), and
 :func:`replay` reads them in file order and rebuilds them on another
 point set, checking a stored call's columns at once and running its
-kernel as soon as its run of records ends: the fit's own calls, so a
+kernel as soon as its run of records ends: the fit's own arithmetic, so a
 loaded basis gives the fit's values bitwise too (see :func:`replay` for
 the one exception).
 
@@ -51,11 +57,11 @@ Who reads the DAG: :func:`flatten` for the save, the coefficient
 expansion (:mod:`mavik.coefficients`), :func:`replay_many` for the
 gradients that the post-processing reads, and ``engine.evaluate`` of a
 basis whose lists are not its fit's chain's (a loaded, hand-built,
-``from_flat`` or edited one).  A fitted basis evaluates new points
-through its ``chain``, the fit's per-degree matrices (``engine.Chain``),
-with the same bits: the constant and each degree's projection weights,
-eigenvectors and F mask, from which every candidate row follows (degree
-2's by the width of its weights).
+``from_flat`` or edited one); each replay runs core's kernels.  A fitted
+basis evaluates new points through its ``chain``, the fit's per-degree
+matrices (``engine.Chain``), with the same bits: the constant and each
+degree's projection weights, eigenvectors and F mask, from which every
+candidate row follows (degree 2's by the width of its weights).
 """
 
 from __future__ import annotations
@@ -294,7 +300,7 @@ def _grads(polys):
     """The (k, m, n) gradient block of ``polys``: a :class:`Rows`'s own, or stacked.
 
     Raises ``ContractViolation`` when a member is values-only."""
-    block = _blocks(polys)[1]
+    block = polys.grads if isinstance(polys, Rows) else _blocks(polys)[1]
     if block is None:
         raise ContractViolation(
             "these polynomials carry no gradients; build them, or replay_many them, "
@@ -354,10 +360,8 @@ def linear_combine(polys, weights, lead=()):
     if lead and len(lead) != W.shape[1]:
         raise ContractViolation("need one lead polynomial per weight column")
     ev, gr, degrees, provs, pointset = _blocks(polys)
-    m, n = len(pointset), pointset.n
     ev = W.T @ ev
-    if gr is not None:
-        gr = (W.T @ gr.reshape(len(polys), m * n)).reshape(-1, m, n)
+    gr = _combined_grads(W, gr)
     degrees = np.where(W != 0.0, np.array(degrees)[:, None], 0).max(axis=0)
     lead_provs = []
     if lead:
@@ -369,6 +373,18 @@ def linear_combine(polys, weights, lead=()):
         degrees = np.maximum(degrees, lead_degrees)
     W.setflags(write=False)
     return Rows(degrees.tolist(), ev, gr, PLin(provs, W, lead_provs), pointset)
+
+
+def _combined_grads(W, gr):
+    """W^T times the (k, m, n) gradient block ``gr``, as an (r, m, n) block.
+
+    One product over the (k, m n) reshape, the gradients of
+    :func:`linear_combine`'s columns before their leads; None for None.
+    """
+    if gr is None:
+        return None
+    k, m, n = gr.shape
+    return (W.T @ gr.reshape(k, m * n)).reshape(-1, m, n)
 
 
 def _product_rule(p_ev, p_gr, q_ev, q_gr):
@@ -389,24 +405,19 @@ def _product_rule(p_ev, p_gr, q_ev, q_gr):
     return (p_ev * q_ev).reshape(-1, m), gr
 
 
-def multiply(ps, qs, outer=False, upper=False):
-    """Products of degree-1 polynomials with other polynomials.
+def multiply(ps, qs):
+    """Pairwise products ``ps[i] * qs[i]`` of degree-1 polynomials with others.
 
-    ``ps`` and ``qs`` are lists or :class:`Rows`, each read by one
-    ``_blocks`` call.  By default they are equally long and the result is
-    the list of the pairwise products ``ps[i] * qs[i]``.  With ``outer`` it
-    is every product ``ps[i] * qs[j]``, i major, by one broadcast of the two
-    blocks; with ``upper`` as well, only those with j >= i.  The products
-    are the rows of one evaluation and one gradient block: product-rule
-    gradients are formed for all pairs at once, when every factor carries
-    gradients; otherwise the products are values-only.  The call records
-    one ``PProd`` node with the pairs' factors, so an outer call replays as
-    the pairwise call of the same pairs, with the same bits.  Returns
-    :class:`Rows`.
+    ``ps`` and ``qs`` are equally long lists or :class:`Rows`, each read by
+    one ``_blocks`` call.  The products are the rows of one evaluation and
+    one gradient block: product-rule gradients are formed for all pairs at
+    once, when every factor carries gradients; otherwise the products are
+    values-only.  The call records one ``PProd`` node with the pairs'
+    factors.  Returns :class:`Rows`.
     """
-    if not outer and len(ps) != len(qs):
+    if len(ps) != len(qs):
         raise ContractViolation("need as many left factors as right factors")
-    if not ps or not qs:
+    if not ps:
         return []
     p_ev, p_gr, p_degrees, p_provs, pointset = _blocks(ps)
     if any(d != 1 for d in p_degrees):
@@ -414,18 +425,8 @@ def multiply(ps, qs, outer=False, upper=False):
     q_ev, q_gr, q_degrees, q_provs, q_points = _blocks(qs)
     if q_points is not pointset:
         raise ContractViolation("polynomials live on different point sets")
-    if not outer:
-        ev, gr = _product_rule(p_ev, p_gr, q_ev, q_gr)
-        return Rows([1 + d for d in q_degrees], ev, gr, PProd(p_provs, q_provs), pointset)
-    ev, gr = _product_rule(p_ev[:, None], None if p_gr is None else p_gr[:, None],
-                           q_ev[None], None if q_gr is None else q_gr[None])
-    k = len(qs)
-    pairs = [(i, j) for i in range(len(ps)) for j in range(i if upper else 0, k)]
-    if upper:
-        rows = [i * k + j for i, j in pairs]
-        ev, gr = ev[rows], None if gr is None else gr[rows]
-    return Rows([1 + q_degrees[j] for _, j in pairs], ev, gr,
-                PProd([p_provs[i] for i, _ in pairs], [q_provs[j] for _, j in pairs]), pointset)
+    ev, gr = _product_rule(p_ev, p_gr, q_ev, q_gr)
+    return Rows([1 + d for d in q_degrees], ev, gr, PProd(p_provs, q_provs), pointset)
 
 
 def walk(roots, const, var, product, combine, memo=None):

@@ -30,18 +30,22 @@ size guards and termination rules, in the one loop of
 :meth:`Fitter.degrees`.  That loop fills one :class:`~mavik.core.Basis`
 and one :class:`FitReport` in place and yields the pair after each degree;
 :func:`fit` returns the pair of the last degree, with the wall time set.
+The step works on each F stratum's ``(values, gradients)`` block, with the
+block functions :meth:`Chain.values` runs (:func:`_candidates`,
+:func:`_combine`), and records the nodes core's kernels would: those
+kernels run only replays of the DAG.
 
 Only gradient normalization and the dimension rule read gradients.  A fit
-in either starts from a constant that carries them, so every kernel forms
+in either starts from a constant that carries them, so every block carries
 them; a vca or coeff fit without a dimension rule starts from a values-only
 constant, so its polynomials are values-only (``Poly.grad`` is None).
 Their gradients, if wanted, come from :func:`replay_many` with
-``grads=True`` on the fit's points, which re-runs the fit's kernel calls
-with gradients and gives, bitwise, what the fit would have formed.
+``grads=True`` on the fit's points, which replays the fit's nodes with
+gradients and gives, bitwise, what the fit would have formed.
 :func:`evaluate` forms values only: a fitted basis whose lists are the
 ones its fit split runs its :class:`Chain`, the fit's matrices, one block
 per degree, and any other basis replays its provenance DAG; both give the
-fit's kernel calls' values, bit for bit.  The chain's values read the
+fit's values, bit for bit.  The chain's values read the
 constant and each degree's W_t, V_t and F mask alone: the masks give the
 strata sizes and W_2's width the degree-2 dedup, and its member lists only
 tell :func:`evaluate` whether a basis still holds them.
@@ -51,24 +55,31 @@ zero floor grows like the extents, and its eigenproblem is solved on E and
 N scaled by a power of two when E^T E would leave the float range (see
 ``ZERO_EXTENT_REL`` and :func:`_gradient_scale`).
 
-:class:`Fitter` keeps every step it computes, so fits of one point set at
-several epsilons share every degree whose lower degrees they split alike.
+:class:`Fitter` keeps every step it computes and every split of it, so
+fits of one point set at several epsilons share every degree whose lower
+degrees they split alike.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
 
 from .coefficients import DEFAULT_TERM_CAP, coeff_gram
-from .core import (Basis, PointSet, _evals, _grads, constant_poly, linear_combine, multiply,
-                   replay_many, variables)
+from .core import (Basis, PLin, PointSet, PProd, PVar, Rows, _combined_grads, _grads,
+                   _product_rule, constant_poly, replay_many)
+# The fit forms its blocks itself and calls none of these kernels; they stay
+# importable here, where the benchmark's tracer wraps them.
+from .core import linear_combine, multiply  # noqa: F401
 from .errors import ContractViolation, InternalInvariantViolation
-from .linalg import gen_eig_sym, numerical_rank, orthogonal_project, whitening
+from .linalg import gen_eig_sym, numerical_rank, projection_weights, whitening
+from .linalg import orthogonal_project  # noqa: F401  (not called by the fit, as above)
 
 __all__ = [
     "NormalizationMode",
@@ -315,27 +326,125 @@ def _squared_norms(ev):
     return (ev[:, None, :] @ ev[:, :, None]).ravel()
 
 
-@dataclass(frozen=True)
+def _candidates(F1, Fp, rows=None):
+    """Degree t's candidates from F_1's and F_(t-1)'s ``(values, gradients)`` blocks.
+
+    Every product of an F_1 row with an F_(t-1) row, F_1 major, by one
+    broadcast through ``core._product_rule`` (gradients when both blocks
+    carry them), or only the products ``rows`` (:func:`_factor_pairs`):
+    each the product core's pairwise ``multiply`` forms, bit for bit.
+    """
+    (p_ev, p_gr), (q_ev, q_gr) = F1, Fp
+    ev, gr = _product_rule(p_ev[:, None], None if p_gr is None else p_gr[:, None],
+                           q_ev[None], None if q_gr is None else q_gr[None])
+    if rows is None:
+        return ev, gr
+    return ev[rows], None if gr is None else gr[rows]
+
+
+@lru_cache(maxsize=1024)
+def _factor_pairs(k, kp, dedup):
+    """``(lefts, rights, rows)`` of the candidates from |F_1| = k, |F_(t-1)| = kp.
+
+    Candidate c is F_1[lefts[c]] * F_(t-1)[rights[c]].  ``rows`` is None
+    for all k kp products, and under degree 2's dedup the read-only rows
+    i k + j, j >= i, that it keeps of them.  Cached, so every part is
+    immutable.
+    """
+    pairs = [(i, j) for i in range(k) for j in range(i if dedup else 0, kp)]
+    rows = None
+    if dedup:
+        rows = np.array([i * kp + j for i, j in pairs], dtype=np.intp)
+        rows.setflags(write=False)
+    return tuple(i for i, _ in pairs), tuple(j for _, j in pairs), rows
+
+
+def _combine(W, block, lead=None):
+    """W^T times the ``[values, gradients]`` list ``block``, plus the ``lead`` pair.
+
+    ``linear_combine``'s products on blocks (``core._combined_grads`` for
+    the gradients, None where the block or the lead has none), with the
+    lead added in place: with C-order operands, its rows bit for bit.  The
+    list is emptied, each block dropped once its product is formed, as
+    ``linear_combine`` drops a stacked list.  Returns a ``(values,
+    gradients)`` pair.
+    """
+    ev = W.T @ block.pop(0)
+    gr = _combined_grads(W, block.pop())
+    if lead is None:
+        return ev, gr
+    ev += lead[0]
+    if gr is None or lead[1] is None:
+        return ev, None
+    gr += lead[1]
+    return ev, gr
+
+
+@dataclass
+class _Split:
+    """One degree's F/G split, kept on its step in the :class:`Fitter` tree.
+
+    ``keep`` is the read-only F mask, ``F``/``G`` the member lists and
+    ``extents`` G's extents, which fits copy before handing them out.
+    ``block`` is F_t's ``(values, gradients)`` block, a view of the step's
+    members when the mask is a prefix (every fitted mask is), and
+    ``provs`` its provenance pairs; ``next`` is degree t + 1's step.
+    """
+
+    keep: np.ndarray | None
+    F: list
+    G: list
+    extents: np.ndarray
+    block: tuple
+    provs: list
+    next: _Step | None = None
+
+
+@dataclass
 class _Step:
     """One degree of the construction before its F/G split.
 
-    ``polys`` are the combinations the normalization retains, in eigenvalue
-    order (at a saturated degree, in candidate or whitening order);
-    ``extents`` their evaluation norms, ``values`` the generalized
-    eigenvalues (at a saturated degree, the squared extents) and
-    ``zero_floor`` the extent below which a combination is a floating-point
-    zero.  ``weights`` is the projection's weight matrix W_t (|F_<t| x k_t)
-    and ``vectors`` the combination's V_t (k_t x r_t), None at a saturated
-    vca degree, whose members are the projected candidates themselves: the
-    read-only arrays of the two calls' provenance nodes.
+    ``members`` are the combinations the normalization retains, in
+    eigenvalue order (at a saturated degree, in candidate or whitening
+    order), as one :class:`~mavik.core.Rows`; ``extents`` their evaluation
+    norms, ``values`` the generalized eigenvalues (at a saturated degree,
+    the squared extents) and ``zero_floor`` the extent below which a
+    combination is a floating-point zero.  ``weights`` is the projection's
+    weight matrix W_t (|F_<t| x k_t) and ``vectors`` the combination's V_t
+    (k_t x r_t), None at a saturated vca degree, whose members are the
+    projected candidates themselves: the read-only arrays of the two
+    ``PLin`` nodes.  ``splits`` holds a :class:`_Split` per retained count,
+    which fixes the mask: F takes the members whose extents exceed the
+    threshold.
     """
 
-    polys: list
+    members: Rows
     extents: np.ndarray
     values: np.ndarray
     zero_floor: float
     weights: np.ndarray
     vectors: np.ndarray | None
+    splits: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        # np.sort puts NaN extents, never above a threshold, last: drop them.
+        self._ascending = np.sort(self.extents).tolist()
+        while self._ascending and math.isnan(self._ascending[-1]):
+            self._ascending.pop()
+
+    def split(self, eps):
+        """The split at ``eps``, made on first use and kept per retained count."""
+        threshold = max(eps, self.zero_floor)
+        f = len(self._ascending) - bisect_right(self._ascending, threshold)
+        if f not in self.splits:
+            members, keep = self.members, self.extents > threshold
+            keep.setflags(write=False)
+            rows = slice(f) if keep[:f].all() else keep
+            F = [p for p, k in zip(members, keep) if k]
+            G = [p for p, k in zip(members, keep) if not k]
+            block = members.evals[rows], None if members.grads is None else members.grads[rows]
+            self.splits[f] = _Split(keep, F, G, self.extents[~keep], block, [p.prov for p in F])
+        return self.splits[f]
 
 
 @dataclass
@@ -352,6 +461,8 @@ class Chain:
     k(k+1)/2 columns for k = |F_1| against k² (one either way at k = 1).
     ``F`` and ``G`` copy the lists the fit split, constant included, and
     serve only :func:`evaluate`'s check that a basis still holds them.
+    The fit and :meth:`values` run the same per-degree block functions,
+    :func:`_candidates` and :func:`_combine`.
     """
 
     const: float
@@ -363,12 +474,11 @@ class Chain:
         """The (r, m) block of the basis's values on the finite (m, n) ``pts``.
 
         Its rows are the F strata, then the G strata, each in stratum order.
-        Per degree: the candidates by one broadcast of F_1's block against
-        F_(t-1)'s, the projection ``C_t + W_t^T F_<t``, the combination
-        ``V_t^T P_t`` and the split by the mask.  Every block has the values
-        and the C layout that :func:`~mavik.core.replay_many` stacks for the
-        same kernel call, so BLAS returns its bits; F_<t is a leading slice
-        of the block.
+        Per degree: the candidates (:func:`_candidates` of F_1's block and
+        F_(t-1)'s), the projection ``C_t + W_t^T F_<t`` and the combination
+        ``V_t^T P_t`` (:func:`_combine`), and the split by the mask.  Every
+        block has the values and the C layout of the fit's, so BLAS returns
+        its bits; F_<t is a leading slice of the block.
         """
         m = len(pts)
         # F_t is out[f_ends[t - 1]:f_ends[t]], G_t out[g_ends[t - 1]:g_ends[t]]
@@ -379,17 +489,16 @@ class Chain:
         out[0] = self.const
         for t, (W, V, keep) in enumerate(self.degrees, 1):
             if t == 1:
-                C = np.ascontiguousarray(pts.T)
+                C = np.ascontiguousarray(pts.T), None
             else:
                 F1, Fp = out[1:f_ends[1]], out[f_ends[t - 2]:f_ends[t - 1]]
-                C = (F1[:, None] * Fp[None]).reshape(-1, m)
-                if W.shape[1] < len(C):  # degree 2 with the dedup
-                    k = len(F1)
-                    C = C[[i * k + j for i in range(k) for j in range(i, k)]]
-            P = C + W.T @ out[:f_ends[t - 1]]
-            members = P if V is None else V.T @ P
-            out[f_ends[t - 1]:f_ends[t]] = members[keep]
-            out[g_ends[t - 1]:g_ends[t]] = members[~keep]
+                dedup = W.shape[1] < len(F1) * len(Fp)  # degree 2 with the dedup
+                C = _candidates((F1, None), (Fp, None), _factor_pairs(len(F1), len(Fp), dedup)[2])
+            members = _combine(W, [out[:f_ends[t - 1]], None], lead=C)
+            if V is not None:
+                members = _combine(V, list(members))
+            out[f_ends[t - 1]:f_ends[t]] = members[0][keep]
+            out[g_ends[t - 1]:g_ends[t]] = members[0][~keep]
         return out
 
 
@@ -409,75 +518,99 @@ def _gradient_scale(N, z):
     return math.ldexp(1.0, -e) if _SCALE_FREE_EXPONENT < abs(e) <= 511 else 1.0
 
 
-def _degree_step(X, config, F, t, coeff_memo):
-    """Build degree t from the nonvanishing strata ``F[0..t-1]``.
+def _degree_step(X, config, path, coeff_memo):
+    """Build degree t = ``len(path)`` from the splits ``path`` of degrees 0 to t - 1.
 
-    One ``multiply`` builds all candidate products, one
-    ``orthogonal_project`` removes the earlier strata from them, two Grams
-    and a generalized eigensolve pick the combinations, and one
-    ``linear_combine`` with the eigenvector matrix builds them.  Each
-    kernel's :class:`~mavik.core.Rows` feeds the next one and the Grams
-    through core's block readers, which stack only the plain lists (the
-    variables, the flattened F strata), for one call at a time.  No kernel
-    reads a candidate as a :class:`~mavik.core.Poly`, so the only rows ever
-    made are the retained combinations', when the caller splits them into
-    F and G.  Both Grams (vca has no N) are single syrk products and come
-    out exactly symmetric.  Nothing here reads epsilon.  ``coeff_memo`` is
-    the coefficient rows' walk memo of the fit's tree of steps.
+    On the splits' F blocks, gradients included where they carry them: the
+    candidates C_t (the coordinates at degree 1), the weights W_t of
+    :func:`~mavik.linalg.projection_weights` against the F_<t block, the
+    projected candidates ``P_t = C_t + W_t^T F_<t`` and the members ``V_t^T
+    P_t`` (:func:`_combine`); F_<t and C_t are dropped once P_t is formed.
+    Two Grams and a generalized eigensolve pick V_t; both Grams (vca has no
+    N) are single syrk products and come out exactly symmetric.  Nothing
+    here reads epsilon.  ``coeff_memo`` is the coefficient rows' walk memo
+    of the fit's tree of steps.
+
+    The step records the nodes core's kernels would: a ``PProd`` of the
+    candidates' factors, a ``PLin`` of the projection (F_<t as children,
+    W_t, the candidates as leads) and a ``PLin`` of the combination (V_t),
+    whose replays give the fit's values and gradients bit for bit.  Every
+    member has degree t, as ``linear_combine`` gives a nonzero column.  The
+    projected candidates and the members are :class:`~mavik.core.Rows`, so
+    the only :class:`~mavik.core.Poly` rows made are the members', when a
+    split reads them.
 
     A *saturated* degree is one whose lower F strata hold |X| members.
     They then span R^|X|, every projected candidate is rounding residue,
     and every combination vanishes whatever epsilon is, so there is nothing
-    for an eigensolve of A to choose: the step forms no A.  Its
-    combinations are the candidates themselves in vca, which has no N,
-    with no combination call, and otherwise the candidates combined by N's
-    whitening (:func:`~mavik.linalg.whitening`), which are N-orthonormal
-    as the eigenvectors are.  Its ``values`` are the squared extents.
-
-    The step keeps the weight matrices of its projection and combination
-    calls, the arrays their provenance nodes hold, for the basis's
-    :class:`Chain`.
+    for an eigensolve of A to choose: the step forms no A.  Its members
+    are the projected candidates themselves in vca, which has no N, and
+    otherwise the candidates combined by N's whitening
+    (:func:`~mavik.linalg.whitening`), which are N-orthonormal as the
+    eigenvectors are.  Its ``values`` are the squared extents.
     """
+    t, m, n = len(path), len(X), X.n
+    with_grads = path[0].block[1] is not None
     if t == 1:
-        cands_pre = variables(X)
+        gr = None
+        if with_grads:  # the coordinates' gradients, unit vectors
+            gr = np.zeros((n, m, n))
+            gr[np.arange(n), :, np.arange(n)] = 1.0
+        C = np.ascontiguousarray(X.points.T), gr
+        leads = [(PVar(k), 0) for k in range(n)]
     else:
-        # Every x f pair: f_prev in order for each member of F[1] (with the
-        # degree-2 dedup, only the members from the same position on).
-        cands_pre = multiply(F[1], F[t - 1], outer=True, upper=(t == 2 and config.dedup_degree2))
+        F1, Fp = path[1], path[t - 1]
+        lefts, rights, rows = _factor_pairs(len(F1.provs), len(Fp.provs),
+                                            t == 2 and config.dedup_degree2)
+        C = _candidates(F1.block, Fp.block, rows)
+        product = PProd([F1.provs[i] for i in lefts], [Fp.provs[j] for j in rights])
+        leads = [(product, c) for c in range(len(lefts))]
     # Every entry of the evaluation Gram is bounded by the square of this norm.
     with np.errstate(over="ignore"):
-        scale = float(np.linalg.norm(_evals(cands_pre)))
+        scale = float(np.linalg.norm(C[0]))
     if not math.isfinite(scale * scale):
         raise ContractViolation(f"degree-{t} evaluations overflow float64; rescale the points")
-    f_flat = [f for stratum in F for f in stratum]
-    cands = orthogonal_project(cands_pre, f_flat)
+    below = [np.concatenate([s.block[0] for s in path]),
+             np.concatenate([s.block[1] for s in path]) if with_grads else None]
+    W = projection_weights(below[0], C[0])
+    P = _combine(W, below, lead=C)  # empties below
+    del C
+    W.setflags(write=False)
+    children = [prov for s in path for prov in s.provs]
+    cands = Rows([t] * len(leads), *P, PLin(children, W, leads), X)
     N = normalization_gram(cands, config.mode, term_cap=config.term_cap, memo=coeff_memo)
-    saturated = len(f_flat) == len(X)
+    saturated = len(children) == m
     grad = config.mode.kind == "gradient"
     if saturated:
-        new_polys = cands if N is None else linear_combine(cands, whitening(N))
+        V = None if N is None else whitening(N)
     else:
         # The (|X|, k) C-contiguous layout makes E^T E one syrk.
-        E = np.ascontiguousarray(_evals(cands).T)
+        E = np.ascontiguousarray(cands.evals.T)
         c = _gradient_scale(N, config.mode.z) if grad else 1.0
         if c != 1.0:  # A V = N V Lambda for V = V' c, where A c² V' = N c² V' Lambda
             E, N = E * c, N * (c * c)
         res = gen_eig_sym(E.T @ E, N)
-        new_polys = linear_combine(cands, res.vectors * c)
+        V = res.vectors if c == 1.0 else res.vectors * c
+    if V is None:
+        members = cands
+    else:
+        V = np.ascontiguousarray(V)  # the layout replay gives the node's weights
+        V.setflags(write=False)
+        members = Rows([t] * V.shape[1], *_combine(V, [cands.evals, cands.grads]),
+                       PLin(cands.provs, V, []), X)
     if grad:
-        _verify_gradient_norms(new_polys.grads, config.mode.z)
+        _verify_gradient_norms(members.grads, config.mode.z)
 
     # Extents taken directly from the assembled evaluation vectors: the
     # Gram eigenvalues can only resolve extents down to sqrt(eps)*scale.
-    squares = _squared_norms(new_polys.evals)
+    squares = _squared_norms(members.evals)
     norms = np.sqrt(squares)
-    vectors = None if new_polys is cands else new_polys.node.weights
     if saturated:
-        return _Step(new_polys, norms, squares, math.inf, cands.node.weights, vectors)
+        return _Step(members, norms, squares, math.inf, W, V)
     floor = ZERO_EXTENT_REL * scale
     if grad:  # in the units of the extents (see ZERO_EXTENT_REL)
-        floor *= float(np.abs(vectors).sum(axis=0).max(initial=0.0))
-    return _Step(new_polys, norms, res.values, floor, cands.node.weights, vectors)
+        floor *= float(np.abs(V).sum(axis=0).max(initial=0.0))
+    return _Step(members, norms, res.values, floor, W, V)
 
 
 class Fitter:
@@ -485,10 +618,11 @@ class Fitter:
 
     Degree t depends on epsilon only through the F masks (which retained
     combinations went to F) of the degrees below it.  A fitter keeps every
-    step it computes in a tree keyed by mask history, a node being ``(step,
-    {F mask of this degree: next node})``, so a fit computes a step only
-    where its path leaves the tree, and memory is bounded by the steps
-    already computed.  In coefficient mode it keeps every provenance node's
+    step it computes in a tree: a :class:`_Step` keeps its splits by
+    retained count, and a :class:`_Split` its lists, F block and the next
+    degree's step.  A fit computes a step only where its path leaves the
+    tree, and walks a kept degree with no numpy compare and no list
+    comprehension; memory is bounded by the steps already computed.  In coefficient mode it keeps every provenance node's
     coefficient rows beside the steps, so each degree's Gram expands only
     the nodes no earlier Gram reached; the rows belong to nodes the kept
     steps hold, so memory is still bounded by the nodes built.  A
@@ -535,9 +669,12 @@ class Fitter:
         # kept with them: a saved basis then lists it once.  Its gradients,
         # formed only where something reads them, decide every kernel's.
         grads = config.mode.kind == "gradient" or _dimension_rule(config)
-        self._const = constant_poly(m_const, X, grads)
+        const = self._const = constant_poly(m_const, X, grads)
         self._m_const, self._max_degree = m_const, max_degree
-        self._tree = {}  # {(): the degree-1 node}
+        # Degree 0's split, the root of the tree: its next step is degree 1.
+        self._root = _Split(None, [const], [], np.zeros(0),
+                            (const.eval[None], None if const.grad is None else const.grad[None]),
+                            [const.prov])
         self._coeff_memo = {}  # provenance node -> coefficient rows, in coefficient mode
 
     def degrees(self, config):
@@ -580,22 +717,22 @@ class Fitter:
         report = FitReport(config=config.echo(), n=n, n_points=m, m_constant=self._m_const,
                            f_counts=[1], g_counts=[0])
         F, G = basis.F, basis.G
-        children, mask = self._tree, ()
+        path = [self._root]  # the splits of degrees 0 to t - 1
         while not report.termination:
-            t = len(F)
-            if mask not in children:
-                children[mask] = (_degree_step(X, config, F, t, self._coeff_memo), {})
-            step, children = children[mask]
-            keep = step.extents > max(eps, step.zero_floor)
-            mask = tuple(keep.tolist())
-            chain.F.append([p for p, k in zip(step.polys, mask) if k])
-            chain.G.append([p for p, k in zip(step.polys, mask) if not k])
-            chain.degrees.append((step.weights, step.vectors, keep))
-            F.append(chain.F[t][:])
-            G.append(chain.G[t][:])
-            basis.extents.append(step.extents[~keep])
-            report.f_counts.append(len(F[t]))
-            report.g_counts.append(len(G[t]))
+            t = len(path)
+            if path[-1].next is None:
+                path[-1].next = _degree_step(X, config, path, self._coeff_memo)
+            step = path[-1].next
+            split = step.split(eps)
+            path.append(split)
+            chain.F.append(split.F[:])
+            chain.G.append(split.G[:])
+            chain.degrees.append((step.weights, step.vectors, split.keep))
+            F.append(split.F[:])
+            G.append(split.G[:])
+            basis.extents.append(split.extents.copy())
+            report.f_counts.append(len(split.F))
+            report.g_counts.append(len(split.G))
             report.spectra.append(step.values)
             report.extents.append(step.extents)
             _verify_size_bounds(report.f_total, t, n, m)

@@ -1,10 +1,8 @@
 """The three matrix kernels the basis construction consumes.
 
-* :func:`orthogonal_project` -- remove the span of earlier strata from a
-  batch of candidate polynomials, on the evaluation side, updating gradients
-  (where the inputs carry them) with the same combination weights; one
-  matrix product for the weights and one stratum-level combination for the
-  results.
+* :func:`projection_weights` -- the weights that remove the span of earlier
+  strata from a block of candidate evaluations, one matrix product, which
+  :func:`orthogonal_project` applies to polynomials by one combination.
 * :func:`gen_eig_sym` -- symmetric-definite generalized eigenproblem
   ``A V = N V Lambda`` restricted to the numerical range of ``N``, returning
   N-orthonormal eigenvectors; ``N`` None is the identity, with nothing to
@@ -25,7 +23,8 @@ import numpy as np
 from .core import _evals, linear_combine
 from .errors import ContractViolation, InternalInvariantViolation
 
-__all__ = ["GenEigResult", "gen_eig_sym", "whitening", "orthogonal_project", "numerical_rank"]
+__all__ = ["GenEigResult", "gen_eig_sym", "whitening", "projection_weights", "orthogonal_project",
+           "numerical_rank"]
 
 SYMMETRY_TOL = 1e-10
 # Normalization-matrix eigenvalues at or below this fraction of the largest
@@ -192,32 +191,41 @@ def whitening(N):
     return _n_normalize(W[:, ::-1], N, smax, s_min)[0]
 
 
-def orthogonal_project(cands, f_prev):
-    """Project candidate evaluations orthogonally to span of ``f_prev`` evals.
+def projection_weights(F, C):
+    """The weights W = -(F C^T) / diag projecting the (r, m) candidate block ``C``.
 
-    ``f_prev`` must have pairwise-orthogonal nonzero evaluation vectors (true
-    by construction for completed strata), so the least-squares coefficients
-    reduce to scaled inner products against a diagonal Gram.  The whole
-    stratum is projected at once: the coefficients are one matrix product,
-    ``-(E^T C) / diag``, and the projected candidates one
-    :func:`linear_combine` of ``f_prev`` with the candidates as lead terms,
-    so each result is ``c - sum_j w_j f_j`` with provenance ``[c] + f_prev``.
-    Gradients, when every input carries them, and provenance follow the
-    same linear combination.  ``E`` and ``C`` are read with core's
-    ``_evals``, which stacks a plain list.
+    ``F`` is the (k, m) block of pairwise-orthogonal nonzero evaluations
+    (true by construction for completed strata), so the least-squares
+    coefficients reduce to inner products over its diagonal Gram, diag:
+    ``C_j + sum_i W[i, j] F_i`` is candidate j without its part in F's
+    span.  W is one product of (m, k) and (m, r) C-order copies.  A zero
+    row of ``F`` raises ``InternalInvariantViolation``, and a non-finite
+    weight ``ContractViolation``.
     """
-    if not f_prev or not cands:
-        return list(cands)
-    # (|X|, k) in C order, the layout the products below were rounded in.
-    E = np.ascontiguousarray(_evals(f_prev).T)
+    E = np.ascontiguousarray(F.T)
     diag = np.sum(E * E, axis=0)
     if np.any(diag == 0.0):
         raise InternalInvariantViolation(
             "projection basis contains a zero evaluation vector"
         )
-    C = np.ascontiguousarray(_evals(cands).T)
-    W = -(E.T @ C) / diag[:, None]
-    return linear_combine(f_prev, W, lead=cands)
+    W = -(E.T @ np.ascontiguousarray(C.T)) / diag[:, None]
+    if not np.isfinite(W).all():
+        raise ContractViolation("weights must be finite")
+    return W
+
+
+def orthogonal_project(cands, f_prev):
+    """Project candidate polynomials orthogonally to the span of ``f_prev``.
+
+    One :func:`linear_combine` of ``f_prev`` with the candidates as leads
+    and the :func:`projection_weights` of their evaluations (read with
+    core's ``_evals``) as weights: each result is ``c - sum_j w_j f_j``,
+    gradients (when every input carries them) and provenance included.
+    The fit projects its blocks with the weights directly.
+    """
+    if not f_prev or not cands:
+        return list(cands)
+    return linear_combine(f_prev, projection_weights(_evals(f_prev), _evals(cands)), lead=cands)
 
 
 def numerical_rank(M, tol=1e-12):

@@ -231,36 +231,53 @@ class TestMultiply:
             records, (i_a, i_b, i_p) = flatten([a.prov, b.prov, p.prov])
             assert records[i_p] == {"kind": "product", "left": i_a, "right": i_b}
 
-    @pytest.mark.parametrize("upper", [False, True], ids=["all", "upper"])
+    @staticmethod
+    def block(polys):
+        """The ``(values, gradients)`` block of ``polys``, as a fit's split holds it."""
+        grads = None if polys[0].grad is None else np.array([p.grad for p in polys])
+        return np.array([p.eval for p in polys]), grads
+
+    @pytest.mark.parametrize("dedup", [False, True], ids=["all", "dedup"])
     @pytest.mark.parametrize("kind", ["grad", "vca"])
-    def test_outer_products_are_the_pairwise_call_bitwise(self, upper, kind):
-        # one broadcast over the two stacked factor lists gives the values,
-        # gradients, degrees and provenance pairs of the pairwise call over
-        # the same pairs, i major; with upper only j >= i (degree 2's dedup)
+    def test_the_fits_candidates_are_the_pairwise_call_bitwise(self, dedup, kind):
+        # the fit's one broadcast over the two factor blocks gives the values
+        # and gradients of the pairwise call over the same pairs, i major;
+        # with degree 2's dedup only j >= i.  The fit records the pairwise
+        # call's node, with the pairs' factors, and members of degree t.
         X = sample_generic(30, 3, 0)
         mode = NormalizationMode(kind if kind == "vca" else "gradient")
-        basis, _ = fit(X, EngineConfig(epsilon=1e-6, mode=mode))
+        basis, _ = fit(X, EngineConfig(epsilon=1e-6, mode=mode, dedup_degree2=dedup))
         lefts = basis.F[1]
-        for rights in [basis.F[1]] + ([] if upper else [basis.F[2], basis.F[3]]):
-            out = multiply(lefts, rights, outer=True, upper=upper)
+        for t in [2] + ([] if dedup else [3, 4]):
+            rights = basis.F[t - 1]
+            rows = engine._factor_pairs(len(lefts), len(rights), t == 2 and dedup)[2]
+            ev, gr = engine._candidates(self.block(lefts), self.block(rights), rows)
             pairs = [(i, j) for i in range(len(lefts)) for j in range(len(rights))
-                     if j >= i or not upper]
+                     if j >= i or rows is None]
             want = multiply([lefts[i] for i, _ in pairs], [rights[j] for _, j in pairs])
-            assert out.evals.tobytes() == want.evals.tobytes()
-            assert (out.grads is None) == (want.grads is None) == (kind == "vca")
+            assert ev.tobytes() == want.evals.tobytes()
+            assert (gr is None) == (want.grads is None) == (kind == "vca")
             if kind == "grad":
-                assert out.grads.tobytes() == want.grads.tobytes()
-            assert out.degrees == want.degrees
-            assert flatten([p.prov for p in out]) == flatten([p.prov for p in want])
+                assert gr.tobytes() == want.grads.tobytes()
+            projection = basis.F[t][0].prov[0].children[0][0]
+            product = projection.lead[0][0]
+            assert projection.lead == [(product, c) for c in range(len(pairs))]
+            assert product.left == [lefts[i].prov for i, _ in pairs]
+            assert product.right == [rights[j].prov for _, j in pairs]
+            assert {p.degree for p in basis.F[t] + basis.G[t]} == {t}
+            assert want.degrees == [t] * len(want)
 
-    def test_outer_products_of_unequal_lists(self):
+    def test_candidates_of_unequal_lists(self):
         X = generic_points(5, 2, seed=3)
         x, y = variables(X)
         (q,) = multiply([x], [y])
-        out = multiply([x, y], [x, y, q], outer=True, upper=True)
-        want = multiply([x, x, x, y, y], [x, y, q, y, q])
-        assert out.evals.tobytes() == want.evals.tobytes() and out.degrees == [2, 2, 3, 2, 3]
-        assert multiply([], [x], outer=True) == multiply([x], [], outer=True) == []
+        ev, gr = engine._candidates(self.block([x, y]), self.block([x, y, q]))
+        want = multiply([x, x, x, y, y, y], [x, y, q, x, y, q])
+        assert ev.tobytes() == want.evals.tobytes() and gr.tobytes() == want.grads.tobytes()
+        assert want.degrees == [2, 2, 3, 2, 2, 3]
+        ev, _ = engine._candidates(self.block([x, y]), self.block([x, y]),
+                                   engine._factor_pairs(2, 2, True)[2])
+        assert ev.tobytes() == multiply([x, x, y], [x, y, y]).evals.tobytes()
 
     def test_sequences_must_pair_up(self):
         X = generic_points(4, 2, seed=1)

@@ -259,13 +259,13 @@ class TestSaturatedDegree:
     def run(monkeypatch, kind, count, dim):
         """Fit, recording what the last degree's step runs.
 
-        Returns the fit's basis and report, the shapes of the ``eigh`` calls,
-        the ``(candidates, N)`` of the normalization Grams and the weights
-        of the engine's combination calls, all of the last degree only."""
+        Returns the fit's basis and report, the shapes of the ``eigh`` calls
+        and the ``(candidates, N)`` of the normalization Grams, both of the
+        last degree only."""
         X = sample_generic(count, dim, 0)
         config = EngineConfig(epsilon=1e-6, mode=mode_from_kind(kind, n_points=len(X)))
-        eighs, grams, weights = [], [], []
-        eigh, gram, combine = np.linalg.eigh, engine.normalization_gram, engine.linear_combine
+        eighs, grams = [], []
+        eigh, gram = np.linalg.eigh, engine.normalization_gram
 
         def counting_eigh(M):
             eighs.append(M.shape)
@@ -276,26 +276,21 @@ class TestSaturatedDegree:
             grams.append((cands, N))
             return N
 
-        def capturing_combine(polys, W, *args):
-            weights.append(W)
-            return combine(polys, W, *args)
-
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         monkeypatch.setattr(engine, "normalization_gram", capturing_gram)
-        monkeypatch.setattr(engine, "linear_combine", capturing_combine)
         for basis, report in engine.Fitter(X).degrees(config):
-            for record in (eighs, grams, weights):
+            for record in (eighs, grams):
                 if report.termination != "f-empty":
                     record.clear()
         monkeypatch.undo()
         assert sum(report.f_counts[:-1]) == len(X) and report.f_counts[-1] == 0
-        return X, config, basis, report, eighs, grams, weights
+        return X, config, basis, report, eighs, grams
 
     @pytest.mark.parametrize("count, dim", SATURATED_SHAPES)
     @pytest.mark.parametrize("kind", ["vca", "coeff", "grad"])
     def test_the_step_runs_no_eigensolve_of_a(self, monkeypatch, kind, count, dim):
         # vca: none at all; coeff and grad: the eigendecomposition of N alone
-        *_, eighs, grams, _ = self.run(monkeypatch, kind, count, dim)
+        *_, eighs, grams = self.run(monkeypatch, kind, count, dim)
         k = len(grams[0][0])
         assert eighs == ([] if kind == "vca" else [(k, k)])
 
@@ -303,16 +298,20 @@ class TestSaturatedDegree:
     @pytest.mark.parametrize("kind", ["vca", "coeff", "grad"])
     def test_g_is_the_candidates_combined_by_the_whitening_of_n(self, monkeypatch, kind, count,
                                                                dim):
-        X, config, basis, _, _, grams, weights = self.run(monkeypatch, kind, count, dim)
+        X, config, basis, _, _, grams = self.run(monkeypatch, kind, count, dim)
         ((cands, N),) = grams
         G = basis.G[-1]
+        nodes = {p.prov[0] for p in G}
         if kind == "vca":
-            # no combination call: the members are the projected candidates
-            assert weights == [] and len(G) == len(cands)
+            # no combination: the members are the projected candidates
+            assert nodes == {cands.node} and len(G) == len(cands)
             assert [p.prov for p in G] == cands.provs
             assert all(p.eval.tobytes() == q.tobytes() for p, q in zip(G, cands.evals))
             return
-        (W,) = weights
+        # one combination of the projected candidates, by the whitening
+        (node,) = nodes
+        assert node.children == cands.provs and node.lead == []
+        W = node.weights
         assert W.tobytes() == linalg.whitening(N).tobytes() and W.shape == (len(cands), len(G))
         # N-orthonormal, as the generalized eigenvectors are
         got = normalization_gram(G, config.mode, term_cap=config.term_cap)
@@ -321,7 +320,7 @@ class TestSaturatedDegree:
     @pytest.mark.parametrize("count, dim", SATURATED_SHAPES)
     @pytest.mark.parametrize("kind", ["vca", "coeff", "grad"])
     def test_spectra_are_the_squared_extents(self, monkeypatch, kind, count, dim):
-        *_, basis, report, _, _, _ = self.run(monkeypatch, kind, count, dim)
+        *_, basis, report, _, _ = self.run(monkeypatch, kind, count, dim)
         squares = np.array([p.eval.dot(p.eval) for p in basis.G[-1]])
         assert report.spectra[-1].tobytes() == squares.tobytes()
         assert np.sqrt(report.spectra[-1]).tobytes() == report.extents[-1].tobytes()
@@ -330,7 +329,7 @@ class TestSaturatedDegree:
     @pytest.mark.parametrize("count, dim", SATURATED_SHAPES)
     @pytest.mark.parametrize("kind", ["vca", "coeff", "grad"])
     def test_a_saved_basis_replays_g_bitwise(self, monkeypatch, kind, count, dim):
-        X, _, basis, _, _, grams, _ = self.run(monkeypatch, kind, count, dim)
+        X, _, basis, _, _, grams = self.run(monkeypatch, kind, count, dim)
         obj = json.loads(json.dumps(serialize.basis_to_json(basis, points=X)))
         loaded = serialize.basis_from_json(obj, X)
         G = basis.G[-1]
@@ -491,13 +490,17 @@ class TestLazyRows:
     def test_degree_step_makes_rows_only_for_its_retained_combinations(self, monkeypatch, mode):
         X = sample_generic(50, 3, 0)
         config = EngineConfig(epsilon=1e-6, mode=mode)
-        basis, _ = fit(X, config)
+        fitter = engine.Fitter(X)
+        fitter.fit(config)
+        path = [fitter._root]  # the fit's splits of degrees 0 to 2
+        for _ in range(2):
+            path.append(path[-1].next.split(config.epsilon))
         made = self.count_made(monkeypatch)
-        step = engine._degree_step(X, config, basis.F[:3], 3, {})
+        step = engine._degree_step(X, config, path, {})
         assert made == []
-        polys = list(step.polys)
+        polys = list(step.members)
         assert made == [len(step.values)] == [len(polys)]
-        assert all(p is q for p, q in zip(step.polys, polys)) and made == [len(polys)]
+        assert all(p is q for p, q in zip(step.members, polys)) and made == [len(polys)]
 
     @pytest.mark.parametrize("mode", MODES, ids=["vca", "coeff", "grad"])
     def test_a_fit_makes_rows_only_for_basis_members(self, monkeypatch, mode):
@@ -602,13 +605,34 @@ def assert_matrices_are_replay(basis, X_new):
     assert np.ascontiguousarray(bare.values(X_new.points).T).tobytes() == replayed.tobytes()
 
 
+def assert_fit_is_its_dag(basis, X):
+    """``core.replay_many`` of every member on the fit's points, with
+    gradients, gives each member's values, and its gradients where it
+    carries them, bit for bit: the nodes a fit records are its own
+    arithmetic, which ``basis.json`` and ``mavik reduce`` replay."""
+    polys = basis.f_polys() + basis.g_polys()
+    for p, (ev, gr) in zip(polys, core.replay_many(polys, X.points, grads=True)):
+        assert ev.tobytes() == p.eval.tobytes()
+        assert p.grad is None or gr.tobytes() == p.grad.tobytes()
+
+
+def fitted_splits(fitter):
+    """The splits of degrees 0 to the top of the one fit ``fitter`` has run."""
+    path = [fitter._root]
+    while path[-1].next is not None:
+        (split,) = path[-1].next.splits.values()
+        path.append(split)
+    return path
+
+
 class TestGridProfiles:
     """The 36 fits of the benchmark grid (``scripts/grid_outputs.py``) at
     epsilon 1e-6, and its 18 variety fits at epsilon 1e-2, with the CLI's
     mode settings: a rounding change that moves a profile, or a change to
     the epsilon split, fails here, not only in the benchmark.  Each fitted
     basis runs its chain on 300 fresh points, bit for bit as the DAG
-    replay, and so does a chain of copies of its matrices alone."""
+    replay, and so does a chain of copies of its matrices alone; the DAG
+    replay on the fit's points gives the fit's values and gradients."""
 
     @pytest.mark.parametrize("count, dim", list(GRID_PROFILES))
     def test_profiles_and_termination(self, count, dim):
@@ -623,6 +647,7 @@ class TestGridProfiles:
                     f_profile, g_profile, "f-empty"), (kind, seed)
                 assert_chain_is_replay(basis, fresh)
                 assert_matrices_are_replay(basis, fresh)
+                assert_fit_is_its_dag(basis, X)
 
     @pytest.mark.parametrize("variety, seed", list(VARIETY_PROFILES))
     def test_variety_profiles_and_termination(self, variety, seed):
@@ -635,6 +660,7 @@ class TestGridProfiles:
                 f_profile, g_profile, "f-empty"), kind
             assert_chain_is_replay(basis, fresh)
             assert_matrices_are_replay(basis, fresh)
+            assert_fit_is_its_dag(basis, X)
 
 
 class TestEvaluate:
@@ -730,6 +756,7 @@ class TestChain:
         assert W2.shape[1] == len(basis.F[1]) ** 2 == 9
         assert_chain_is_replay(basis, self.FRESH)
         assert_matrices_are_replay(basis, self.FRESH)
+        assert_fit_is_its_dag(basis, X)
 
     @pytest.mark.parametrize("kind", ["vca", "grad", "coeff"])
     def test_a_max_degree_cap(self, kind):
@@ -738,6 +765,7 @@ class TestChain:
         basis, report = fit(X, EngineConfig(epsilon=1e-6, mode=mode, max_degree=3))
         assert report.termination == "max-degree" and len(basis.chain.degrees) == 3
         assert_chain_is_replay(basis, self.FRESH)
+        assert_fit_is_its_dag(basis, X)
 
     def test_a_fit_stopped_after_degree_2(self):
         X = sample_generic(50, 3, 2)
@@ -754,6 +782,59 @@ class TestChain:
         basis, _ = fit(X, EngineConfig(epsilon=1e-6, mode=NormalizationMode.vca_baseline()))
         assert [V is None for _, V, _ in basis.chain.degrees][-1]
         assert_chain_is_replay(basis, sample_generic(300, 2, 7))
+        assert_fit_is_its_dag(basis, X)
+
+    def test_a_mask_that_is_not_a_prefix(self, monkeypatch):
+        # No fit is known to make one, but nothing makes the extents
+        # descend: a stand-in that reverses degree 5's squared norms sends
+        # its last members to F, so F_5's block is a copy, which degree 6
+        # reads.  The fit is still its own DAG and its chain's values.
+        X = sample_generic(50, 3, 0)
+        calls, squared_norms = [], engine._squared_norms
+
+        def reversed_at_degree_5(ev):
+            calls.append(len(ev))
+            return squared_norms(ev)[::-1].copy() if len(calls) == 5 else squared_norms(ev)
+
+        monkeypatch.setattr(engine, "_squared_norms", reversed_at_degree_5)
+        fitter = engine.Fitter(X)
+        basis, _ = fitter.fit(EngineConfig(epsilon=1e-6, mode=GRAD, max_degree=6))
+        monkeypatch.undo()
+        keep = basis.chain.degrees[4][2]
+        f = int(keep.sum())
+        assert len(basis.chain.degrees) == 6 and 0 < f < len(keep) and not keep[:f].all()
+        splits = fitted_splits(fitter)
+        assert [s.block[0].base is None for s in splits[1:]] == [False] * 4 + [True, False]
+        assert_fit_is_its_dag(basis, X)
+        assert_chain_is_replay(basis, self.FRESH)
+        assert_matrices_are_replay(basis, self.FRESH)
+
+    @pytest.mark.parametrize("kind", ["vca", "grad", "coeff"])
+    def test_fits_of_one_fitter_share_splits_not_lists(self, kind):
+        # edits of every list and extent array a fit hands out, in the
+        # basis and in its chain, reach no later fit of the fitter
+        X = center_and_unitbox(perturb(sample_variety("V1", 50, 0), 0.01, 100))
+        mode = mode_from_kind(kind, n_points=len(X))
+        fitter = engine.Fitter(X)
+        basis, _ = fitter.fit(EngineConfig(epsilon=1e-2, mode=mode))
+        for t in range(1, len(basis.F)):
+            for lists in (basis, basis.chain):
+                lists.F[t].reverse()
+                lists.F[t].append(basis.F[0][0])
+                lists.G[t].clear()
+            basis.extents[t][:] = 7.0
+        for eps in (1e-2, 1e-3, 1e-2):
+            config = EngineConfig(epsilon=eps, mode=mode)
+            (got, got_report), (want, want_report) = fitter.fit(config), fit(X, config)
+            assert (got_report.f_counts, got_report.g_counts) == (want_report.f_counts,
+                                                                  want_report.g_counts)
+            assert [e.tobytes() for e in got.extents] == [e.tobytes() for e in want.extents]
+            for a, b in zip(got.chain.degrees, want.chain.degrees, strict=True):
+                assert [None if x is None else x.tobytes() for x in a] == [
+                    None if x is None else x.tobytes() for x in b]
+            for lists in (got, got.chain):
+                assert [[p.eval.tobytes() for p in s] for s in lists.F + lists.G] == [
+                    [p.eval.tobytes() for p in s] for s in want.F + want.G]
 
     def test_the_split_follows_the_mask(self):
         # a fitted mask is a prefix, F first in eigenvalue order, so reverse
@@ -963,11 +1044,10 @@ class TestStructuralInvariants:
                 assert sum(report.f_counts[: t + 1]) <= comb(dim + t, dim)
 
     def test_more_f_than_points_is_an_invariant_violation(self, monkeypatch):
-        # a projection that drops the earlier strata (a zero-weight call)
-        # lets vca keep 36 nonorthogonal F members on 30 points by degree
-        # 7; orthogonal nonzero vectors in R^30 cannot
-        monkeypatch.setattr(engine, "orthogonal_project", lambda cands, f_prev: core.linear_combine(
-            f_prev, np.zeros((len(f_prev), len(cands))), lead=cands))
+        # a projection that drops the earlier strata (zero weights) lets
+        # vca keep 36 nonorthogonal F members on 30 points by degree 7;
+        # orthogonal nonzero vectors in R^30 cannot
+        monkeypatch.setattr(engine, "projection_weights", lambda F, C: np.zeros((len(F), len(C))))
         X = scale(sample_generic(30, 2, 0), 100.0)
         config = EngineConfig(epsilon=1e-4, mode=NormalizationMode.vca_baseline(), max_degree=8)
         with pytest.raises(InternalInvariantViolation, match="exceeds \\|X\\| = 30"):
