@@ -101,9 +101,11 @@ def dump_json(obj, path):
     before the file is opened, so an object :func:`json_bytes` cannot write
     raises ``TypeError``, and one that holds a NaN or an infinity, which
     JSON cannot represent, raises ``InternalInvariantViolation``; neither
-    leaves a file behind."""
+    leaves a file behind.  orjson writes every NaN, infinity and None as
+    ``null``, so only bytes that hold ``null`` send ``obj`` to the walk that
+    tells them apart."""
     data = json_bytes(obj)
-    if not _finite(obj):
+    if b"null" in data and not _finite(obj):
         raise InternalInvariantViolation(f"{path} would hold a NaN or an infinity, "
                                          "which JSON cannot represent")
     with open(path, "wb") as fh:

@@ -329,6 +329,32 @@ class TestDumpJson:
             serialize.dump_json(obj, path)
         assert not path.exists()
 
+    def test_null_bytes_send_the_object_to_the_walk(self, tmp_path):
+        # a None and a string holding "null" write null too; the walk still
+        # finds the NaN nested in a list
+        obj = {"none": None, "s": "a null string", "l": [[1.0, [2.5, float("nan")]], "null"]}
+        path = tmp_path / "bad.json"
+        assert b"null" in serialize.json_bytes(obj)
+        with pytest.raises(InternalInvariantViolation, match=re.escape(str(path))):
+            serialize.dump_json(obj, path)
+        assert not path.exists()
+
+    def test_a_none_among_finite_floats_writes_the_canonical_bytes(self, tmp_path):
+        obj = {"none": None, "x": [0.1, -0.0, 5e-324, 1e300], "s": ["null", (None, 2.5)]}
+        path = tmp_path / "ok.json"
+        serialize.dump_json(obj, path)
+        assert path.read_bytes() == serialize.json_bytes(obj)
+        assert_canonical_json(path, obj)
+
+    def test_bytes_without_null_are_not_walked(self, tmp_path, monkeypatch):
+        def no_walk(obj):
+            raise AssertionError("walked an object whose bytes hold no null")
+
+        monkeypatch.setattr(serialize, "_finite", no_walk)
+        obj = {"x": [0.1, -0.0, 1e300], "s": "nul", "n": [1, 2**63]}
+        serialize.dump_json(obj, tmp_path / "ok.json")
+        assert (tmp_path / "ok.json").read_bytes() == serialize.json_bytes(obj)
+
     @pytest.mark.parametrize("obj", [
         {(1, 2): "x"},
         {"a": {frozenset(): 1}},
