@@ -439,9 +439,12 @@ class _Step:
         if f not in self.splits:
             members, keep = self.members, self.extents > threshold
             keep.setflags(write=False)
-            rows = slice(f) if keep[:f].all() else keep
-            F = [p for p, k in zip(members, keep) if k]
-            G = [p for p, k in zip(members, keep) if not k]
+            if keep[:f].all():  # a prefix: F_t's block is a view
+                rows, F, G = slice(f), members[:f], members[f:]
+            else:
+                rows, flags = keep, keep.tolist()
+                F = [p for p, k in zip(members, flags) if k]
+                G = [p for p, k in zip(members, flags) if not k]
             block = members.evals[rows], None if members.grads is None else members.grads[rows]
             self.splits[f] = _Split(keep, F, G, self.extents[~keep], block, [p.prov for p in F])
         return self.splits[f]
