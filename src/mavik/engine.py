@@ -625,10 +625,11 @@ class Fitter:
     retained count, and a :class:`_Split` its lists, F block and the next
     degree's step.  A fit computes a step only where its path leaves the
     tree, and walks a kept degree with no numpy compare and no list
-    comprehension; memory is bounded by the steps already computed.  In coefficient mode it keeps every provenance node's
-    coefficient rows beside the steps, so each degree's Gram expands only
-    the nodes no earlier Gram reached; the rows belong to nodes the kept
-    steps hold, so memory is still bounded by the nodes built.  A
+    comprehension; memory is bounded by the steps already computed.  In
+    coefficient mode it keeps every provenance node's coefficient rows
+    beside the steps, so each degree's Gram expands only the nodes no
+    earlier Gram reached; the rows belong to nodes the kept steps hold, so
+    memory is still bounded by the nodes built.  A
     configuration that differs in more than epsilon starts a new tree.
     Every fit returns what a fresh :func:`fit` returns, bitwise: the kept
     steps are the ones a fresh fit would compute.  The fit's loop is the
