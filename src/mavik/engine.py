@@ -774,7 +774,7 @@ class Fitter:
 def fit(X, config):
     """Run the basis construction on ``X``; returns (Basis, FitReport).
 
-    Each degree runs as a short chain of stratum-level kernels
+    Each degree runs as one step on whole-stratum blocks
     (:func:`_degree_step`), then splits its combinations into F and G by
     epsilon; see :meth:`Fitter.degrees`, whose loop this is and whose last
     yielded pair this returns, with ``report.wall_time_s`` set.
